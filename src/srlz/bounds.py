@@ -203,9 +203,9 @@ def calibrate_eps_hat_k(pairs=None, max_power: int = 10) -> int:
         if n < 3:  # log2(log2 n) <= 0 gives no budget; excluded by corpus anyway
             continue
         stream = cond_lz.cond_encode(secondary, primary)
-        stats = cond_lz.joint_parse(primary, secondary)
+        rho_c = cond_lz.rho_cond(secondary, primary)
         slack_unit = n * math.log2(max(1.0, math.log2(n))) / math.log2(n)
-        excess = stream.payload_bits - n * stats.rho_cond
+        excess = stream.payload_bits - n * rho_c
         if excess <= 0:
             continue
         k = 1

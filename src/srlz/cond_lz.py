@@ -60,7 +60,7 @@ class JointParseResult:
 
 
 def _joint_counts_raw(pd: Seq[int], sd: Seq[int]):
-    """Shared walk: returns (phrases, c_l in first-marking order, incomplete)."""
+    """Phrase-recording walk of joint_parse: (phrases, c_l, incomplete)."""
     children = {}
     pnodes = {}
     pcounts: dict = {}
@@ -109,6 +109,49 @@ def _joint_counts_raw(pd: Seq[int], sd: Seq[int]):
     return phrases, [pcounts[p] for p in order], incomplete
 
 
+def _joint_cl_raw(pd: Seq[int], sd: Seq[int], A: int, B: int) -> List[int]:
+    """Count-only joint walk: c_l in first-marking order, no phrase records.
+
+    A and B are the primary and secondary alphabet sizes; every index must be
+    below its size, because trie keys are the integers node*A + a for the
+    primary trie and (node*A + a)*B + b for the joint trie.
+    """
+    children: dict = {}
+    pnodes: dict = {}
+    pcounts: dict = {}  # insertion order is first-marking order
+    cget = children.get
+    pget = pnodes.get
+    node = 0
+    pnode = 0
+    next_id = 1
+    pnext = 1
+    for i in range(len(pd)):
+        a = pd[i]
+        pkey = pnode * A + a
+        pn = pget(pkey)
+        if pn is None:
+            pnodes[pkey] = pn = pnext
+            pnext += 1
+        key = (node * A + a) * B + sd[i]
+        child = cget(key)
+        if child is None:
+            children[key] = next_id
+            next_id += 1
+            pcounts[pn] = pcounts.get(pn, 0) + 1
+            node = 0
+            pnode = 0
+        else:
+            node = child
+            pnode = pn
+    if node != 0:
+        pcounts[pnode] = pcounts.get(pnode, 0) + 1
+    return list(pcounts.values())
+
+
+def rho_cond_from_counts(c_l: Seq[int], n: int) -> float:
+    return sum(cl * math.log2(cl) for cl in c_l) / n if n else 0.0
+
+
 def joint_parse(primary: SideInfo, secondary: Sequence) -> JointParseResult:
     prim = as_side_info(primary)
     if prim.n != secondary.n:
@@ -116,7 +159,7 @@ def joint_parse(primary: SideInfo, secondary: Sequence) -> JointParseResult:
     phrases, c_l, incomplete = _joint_counts_raw(prim.data, secondary.data)
     n = secondary.n
     c_joint = len(phrases)
-    rho_c = sum(cl * math.log2(cl) for cl in c_l) / n if n else 0.0
+    rho_c = rho_cond_from_counts(c_l, n)
     return JointParseResult(
         phrases=tuple(phrases),
         c_joint=c_joint,
@@ -129,7 +172,13 @@ def joint_parse(primary: SideInfo, secondary: Sequence) -> JointParseResult:
 
 
 def rho_cond(secondary: Sequence, primary: SideInfo) -> float:
-    return joint_parse(primary, secondary).rho_cond
+    """joint_parse(primary, secondary).rho_cond from the count-only walk."""
+    prim = as_side_info(primary)
+    if prim.n != secondary.n:
+        raise ValueError("primary and secondary lengths differ")
+    c_l = _joint_cl_raw(prim.data, secondary.data, prim.alphabet.size,
+                       secondary.alphabet.size)
+    return rho_cond_from_counts(c_l, secondary.n)
 
 
 def _hash_node(h: int, parent: int, a: int, b: int) -> int:

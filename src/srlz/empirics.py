@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import bounds
-from .cond_lz import SideInfo, as_side_info, _joint_counts_raw
+from .cond_lz import SideInfo, as_side_info, _joint_cl_raw, rho_cond
 from .lz_core import Sequence, rho_lz
 
 TOL = 1e-12
@@ -113,18 +113,16 @@ def check_cond_entropy_inequality(secondary: Sequence, primary: SideInfo, block_
     eps_n = bounds.eps_n_value(n, beta, eps_mode)
     emp = block_empirics(prim, secondary, block_len)
     lhs = emp.h_cond / block_len
-    from .cond_lz import joint_parse  # local to avoid import clutter at top
-
-    jp = joint_parse(prim, secondary)
+    rho_c = rho_cond(secondary, prim)
     delta_p = bounds.delta_n_prime(block_len, n, beta, gamma, eps_n)
-    rhs = jp.rho_cond - delta_p
+    rhs = rho_c - delta_p
     return {
         "n": n,
         "beta": beta,
         "gamma": gamma,
         "block_len": block_len,
         "lhs": lhs,
-        "rho_cond": jp.rho_cond,
+        "rho_cond": rho_c,
         "delta_prime": delta_p,
         "rhs": rhs,
         "eps_mode": str(eps_mode),
@@ -232,7 +230,7 @@ def scan_cond_entropy_inequality(n: int, beta: int = 2, gamma: int = 2,
         pb = bit_cache[vh]
         for vt in range(side):
             sb = bit_cache[vt]
-            _, c_l, _ = _joint_counts_raw(pb, sb)
+            c_l = _joint_cl_raw(pb, sb, 2, 2)
             rho_c = sum(cl * log2(cl) for cl in c_l) / n
             for l in block_lens:
                 hc: Dict[Tuple[int, int], int] = {}

@@ -18,7 +18,7 @@ from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence as Seq, Tuple, Union
 
 from . import bounds
-from .cond_lz import joint_parse
+from .cond_lz import rho_cond
 from .container import BudgetExceededError
 from .lz_core import Alphabet, Sequence, parse
 
@@ -319,7 +319,7 @@ def converse_check(encoder: FsmEncoder, primary: Sequence, secondary: Sequence,
         raise ValueError("converse check needs n >= 2")
     trace = run(encoder, primary, secondary)
     pr = parse(primary)
-    jp = joint_parse(primary, secondary)
+    rho_c = rho_cond(secondary, primary)
     eps_n = bounds.eps_n_value(n, encoder.beta, eps_mode)
     d1 = bounds.delta1(q, n, encoder.beta, eps_n)
     d2, d2_l = bounds.delta2(q, n, encoder.beta, encoder.gamma, eps_n)
@@ -327,8 +327,8 @@ def converse_check(encoder: FsmEncoder, primary: Sequence, secondary: Sequence,
     checks = {
         "i": {"lhs": trace.rho1, "rhs": pr.rho_lz - d1,
               "holds": trace.rho1 >= pr.rho_lz - d1 - tol},
-        "ii": {"lhs": trace.rho12, "rhs": pr.rho_lz + jp.rho_cond - d2,
-               "holds": trace.rho12 >= pr.rho_lz + jp.rho_cond - d2 - tol},
+        "ii": {"lhs": trace.rho12, "rhs": pr.rho_lz + rho_c - d2,
+               "holds": trace.rho12 >= pr.rho_lz + rho_c - d2 - tol},
         "iii": {"lhs": trace.rho1, "rhs": floor3,
                 "holds": trace.rho1 >= floor3 - tol},
     }
@@ -337,7 +337,7 @@ def converse_check(encoder: FsmEncoder, primary: Sequence, secondary: Sequence,
         "rho1": trace.rho1,
         "rho12": trace.rho12,
         "rho_lz": pr.rho_lz,
-        "rho_cond": jp.rho_cond,
+        "rho_cond": rho_c,
         "phrase_count": pr.c,
         "delta1": d1,
         "delta2": d2,

@@ -75,8 +75,8 @@ class Sequence:
     def __init__(self, alphabet: Alphabet, data: Iterable[int]) -> None:
         self.alphabet = alphabet
         self.data: Tuple[int, ...] = tuple(data)
-        size = alphabet.size
-        if any(not (0 <= v < size) for v in self.data):
+        data = self.data
+        if data and (min(data) < 0 or max(data) >= alphabet.size):
             raise ValueError("symbol index out of range for alphabet")
 
     @classmethod

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence as Seq, Tuple, Union
 
 from . import bounds
-from .cond_lz import joint_parse
+from .cond_lz import rho_cond
 from .lz_core import Sequence, rho_lz
 
 TOL = 1e-9
@@ -36,6 +36,8 @@ class HalfPlaneRegion:
     clamped_b: bool = False
     clamped_c: bool = False
     meta: dict = field(default_factory=dict, compare=False, hash=False)
+    # the point given to region_from_corner; corner() returns it unrounded
+    exact_corner: Optional[RatePoint] = field(default=None, compare=False, repr=False)
 
     def floors(self) -> Tuple[float, float, float]:
         """Effective (R1 floor, R2 floor, sum floor) with the implicit >= 0."""
@@ -50,6 +52,8 @@ class HalfPlaneRegion:
                 and point.r1 + point.r2 >= b - tol)
 
     def corner(self) -> RatePoint:
+        if self.exact_corner is not None:
+            return self.exact_corner
         a, c, b = self.floors()
         return RatePoint(a, max(c, b - a))
 
@@ -111,7 +115,11 @@ def frontier(members: Seq[HalfPlaneRegion], tol: float = TOL) -> List[RatePoint]
 
 
 def region_from_corner(point: RatePoint) -> HalfPlaneRegion:
-    return HalfPlaneRegion(a=point.r1, b=point.r1 + point.r2)
+    """The region whose corner is `point`.  The sum floor r1 + r2 can round
+    (0.22 + 0.25 - 0.22 is 0.24999999999999997), so a point with nonnegative
+    coordinates is kept and corner() returns it exactly."""
+    exact = point if point.r1 >= 0 and point.r2 >= 0 else None
+    return HalfPlaneRegion(a=point.r1, b=point.r1 + point.r2, exact_corner=exact)
 
 
 def region_contains_region(outer: HalfPlaneRegion, inner: HalfPlaneRegion,
@@ -141,15 +149,15 @@ def region_for_pair(primary: Sequence, secondary: Sequence, q: int,
     gamma = secondary.alphabet.size
     eps_n = bounds.eps_n_value(n, beta, eps_mode)
     rho1 = rho_lz(primary)
-    jp = joint_parse(primary, secondary)
+    rho_c = rho_cond(secondary, primary)
     d1 = bounds.delta1(q, n, beta, eps_n)
     d2, d2_l = bounds.delta2(q, n, beta, gamma, eps_n)
     return clamped_region(
         rho1 - d1,
-        rho1 + jp.rho_cond - d2,
+        rho1 + rho_c - d2,
         meta={
             "n": n, "q": q, "beta": beta, "gamma": gamma,
-            "rho_lz": rho1, "rho_cond": jp.rho_cond,
+            "rho_lz": rho1, "rho_cond": rho_c,
             "delta1": d1, "delta2": d2, "delta2_block_len": d2_l,
             "eps_mode": str(eps_mode), "eps_n": eps_n,
         },
@@ -186,7 +194,7 @@ def blockwise_region(primary: Sequence, secondary: Sequence, q: int, block_len: 
         pb = Sequence(primary.alphabet, primary.data[t:t + k])
         sb = Sequence(secondary.alphabet, secondary.data[t:t + k])
         sum1 += rho_lz(pb)
-        sum2 += joint_parse(pb, sb).rho_cond
+        sum2 += rho_cond(sb, pb)
     scale = k / n
     avg1 = scale * sum1
     avg12 = scale * (sum1 + sum2)

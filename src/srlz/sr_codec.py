@@ -9,6 +9,7 @@ decoder 2 reads, which is the successive-refinement structure.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -27,8 +28,8 @@ from .container import (
     pack_segments,
     unpack_segments,
 )
-from .cond_lz import cond_decode, cond_encode, joint_parse
-from .lz_core import Alphabet, Sequence, lz_decode, lz_encode, rho_lz
+from .cond_lz import cond_decode, cond_encode, rho_cond, rho_cond_from_counts
+from .lz_core import Alphabet, Sequence, lz_decode, lz_encode, rho_from_count, rho_lz
 
 OBJECTIVES = ("min-r1", "min-sum", "weighted")
 
@@ -253,7 +254,7 @@ def _greedy_pairs(x: Sequence, dist: DistortionSpec, search) -> List[Tuple[Seque
 
     evals = [0]
 
-    def improve(hat: Sequence, til: Sequence, score_fn) -> Tuple[Sequence, Sequence]:
+    def improve(hat: Sequence, til: Sequence) -> Tuple[Sequence, Sequence]:
         cost1 = dist.d1.letter_cost(x.alphabet, hat.alphabet)
         cost2 = dist.d2.letter_cost(x.alphabet, til.alphabet)
         bud1 = dist.level1 * x.n + 1e-9
@@ -262,7 +263,9 @@ def _greedy_pairs(x: Sequence, dist: DistortionSpec, search) -> List[Tuple[Seque
         t = list(til.data)
         dh = sum(cost1[a][b] for a, b in zip(x.data, h))
         dt = sum(cost2[a][b] for a, b in zip(x.data, t))
-        best = score_fn(Sequence(hat.alphabet, h), Sequence(til.alphabet, t))
+        size1, size2 = hat.alphabet.size, til.alphabet.size
+        scorer = _FlipScorer(h, t, size1, size2)
+        best = scorer.rebuild()
         improved = True
         while improved and evals[0] < search.evaluations:
             improved = False
@@ -270,24 +273,24 @@ def _greedy_pairs(x: Sequence, dist: DistortionSpec, search) -> List[Tuple[Seque
                 if evals[0] >= search.evaluations:
                     break
                 a = x.data[i]
-                for seq_ref, cost, bud, cur_d, alpha in (
-                        (h, cost1, bud1, "dh", hat.alphabet),
-                        (t, cost2, bud2, "dt", til.alphabet)):
+                for coarse, seq_ref, cost, bud, size in ((True, h, cost1, bud1, size1),
+                                                         (False, t, cost2, bud2, size2)):
                     old = seq_ref[i]
-                    base_d = dh if cur_d == "dh" else dt
-                    for j in range(alpha.size):
+                    base_d = dh if coarse else dt
+                    for j in range(size):
                         if j == old:
                             continue
                         nd = base_d - cost[a][old] + cost[a][j]
                         if nd > bud:
                             continue
                         seq_ref[i] = j
-                        cand = score_fn(Sequence(hat.alphabet, h), Sequence(til.alphabet, t))
+                        cand = scorer.score(i, coarse)
                         evals[0] += 1
                         if cand < best - 1e-15:
                             best = cand
+                            scorer.rebuild()
                             base_d = nd
-                            if cur_d == "dh":
+                            if coarse:
                                 dh = nd
                             else:
                                 dt = nd
@@ -297,21 +300,148 @@ def _greedy_pairs(x: Sequence, dist: DistortionSpec, search) -> List[Tuple[Seque
                             seq_ref[i] = old
         return Sequence(hat.alphabet, h), Sequence(til.alphabet, t)
 
-    def score(hat: Sequence, til: Sequence) -> float:
-        return rho_lz(hat) + joint_parse(hat, til).rho_cond
-
     hat0 = nearest_feasible(x, dist.d1, dist.level1)
     til0 = nearest_feasible(x, dist.d2, dist.level2)
     keep(hat0, til0)
-    keep(*improve(hat0, til0, score))
+    keep(*improve(hat0, til0))
     for _ in range(max(0, search.restarts)):
         hat = _random_feasible(x, dist.d1, dist.level1, rng)
         til = _random_feasible(x, dist.d2, dist.level2, rng)
         keep(hat, til)
-        keep(*improve(hat, til, score))
+        keep(*improve(hat, til))
         if evals[0] >= search.evaluations:
             break
     return collected
+
+
+class _FlipScorer:
+    """rho_lz(h) + rho_cond(t | h) of the index lists h and t, which the
+    caller changes in place one position at a time.
+
+    `rebuild` walks the whole pair (plain trie over h, joint and primary tries
+    over (h, t)) and records the walker state before every position.  After a
+    change at position i, `score(i, coarse)` resumes from the state at i and
+    walks positions i..n-1 only; the plain walk is resumed only when h
+    changed (`coarse`).  A base trie entry whose id is at least the id counter
+    at i was created at or after i, so the suffix walk ignores it and keeps its
+    own new entries in a per-call overlay: nothing is copied or undone.  Call
+    `rebuild` after a change is kept.  Scores are bit-identical to
+    rho_lz(hat) + joint_parse(hat, til).rho_cond: c_l is summed in
+    first-marking order, which is the insertion order of a Counter over the
+    joint phrases' primary nodes.  A and B are the sizes of the two
+    reproduction alphabets (trie keys are node*A + a and (node*A + a)*B + b).
+    """
+
+    def __init__(self, h: List[int], t: List[int], A: int, B: int) -> None:
+        self.h, self.t, self.A, self.B = h, t, A, B
+
+    def rebuild(self) -> float:
+        h, t, A, B = self.h, self.t, self.A, self.B
+        n = len(h)
+        lz_children: dict = {}
+        lz_at = [None] * n  # (node, next id, phrases) before position i
+        node, nid, c = 0, 1, 0
+        for i in range(n):
+            lz_at[i] = (node, nid, c)
+            key = node * A + h[i]
+            child = lz_children.get(key)
+            if child is None:
+                lz_children[key] = nid
+                nid += 1
+                c += 1
+                node = 0
+            else:
+                node = child
+        if node:
+            c += 1
+        children: dict = {}
+        pnodes: dict = {}
+        joint_at = [None] * n  # (node, pnode, next id, next pnode id, phrases)
+        phrase_pnodes: List[int] = []  # primary node of each joint phrase
+        node, pnode, nid, pnext = 0, 0, 1, 1
+        for i in range(n):
+            joint_at[i] = (node, pnode, nid, pnext, len(phrase_pnodes))
+            a = h[i]
+            pkey = pnode * A + a
+            pn = pnodes.get(pkey)
+            if pn is None:
+                pnodes[pkey] = pn = pnext
+                pnext += 1
+            key = (node * A + a) * B + t[i]
+            child = children.get(key)
+            if child is None:
+                children[key] = nid
+                nid += 1
+                phrase_pnodes.append(pn)
+                node = pnode = 0
+            else:
+                node, pnode = child, pn
+        if node:
+            phrase_pnodes.append(pnode)
+        self.lz_children, self.lz_at, self.c_h = lz_children, lz_at, c
+        self.children, self.pnodes, self.joint_at = children, pnodes, joint_at
+        self.phrase_pnodes = phrase_pnodes
+        return self._total(c, phrase_pnodes)
+
+    def score(self, i: int, coarse: bool) -> float:
+        h, t, A, B = self.h, self.t, self.A, self.B
+        n = len(h)
+        if coarse:
+            node, lim, c = self.lz_at[i]
+            get = self.lz_children.get
+            overlay: dict = {}
+            nid = lim
+            for k in range(i, n):
+                key = node * A + h[k]
+                child = get(key)
+                if child is None or child >= lim:
+                    child = overlay.get(key)
+                    if child is None:
+                        overlay[key] = nid
+                        nid += 1
+                        c += 1
+                        node = 0
+                        continue
+                node = child
+            if node:
+                c += 1
+        else:
+            c = self.c_h
+        node, pnode, lim, plim, k0 = self.joint_at[i]
+        get = self.children.get
+        pget = self.pnodes.get
+        overlay = {}
+        poverlay: dict = {}
+        nid, pnext = lim, plim
+        pl = self.phrase_pnodes[:k0]
+        for k in range(i, n):
+            a = h[k]
+            pkey = pnode * A + a
+            pn = pget(pkey)
+            if pn is None or pn >= plim:
+                pn = poverlay.get(pkey)
+                if pn is None:
+                    poverlay[pkey] = pn = pnext
+                    pnext += 1
+            key = (node * A + a) * B + t[k]
+            child = get(key)
+            if child is None or child >= lim:
+                child = overlay.get(key)
+                if child is None:
+                    overlay[key] = nid
+                    nid += 1
+                    pl.append(pn)
+                    node = pnode = 0
+                    continue
+            node, pnode = child, pn
+        if node:
+            pl.append(pnode)
+        return self._total(c, pl)
+
+    def _total(self, c_hat: int, phrase_pnodes: List[int]) -> float:
+        n = len(self.h)
+        return (rho_from_count(c_hat, n)
+                + rho_cond_from_counts(Counter(phrase_pnodes).values(), n))
 
 
 def _random_feasible(x: Sequence, d: PerLetterDistortion, level: float,
@@ -353,7 +483,7 @@ def select_reproductions(x: Sequence, dist: DistortionSpec,
     best_key = None
     for hat, til in pairs:
         r1 = rho_lz(hat)
-        rc = joint_parse(hat, til).rho_cond
+        rc = rho_cond(til, hat)
         key = (fn(r1, rc), hat.data, til.data)
         if best_key is None or key < best_key:
             best_key = key

@@ -15,7 +15,7 @@ from typing import Dict, List, Tuple, Union
 import numpy as np
 
 from . import bounds, corpus, empirics, fsm, mdc, regions
-from .cond_lz import _joint_counts_raw, cond_encode, joint_parse
+from .cond_lz import _joint_cl_raw, cond_encode, rho_cond
 from .lz_core import BINARY, Sequence, lz_encode, parse
 
 TOL = 1e-9
@@ -182,7 +182,7 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
         rho_h = rho_small[vh]
         m2_row = m2_table[vh]
         for vt in range(side):
-            _, c_l, _ = _joint_counts_raw(pb, bits[vt])
+            c_l = _joint_cl_raw(pb, bits[vt], 2, 2)
             rho_c = sum(cl * math.log2(cl) for cl in c_l if cl > 1) / n_small
             checks_ii += 1
             if m1 + m2_row[vt] < rho_h + rho_c - d2_small - tol:
@@ -199,7 +199,7 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
     for i in range(random_pairs):
         primary, secondary = corpus.random_pair(rng, 2, 2, n_large)
         pr = parse(primary)
-        jp = joint_parse(primary, secondary)
+        rho_c = rho_cond(secondary, primary)
         ones = sum(primary.data)
         m1 = min_rho1(n_large - ones, ones, n_large)
         cnt = [0, 0, 0, 0]
@@ -209,7 +209,7 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
         floor3 = bounds.zl78_floor(pr.c, n_large, 1)
         if m1 < pr.rho_lz - d1_large - tol:
             random_violations.append({"check": "i", "pair": i})
-        if m1 + m2 < pr.rho_lz + jp.rho_cond - d2_large - tol:
+        if m1 + m2 < pr.rho_lz + rho_c - d2_large - tol:
             random_violations.append({"check": "ii", "pair": i})
         if m1 < floor3 - tol:
             random_violations.append({"check": "iii", "pair": i})
@@ -228,15 +228,15 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
     for a in counting.data:
         cnt[3 * a] += 1
     m2 = min_rho2(tuple(cnt), n_large)
-    jp = joint_parse(counting, counting)
+    rho_c = rho_cond(counting, counting)
     floor3 = bounds.zl78_floor(pr.c, n_large, 1)
     if m1 < pr.rho_lz - d1_large - tol:
         adversarial_violations.append(
             {"check": "i", "rho_lz": pr.rho_lz, "family_min": m1,
              "delta1": d1_large})
-    if m1 + m2 < pr.rho_lz + jp.rho_cond - d2_large - tol:
+    if m1 + m2 < pr.rho_lz + rho_c - d2_large - tol:
         adversarial_violations.append(
-            {"check": "ii", "rho_sum": pr.rho_lz + jp.rho_cond,
+            {"check": "ii", "rho_sum": pr.rho_lz + rho_c,
              "family_min": m1 + m2, "delta2": d2_large})
     if m1 < floor3 - tol:
         adversarial_violations.append(

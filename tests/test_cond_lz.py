@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 import oracles
 from srlz.container import SideInfoMismatchError, StreamFormatError
 from srlz.cond_lz import (
+    _joint_cl_raw,
     as_side_info,
     cond_decode,
     cond_encode,
@@ -62,6 +63,23 @@ def test_joint_counts_are_consistent(pair):
     assert len(jp.c_l) == jp.c_prime
     # conditioning can only help: rho_cond <= rho of the pair parse
     assert jp.rho_cond <= jp.rho_joint + 1e-12
+
+
+sized_pairs = st.tuples(st.integers(1, 5), st.integers(1, 5),
+                        st.integers(0, 60)).flatmap(
+    lambda abn: st.tuples(st.just(abn[0]), st.just(abn[1]),
+                          st.lists(st.integers(0, abn[0] - 1), min_size=abn[2], max_size=abn[2]),
+                          st.lists(st.integers(0, abn[1] - 1), min_size=abn[2], max_size=abn[2])))
+
+
+@given(sized_pairs)
+def test_count_only_walk_matches_joint_parse(case):
+    size_a, size_b, pd, sd = case
+    primary = Sequence(Alphabet.of_size(size_a), pd)
+    secondary = Sequence(Alphabet.of_size(size_b), sd)
+    jp = joint_parse(primary, secondary)
+    assert _joint_cl_raw(pd, sd, size_a, size_b) == list(jp.c_l)
+    assert rho_cond(secondary, primary) == jp.rho_cond  # bit-identical, same summation order
 
 
 @given(pair_texts)

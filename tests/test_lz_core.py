@@ -61,6 +61,14 @@ class TestSequence:
         with pytest.raises(ValueError):
             Sequence(BINARY, (0, 2))
 
+    @pytest.mark.parametrize("data", [(-1,), (1, 0, -1), (3,), (0, 3, 1)])
+    def test_index_range_checked_both_ends(self, data):
+        with pytest.raises(ValueError, match="symbol index out of range for alphabet"):
+            Sequence(Alphabet.of_size(3), data)
+
+    def test_empty_sequence_accepted(self):
+        assert Sequence(BINARY, ()).n == 0
+
     def test_from_symbols_unknown_token(self):
         with pytest.raises(KeyError):
             Sequence.from_symbols(BINARY, ["0", "x"])

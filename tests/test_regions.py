@@ -92,6 +92,16 @@ class TestFrontier:
         again = frontier([region_from_corner(p) for p in front])
         assert again == front
 
+    def test_corner_survives_rounding_of_the_sum_floor(self):
+        p = RatePoint(0.22, 0.25)
+        assert (0.22 + 0.25) - 0.22 != 0.25  # the sum floor alone loses the last bit
+        assert region_from_corner(p).corner() == p
+        assert frontier([region_from_corner(p)]) == [p]
+
+    def test_corner_of_other_regions_from_floors(self):
+        assert HalfPlaneRegion(a=0.22, b=0.22 + 0.25).corner() == RatePoint(0.22, 0.24999999999999997)
+        assert region_from_corner(RatePoint(-0.5, 1.0)).corner() == RatePoint(0.0, 0.5)
+
 
 lattice = st.integers(min_value=0, max_value=8)
 member_floors = st.lists(st.tuples(lattice, lattice), min_size=1, max_size=4)

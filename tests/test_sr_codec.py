@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,12 +15,14 @@ from srlz.container import (
     StreamFormatError,
     pack_segments,
 )
-from srlz.lz_core import BINARY, Alphabet, Sequence, lz_encode
+from srlz.cond_lz import joint_parse
+from srlz.lz_core import BINARY, Alphabet, Sequence, lz_encode, rho_lz
 from srlz.regions import SearchBudget
 from srlz.sr_codec import (
     DistortionSpec,
     PerLetterDistortion,
     SrEncoded,
+    _FlipScorer,
     candidate_pairs,
     distortion,
     hamming_spec,
@@ -241,9 +245,6 @@ class TestSelection:
         assert diag["pairs"] == 1
 
     def test_objective_value_matches_brute_force(self):
-        from srlz.cond_lz import joint_parse
-        from srlz.lz_core import rho_lz
-
         x = bits("01000110")
         spec = hamming_spec(0.25, 0.125)
         search = SearchBudget()
@@ -284,3 +285,200 @@ class TestSelection:
         a = select_reproductions(x, spec, "min-sum", search)
         b = select_reproductions(x, spec, "min-sum", search)
         assert (a[0], a[1]) == (b[0], b[1])
+
+
+def _uniform_source(seed: int, size: int, n: int) -> Sequence:
+    rng = random.Random(seed)
+    return Sequence(Alphabet.of_size(size), [rng.randrange(size) for _ in range(n)])
+
+
+_ABSDIFF = PerLetterDistortion("absdiff")
+_ABSDIFF_TO_024 = PerLetterDistortion("absdiff", reproduction=Alphabet(("0", "2", "4")))
+
+# name -> (source seed, alphabet size, n, distortion, search budget)
+GOLDEN_CASES = {
+    "hamming": (1, 4, 40, hamming_spec(0.25, 0.0),
+                SearchBudget(mode="greedy", evaluations=800, seed=0)),
+    "hamming-seed5": (2, 4, 48, hamming_spec(0.25, 0.0),
+                      SearchBudget(mode="greedy", evaluations=1500, seed=5)),
+    "hamming-fine": (3, 3, 36, hamming_spec(0.3, 0.1),
+                     SearchBudget(mode="greedy", evaluations=1200, seed=1)),
+    "absdiff": (4, 5, 40, DistortionSpec(d1=_ABSDIFF, d2=_ABSDIFF, level1=0.8, level2=0.2),
+                SearchBudget(mode="greedy", evaluations=1200, seed=2)),
+    "rep-size": (5, 5, 40, DistortionSpec(d1=_ABSDIFF_TO_024, d2=_ABSDIFF,
+                                          level1=0.9, level2=0.15),
+                 SearchBudget(mode="greedy", evaluations=1200, seed=3)),
+    "binary-long": (6, 2, 96, hamming_spec(0.2, 0.05),
+                    SearchBudget(mode="greedy", evaluations=2000, seed=4, restarts=2)),
+}
+
+# Captured from the search that scored every candidate with a full
+# rho_lz + joint_parse: (coarse, fine) index strings of candidate_pairs,
+# then the selected objective values for "weighted" and "min-sum".
+GOLDEN = {
+    "hamming": (
+        [
+            ("1020333310303303210200003130133121132030",
+             "1020333310303303210200003130133121132030"),
+            ("3302332321121303210200003130133121132030",
+             "1020333310303303210200003130133121132030"),
+            ("1122332321321303210200003130133121132030",
+             "1020333310303303210200003130133121132030"),
+            ("3202032110201203210200003130133121132030",
+             "1020333310303303210200003130133121132030"),
+            ("1032033110221203210200003130033121132030",
+             "1020333310303303210200003130133121132030"),
+            ("2021132221233003210200003130133121132030",
+             "1020333310303303210200003130133121132030"),
+            ("0021132231223303210200203130133121132030",
+             "1020333310303303210200003130133121132030"),
+        ],
+        1.8810438950854809, 2.017765568885703),
+    "hamming-seed5": (
+        [
+            ("000212210133232002323311110121121332223133132323",
+             "000212210133232002323311110121121332223133132323"),
+            ("131212210133132102322311100121121332223133132323",
+             "000212210133232002323311110121121332223133132323"),
+            ("220310102313010002323311110121121332223133132323",
+             "000212210133232002323311110121121332223133132323"),
+            ("320110100313010002323311110121121332223133132323",
+             "000212210133232002323311110121121332223133132323"),
+            ("221012310030122331323311110121121332223133132323",
+             "000212210133232002323311110121121332223133132323"),
+            ("133112310130122131320311110121121332223133132323",
+             "000212210133232002323311110121121332223133132323"),
+            ("011311103110102102323311110121121332223133132323",
+             "000212210133232002323311110121121332223133132323"),
+            ("011311100103101102313311110121121332223133132323",
+             "000212210133232002323311110121121332223133132323"),
+        ],
+        1.6549186203550696, 1.7461153651692725),
+    "hamming-fine": (
+        [
+            ("022012122020112002122112002021202002",
+             "022012122020112002122112002021202002"),
+            ("122012122020212002122112002021202002",
+             "022012122020212002122112002021202002"),
+            ("020101112100101102122112002021202002",
+             "201012122020112002122112002021202002"),
+            ("021100102001101002122112002021202002",
+             "021112122020112002122112002021202002"),
+            ("222212002000220122122112002021202002",
+             "222211122020112002122112002021202002"),
+            ("222212102020200122122112002021202002",
+             "222210122020112002122112002021202002"),
+            ("001111010122012002122112002021202002",
+             "001112122020112002122112002021202002"),
+            ("011011010122012002122112012021202002",
+             "000112122020112002122112002021202002"),
+        ],
+        1.5084158030224015, 1.5361935808001794),
+    "absdiff": (
+        [
+            ("1203310003420144221021022112220423411132",
+             "1203310003420144221021022112220423411132"),
+            ("0203212003420144221021022102220403412101",
+             "0203212003420144221021022102220403412132"),
+            ("0002122414041334243211022112220423411132",
+             "4243310103420144221021022112220423411132"),
+            ("0003102413041334243211024112220423411132",
+             "2243110103420144221021022112220423411132"),
+            ("0412110300221100000001122112220423411132",
+             "3443310003420144221021022112220423411132"),
+            ("2232110300221100000011122112220423411132",
+             "3233313003420144221021022112220423411132"),
+            ("0414422324010331040011022112220423411132",
+             "0320410003420144221021022112220423411132"),
+            ("2412400224310331040010022112220423411133",
+             "2210210103420144221021022112220423411132"),
+        ],
+        1.4900839733531945, 1.5150839733531947),
+    "rep-size": (
+        [
+            ("2112010000110120200011010002210000000011",
+             "4224031010231340410132131014431100111122"),
+            ("2212010002120121200010011002210000000111",
+             "4224131010231340410132131014431100111122"),
+            ("0220121020120120200021010002221100100011",
+             "2324331010231340410132131014431100111122"),
+            ("1102121020120120200021010022221100100011",
+             "3324231110231340411132131014431100111122"),
+            ("0022001121111220210111111012211100001111",
+             "4230041010231340410132131014431100111122"),
+            ("1022022121111220200111111012211100201111",
+             "3213241010231340410132131014431100111122"),
+            ("2110002012011210210121121002210100011111",
+             "4201021010231340410132131014431100111122"),
+            ("2112001012011210210121121002210100011111",
+             "4211022010231340410132131014431100111122"),
+        ],
+        1.725, 1.85),
+    "binary-long": (
+        [
+            ("011000111011010010110111100100011001011100001101100000001111110100110100111011110011100001101111",
+             "011000111011010010110111100100011001011100001101100000001111110100110100111011110011100001101111"),
+            ("011010111011010011110111100100011001011100011101100000001111110100110100111011110011100001101111",
+             "011010111011010011110111100100011001011100001101100000001111110100110100111011110011100001101111"),
+            ("010110000110011001001100111000011001011100001101100000001111110100110100111011110011100001101111",
+             "101101111011010010110111100100011001011100001101100000001111110100110100111011110011100001101111"),
+            ("011110000111011001001001101100011001011100001101100000001111110100110100111011110011100001100110",
+             "001001111011011010110111100000011001011100001101100000001111110100110100111011110011100001101111"),
+            ("000101100001110000110010011001101101011100001101100000001111110100110100111011110011100001101111",
+             "010111111011010010110111100100011001011100001101100000001111110100110100111011110011100001101111"),
+            ("010101101011110001110010001001101101011100001101100000001111110100110100111011110011100001111111",
+             "011101111011010010110111100100011001011100001101100000001111110100110100111011110011100001101111"),
+        ],
+        1.3373121099834755, 1.3373121099834755),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_greedy_search_matches_golden(name):
+    seed, size, n, dist, search = GOLDEN_CASES[name]
+    want_pairs, want_weighted, want_min_sum = GOLDEN[name]
+    x = _uniform_source(seed, size, n)
+    pairs, meta = candidate_pairs(x, dist, search)
+    got = [("".join(map(str, h.data)), "".join(map(str, t.data))) for h, t in pairs]
+    assert got == want_pairs
+    assert meta == {"search_mode": "greedy", "seed": search.seed, "pairs": len(want_pairs),
+                    "evaluations": search.evaluations, "restarts": search.restarts}
+    assert select_reproductions(x, dist, "weighted", search)[2]["objective_value"] == want_weighted
+    assert select_reproductions(x, dist, "min-sum", search)[2]["objective_value"] == want_min_sum
+
+
+def _full_score(h, t, size_a, size_b):
+    hat = Sequence(Alphabet.of_size(size_a), h)
+    til = Sequence(Alphabet.of_size(size_b), t)
+    return rho_lz(hat) + joint_parse(hat, til).rho_cond
+
+
+# (A, B, h, t, flips): flip = (position fraction, coarse?, new letter, keep?)
+scorer_cases = st.tuples(st.integers(1, 5), st.integers(1, 5),
+                         st.integers(1, 48)).flatmap(
+    lambda abn: st.tuples(
+        st.just(abn[0]), st.just(abn[1]),
+        st.lists(st.integers(0, abn[0] - 1), min_size=abn[2], max_size=abn[2]),
+        st.lists(st.integers(0, abn[1] - 1), min_size=abn[2], max_size=abn[2]),
+        st.lists(st.tuples(st.integers(0, abn[2] - 1), st.booleans(),
+                           st.integers(0, 4), st.booleans()), max_size=12)))
+
+
+@given(scorer_cases)
+def test_suffix_scorer_is_bit_identical_to_full_score(case):
+    size_a, size_b, h, t, flips = case
+    n = len(h)
+    scorer = _FlipScorer(h, t, size_a, size_b)
+    assert scorer.rebuild() == _full_score(h, t, size_a, size_b)
+    # the first and last positions, then the drawn flips (kept ones rebuild)
+    edge = [(0, True, 1, False), (n - 1, False, 1, False),
+            (n - 1, True, 1, False), (0, False, 1, False)]
+    for i, coarse, letter, keep in edge + flips:
+        seq, size = (h, size_a) if coarse else (t, size_b)
+        old = seq[i]
+        seq[i] = (old + letter) % size
+        assert scorer.score(i, coarse) == _full_score(h, t, size_a, size_b)
+        if keep:
+            assert scorer.rebuild() == _full_score(h, t, size_a, size_b)
+        else:
+            seq[i] = old

@@ -65,6 +65,12 @@ class TestSmallSuiteRuns:
         assert rep["corners"] > 0
         assert rep["corner_mismatches"] == []
 
+    def test_frontier_idempotence_at_seed_7(self):
+        # seed 7 draws corners such as (0.22, 0.25) whose sum floor rounds
+        rep = suite_frontier(seed=7)
+        assert rep["holds"]
+        assert rep["idempotence_failures"] == []
+
     def test_frontier_lattice_guard(self):
         with pytest.raises(ValueError, match="coarser"):
             suite_frontier(resolution=0.01, lattice=0.01)
