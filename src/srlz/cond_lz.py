@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Sequence as Seq, Tuple, Union
+from typing import List, Sequence as Seq, Tuple, Union
 
 from .bitio import BitReader, BitWriter, FNV64_OFFSET, FNV64_PRIME, fnv1a64
 from .container import (
@@ -27,7 +27,7 @@ from .container import (
     SideInfoMismatchError,
     StreamFormatError,
 )
-from .lz_core import Alphabet, Sequence, product_sequence, rho_from_count
+from .lz_core import Alphabet, Sequence, _lz_walk, _phrases, product_sequence, rho_from_count
 
 SideInfo = Union[Sequence, Tuple[Sequence, ...], List[Sequence]]
 
@@ -59,93 +59,31 @@ class JointParseResult:
     is_last_incomplete: bool
 
 
-def _joint_counts_raw(pd: Seq[int], sd: Seq[int]):
-    """Phrase-recording walk of joint_parse: (phrases, c_l, incomplete)."""
-    children = {}
-    pnodes = {}
-    pcounts: dict = {}
-    order: List[int] = []
-    phrases: List[Tuple[int, int]] = []
-    node = 0
-    pnode = 0
-    next_id = 1
-    pnext = 1
-    start = 0
-    for i in range(len(pd)):
-        a = pd[i]
-        b = sd[i]
-        pkey = (pnode, a)
-        pn = pnodes.get(pkey)
-        if pn is None:
-            pnodes[pkey] = pn = pnext
-            pnext += 1
-        pnode = pn
-        key = (node, a, b)
-        child = children.get(key)
-        if child is None:
-            children[key] = next_id
-            next_id += 1
-            phrases.append((start, i - start + 1))
-            cnt = pcounts.get(pnode)
-            if cnt is None:
-                pcounts[pnode] = 1
-                order.append(pnode)
-            else:
-                pcounts[pnode] = cnt + 1
-            node = 0
-            pnode = 0
-            start = i + 1
-        else:
-            node = child
-    incomplete = node != 0
-    if incomplete:
-        phrases.append((start, len(pd) - start))
-        cnt = pcounts.get(pnode)
-        if cnt is None:
-            pcounts[pnode] = 1
-            order.append(pnode)
-        else:
-            pcounts[pnode] = cnt + 1
-    return phrases, [pcounts[p] for p in order], incomplete
+def _joint_walk(pd: Seq[int], sd: Seq[int], A: int, B: int) -> Tuple[List[int], int, List[int]]:
+    """The joint parse: the plain parse of the pair indices a*B + b.
 
-
-def _joint_cl_raw(pd: Seq[int], sd: Seq[int], A: int, B: int) -> List[int]:
-    """Count-only joint walk: c_l in first-marking order, no phrase records.
-
-    A and B are the primary and secondary alphabet sizes; every index must be
-    below its size, because trie keys are the integers node*A + a for the
-    primary trie and (node*A + a)*B + b for the joint trie.
+    A and B are the primary and secondary alphabet sizes.  Returns the walk's
+    (keys, last) and c_l in first-marking order.  The primary string of phrase
+    j is that of its parent extended by a, so one pass over the phrases numbers
+    the distinct primary strings in order of first appearance.
     """
-    children: dict = {}
-    pnodes: dict = {}
-    pcounts: dict = {}  # insertion order is first-marking order
-    cget = children.get
-    pget = pnodes.get
-    node = 0
-    pnode = 0
-    next_id = 1
-    pnext = 1
-    for i in range(len(pd)):
-        a = pd[i]
-        pkey = pnode * A + a
-        pn = pget(pkey)
-        if pn is None:
-            pnodes[pkey] = pn = pnext
-            pnext += 1
-        key = (node * A + a) * B + sd[i]
-        child = cget(key)
-        if child is None:
-            children[key] = next_id
-            next_id += 1
-            pcounts[pn] = pcounts.get(pn, 0) + 1
-            node = 0
-            pnode = 0
+    AB = A * B
+    keys, last = _lz_walk([a * B + b for a, b in zip(pd, sd)], AB)
+    ptrie: dict = {}
+    pnode = [0]  # primary node of each joint node
+    c_l: List[int] = []  # c_l[p - 1] counts the phrases at primary node p
+    for k in keys:
+        key = pnode[k // AB] * A + k % AB // B
+        p = ptrie.get(key)
+        if p is None:
+            c_l.append(1)
+            ptrie[key] = p = len(c_l)
         else:
-            node = child
-            pnode = pn
-    if node != 0:
-        pcounts[pnode] = pcounts.get(pnode, 0) + 1
-    return list(pcounts.values())
+            c_l[p - 1] += 1
+        pnode.append(p)
+    if last:
+        c_l[pnode[last] - 1] += 1
+    return keys, last, c_l
 
 
 def rho_cond_from_counts(c_l: Seq[int], n: int) -> float:
@@ -156,7 +94,10 @@ def joint_parse(primary: SideInfo, secondary: Sequence) -> JointParseResult:
     prim = as_side_info(primary)
     if prim.n != secondary.n:
         raise ValueError("primary and secondary lengths differ")
-    phrases, c_l, incomplete = _joint_counts_raw(prim.data, secondary.data)
+    A = prim.alphabet.size
+    B = secondary.alphabet.size
+    keys, last, c_l = _joint_walk(prim.data, secondary.data, A, B)
+    phrases, _ = _phrases(keys, last, A * B)
     n = secondary.n
     c_joint = len(phrases)
     rho_c = rho_cond_from_counts(c_l, n)
@@ -167,17 +108,17 @@ def joint_parse(primary: SideInfo, secondary: Sequence) -> JointParseResult:
         c_l=tuple(c_l),
         rho_cond=rho_c,
         rho_joint=rho_from_count(c_joint, n),
-        is_last_incomplete=incomplete,
+        is_last_incomplete=last != 0,
     )
 
 
 def rho_cond(secondary: Sequence, primary: SideInfo) -> float:
-    """joint_parse(primary, secondary).rho_cond from the count-only walk."""
+    """joint_parse(primary, secondary).rho_cond without the phrase records."""
     prim = as_side_info(primary)
     if prim.n != secondary.n:
         raise ValueError("primary and secondary lengths differ")
-    c_l = _joint_cl_raw(prim.data, secondary.data, prim.alphabet.size,
-                       secondary.alphabet.size)
+    _, _, c_l = _joint_walk(prim.data, secondary.data, prim.alphabet.size,
+                            secondary.alphabet.size)
     return rho_cond_from_counts(c_l, secondary.n)
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import bounds
-from .cond_lz import SideInfo, as_side_info, _joint_cl_raw, rho_cond
-from .lz_core import Sequence, rho_lz
+from .cond_lz import SideInfo, _joint_walk, as_side_info, rho_cond, rho_cond_from_counts
+from .lz_core import Sequence, _phrase_count, rho_from_count, rho_lz
 
 TOL = 1e-12
 
@@ -160,24 +160,8 @@ def scan_entropy_inequality(n: int, beta: int = 2,
     violations: List[dict] = []
     checks = 0
     for v in range(total):
-        # the parse walk over the bits of v, counting phrases only
-        children: Dict[Tuple[int, int], int] = {}
-        node = 0
-        nid = 1
-        c = 0
-        for shift in range(n - 1, -1, -1):
-            key = (node, (v >> shift) & 1)
-            child = children.get(key)
-            if child is None:
-                children[key] = nid
-                nid += 1
-                c += 1
-                node = 0
-            else:
-                node = child
-        if node:
-            c += 1
-        rho = c * log2(c) / n if c > 1 else 0.0
+        bits = [(v >> shift) & 1 for shift in range(n - 1, -1, -1)]
+        rho = rho_from_count(_phrase_count(bits, 2), n)
         for l in block_lens:
             counts = _int_block_counts(v, n, l)
             blocks = n // l
@@ -230,8 +214,7 @@ def scan_cond_entropy_inequality(n: int, beta: int = 2, gamma: int = 2,
         pb = bit_cache[vh]
         for vt in range(side):
             sb = bit_cache[vt]
-            c_l = _joint_cl_raw(pb, sb, 2, 2)
-            rho_c = sum(cl * log2(cl) for cl in c_l) / n
+            rho_c = rho_cond_from_counts(_joint_walk(pb, sb, 2, 2)[2], n)
             for l in block_lens:
                 hc: Dict[Tuple[int, int], int] = {}
                 pm: Dict[int, int] = {}

@@ -9,6 +9,7 @@ c * log2(c) / n where c is the phrase count.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iproduct
@@ -76,6 +77,12 @@ class Sequence:
         self.alphabet = alphabet
         self.data: Tuple[int, ...] = tuple(data)
         data = self.data
+        try:
+            array("q", data)  # one C-level pass that admits only integers
+        except TypeError:
+            raise ValueError("symbol indices must be integers") from None
+        except OverflowError:
+            raise ValueError("symbol index out of range for alphabet") from None
         if data and (min(data) < 0 or max(data) >= alphabet.size):
             raise ValueError("symbol index out of range for alphabet")
 
@@ -168,52 +175,50 @@ class ParseResult:
     parents: Tuple[int, ...]  # trie node extended by each phrase (0 = root)
 
 
-def _parse_raw(data: Seq[int]) -> Tuple[List[Tuple[int, int]], List[int], bool]:
-    children = {}
-    phrases: List[Tuple[int, int]] = []
-    parents: List[int] = []
-    node = 0
-    next_id = 1
-    start = 0
-    for i, sym in enumerate(data):
-        key = (node, sym)
-        child = children.get(key)
-        if child is None:
-            children[key] = next_id
-            next_id += 1
-            phrases.append((start, i - start + 1))
-            parents.append(node)
-            node = 0
-            start = i + 1
-        else:
-            node = child
-    incomplete = node != 0
-    if incomplete:
-        phrases.append((start, len(data) - start))
-        parents.append(node)
-    return phrases, parents, incomplete
+def _lz_walk(data: Seq[int], size: int) -> Tuple[List[int], int]:
+    """The incremental parse as a trie walk, every index below `size`.
 
-
-def _phrase_count_raw(data: Seq[int]) -> int:
-    """Phrase count only; same walk as _parse_raw without bookkeeping."""
-    children = {}
+    The trie is keyed by the integers node*size + sym, and complete phrase j
+    creates node j.  Returns (keys, last): keys[j-1] = parent*size + innovation
+    of complete phrase j, and last is the node where the input ends, 0 unless
+    the last phrase is incomplete.
+    """
+    trie: dict = {}
+    get = trie.get
+    keys: List[int] = []
     node = 0
-    next_id = 1
-    c = 0
-    get = children.get
     for sym in data:
-        key = (node, sym)
+        key = node * size + sym
         child = get(key)
         if child is None:
-            children[key] = next_id
-            next_id += 1
-            c += 1
+            keys.append(key)
+            trie[key] = len(keys)
             node = 0
         else:
             node = child
-    if node != 0:
-        c += 1
-    return c
+    return keys, node
+
+
+def _phrase_count(data: Seq[int], size: int) -> int:
+    keys, last = _lz_walk(data, size)
+    return len(keys) + (last != 0)
+
+
+def _phrases(keys: List[int], last: int, size: int) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """(start, length) and parent node of every phrase of a walk."""
+    parents = [k // size for k in keys]
+    depth = [0]
+    phrases: List[Tuple[int, int]] = []
+    start = 0
+    for p in parents:
+        d = depth[p] + 1
+        depth.append(d)
+        phrases.append((start, d))
+        start += d
+    if last:
+        parents.append(last)
+        phrases.append((start, depth[last]))
+    return phrases, parents
 
 
 def rho_from_count(c: int, n: int) -> float:
@@ -223,7 +228,8 @@ def rho_from_count(c: int, n: int) -> float:
 
 
 def parse(seq: Sequence) -> ParseResult:
-    phrases, parents, incomplete = _parse_raw(seq.data)
+    keys, last = _lz_walk(seq.data, seq.alphabet.size)
+    phrases, parents = _phrases(keys, last, seq.alphabet.size)
     n = seq.n
     c = len(phrases)
     rho = rho_from_count(c, n)
@@ -236,7 +242,7 @@ def parse(seq: Sequence) -> ParseResult:
     return ParseResult(
         phrases=tuple(phrases),
         c=c,
-        is_last_incomplete=incomplete,
+        is_last_incomplete=last != 0,
         rho_lz=rho,
         code_len_bound=bound,
         parents=tuple(parents),
@@ -244,28 +250,27 @@ def parse(seq: Sequence) -> ParseResult:
 
 
 def rho_lz(seq: Sequence) -> float:
-    return rho_from_count(_phrase_count_raw(seq.data), seq.n)
+    return rho_from_count(_phrase_count(seq.data, seq.alphabet.size), seq.n)
 
 
 def lz_encode(seq: Sequence) -> Bitstream:
     """Serialize the incremental parse: per phrase a back pointer plus, for
     complete phrases, the fixed-width innovation symbol."""
-    pr = parse(seq)
-    data = seq.data
+    size = seq.alphabet.size
+    keys, last = _lz_walk(seq.data, size)
     symw = seq.alphabet.bits_per_symbol
     w = BitWriter()
-    c = pr.c
-    for j in range(1, c + 1):
-        start, length = pr.phrases[j - 1]
-        w.write(pr.parents[j - 1], (j - 1).bit_length())
-        if j < c or not pr.is_last_incomplete:
-            w.write(data[start + length - 1], symw)
+    for j, k in enumerate(keys):
+        w.write(k // size, j.bit_length())
+        w.write(k % size, symw)
+    if last:
+        w.write(last, len(keys).bit_length())
     return Bitstream(
         mode=MODE_LZ,
         n=seq.n,
         alphabet=seq.alphabet.symbols,
-        phrase_count=c,
-        last_incomplete=pr.is_last_incomplete,
+        phrase_count=len(keys) + (last != 0),
+        last_incomplete=last != 0,
         payload=w.to_bytes(),
         payload_bits=w.bit_length,
     )

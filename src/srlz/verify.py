@@ -8,15 +8,12 @@ byte for byte.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Dict, List, Tuple, Union
 
-import numpy as np
-
 from . import bounds, corpus, empirics, fsm, mdc, regions
-from .cond_lz import _joint_cl_raw, cond_encode, rho_cond
-from .lz_core import BINARY, Sequence, lz_encode, parse
+from .cond_lz import _joint_walk, cond_encode, rho_cond, rho_cond_from_counts
+from .lz_core import BINARY, Sequence, _phrase_count, lz_encode, parse, rho_from_count
 
 TOL = 1e-9
 
@@ -72,19 +69,6 @@ def suite_kraft(max_out_len: int = 2, block_len_max: int = 3,
     }
 
 
-def _pair_count_tables(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Counts of the four (bit, bit) pair types for every (vh, vt) value pair."""
-    pc = np.array([bin(v).count("1") for v in range(1 << n)], dtype=np.int64)
-    vh = np.arange(1 << n, dtype=np.int64)[:, None]
-    vt = np.arange(1 << n, dtype=np.int64)[None, :]
-    mask = (1 << n) - 1
-    n11 = pc[vh & vt]
-    n10 = pc[vh & ~vt & mask]
-    n01 = pc[~vh & vt & mask]
-    n00 = n - n11 - n10 - n01
-    return n00, n01, n10, n11
-
-
 def _counting_sequence(n: int) -> Sequence:
     """0,1,00,01,10,11,000,... concatenated and truncated: near-maximal
     phrase count for its length, the stress case for the converse floors."""
@@ -97,26 +81,6 @@ def _counting_sequence(n: int) -> Sequence:
                 break
         length += 1
     return Sequence(BINARY, out[:n])
-
-
-def _binary_phrase_count(v: int, n: int) -> int:
-    children: Dict[Tuple[int, int], int] = {}
-    node = 0
-    nid = 1
-    c = 0
-    for shift in range(n - 1, -1, -1):
-        key = (node, (v >> shift) & 1)
-        child = children.get(key)
-        if child is None:
-            children[key] = nid
-            nid += 1
-            c += 1
-            node = 0
-        else:
-            node = child
-    if node:
-        c += 1
-    return c
 
 
 def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
@@ -152,17 +116,11 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
     side = 1 << n_small
     bits = [tuple((v >> s) & 1 for s in range(n_small - 1, -1, -1))
             for v in range(side)]
-    phrase_counts = [_binary_phrase_count(v, n_small) for v in range(side)]
-    rho_small = [c * math.log2(c) / n_small if c > 1 else 0.0
-                 for c in phrase_counts]
+    phrase_counts = [_phrase_count(b, 2) for b in bits]
+    rho_small = [rho_from_count(c, n_small) for c in phrase_counts]
     m1_by_ones = [min_rho1(n_small - o, o, n_small) for o in range(n_small + 1)]
     ones_of = [bin(v).count("1") for v in range(side)]
-    n00, n01, n10, n11 = _pair_count_tables(n_small)
-    prof_mins = None
-    for prof in p2:
-        cand = n00 * prof[0] + n01 * prof[1] + n10 * prof[2] + n11 * prof[3]
-        prof_mins = cand if prof_mins is None else np.minimum(prof_mins, cand)
-    m2_table = (prof_mins / n_small).tolist()
+    m2_memo: Dict[Tuple[int, int, int, int], float] = {}
 
     exhaustive_violations: List[dict] = []
     checks_i = checks_iii = 0
@@ -180,12 +138,17 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
         pb = bits[vh]
         m1 = m1_by_ones[ones_of[vh]]
         rho_h = rho_small[vh]
-        m2_row = m2_table[vh]
+        oh = ones_of[vh]
         for vt in range(side):
-            c_l = _joint_cl_raw(pb, bits[vt], 2, 2)
-            rho_c = sum(cl * math.log2(cl) for cl in c_l if cl > 1) / n_small
+            n11 = ones_of[vh & vt]
+            n01 = ones_of[vt] - n11
+            counts = (n_small - oh - n01, n01, oh - n11, n11)
+            m2 = m2_memo.get(counts)
+            if m2 is None:
+                m2 = m2_memo[counts] = min_rho2(counts, n_small)
+            rho_c = rho_cond_from_counts(_joint_walk(pb, bits[vt], 2, 2)[2], n_small)
             checks_ii += 1
-            if m1 + m2_row[vt] < rho_h + rho_c - d2_small - tol:
+            if m1 + m2 < rho_h + rho_c - d2_small - tol:
                 exhaustive_violations.append(
                     {"check": "ii", "primary": vh, "secondary": vt})
 

@@ -737,3 +737,12 @@ class TestConsoleScript:
                          tmp_path)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["command"] == "analyze"
+
+    def test_runs_without_numpy(self, tmp_path):
+        # a None entry in sys.modules makes any import of numpy fail
+        code = ("import sys; sys.modules['numpy'] = None; "
+                "from srlz.cli import main; sys.exit(main())")
+        proc = run_child([sys.executable, "-c", code, "verify", "--suite",
+                          "converse", "--budget", "2", "--n", "64"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"]["holds"] is True

@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,7 +8,6 @@ from hypothesis import strategies as st
 import oracles
 from srlz.container import SideInfoMismatchError, StreamFormatError
 from srlz.cond_lz import (
-    _joint_cl_raw,
     as_side_info,
     cond_decode,
     cond_encode,
@@ -74,12 +76,21 @@ sized_pairs = st.tuples(st.integers(1, 5), st.integers(1, 5),
 
 @given(sized_pairs)
 def test_count_only_walk_matches_joint_parse(case):
+    # the set oracle over the pairs, c_l in first-marking order: the order in
+    # which each primary phrase string first appears
     size_a, size_b, pd, sd = case
     primary = Sequence(Alphabet.of_size(size_a), pd)
     secondary = Sequence(Alphabet.of_size(size_b), sd)
     jp = joint_parse(primary, secondary)
-    assert _joint_cl_raw(pd, sd, size_a, size_b) == list(jp.c_l)
-    assert rho_cond(secondary, primary) == jp.rho_cond  # bit-identical, same summation order
+    phrases, c_joint, incomplete = oracles.parse_by_set(list(zip(pd, sd)))
+    c_l = list(Counter(tuple(a for a, _ in w) for w in phrases).values())
+    rho_c = sum(v * math.log2(v) for v in c_l) / len(pd) if pd else 0.0
+    assert list(jp.c_l) == c_l
+    assert jp.rho_cond == rho_c
+    assert rho_cond(secondary, primary) == rho_c
+    assert [tuple(zip(pd[a:a + ln], sd[a:a + ln])) for a, ln in jp.phrases] == phrases
+    assert jp.c_joint == c_joint
+    assert jp.is_last_incomplete == incomplete
 
 
 @given(pair_texts)

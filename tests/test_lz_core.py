@@ -61,10 +61,15 @@ class TestSequence:
         with pytest.raises(ValueError):
             Sequence(BINARY, (0, 2))
 
-    @pytest.mark.parametrize("data", [(-1,), (1, 0, -1), (3,), (0, 3, 1)])
+    @pytest.mark.parametrize("data", [(-1,), (1, 0, -1), (3,), (0, 3, 1), (1 << 64,)])
     def test_index_range_checked_both_ends(self, data):
         with pytest.raises(ValueError, match="symbol index out of range for alphabet"):
             Sequence(Alphabet.of_size(3), data)
+
+    @pytest.mark.parametrize("data", [(0.5, 1, True), (1.0,), ("0", "1"), (0, None)])
+    def test_non_integer_indices_rejected(self, data):
+        with pytest.raises(ValueError, match="symbol indices must be integers"):
+            Sequence(BINARY, data)
 
     def test_empty_sequence_accepted(self):
         assert Sequence(BINARY, ()).n == 0
@@ -117,15 +122,21 @@ texts = st.text(alphabet="ab", min_size=0, max_size=120) | st.text(
     alphabet="abcz", min_size=0, max_size=80)
 
 
-@given(texts)
-def test_parse_matches_set_oracle(text):
-    s = seq(text, Alphabet(("a", "b", "c", "z")))
-    pr = parse(s)
-    phrases, c, incomplete = oracles.parse_by_set(list(text))
+sized = st.tuples(st.integers(1, 5), st.integers(0, 120)).flatmap(
+    lambda kn: st.tuples(st.just(kn[0]), st.lists(st.integers(0, kn[0] - 1),
+                                                  min_size=kn[1], max_size=kn[1])))
+
+
+@given(sized)
+def test_parse_matches_set_oracle(case):
+    size, data = case
+    pr = parse(Sequence(Alphabet.of_size(size), data))
+    phrases, c, incomplete = oracles.parse_by_set(data)
     assert pr.c == c
     assert pr.is_last_incomplete == incomplete
-    assert phrase_strings(s) == ["".join(p) for p in phrases]
-    assert pr.rho_lz == pytest.approx(oracles.rho_by_set(list(text)), abs=1e-12)
+    assert [tuple(data[a:a + ln]) for a, ln in pr.phrases] == phrases
+    assert list(pr.parents) == oracles.parent_nodes(phrases, incomplete)
+    assert pr.rho_lz == pytest.approx(oracles.rho_by_set(data), abs=1e-12)
 
 
 @given(texts)
