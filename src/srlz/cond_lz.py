@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass
 from typing import List, Sequence as Seq, Tuple, Union
 
-from .bitio import BitReader, BitWriter, FNV64_OFFSET, FNV64_PRIME, fnv1a64
+from .bitio import BitReader, BitWriter, FNV64_OFFSET, fnv1a64, fnv1a64_u32
 from .container import (
     MODE_COND,
     Bitstream,
@@ -30,8 +30,6 @@ from .container import (
 from .lz_core import Alphabet, Sequence, _lz_walk, _phrases, product_sequence, rho_from_count
 
 SideInfo = Union[Sequence, Tuple[Sequence, ...], List[Sequence]]
-
-_FNV_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 def as_side_info(primary: SideInfo) -> Sequence:
@@ -45,7 +43,7 @@ def side_info_checksum(primary: SideInfo) -> int:
     """Checksum over the canonical encoding (alphabet size, n, indices)."""
     seq = as_side_info(primary)
     h = fnv1a64(struct.pack(">IQ", seq.alphabet.size, seq.n))
-    return fnv1a64(b"".join(struct.pack(">I", v) for v in seq.data), h)
+    return fnv1a64_u32(seq.data, h)
 
 
 @dataclass(frozen=True)
@@ -123,9 +121,9 @@ def rho_cond(secondary: Sequence, primary: SideInfo) -> float:
 
 
 def _hash_node(h: int, parent: int, a: int, b: int) -> int:
-    for byte in struct.pack(">III", parent, a, b):
-        h = ((h ^ byte) * FNV64_PRIME) & _FNV_MASK
-    return h
+    """Continue the dictionary hash over the innovation (parent, a, b) as
+    three 4-byte big-endian fields."""
+    return fnv1a64_u32((parent, a, b), h)
 
 
 def cond_encode(secondary: Sequence, primary: SideInfo) -> Bitstream:
@@ -136,7 +134,8 @@ def cond_encode(secondary: Sequence, primary: SideInfo) -> Bitstream:
     sd = secondary.data
     n = secondary.n
     secw = secondary.alphabet.bits_per_symbol
-    by_a: dict = {}  # (node, a) -> list of (b, child_id) in creation order
+    A = prim.alphabet.size
+    by_a: dict = {}  # node*A + a -> list of (b, child_id) in creation order
     w = BitWriter()
     dhash = FNV64_OFFSET
     node = 0
@@ -145,7 +144,7 @@ def cond_encode(secondary: Sequence, primary: SideInfo) -> Bitstream:
     for i in range(n):
         a = pd[i]
         b = sd[i]
-        key = (node, a)
+        key = node * A + a
         lst = by_a.get(key)
         m = len(lst) if lst else 0
         width = m.bit_length()  # m+1 choices: children 0..m-1 or innovate
@@ -200,6 +199,7 @@ def cond_decode(stream: Union[Bitstream, bytes], primary: SideInfo) -> Sequence:
     secw = alphabet.bits_per_symbol
     r = BitReader(stream.payload)
     pd = prim.data
+    A = prim.alphabet.size
     by_a: dict = {}
     out: List[int] = []
     dhash = FNV64_OFFSET
@@ -208,7 +208,7 @@ def cond_decode(stream: Union[Bitstream, bytes], primary: SideInfo) -> Sequence:
     c = 0
     for i in range(stream.n):
         a = pd[i]
-        key = (node, a)
+        key = node * A + a
         lst = by_a.get(key)
         m = len(lst) if lst else 0
         idx = r.read(m.bit_length())

@@ -287,26 +287,28 @@ def lz_decode(stream: Union[Bitstream, bytes]) -> Sequence:
     r = BitReader(stream.payload)
     n = stream.n
     c = stream.phrase_count
-    phrase_data: List[Tuple[int, ...]] = [()]
+    # Phrase p is out[edge[p]:edge[p + 1]]: phrase 0 is empty, and each
+    # complete phrase starts where the previous one ended.
+    edge = [0, 0]
     out: List[int] = []
     for j in range(1, c + 1):
         ptr = r.read((j - 1).bit_length())
         if ptr >= j:
             raise PointerRangeError(f"phrase {j} points to undefined phrase {ptr}")
+        start, end = edge[ptr], edge[ptr + 1]
         if j == c and stream.last_incomplete:
-            p = phrase_data[ptr]
-            if len(out) + len(p) != n:
+            if len(out) + end - start != n:
                 raise StreamFormatError("incomplete last phrase length mismatch")
-            out.extend(p)
+            out += out[start:end]
         else:
             s = r.read(symw)
             if s >= size:
                 raise StreamFormatError(f"symbol index {s} out of range")
-            p = phrase_data[ptr] + (s,)
-            phrase_data.append(p)
-            out.extend(p)
-        if len(out) > n:
-            raise StreamFormatError("decoded length exceeds header length")
+            if len(out) + end - start + 1 > n:
+                raise StreamFormatError("decoded length exceeds header length")
+            out += out[start:end]
+            out.append(s)
+            edge.append(len(out))
     if len(out) != n:
         raise StreamFormatError("decoded length differs from header length")
     return Sequence(alphabet, out)

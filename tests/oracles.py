@@ -53,6 +53,31 @@ def parent_nodes(phrases: List[tuple], last_incomplete: bool) -> List[int]:
     return parents
 
 
+def pack_bits(fields: Seq[Tuple[int, int]]) -> bytes:
+    """MSB-first packing of (value, width) fields: shift everything into one
+    int, then zero-pad the tail to a byte boundary."""
+    acc = 0
+    nbits = 0
+    for value, width in fields:
+        acc = (acc << width) | value
+        nbits += width
+    pad = -nbits % 8
+    return (acc << pad).to_bytes((nbits + pad) // 8, "big")
+
+
+def unpack_bits(data: bytes, widths: Seq[int]) -> List[int]:
+    """The fields of `widths`, read MSB first from the whole of `data` as one int."""
+    val = int.from_bytes(data, "big")
+    total = len(data) * 8
+    pos = 0
+    out = []
+    for width in widths:
+        pos += width
+        assert pos <= total
+        out.append((val >> (total - pos)) & ((1 << width) - 1))
+    return out
+
+
 def rho_by_set(symbols: Seq) -> float:
     _, c, _ = parse_by_set(symbols)
     if len(symbols) == 0 or c <= 1:

@@ -1,4 +1,6 @@
 import math
+import random
+import struct
 from collections import Counter
 
 import pytest
@@ -6,8 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from srlz.bitio import FNV64_PRIME, fnv1a64
 from srlz.container import SideInfoMismatchError, StreamFormatError
 from srlz.cond_lz import (
+    _hash_node,
     as_side_info,
     cond_decode,
     cond_encode,
@@ -128,6 +132,44 @@ class TestSideInfoForms:
     def test_checksum_covers_content(self):
         assert side_info_checksum(bits("0101")) != side_info_checksum(bits("0111"))
         assert side_info_checksum(bits("01")) != side_info_checksum(bits("010"))
+
+
+def struct_checksum(seq: Sequence) -> int:
+    """The side-information checksum over its full byte image."""
+    image = struct.pack(">IQ", seq.alphabet.size, seq.n)
+    return fnv1a64(image + b"".join(struct.pack(">I", v) for v in seq.data))
+
+
+class TestHashFolding:
+    """The zero-folded hashes equal FNV-1a 64 over the 4-byte field images."""
+
+    @pytest.mark.parametrize("size", [1, 2, 256, 257, 676, 1352, 65537])
+    def test_side_info_checksum_matches_struct_image(self, size):
+        rng = random.Random(size)
+        edges = [v for v in (0, 1, 255, 256, 65535, 65536) if v < size]
+        data = edges + [rng.randrange(size) for _ in range(300)] + [size - 1]
+        seq = Sequence(Alphabet.of_size(size), data)
+        assert side_info_checksum(seq) == struct_checksum(seq)
+
+    def test_tuple_side_info_checksum_matches_struct_image(self):
+        rng = random.Random(5)
+        parts = [Sequence(Alphabet.of_size(k), [rng.randrange(k) for _ in range(200)])
+                 for k in (26, 26, 2)]
+        for side in (parts[:2], tuple(parts)):  # product sizes 676 and 1352
+            assert side_info_checksum(side) == struct_checksum(product_sequence(tuple(side)))
+
+    fields = st.one_of(st.integers(0, 300), st.integers(65280, 65800),
+                       st.integers(2 ** 32 - 300, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
+
+    @given(st.integers(0, 2 ** 64 - 1),
+           st.one_of(st.sampled_from([255, 256, 65535, 65536, 2 ** 32 - 1]),
+                     st.integers(0, 2 ** 32 - 1)),
+           fields, fields)
+    def test_hash_node_matches_struct_loop(self, h, parent, a, b):
+        want = h
+        for byte in struct.pack(">III", parent, a, b):
+            want = ((want ^ byte) * FNV64_PRIME) & 0xFFFFFFFFFFFFFFFF
+        assert _hash_node(h, parent, a, b) == want
 
 
 class TestDecodeErrors:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -227,6 +228,38 @@ class TestDecodeErrors:
                        payload_bits=w.bit_length)
         with pytest.raises(PointerRangeError):
             lz_decode(bs.to_bytes())
+
+    def test_chained_phrases_stop_at_header_length(self):
+        # phrase j extends phrase j-1, so 3,000 phrases spell 4,501,500
+        # symbols; a header n of 1,000 must stop decoding before the output
+        # grows past n
+        from srlz.bitio import BitWriter
+        from srlz.container import Bitstream
+
+        c = 3000
+        w = BitWriter()
+        for j in range(1, c + 1):
+            w.write(j - 1, (j - 1).bit_length())
+            w.write(0, 1)
+        n = 1000
+        raw = Bitstream(mode=MODE_LZ, n=n, alphabet=("0", "1"), phrase_count=c,
+                        last_incomplete=False, payload=w.to_bytes(),
+                        payload_bits=w.bit_length).to_bytes()
+        longest = []
+
+        def watch(frame, event, arg):
+            if frame.f_code is lz_decode.__code__:
+                longest.append(len(frame.f_locals.get("out", ())))
+                return watch
+            return None
+
+        sys.settrace(watch)
+        try:
+            with pytest.raises(StreamFormatError, match="exceeds header length"):
+                lz_decode(raw)
+        finally:
+            sys.settrace(None)
+        assert 900 < max(longest) <= n
 
     def test_length_mismatch_detected(self):
         enc = lz_encode(seq("abab"))
