@@ -11,9 +11,8 @@ the stage-2 data, the input pair).
 
 from __future__ import annotations
 
-import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence as Seq, Tuple, Union
 
@@ -132,22 +131,6 @@ def run(encoder: FsmEncoder, primary: Sequence, secondary: Sequence) -> Encoding
     )
 
 
-def _walk1(encoder: FsmEncoder, s: int, symbols: Seq[int]) -> Tuple[str, int]:
-    parts = []
-    for a in symbols:
-        parts.append(encoder.f1[(s, a)])
-        s = encoder.g1[(s, a)]
-    return "".join(parts), s
-
-
-def _walk2(encoder: FsmEncoder, z: int, pairs: Seq[Tuple[int, int]]) -> Tuple[str, int]:
-    parts = []
-    for a, b in pairs:
-        parts.append(encoder.f2[(z, a, b)])
-        z = encoder.g2[(z, a, b)]
-    return "".join(parts), z
-
-
 @dataclass(frozen=True)
 class LosslessnessReport:
     passed: bool
@@ -245,6 +228,36 @@ def _pair_names(encoder: FsmEncoder, pairs) -> List[Tuple[str, str]]:
     return [(pa[a], sa[b]) for a, b in pairs]
 
 
+KraftTable = Tuple[Tuple[Tuple[int, int], ...], ...]
+
+
+def kraft_tables(encoder: FsmEncoder) -> Tuple[KraftTable, KraftTable]:
+    """Everything the Kraft sum reads from an encoder: per stage, per state,
+    the (output length, next state) of every input, indexed by the primary
+    symbol a in stage 1 and by the pair index a*gamma + b in stage 2."""
+    beta, gamma = encoder.beta, encoder.gamma
+    f1, g1, f2, g2 = encoder.f1, encoder.g1, encoder.f2, encoder.g2
+    t1 = tuple(tuple((len(f1[(s, a)]), g1[(s, a)]) for a in range(beta))
+               for s in range(len(encoder.states_s)))
+    t2 = tuple(tuple((len(f2[(z, a, b)]), g2[(z, a, b)])
+                     for a in range(beta) for b in range(gamma))
+               for z in range(len(encoder.states_z)))
+    return t1, t2
+
+
+def _min_walk_len(table: KraftTable, word: Seq[int]) -> int:
+    """Least total output length of the walk over word from any start state."""
+    best = None
+    for s in range(len(table)):
+        total = 0
+        for x in word:
+            step, s = table[s][x]
+            total += step
+        if best is None or total < best:
+            best = total
+    return best
+
+
 def kraft_check(encoder: FsmEncoder, block_len: int, q: Optional[int] = None,
                 pair_budget: int = 10 ** 7, tol: float = 1e-12) -> dict:
     """Generalized Kraft sum over all pairs of length-l blocks.
@@ -254,20 +267,22 @@ def kraft_check(encoder: FsmEncoder, block_len: int, q: Optional[int] = None,
     two-stage encoder has q^2 states, and the classical bound for it carries
     (q^2)^2 = q^4.
     """
+    if block_len < 1:
+        raise ValueError("block_len must be positive")
     beta, gamma = encoder.beta, encoder.gamma
     if (beta * gamma) ** block_len > pair_budget:
         raise BudgetExceededError("block enumeration exceeds budget")
     if q is None:
         q = encoder.q
-    ns, nz = len(encoder.states_s), len(encoder.states_z)
+    t1, t2 = kraft_tables(encoder)
     lhs = 0.0
     min_len_seen = None
     for hat in iproduct(range(beta), repeat=block_len):
-        l1 = min(len(_walk1(encoder, s, hat)[0]) for s in range(ns))
-        for til in iproduct(range(gamma), repeat=block_len):
-            pairs = tuple(zip(hat, til))
-            l2 = min(len(_walk2(encoder, z, pairs)[0]) for z in range(nz))
-            total = l1 + l2
+        l1 = _min_walk_len(t1, hat)
+        # pair indices of (hat, til), til in lexicographic order: lhs adds up
+        # in the same order as over strings, so it is bit-identical
+        for pairs in iproduct(*[range(a * gamma, (a + 1) * gamma) for a in hat]):
+            total = l1 + _min_walk_len(t2, pairs)
             lhs += 2.0 ** (-total)
             if min_len_seen is None or total < min_len_seen:
                 min_len_seen = total
@@ -364,110 +379,6 @@ def identity_encoder(primary_alphabet: Alphabet, secondary_alphabet: Alphabet) -
             g2[(0, a, b)] = 0
     return FsmEncoder(primary_alphabet, secondary_alphabet, ("s0",), ("z0",),
                       f1, g1, f2, g2)
-
-
-# ---------------------------------------------------------------------------
-# table file format
-
-
-def format_fsm_table(encoder: FsmEncoder) -> str:
-    """Line-oriented table with sections [S],[Z],[f1],[g1],[f2],[g2],[init],[q].
-    The empty output is written as ""."""
-    pa, sa = encoder.primary_alphabet.symbols, encoder.secondary_alphabet.symbols
-    empty = '""'
-    lines = ["[S]"]
-    lines += list(encoder.states_s)
-    lines.append("[Z]")
-    lines += list(encoder.states_z)
-    lines.append("[f1]")
-    for (s, a), out in sorted(encoder.f1.items()):
-        lines.append(f"{encoder.states_s[s]} {pa[a]} {out or empty}")
-    lines.append("[g1]")
-    for (s, a), t in sorted(encoder.g1.items()):
-        lines.append(f"{encoder.states_s[s]} {pa[a]} {encoder.states_s[t]}")
-    lines.append("[f2]")
-    for (z, a, b), out in sorted(encoder.f2.items()):
-        lines.append(f"{encoder.states_z[z]} {pa[a]} {sa[b]} {out or empty}")
-    lines.append("[g2]")
-    for (z, a, b), t in sorted(encoder.g2.items()):
-        lines.append(f"{encoder.states_z[z]} {pa[a]} {sa[b]} {encoder.states_z[t]}")
-    lines.append("[init]")
-    lines.append(f"{encoder.states_s[encoder.s1]} {encoder.states_z[encoder.z1]}")
-    lines.append("[q]")
-    lines.append(str(encoder.q))
-    return "\n".join(lines) + "\n"
-
-
-def parse_fsm_table(text: str) -> FsmEncoder:
-    sections: Dict[str, List[List[str]]] = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1]
-            sections.setdefault(current, [])
-            continue
-        if current is None:
-            raise ValueError(f"line {lineno}: content before any section")
-        sections[current].append(line.split())
-    for needed in ("S", "Z", "f1", "g1", "f2", "g2", "init"):
-        if needed not in sections:
-            raise ValueError(f"missing section [{needed}]")
-    states_s = tuple(row[0] for row in sections["S"])
-    states_z = tuple(row[0] for row in sections["Z"])
-    sidx = {name: i for i, name in enumerate(states_s)}
-    zidx = {name: i for i, name in enumerate(states_z)}
-    prim_syms: List[str] = []
-    sec_syms: List[str] = []
-    for row in sections["f1"]:
-        if len(row) == 3 and row[1] not in prim_syms:
-            prim_syms.append(row[1])
-    for row in sections["f2"]:
-        if len(row) == 4:
-            if row[1] not in prim_syms:
-                prim_syms.append(row[1])
-            if row[2] not in sec_syms:
-                sec_syms.append(row[2])
-    pa = Alphabet(prim_syms)
-    sa = Alphabet(sec_syms)
-
-    def out_field(tok: str) -> str:
-        if tok == '""':
-            return ""
-        if not _OUT_RE.match(tok):
-            raise ValueError(f"bad output field: {tok!r}")
-        return tok
-
-    f1: Dict[Tuple[int, int], str] = {}
-    g1: Dict[Tuple[int, int], int] = {}
-    f2: Dict[Tuple[int, int, int], str] = {}
-    g2: Dict[Tuple[int, int, int], int] = {}
-    for row in sections["f1"]:
-        if len(row) != 3:
-            raise ValueError(f"bad [f1] row: {row}")
-        f1[(sidx[row[0]], pa.index[row[1]])] = out_field(row[2])
-    for row in sections["g1"]:
-        if len(row) != 3:
-            raise ValueError(f"bad [g1] row: {row}")
-        g1[(sidx[row[0]], pa.index[row[1]])] = sidx[row[2]]
-    for row in sections["f2"]:
-        if len(row) != 4:
-            raise ValueError(f"bad [f2] row: {row}")
-        f2[(zidx[row[0]], pa.index[row[1]], sa.index[row[2]])] = out_field(row[3])
-    for row in sections["g2"]:
-        if len(row) != 4:
-            raise ValueError(f"bad [g2] row: {row}")
-        g2[(zidx[row[0]], pa.index[row[1]], sa.index[row[2]])] = zidx[row[3]]
-    init = sections["init"]
-    if len(init) != 1 or len(init[0]) != 2:
-        raise ValueError("[init] needs exactly one line: <s-state> <z-state>")
-    q = 0
-    if sections.get("q"):
-        q = int(sections["q"][0][0])
-    return FsmEncoder(pa, sa, states_s, states_z, f1, g1, f2, g2,
-                      s1=sidx[init[0][0]], z1=zidx[init[0][1]], q=q)
 
 
 # ---------------------------------------------------------------------------

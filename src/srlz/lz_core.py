@@ -68,6 +68,9 @@ class Alphabet:
 BINARY = Alphabet(("0", "1"))
 
 
+_CHECK_SLICE = 1 << 16  # symbols type-checked per array('q') pass in Sequence
+
+
 class Sequence:
     """Immutable sequence of symbol indices over a fixed alphabet."""
 
@@ -78,7 +81,9 @@ class Sequence:
         self.data: Tuple[int, ...] = tuple(data)
         data = self.data
         try:
-            array("q", data)  # one C-level pass that admits only integers
+            # C-level passes that admit only integers, one bounded slice at a time
+            for i in range(0, len(data), _CHECK_SLICE):
+                array("q", data[i:i + _CHECK_SLICE])
         except TypeError:
             raise ValueError("symbol indices must be integers") from None
         except OverflowError:

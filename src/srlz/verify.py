@@ -41,15 +41,25 @@ def suite_cond_entropy_ineq(n: int = 8, beta: int = 2, gamma: int = 2,
 def suite_kraft(max_out_len: int = 2, block_len_max: int = 3,
                 k_max: int = 8, tol: float = 1e-12) -> dict:
     """Generalized Kraft sum over every enumerated lossless one-state binary
-    encoder, at every block length up to block_len_max."""
+    encoder, at every block length up to block_len_max.
+
+    Reduction: a Kraft sum depends on an encoder only through its output
+    lengths and transitions (fsm.kraft_tables), so encoders with equal tables
+    share one exact kraft_check report per block length.
+    """
     encoders, f1s, f2s = fsm.enumerate_lossless_onestate_binary(max_out_len, k_max)
     block_lens = list(range(1, block_len_max + 1))
     violations: List[dict] = []
     checks = 0
     max_ratio = 0.0
+    reports: Dict[tuple, dict] = {}
     for idx, enc in enumerate(encoders):
+        tables = fsm.kraft_tables(enc)
         for l in block_lens:
-            rep = fsm.kraft_check(enc, l, tol=tol)
+            key = (enc.q, enc.beta, enc.gamma, tables, l)
+            rep = reports.get(key)
+            if rep is None:
+                rep = reports[key] = fsm.kraft_check(enc, l, tol=tol)
             checks += 1
             max_ratio = max(max_ratio, rep["lhs"] / rep["rhs"])
             if not rep["holds"]:

@@ -159,6 +159,38 @@ def joint_collision(encoder, k: int, s0: int, z0: int) -> Optional[tuple]:
     return None
 
 
+def kraft_sum_by_strings(encoder, block_len: int) -> Tuple[float, int]:
+    """Generalized Kraft sum by building every output string: over all
+    (xhat^l, xtilde^l) in lexicographic order, add 2^-(min_s |f1 walk| +
+    min_z |f2 walk|).  Returns (lhs, least total length)."""
+    def walk1(s, symbols):
+        parts = []
+        for a in symbols:
+            parts.append(encoder.f1[(s, a)])
+            s = encoder.g1[(s, a)]
+        return "".join(parts)
+
+    def walk2(z, pairs):
+        parts = []
+        for a, b in pairs:
+            parts.append(encoder.f2[(z, a, b)])
+            z = encoder.g2[(z, a, b)]
+        return "".join(parts)
+
+    lhs = 0.0
+    least = None
+    for hat in product(range(encoder.beta), repeat=block_len):
+        l1 = min(len(walk1(s, hat)) for s in range(len(encoder.states_s)))
+        for til in product(range(encoder.gamma), repeat=block_len):
+            pairs = tuple(zip(hat, til))
+            l2 = min(len(walk2(z, pairs)) for z in range(len(encoder.states_z)))
+            total = l1 + l2
+            lhs += 2.0 ** (-total)
+            if least is None or total < least:
+                least = total
+    return lhs, least
+
+
 def in_union(floors: Seq[Tuple[float, float]], r1: float, r2: float,
              tol: float = 1e-9) -> bool:
     """Membership in a union of {R1 >= max(a,0), R1+R2 >= max(b, max(a,0))}

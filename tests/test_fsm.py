@@ -12,11 +12,10 @@ from srlz.fsm import (
     FsmEncoder,
     converse_check,
     enumerate_lossless_onestate_binary,
-    format_fsm_table,
     identity_encoder,
     is_information_lossless,
     kraft_check,
-    parse_fsm_table,
+    kraft_tables,
     run,
 )
 from srlz.lz_core import BINARY, Alphabet, Sequence, parse
@@ -32,6 +31,24 @@ def one_state(f1_outs, f2_table, pa=BINARY, sa=BINARY) -> FsmEncoder:
     f2 = {(0, a, b): f2_table[a][b] for a in range(pa.size) for b in range(sa.size)}
     g2 = {(0, a, b): 0 for a in range(pa.size) for b in range(sa.size)}
     return FsmEncoder(pa, sa, ("s0",), ("z0",), f1, g1, f2, g2)
+
+
+@st.composite
+def multi_state_encoders(draw):
+    """Any total encoder (lossless or not): 1-3 states per stage, alphabets
+    of 1-3 symbols, outputs of 0-3 bits."""
+    pa = Alphabet.of_size(draw(st.integers(1, 3)))
+    sa = Alphabet.of_size(draw(st.integers(1, 3)))
+    ns, nz = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    out = st.text("01", max_size=3)
+    f1 = {(s, a): draw(out) for s in range(ns) for a in range(pa.size)}
+    g1 = {k: draw(st.integers(0, ns - 1)) for k in f1}
+    f2 = {(z, a, b): draw(out) for z in range(nz)
+          for a in range(pa.size) for b in range(sa.size)}
+    g2 = {k: draw(st.integers(0, nz - 1)) for k in f2}
+    return FsmEncoder(pa, sa, tuple(f"s{i}" for i in range(ns)),
+                      tuple(f"z{i}" for i in range(nz)), f1, g1, f2, g2,
+                      s1=draw(st.integers(0, ns - 1)), z1=draw(st.integers(0, nz - 1)))
 
 
 class TestEncoderValidation:
@@ -192,7 +209,25 @@ class TestKraft:
             for sa in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 l2 = sum(len(enc.f2[(0, a, b)]) for a, b in zip(pa, sa))
                 lhs += 2.0 ** -(l1 + l2)
-        assert rep["lhs"] == pytest.approx(lhs)
+        assert rep["lhs"] == lhs
+
+    @pytest.mark.parametrize("block_len", [0, -1])
+    def test_block_len_rejected_before_enumeration(self, block_len):
+        with pytest.raises(ValueError, match="block_len must be positive"):
+            kraft_check(identity_encoder(BINARY, BINARY), block_len)
+
+    def test_tables_hold_lengths_and_transitions(self):
+        enc = one_state(("0", "10"), (("", "1"), ("1", "")))
+        t1, t2 = kraft_tables(enc)
+        assert t1 == (((1, 0), (2, 0)),)
+        assert t2 == (((0, 0), (1, 0), (1, 0), (0, 0)),)
+
+    @given(st.data())
+    def test_sum_matches_string_oracle(self, data):
+        enc = data.draw(multi_state_encoders())
+        block_len = data.draw(st.integers(1, 3))
+        rep = kraft_check(enc, block_len)
+        assert (rep["lhs"], rep["min_total_len"]) == oracles.kraft_sum_by_strings(enc, block_len)
 
 
 class TestConverse:
@@ -228,53 +263,3 @@ class TestConverse:
         enc = identity_encoder(BINARY, BINARY)
         with pytest.raises(ValueError, match="n >= 2"):
             converse_check(enc, bits("0"), bits("0"))
-
-
-class TestTableFormat:
-    def test_identity_round_trip(self):
-        enc = identity_encoder(Alphabet(("a", "b", "c")), BINARY)
-        back = parse_fsm_table(format_fsm_table(enc))
-        assert back.f1 == enc.f1 and back.g1 == enc.g1
-        assert back.f2 == enc.f2 and back.g2 == enc.g2
-        assert back.states_s == enc.states_s and back.states_z == enc.states_z
-        assert back.q == enc.q and back.s1 == enc.s1 and back.z1 == enc.z1
-
-    def test_empty_outputs_survive_round_trip(self):
-        enc = one_state(("", "1"), (("", "1"), ("1", "")))
-        text = format_fsm_table(enc)
-        assert '""' in text
-        back = parse_fsm_table(text)
-        assert back.f1 == enc.f1 and back.f2 == enc.f2
-
-    def test_two_state_round_trip(self):
-        f1 = {(0, 0): "0", (0, 1): "1", (1, 0): "", (1, 1): "10"}
-        g1 = {(0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 1}
-        f2 = {(z, a, b): format(b, "b") for z in range(2)
-              for a in range(2) for b in range(2)}
-        g2 = {(z, a, b): 1 - z for z in range(2)
-              for a in range(2) for b in range(2)}
-        enc = FsmEncoder(BINARY, BINARY, ("even", "odd"), ("u", "w"),
-                         f1, g1, f2, g2, s1=1, z1=0)
-        back = parse_fsm_table(format_fsm_table(enc))
-        assert back.g1 == enc.g1 and back.g2 == enc.g2
-        assert back.s1 == 1 and back.z1 == 0
-
-    def test_comments_and_blanks_ignored(self):
-        text = format_fsm_table(identity_encoder(BINARY, BINARY))
-        noisy = "# header comment\n\n" + text.replace("[f1]", "# note\n[f1]")
-        assert parse_fsm_table(noisy).f1 == identity_encoder(BINARY, BINARY).f1
-
-    def test_missing_section_rejected(self):
-        text = format_fsm_table(identity_encoder(BINARY, BINARY))
-        broken = text.replace("[init]", "[renamed]")
-        with pytest.raises(ValueError, match=r"missing section \[init\]"):
-            parse_fsm_table(broken)
-
-    def test_content_before_section_rejected(self):
-        with pytest.raises(ValueError, match="before any section"):
-            parse_fsm_table("stray\n[S]\ns0\n")
-
-    def test_bad_output_field_rejected(self):
-        text = format_fsm_table(identity_encoder(BINARY, BINARY))
-        with pytest.raises(ValueError, match="bad output field"):
-            parse_fsm_table(text.replace("s0 0 0", "s0 0 xyz"))

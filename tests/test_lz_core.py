@@ -1,12 +1,13 @@
 import math
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from srlz import bounds
+from srlz import bounds, lz_core
 from srlz.bitio import TruncatedStreamError
 from srlz.container import (
     MODE_LZ,
@@ -71,6 +72,21 @@ class TestSequence:
     def test_non_integer_indices_rejected(self, data):
         with pytest.raises(ValueError, match="symbol indices must be integers"):
             Sequence(BINARY, data)
+
+    def test_type_check_memory_is_one_slice(self):
+        # the integer check must not copy the whole input beside the tuple
+        data = [i & 1 for i in range(1_000_000)]
+        tracemalloc.start()
+        try:
+            tuple(data)
+            _, tuple_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            Sequence(BINARY, data)
+            _, seq_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one slice: its tuple of pointers plus its array('q'), 8 bytes each
+        assert seq_peak <= tuple_peak + 2 * 8 * lz_core._CHECK_SLICE + 64 * 1024
 
     def test_empty_sequence_accepted(self):
         assert Sequence(BINARY, ()).n == 0

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from srlz import fsm
 from srlz.lz_core import parse
 from srlz.verify import (
     SUITES,
@@ -52,6 +54,30 @@ class TestSmallSuiteRuns:
         assert rep["family_size"] == rep["f1_tables"] * rep["f2_tables"]
         assert rep["checks"] == 2 * rep["family_size"]
         assert 0.0 < rep["max_lhs_over_rhs"] <= 1.0
+
+    @pytest.mark.parametrize("kwargs, digest", [
+        ({}, "c2b2968744c7bf965e3f1cf183ecfc0ce6f61954522f3c5d7bc0daf7db283e6f"),
+        ({"block_len_max": 2},
+         "a5073efa79d1f28cb868f65d75024c41800b7edb0c797d8b2827bf2a73bb54ea"),
+    ])
+    def test_kraft_report_golden(self, kwargs, digest):
+        # SHA-256 of the reports made by one kraft_check per encoder
+        rep = suite_kraft(**kwargs)
+        assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kwargs, calls", [({"block_len_max": 2}, 128), ({}, 192)])
+    def test_kraft_checks_each_distinct_table_once(self, monkeypatch, kwargs, calls):
+        seen = []
+        real = fsm.kraft_check
+
+        def counting(*args, **kw):
+            seen.append(args[1])
+            return real(*args, **kw)
+
+        monkeypatch.setattr(fsm, "kraft_check", counting)
+        rep = suite_kraft(**kwargs)
+        assert len(seen) == calls
+        assert rep["checks"] == rep["family_size"] * len(rep["block_lens"])
 
     def test_split_lemma(self):
         rep = suite_split_lemma(budget=2000)
