@@ -15,22 +15,20 @@ import math
 import os
 import sys
 import time
-from typing import List, Optional, Sequence as Seq, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence as Seq, Tuple, Union
 
-from . import bounds, mdc, regions, sr_codec, verify
+# Only what every subcommand needs is imported here; each cmd_* imports the
+# rest, so a call loads just the modules it runs.
 from .bitio import TruncatedStreamError, fnv1a64
 from .container import (
     BudgetExceededError,
     InfeasibleError,
     StreamFormatError,
 )
-from .cond_lz import cond_decode, cond_encode, joint_parse
-from .empirics import (
-    block_empirics,
-    check_cond_entropy_inequality,
-    check_entropy_inequality,
-)
 from .lz_core import Alphabet, Sequence, lz_decode, lz_encode, parse
+
+if TYPE_CHECKING:
+    from . import mdc, regions, sr_codec
 
 REPORT_VERSION = 1
 
@@ -40,6 +38,9 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 MODES = ("lz", "cond", "sr", "md-egc", "md-zb")
+# sorted(verify.SUITES), spelled out so that building the parser loads no suite
+SUITES = ("cond-entropy-ineq", "converse", "entropy-ineq", "frontier", "kraft",
+          "sandwich", "split-lemma")
 
 
 class UsageError(ValueError):
@@ -169,6 +170,8 @@ def _inputs_block(paths: Seq[str]) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    from . import bounds
+
     seq = load_sequence(args.input, args.fmt)
     side = load_sequence(args.side_info, args.fmt) if args.side_info else None
     eps = _eps_mode(args)
@@ -185,6 +188,8 @@ def cmd_analyze(args) -> int:
     if side is None:
         results["beta"] = seq.alphabet.size
     else:
+        from .cond_lz import joint_parse
+
         results["gamma"] = seq.alphabet.size
         results["beta"] = side.alphabet.size
         jp = joint_parse(side, seq)
@@ -197,6 +202,9 @@ def cmd_analyze(args) -> int:
         }
     violation = False
     if args.block_len is not None:
+        from .empirics import (block_empirics, check_cond_entropy_inequality,
+                               check_entropy_inequality)
+
         target = seq if side is None else side
         try:
             if side is None:
@@ -261,6 +269,8 @@ def _phrase_names(seq: Sequence, pr) -> List[str]:
 
 
 def _distortion_spec(args, need_d0: bool = False) -> sr_codec.DistortionSpec:
+    from . import sr_codec
+
     kind = args.distortion
     d = sr_codec.PerLetterDistortion(kind)
     level0 = args.d0 if need_d0 else None
@@ -270,6 +280,8 @@ def _distortion_spec(args, need_d0: bool = False) -> sr_codec.DistortionSpec:
 
 
 def _search_budget(args) -> regions.SearchBudget:
+    from . import regions
+
     return regions.SearchBudget(seed=args.seed, weight=args.weight)
 
 
@@ -278,6 +290,8 @@ def _md_triple(args) -> Tuple[Sequence, Sequence, Sequence]:
     if len(args.inputs) == 3:
         return tuple(load_sequence(p, args.fmt) for p in args.inputs)
     if len(args.inputs) == 1:
+        from . import sr_codec
+
         x = load_sequence(args.inputs[0], args.fmt)
         d = sr_codec.PerLetterDistortion(args.distortion)
         xhat = sr_codec.nearest_feasible(x, d, args.d1)
@@ -318,6 +332,9 @@ def cmd_encode(args) -> int:
     elif mode == "cond":
         if len(args.inputs) != 1 or not args.side_info:
             raise UsageError("mode cond takes one input file plus --side-info")
+        from . import bounds
+        from .cond_lz import cond_encode, joint_parse
+
         seq = load_sequence(args.inputs[0], args.fmt)
         side = load_sequence(args.side_info, args.fmt)
         enc = cond_encode(seq, side)
@@ -339,6 +356,8 @@ def cmd_encode(args) -> int:
             "outputs": [out],
         }
     elif mode == "sr":
+        from . import regions, sr_codec
+
         if len(args.inputs) == 1:
             x = load_sequence(args.inputs[0], args.fmt)
             dist = _distortion_spec(args)
@@ -374,6 +393,8 @@ def cmd_encode(args) -> int:
                                      "distortion": args.distortion})
         report["results"] = results
     elif mode in ("md-egc", "md-zb"):
+        from . import mdc
+
         xhat, xtilde, xcheck = _md_triple(args)
         if mode == "md-egc":
             desc1, desc2, enc_rep = mdc.egc_encode(xhat, xtilde, xcheck, args.split)
@@ -423,6 +444,8 @@ def cmd_decode(args) -> int:
     elif mode == "cond":
         if len(args.inputs) != 1 or not args.side_info:
             raise UsageError("mode cond takes one stream file plus --side-info")
+        from .cond_lz import cond_decode
+
         side = load_sequence(args.side_info, args.fmt)
         with open(args.inputs[0], "rb") as fh:
             seq = cond_decode(fh.read(), side)
@@ -432,6 +455,8 @@ def cmd_decode(args) -> int:
     elif mode == "sr":
         if len(args.inputs) != 1:
             raise UsageError("mode sr takes exactly one stream file")
+        from . import sr_codec
+
         with open(args.inputs[0], "rb") as fh:
             raw = fh.read()
         if args.stage == 1:
@@ -450,6 +475,8 @@ def cmd_decode(args) -> int:
                                 "stage": 1,
                                 "checksum": _file_checksum(args.coarse_output)})
     elif mode in ("md-egc", "md-zb"):
+        from . import mdc
+
         decoder = args.decoder
         if decoder is None:
             decoder = 0 if len(args.inputs) == 2 else None
@@ -502,6 +529,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_region(args) -> int:
+    from . import regions
+
     eps = _eps_mode(args)
     kind = args.kind
     report: dict = {
@@ -550,6 +579,8 @@ def cmd_region(args) -> int:
     elif kind == "md":
         if len(args.inputs) != 3:
             raise UsageError("region md takes coarse, fine, and central files")
+        from . import mdc
+
         xhat, xtilde, xcheck = (load_sequence(p, args.fmt) for p in args.inputs)
         outer = mdc.md_outer_region(xhat, xtilde, xcheck, args.q, eps)
         egc_inner = mdc.egc_inner_region(xhat, xtilde, xcheck)
@@ -596,6 +627,8 @@ def _block_lens(raw: Optional[str], default: Tuple[int, ...]) -> Tuple[int, ...]
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     eps = _eps_mode(args)
     suite = args.suite
     if suite == "entropy-ineq":
@@ -727,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=cmd_region)
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
+    pv.add_argument("--suite", required=True, choices=SUITES)
     pv.add_argument("--n", type=int, default=None)
     pv.add_argument("--beta", type=int, default=2)
     pv.add_argument("--gamma", type=int, default=2)

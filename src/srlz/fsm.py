@@ -11,7 +11,6 @@ the stage-2 data, the input pair).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence as Seq, Tuple, Union
@@ -21,7 +20,10 @@ from .cond_lz import rho_cond
 from .container import BudgetExceededError
 from .lz_core import Alphabet, Sequence, parse
 
-_OUT_RE = re.compile(r"^[01]*$")
+
+def _is_bits(out) -> bool:
+    """True for a string of 0s and 1s, empty included (no trailing newline)."""
+    return isinstance(out, str) and not out.strip("01")
 
 
 @dataclass(eq=False)
@@ -56,7 +58,7 @@ class FsmEncoder:
             for a in range(beta):
                 if (s, a) not in self.f1 or (s, a) not in self.g1:
                     raise ValueError(f"f1/g1 not total at state {self.states_s[s]}")
-                if not _OUT_RE.match(self.f1[(s, a)]):
+                if not _is_bits(self.f1[(s, a)]):
                     raise ValueError("f1 outputs must be binary strings")
                 if not 0 <= self.g1[(s, a)] < ns:
                     raise ValueError("g1 target out of range")
@@ -65,7 +67,7 @@ class FsmEncoder:
                 for b in range(gamma):
                     if (z, a, b) not in self.f2 or (z, a, b) not in self.g2:
                         raise ValueError(f"f2/g2 not total at state {self.states_z[z]}")
-                    if not _OUT_RE.match(self.f2[(z, a, b)]):
+                    if not _is_bits(self.f2[(z, a, b)]):
                         raise ValueError("f2 outputs must be binary strings")
                     if not 0 <= self.g2[(z, a, b)] < nz:
                         raise ValueError("g2 target out of range")

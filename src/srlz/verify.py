@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Tuple, Union
 
-from . import bounds, corpus, empirics, fsm, mdc, regions
+# The suites import the modules they exercise themselves, so running one
+# suite loads only what it runs.
 from .cond_lz import _joint_walk, cond_encode, rho_cond, rho_cond_from_counts
 from .lz_core import BINARY, Sequence, _phrase_count, lz_encode, parse, rho_from_count
 
@@ -23,6 +24,8 @@ def suite_entropy_ineq(n: int = 16, beta: int = 2,
                        eps_mode: Union[str, float] = "default",
                        tol: float = 1e-12) -> dict:
     """Exhaustive block-entropy inequality scan over all length-n sequences."""
+    from . import empirics
+
     return empirics.scan_entropy_inequality(n=n, beta=beta,
                                             block_lens=tuple(block_lens),
                                             eps_mode=eps_mode, tol=tol)
@@ -33,6 +36,8 @@ def suite_cond_entropy_ineq(n: int = 8, beta: int = 2, gamma: int = 2,
                             eps_mode: Union[str, float] = "default",
                             tol: float = 1e-12) -> dict:
     """Exhaustive conditional block-entropy inequality scan over binary pairs."""
+    from . import empirics
+
     return empirics.scan_cond_entropy_inequality(n=n, beta=beta, gamma=gamma,
                                                  block_lens=tuple(block_lens),
                                                  eps_mode=eps_mode, tol=tol)
@@ -47,6 +52,8 @@ def suite_kraft(max_out_len: int = 2, block_len_max: int = 3,
     lengths and transitions (fsm.kraft_tables), so encoders with equal tables
     share one exact kraft_check report per block length.
     """
+    from . import fsm
+
     encoders, f1s, f2s = fsm.enumerate_lossless_onestate_binary(max_out_len, k_max)
     block_lens = list(range(1, block_len_max + 1))
     violations: List[dict] = []
@@ -108,6 +115,8 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
     checks push sampled (encoder, pair) combinations through the public
     converse_check to tie the sweep back to the measured op.
     """
+    from . import bounds, corpus, fsm
+
     encoders, f1s, f2s = fsm.enumerate_lossless_onestate_binary(max_out_len, k_max)
     p1 = sorted({(len(a), len(b)) for a, b in f1s})
     p2 = sorted({(len(t[0][0]), len(t[0][1]), len(t[1][0]), len(t[1][1]))
@@ -284,6 +293,8 @@ def suite_frontier(seed: int = 0, unions: int = 100, max_members: int = 20,
     the staircase exactly when the union contains it but neither the left nor
     the down probe point.
     """
+    from . import regions
+
     if lattice <= resolution:
         raise ValueError("lattice must be coarser than the probe resolution")
     rng = random.Random(seed)
@@ -353,6 +364,8 @@ def suite_split_lemma(seed: int = 0, budget: int = 100000,
                       tol: float = 1e-9) -> dict:
     """Randomized check of the rate-split fact: every precondition-satisfying
     tuple yields a feasible allocation."""
+    from . import mdc
+
     rng = random.Random(seed)
     violations: List[dict] = []
     clamped = 0
@@ -389,6 +402,8 @@ def suite_sandwich(seed: int = 0, pairs: int = 100, n: int = 1024, q: int = 1,
     """Blockwise inner-plus regions sit inside outer-minus regions at every
     divisor block length, and the single-shot measured rates certify the k=n
     inner corner (measured rate <= corner coordinate)."""
+    from . import bounds, corpus, regions
+
     rng = random.Random(seed)
     ks = [k for k in bounds.divisors(n) if k >= 2]
     containment_violations: List[dict] = []

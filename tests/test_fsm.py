@@ -68,6 +68,20 @@ class TestEncoderValidation:
         with pytest.raises(ValueError, match="binary"):
             one_state(("0", "2"), (("", ""), ("", "")))
 
+    @pytest.mark.parametrize("bad", ["0\n", "01\n", "2", "0 1", 1, None])
+    def test_output_must_be_exactly_bits(self, bad):
+        # a trailing newline once passed the check and counted as an output bit
+        with pytest.raises(ValueError, match="f1 outputs must be binary"):
+            one_state(("0", bad), (("", ""), ("", "")))
+        with pytest.raises(ValueError, match="f2 outputs must be binary"):
+            one_state(("0", "1"), (("", ""), ("", bad)))
+
+    def test_empty_output_accepted(self):
+        enc = one_state(("", "1"), (("", "0"), ("1", "")))
+        t1, t2 = kraft_tables(enc)
+        assert t1 == (((0, 0), (1, 0)),)
+        assert t2 == (((0, 0), (1, 0), (1, 0), (0, 0)),)
+
     def test_state_budget_enforced(self):
         enc = identity_encoder(BINARY, BINARY)
         with pytest.raises(ValueError, match="budget"):
