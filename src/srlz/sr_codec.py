@@ -8,9 +8,11 @@ decoder 2 reads, which is the successive-refinement structure.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .container import (
@@ -28,8 +30,8 @@ from .container import (
     pack_segments,
     unpack_segments,
 )
-from .cond_lz import cond_decode, cond_encode, rho_cond, rho_cond_from_counts
-from .lz_core import Alphabet, Sequence, lz_decode, lz_encode, rho_from_count, rho_lz
+from .cond_lz import cond_decode, cond_encode, rho_cond
+from .lz_core import Alphabet, Sequence, lz_decode, lz_encode, rho_lz
 
 OBJECTIVES = ("min-r1", "min-sum", "weighted")
 
@@ -319,129 +321,143 @@ class _FlipScorer:
     caller changes in place one position at a time.
 
     `rebuild` walks the whole pair (plain trie over h, joint and primary tries
-    over (h, t)) and records the walker state before every position.  After a
-    change at position i, `score(i, coarse)` resumes from the state at i and
-    walks positions i..n-1 only; the plain walk is resumed only when h
-    changed (`coarse`).  A base trie entry whose id is at least the id counter
-    at i was created at or after i, so the suffix walk ignores it and keeps its
-    own new entries in a per-call overlay: nothing is copied or undone.  Call
-    `rebuild` after a change is kept.  Scores are bit-identical to
-    rho_lz(hat) + joint_parse(hat, til).rho_cond: c_l is summed in
-    first-marking order, which is the insertion order of a Counter over the
-    joint phrases' primary nodes.  A and B are the sizes of the two
-    reproduction alphabets (trie keys are node*A + a and (node*A + a)*B + b).
+    over (h, t)) and records the walker state before every position.  Each
+    trie hands out ids 1, 2, 3, ... in insertion order, so the trie as it stood
+    before position i is its first (next id - 1) entries: `score(i, coarse)`
+    copies those, resumes from the state at i and walks positions i..n-1,
+    adding its own entries to the copies.  For a coarse flip (h changed) the
+    plain and joint walks run in one loop; for a fine flip only the joint
+    walk runs.  The primary trie is looked up once per joint phrase, from the
+    primary node of the joint node the phrase extends (`jp`); the primary trie
+    is not cut back, since its ids only have to name h-strings consistently
+    within one score, and new ids start after the base's last one.
+    Protocol: when `score(i, ...)` is called, every position except i is as it
+    was at the last `rebuild` (`score` patches the joint letter hb[i] and puts
+    it back); call `rebuild` after a change is kept.  Scores are bit-identical
+    to rho_lz(hat) + joint_parse(hat, til).rho_cond: c_l*log2(c_l), read from a
+    table, is summed in first-marking order, which is the insertion order of a
+    Counter over the joint phrases' primary nodes.  A and B are the sizes of
+    the two reproduction alphabets (trie keys are node*A + a and
+    node*A*B + a*B + b).
     """
 
     def __init__(self, h: List[int], t: List[int], A: int, B: int) -> None:
         self.h, self.t, self.A, self.B = h, t, A, B
+        # c*log2(c) for every count a parse of n symbols can reach
+        self.xlogx = [0.0] + [c * math.log2(c) for c in range(1, len(h) + 1)]
 
     def rebuild(self) -> float:
-        h, t, A, B = self.h, self.t, self.A, self.B
-        n = len(h)
-        lz_children: dict = {}
-        lz_at = [None] * n  # (node, next id, phrases) before position i
-        node, nid, c = 0, 1, 0
-        for i in range(n):
-            lz_at[i] = (node, nid, c)
-            key = node * A + h[i]
-            child = lz_children.get(key)
-            if child is None:
-                lz_children[key] = nid
-                nid += 1
-                c += 1
-                node = 0
-            else:
-                node = child
-        if node:
-            c += 1
+        h, A, B = self.h, self.A, self.B
+        AB = A * B
+        self.hb = hb = [a * B + b for a, b in zip(h, self.t)]  # joint letters
+        lz: dict = {}
         children: dict = {}
         pnodes: dict = {}
-        joint_at = [None] * n  # (node, pnode, next id, next pnode id, phrases)
-        phrase_pnodes: List[int] = []  # primary node of each joint phrase
-        node, pnode, nid, pnext = 0, 0, 1, 1
-        for i in range(n):
-            joint_at[i] = (node, pnode, nid, pnext, len(phrase_pnodes))
-            a = h[i]
-            pkey = pnode * A + a
-            pn = pnodes.get(pkey)
-            if pn is None:
-                pnodes[pkey] = pn = pnext
-                pnext += 1
-            key = (node * A + a) * B + t[i]
+        jp = [0]  # primary node of each joint node
+        pl: List[int] = []  # primary node of each joint phrase
+        at = []  # (plain node, plain next id, joint node, joint next id) before i
+        lnode, lnid, node, nid = 0, 1, 0, 1
+        for a, ab in zip(h, hb):
+            at.append((lnode, lnid, node, nid))
+            key = lnode * A + a
+            child = lz.get(key)
+            if child is None:
+                lz[key] = lnid
+                lnid += 1
+                lnode = 0
+            else:
+                lnode = child
+            key = node * AB + ab
             child = children.get(key)
             if child is None:
                 children[key] = nid
                 nid += 1
-                phrase_pnodes.append(pn)
-                node = pnode = 0
+                pkey = jp[node] * A + a
+                pn = pnodes.get(pkey)
+                if pn is None:
+                    pnodes[pkey] = pn = len(pnodes) + 1
+                jp.append(pn)
+                pl.append(pn)
+                node = 0
             else:
-                node, pnode = child, pn
+                node = child
+        self.c_h = lnid if lnode else lnid - 1
         if node:
-            phrase_pnodes.append(pnode)
-        self.lz_children, self.lz_at, self.c_h = lz_children, lz_at, c
-        self.children, self.pnodes, self.joint_at = children, pnodes, joint_at
-        self.phrase_pnodes = phrase_pnodes
-        return self._total(c, phrase_pnodes)
+            pl.append(jp[node])
+        self.lz, self.children, self.pnodes, self.jp, self.pl, self.at = (
+            lz, children, pnodes, jp, pl, at)
+        return self._total(self.c_h, pl)
 
     def score(self, i: int, coarse: bool) -> float:
-        h, t, A, B = self.h, self.t, self.A, self.B
-        n = len(h)
+        h, hb, A, B = self.h, self.hb, self.A, self.B
+        AB = A * B
+        lnode, lnid, node, nid = self.at[i]
+        old = hb[i]
+        hb[i] = h[i] * B + self.t[i]
+        children = dict(islice(self.children.items(), nid - 1))
+        get = children.get
+        pnodes = self.pnodes.copy()
+        pget = pnodes.get
+        pnext = len(pnodes) + 1
+        jp = self.jp[:nid]
+        pl = self.pl[:nid - 1]
         if coarse:
-            node, lim, c = self.lz_at[i]
-            get = self.lz_children.get
-            overlay: dict = {}
-            nid = lim
-            for k in range(i, n):
-                key = node * A + h[k]
-                child = get(key)
-                if child is None or child >= lim:
-                    child = overlay.get(key)
-                    if child is None:
-                        overlay[key] = nid
-                        nid += 1
-                        c += 1
-                        node = 0
-                        continue
-                node = child
-            if node:
-                c += 1
-        else:
-            c = self.c_h
-        node, pnode, lim, plim, k0 = self.joint_at[i]
-        get = self.children.get
-        pget = self.pnodes.get
-        overlay = {}
-        poverlay: dict = {}
-        nid, pnext = lim, plim
-        pl = self.phrase_pnodes[:k0]
-        for k in range(i, n):
-            a = h[k]
-            pkey = pnode * A + a
-            pn = pget(pkey)
-            if pn is None or pn >= plim:
-                pn = poverlay.get(pkey)
-                if pn is None:
-                    poverlay[pkey] = pn = pnext
-                    pnext += 1
-            key = (node * A + a) * B + t[k]
-            child = get(key)
-            if child is None or child >= lim:
-                child = overlay.get(key)
+            lz = dict(islice(self.lz.items(), lnid - 1))
+            lget = lz.get
+            for a, ab in zip(h[i:], hb[i:]):
+                key = lnode * A + a
+                child = lget(key)
                 if child is None:
-                    overlay[key] = nid
+                    lz[key] = lnid
+                    lnid += 1
+                    lnode = 0
+                else:
+                    lnode = child
+                key = node * AB + ab
+                child = get(key)
+                if child is None:
+                    children[key] = nid
                     nid += 1
+                    pkey = jp[node] * A + a
+                    pn = pget(pkey)
+                    if pn is None:
+                        pnodes[pkey] = pn = pnext
+                        pnext += 1
+                    jp.append(pn)
                     pl.append(pn)
-                    node = pnode = 0
-                    continue
-            node, pnode = child, pn
+                    node = 0
+                else:
+                    node = child
+            c = lnid if lnode else lnid - 1
+        else:
+            for a, ab in zip(h[i:], hb[i:]):
+                key = node * AB + ab
+                child = get(key)
+                if child is None:
+                    children[key] = nid
+                    nid += 1
+                    pkey = jp[node] * A + a
+                    pn = pget(pkey)
+                    if pn is None:
+                        pnodes[pkey] = pn = pnext
+                        pnext += 1
+                    jp.append(pn)
+                    pl.append(pn)
+                    node = 0
+                else:
+                    node = child
+            c = self.c_h
+        hb[i] = old
         if node:
-            pl.append(pnode)
+            pl.append(jp[node])
         return self._total(c, pl)
 
     def _total(self, c_hat: int, phrase_pnodes: List[int]) -> float:
-        n = len(self.h)
-        return (rho_from_count(c_hat, n)
-                + rho_cond_from_counts(Counter(phrase_pnodes).values(), n))
+        n, xlogx = len(self.h), self.xlogx
+        if not n:
+            return 0.0
+        return (xlogx[c_hat] / n
+                + sum(map(xlogx.__getitem__, Counter(phrase_pnodes).values())) / n)
 
 
 def _random_feasible(x: Sequence, d: PerLetterDistortion, level: float,

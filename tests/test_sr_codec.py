@@ -19,6 +19,7 @@ from srlz.cond_lz import joint_parse
 from srlz.lz_core import BINARY, Alphabet, Sequence, lz_encode, rho_lz
 from srlz.regions import SearchBudget
 from srlz.sr_codec import (
+    OBJECTIVES,
     DistortionSpec,
     PerLetterDistortion,
     SrEncoded,
@@ -235,6 +236,22 @@ class TestCandidatePairs:
             candidate_pairs(bits("01"), hamming_spec(0.0, 0.0),
                             SearchBudget(mode="annealed"))
 
+    def test_greedy_on_the_empty_sequence(self):
+        x = Sequence(Alphabet.of_size(3), [])
+        pairs, meta = candidate_pairs(x, hamming_spec(0.5, 0.5), SearchBudget(mode="greedy"))
+        assert [(h.data, t.data) for h, t in pairs] == [((), ())]
+        assert meta["search_mode"] == "greedy" and meta["pairs"] == 1
+
+    def test_greedy_on_one_symbol(self):
+        x = Sequence(Alphabet.of_size(3), [2])
+        search = SearchBudget(mode="greedy")
+        pairs, _ = candidate_pairs(x, hamming_spec(0.5, 0.5), search)
+        assert [(h.data, t.data) for h, t in pairs] == [((2,), (2,))]
+        # every flip is admissible at level 1 and every score is 0
+        pairs, _ = candidate_pairs(x, hamming_spec(1.0, 1.0), search)
+        assert [(h.data, t.data) for h, t in pairs] == [
+            ((2,), (2,)), ((1,), (1,)), ((0,), (1,)), ((2,), (1,))]
+
 
 class TestSelection:
     def test_zero_levels_return_source(self):
@@ -277,6 +294,22 @@ class TestSelection:
         with pytest.raises(ValueError, match="unknown objective"):
             select_reproductions(bits("01"), hamming_spec(0.0, 0.0), "fastest")
 
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_greedy_on_the_empty_sequence(self, objective):
+        x = Sequence(Alphabet.of_size(3), [])
+        hat, til, diag = select_reproductions(x, hamming_spec(0.5, 0.5), objective,
+                                              SearchBudget(mode="greedy"))
+        assert hat.data == til.data == ()
+        assert diag["objective_value"] == 0.0 and diag["search_mode"] == "greedy"
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_greedy_on_one_symbol(self, objective):
+        x = Sequence(Alphabet.of_size(3), [2])
+        hat, til, diag = select_reproductions(x, hamming_spec(1.0, 1.0), objective,
+                                              SearchBudget(mode="greedy"))
+        assert (hat.data, til.data) == ((0,), (1,))
+        assert diag["objective_value"] == 0.0
+
     def test_selection_is_deterministic(self):
         x = bits("0110100101001101")
         spec = hamming_spec(0.125, 0.0625)
@@ -310,10 +343,13 @@ GOLDEN_CASES = {
                  SearchBudget(mode="greedy", evaluations=1200, seed=3)),
     "binary-long": (6, 2, 96, hamming_spec(0.2, 0.05),
                     SearchBudget(mode="greedy", evaluations=2000, seed=4, restarts=2)),
+    # the shape of the search-regions benchmark: long suffixes, full budget
+    "hamming-n256": (0, 4, 256, hamming_spec(0.25, 0.0), SearchBudget(mode="greedy", seed=0)),
 }
 
 # Captured from the search that scored every candidate with a full
-# rho_lz + joint_parse: (coarse, fine) index strings of candidate_pairs,
+# rho_lz + joint_parse (hamming-n256 later, from the suffix scorer that the
+# others had checked): (coarse, fine) index strings of candidate_pairs,
 # then the selected objective values for "weighted" and "min-sum".
 GOLDEN = {
     "hamming": (
@@ -430,6 +466,42 @@ GOLDEN = {
              "011101111011010010110111100100011001011100001101100000001111110100110100111011110011100001101111"),
         ],
         1.3373121099834755, 1.3373121099834755),
+    "hamming-n256": (
+        [
+            ("3302332321121021200230232133200030321201111300230220212303212111"
+             "0230011003211323320203211020121230011000010302000110310030201022"
+             "3103003122311011220310332232103020211322212330012111333033013021"
+             "3300322303101033201000101221033002302120120001222033321132011222",
+             "3302332321121021200230232133200030321201111300230220212303212111"
+             "0230011003211323320203211020121230011000010302000110310030201022"
+             "3103003122311011220310332232103020211322212330012111333033013021"
+             "3300322303101033201000101221033002302120120001222033321132011222"),
+            ("0302332321121021200230232133200030322201111302230220212303212111"
+             "0230011003211323320203213020121230011000010302000110310030201022"
+             "1103003222311011220310332232103020211322212330012111333033013021"
+             "3300322303101033201000101221033002302120120001222033321132011222",
+             "3302332321121021200230232133200030321201111300230220212303212111"
+             "0230011003211323320203211020121230011000010302000110310030201022"
+             "3103003122311011220310332232103020211322212330012111333033013021"
+             "3300322303101033201000101221033002302120120001222033321132011222"),
+            ("1012232221002131112111223010300132313220132033032312230102013313"
+             "3113212303120330120213303120121230011000010302000110310030201022"
+             "3103003122311011220310332232103020211322212330012111333033013021"
+             "3300322303101033201000101221033002302120120001222033321132011222",
+             "3302332321121021200230232133200030321201111300230220212303212111"
+             "0230011003211323320203211020121230011000010302000110310030201022"
+             "3103003122311011220310332232103020211322212330012111333033013021"
+             "3300322303101033201000101221033002302120120001222033321132011222"),
+            ("0022132221202331111111223010300132321220132033032312230102003313"
+             "3113213303111330120213202120121231011000010302000110310030201022"
+             "3103003122311011220310332232103020211322212330012111333033013021"
+             "3300322303101033201000101221033002303120120001222033321132011222",
+             "3302332321121021200230232133200030321201111300230220212303212111"
+             "0230011003211323320203211020121230011000010302000110310030201022"
+             "3103003122311011220310332232103020211322212330012111333033013021"
+             "3300322303101033201000101221033002302120120001222033321132011222"),
+        ],
+        1.9873212796523008, 1.9990400296523008),
 }
 
 
@@ -480,5 +552,73 @@ def test_suffix_scorer_is_bit_identical_to_full_score(case):
         assert scorer.score(i, coarse) == _full_score(h, t, size_a, size_b)
         if keep:
             assert scorer.rebuild() == _full_score(h, t, size_a, size_b)
+        else:
+            seq[i] = old
+
+
+# (A, B, n, source seed, skewed letters?, number of positions)
+protocol_cases = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 200),
+                           st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 8))
+
+
+@given(protocol_cases)
+def test_scorer_under_the_greedy_protocol(case):
+    """Drive the scorer the way `improve` does: passes over the positions,
+    every other letter of both sequences, rejected flips reverted without a
+    rebuild and kept ones rebuilt; the second pass scores earlier positions
+    after later ones were flipped and reverted."""
+    size_a, size_b, n, seed, skewed, count = case
+    rng = random.Random(seed)
+
+    def draw(size):
+        weights = [8] + [1] * (size - 1) if skewed else [1] * size
+        return rng.choices(range(size), weights, k=n)
+
+    h, t = draw(size_a), draw(size_b)
+    positions = sorted(rng.sample(range(n), min(n, count)))
+    scorer = _FlipScorer(h, t, size_a, size_b)
+    best = scorer.rebuild()
+    assert best == _full_score(h, t, size_a, size_b)
+    for _ in range(2):
+        for i in positions:
+            for coarse, seq, size in ((True, h, size_a), (False, t, size_b)):
+                old = seq[i]
+                for j in range(size):
+                    if j == old:
+                        continue
+                    seq[i] = j
+                    cand = scorer.score(i, coarse)
+                    assert cand == _full_score(h, t, size_a, size_b)
+                    if cand < best - 1e-15:
+                        best = cand
+                        assert scorer.rebuild() == cand
+                        old = j
+                    else:
+                        seq[i] = old
+
+
+@given(scorer_cases)
+def test_rebuilt_tries_number_entries_in_insertion_order(case):
+    """`score` snapshots a trie as it stood before position i by taking its
+    first (next id - 1) entries, which needs ids 1..m in insertion order;
+    and it must leave the base tries as they were."""
+    size_a, size_b, h, t, flips = case
+    scorer = _FlipScorer(h, t, size_a, size_b)
+
+    def tries():
+        return [list(d.items()) for d in (scorer.lz, scorer.children, scorer.pnodes)]
+
+    scorer.rebuild()
+    for i, coarse, letter, keep in flips + [(0, True, 0, True)]:
+        base = tries()
+        for items in base:
+            assert [v for _, v in items] == list(range(1, len(items) + 1))
+        seq, size = (h, size_a) if coarse else (t, size_b)
+        old = seq[i]
+        seq[i] = (old + letter) % size
+        scorer.score(i, coarse)
+        assert tries() == base
+        if keep:
+            scorer.rebuild()
         else:
             seq[i] = old
