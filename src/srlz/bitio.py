@@ -1,13 +1,14 @@
 """MSB-first bit packing and the FNV-1a 64 hash used for stream checksums.
 
-Both directions run in time linear in the stream length: the writer keeps
-fewer than 64 pending bits in a small int and flushes whole bytes into a
-buffer, and the reader converts only the bytes that hold the field it reads.
+Both directions run in time linear in the stream length: `pack` keeps fewer
+than 64 pending bits in a small int and flushes whole bytes into a buffer,
+`BitReader` converts only the bytes that hold the field it reads, and
+`refill` feeds a decoder that keeps its own bit window, 8 bytes at a time.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, List, Tuple
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
@@ -40,42 +41,80 @@ def fnv1a64_u32(values: Iterable[int], h: int = FNV64_OFFSET) -> int:
     return h
 
 
-class TruncatedStreamError(ValueError):
+class StreamFormatError(ValueError):
+    """Malformed container: bad magic, version, mode, or inconsistent fields."""
+
+
+class TruncatedStreamError(StreamFormatError):
     """Raised when a read runs past the end of the bitstream."""
 
 
-class BitWriter:
-    """Accumulates fixed-width unsigned fields, first-written bit most significant."""
+def pack(values: Iterable[int], widths: Iterable[int]) -> Tuple[bytes, int]:
+    """Pack fixed-width unsigned fields, the first most significant, into
+    bytes zero-padded to a byte boundary; returns (bytes, bit length)."""
+    buf = bytearray()  # whole bytes already flushed
+    acc = 0            # the last `pending` bits packed
+    pending = 0
+    for value, width in zip(values, widths):
+        if width < 0 or value < 0 or value >> width:
+            raise ValueError(f"value {value} does not fit in {width} bits")
+        acc = acc << width | value
+        pending += width
+        if pending >= 64:
+            keep = pending & 7
+            buf += (acc >> keep).to_bytes(pending >> 3, "big")
+            acc &= (1 << keep) - 1
+            pending = keep
+    total = (len(buf) << 3) + pending
+    pad = -pending % 8
+    buf += (acc << pad).to_bytes((pending + pad) >> 3, "big")
+    return bytes(buf), total
 
-    __slots__ = ("_buf", "_acc", "_pending")
+
+class BitWriter:
+    """Collects fixed-width unsigned fields for `pack`, rejecting a field
+    that does not fit when it is written."""
+
+    __slots__ = ("_values", "_widths", "_bits")
 
     def __init__(self) -> None:
-        self._buf = bytearray()  # whole bytes already flushed
-        self._acc = 0            # the last _pending bits written
-        self._pending = 0
+        self._values: List[int] = []
+        self._widths: List[int] = []
+        self._bits = 0
 
     def write(self, value: int, width: int) -> None:
         if width < 0 or value < 0 or value >> width:
             raise ValueError(f"value {value} does not fit in {width} bits")
-        acc = (self._acc << width) | value
-        pending = self._pending + width
-        if pending >= 64:
-            keep = pending & 7
-            self._buf += (acc >> keep).to_bytes(pending >> 3, "big")
-            acc &= (1 << keep) - 1
-            pending = keep
-        self._acc = acc
-        self._pending = pending
+        self._values.append(value)
+        self._widths.append(width)
+        self._bits += width
 
     @property
     def bit_length(self) -> int:
-        return (len(self._buf) << 3) + self._pending
+        return self._bits
 
     def to_bytes(self) -> bytes:
         """Pack to bytes, zero-padding the tail to a byte boundary."""
-        pad = -self._pending % 8
-        tail = (self._acc << pad).to_bytes((self._pending + pad) >> 3, "big")
-        return bytes(self._buf) + tail
+        return pack(self._values, self._widths)[0]
+
+
+def refill(data: bytes, acc: int, have: int, pos: int, width: int) -> Tuple[int, int, int]:
+    """Load bytes of `data` from `pos`, 8 at a time, into the bit window
+    (acc, have) until it holds at least `width` bits; returns (acc, have, pos).
+
+    The window `acc` < 2^have holds the next `have` unread bits, and data[pos]
+    is the next byte.  A caller reads a field of width w <= have as
+    `have -= w; value = acc >> have; acc ^= value << have`, and the field
+    started at bit 8*pos - have - w of `data`.
+    """
+    while have < width:
+        chunk = data[pos:pos + 8]
+        if not chunk:
+            raise TruncatedStreamError(f"unexpected end of bitstream at bit {8 * pos - have}")
+        acc = acc << 8 * len(chunk) | int.from_bytes(chunk, "big")
+        have += 8 * len(chunk)
+        pos += len(chunk)
+    return acc, have, pos
 
 
 class BitReader:

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence as Seq, Tuple, Union
 
 # Only what every subcommand needs is imported here; each cmd_* imports the
 # rest, so a call loads just the modules it runs.
-from .bitio import TruncatedStreamError, fnv1a64
+from .bitio import fnv1a64
 from .container import (
     BudgetExceededError,
     InfeasibleError,
@@ -783,8 +783,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (BudgetExceededError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (UsageError, StreamFormatError, TruncatedStreamError,
-            ValueError, OSError) as exc:
+    except (UsageError, StreamFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass
 from typing import List, Sequence as Seq, Tuple, Union
 
-from .bitio import BitReader, BitWriter, FNV64_OFFSET, fnv1a64, fnv1a64_u32
+from .bitio import fnv1a64, fnv1a64_u32, pack, refill
 from .container import (
     MODE_COND,
     Bitstream,
@@ -120,66 +120,47 @@ def rho_cond(secondary: Sequence, primary: SideInfo) -> float:
     return rho_cond_from_counts(c_l, secondary.n)
 
 
-def _hash_node(h: int, parent: int, a: int, b: int) -> int:
-    """Continue the dictionary hash over the innovation (parent, a, b) as
-    three 4-byte big-endian fields."""
-    return fnv1a64_u32((parent, a, b), h)
-
-
 def cond_encode(secondary: Sequence, primary: SideInfo) -> Bitstream:
     prim = as_side_info(primary)
     if prim.n != secondary.n:
         raise ValueError("primary and secondary lengths differ")
-    pd = prim.data
-    sd = secondary.data
-    n = secondary.n
     secw = secondary.alphabet.bits_per_symbol
     A = prim.alphabet.size
-    by_a: dict = {}  # node*A + a -> list of (b, child_id) in creation order
-    w = BitWriter()
-    dhash = FNV64_OFFSET
+    B = secondary.alphabet.size
+    child: dict = {}  # (node*A + a)*B + b -> (rank among the m children of (node, a), id)
+    get = child.get
+    fan: dict = {}    # node*A + a -> m
+    values: List[int] = []  # one field per symbol: a rank, or m << secw | b
+    widths: List[int] = []
+    innovations: List[int] = []  # (parent, a, b) per dictionary node, flat
     node = 0
-    next_id = 1
-    c = 0
-    for i in range(n):
-        a = pd[i]
-        b = sd[i]
+    for a, b in zip(prim.data, secondary.data):
         key = node * A + a
-        lst = by_a.get(key)
-        m = len(lst) if lst else 0
-        width = m.bit_length()  # m+1 choices: children 0..m-1 or innovate
-        hit = -1
-        if lst:
-            for j, (bb, ch) in enumerate(lst):
-                if bb == b:
-                    hit = j
-                    node = ch
-                    break
-        if hit >= 0:
-            w.write(hit, width)
-        else:
-            w.write(m, width)
-            w.write(b, secw)
-            if lst is None:
-                by_a[key] = lst = []
-            lst.append((b, next_id))
-            dhash = _hash_node(dhash, node, a, b)
-            next_id += 1
+        hit = get(key * B + b)
+        if hit is None:  # m+1 choices: children 0..m-1 or innovate
+            m = fan.get(key, 0)
+            fan[key] = m + 1
+            child[key * B + b] = (m, len(innovations) // 3 + 1)
+            values.append(m << secw | b)
+            widths.append(m.bit_length() + secw)
+            innovations += (node, a, b)
             node = 0
-            c += 1
+        else:
+            rank, node = hit
+            values.append(rank)
+            widths.append(fan[key].bit_length())
+    payload, payload_bits = pack(values, widths)
     incomplete = node != 0
-    if incomplete:
-        c += 1
     return Bitstream(
         mode=MODE_COND,
-        n=n,
+        n=secondary.n,
         alphabet=secondary.alphabet.symbols,
-        phrase_count=c,
+        phrase_count=len(innovations) // 3 + incomplete,
         last_incomplete=incomplete,
-        payload=w.to_bytes(),
-        payload_bits=w.bit_length,
+        payload=payload,
+        payload_bits=payload_bits,
         side_checksum=side_info_checksum(prim),
-        dict_hash=dhash,
+        dict_hash=fnv1a64_u32(innovations),
     )
 
 
@@ -197,42 +178,48 @@ def cond_decode(stream: Union[Bitstream, bytes], primary: SideInfo) -> Sequence:
     alphabet = Alphabet(stream.alphabet)
     size = alphabet.size
     secw = alphabet.bits_per_symbol
-    r = BitReader(stream.payload)
-    pd = prim.data
+    payload = stream.payload
     A = prim.alphabet.size
-    by_a: dict = {}
+    by_a: dict = {}  # node*A + a -> [(b, child id)] in rank order
     out: List[int] = []
-    dhash = FNV64_OFFSET
+    innovations: List[int] = []  # (parent, a, b) per dictionary node, flat
+    acc = have = pos = 0  # the bit window of bitio.refill
     node = 0
-    next_id = 1
-    c = 0
-    for i in range(stream.n):
-        a = pd[i]
+    for a in prim.data:
         key = node * A + a
         lst = by_a.get(key)
-        m = len(lst) if lst else 0
-        idx = r.read(m.bit_length())
-        if idx < m:
-            b, node = lst[idx]
-            out.append(b)
-        elif idx == m:
-            b = r.read(secw)
-            if b >= size:
-                raise StreamFormatError(f"symbol index {b} out of range")
-            out.append(b)
-            if lst is None:
-                by_a[key] = lst = []
-            lst.append((b, next_id))
-            dhash = _hash_node(dhash, node, a, b)
-            next_id += 1
-            node = 0
-            c += 1
-        else:
-            raise StreamFormatError("child index out of range")
-    if node != 0:
-        c += 1
+        if lst is not None:  # m+1 choices: children 0..m-1 or innovate
+            m = len(lst)
+            w = m.bit_length()
+            if have < w:
+                acc, have, pos = refill(payload, acc, have, pos, w)
+            have -= w
+            idx = acc >> have
+            acc ^= idx << have
+            if idx < m:
+                b, node = lst[idx]
+                out.append(b)
+                continue
+            if idx > m:
+                raise StreamFormatError(
+                    f"child index {idx} out of range at payload bit {8 * pos - have - w}")
+        if have < secw:
+            acc, have, pos = refill(payload, acc, have, pos, secw)
+        have -= secw
+        b = acc >> have
+        acc ^= b << have
+        if b >= size:
+            raise StreamFormatError(
+                f"symbol index {b} out of range at payload bit {8 * pos - have - secw}")
+        out.append(b)
+        if lst is None:
+            by_a[key] = lst = []
+        innovations += (node, a, b)
+        lst.append((b, len(innovations) // 3))
+        node = 0
+    c = len(innovations) // 3 + (node != 0)
     if c != stream.phrase_count or (node != 0) != stream.last_incomplete:
         raise StreamFormatError("phrase accounting mismatch")
-    if dhash != stream.dict_hash:
+    if fnv1a64_u32(innovations) != stream.dict_hash:
         raise SideInfoMismatchError("dictionary hash mismatch")
     return Sequence(alphabet, out)

@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence as Seq, Tuple
 
-from .bitio import TruncatedStreamError
+from .bitio import StreamFormatError, TruncatedStreamError  # re-exported
 
 MAGIC = b"SRLZ"
 VERSION = 1
@@ -41,10 +41,6 @@ ROLE_COND_PART_A = 4   # first byte-slice of a shared conditional stream
 ROLE_COND_PART_B = 5   # remaining byte-slice of a shared conditional stream
 ROLE_AUX = 6           # plain stream of the shared auxiliary sequence
 ROLE_COND_GIVEN_AUX = 7  # conditional stream given the auxiliary sequence
-
-
-class StreamFormatError(ValueError):
-    """Malformed container: bad magic, version, mode, or inconsistent fields."""
 
 
 class PointerRangeError(StreamFormatError):

@@ -16,7 +16,7 @@ from itertools import product as _iproduct
 from typing import Iterable, List, Optional, Sequence as Seq, Tuple, Union
 
 from . import bounds
-from .bitio import BitReader, BitWriter
+from .bitio import BitReader, pack
 from .container import (
     MODE_LZ,
     Bitstream,
@@ -161,12 +161,10 @@ def product_sequence(seqs: Seq[Sequence]) -> Sequence:
     if any(s.n != n for s in seqs):
         raise ValueError("sequences must have equal length")
     alphabet = product_alphabet([s.alphabet for s in seqs])
-    sizes = [s.alphabet.size for s in seqs]
-    data = [0] * n
-    for s, size in zip(seqs, sizes):
-        sd = s.data
-        for i in range(n):
-            data[i] = data[i] * size + sd[i]
+    data = seqs[0].data
+    for s in seqs[1:]:
+        size = s.alphabet.size
+        data = [d * size + v for d, v in zip(data, s.data)]
     return Sequence(alphabet, data)
 
 
@@ -264,20 +262,21 @@ def lz_encode(seq: Sequence) -> Bitstream:
     size = seq.alphabet.size
     keys, last = _lz_walk(seq.data, size)
     symw = seq.alphabet.bits_per_symbol
-    w = BitWriter()
-    for j, k in enumerate(keys):
-        w.write(k // size, j.bit_length())
-        w.write(k % size, symw)
+    # phrase j + 1: its parent in j.bit_length() bits, then its innovation
+    values = [k // size << symw | k % size for k in keys]
+    widths = [j.bit_length() + symw for j in range(len(keys))]
     if last:
-        w.write(last, len(keys).bit_length())
+        values.append(last)
+        widths.append(len(keys).bit_length())
+    payload, payload_bits = pack(values, widths)
     return Bitstream(
         mode=MODE_LZ,
         n=seq.n,
         alphabet=seq.alphabet.symbols,
         phrase_count=len(keys) + (last != 0),
         last_incomplete=last != 0,
-        payload=w.to_bytes(),
-        payload_bits=w.bit_length,
+        payload=payload,
+        payload_bits=payload_bits,
     )
 
 

@@ -289,7 +289,8 @@ def zb_encode(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, u: Sequence,
     su = lz_encode(u)
     c1 = cond_encode(xhat, u)
     c2 = cond_encode(xtilde, u)
-    sc = cond_encode(xcheck, product_sequence((xhat, xtilde, u)))
+    triple = product_sequence((xhat, xtilde, u))
+    sc = cond_encode(xcheck, triple)
     part_a, part_b, bits_a, bits_b = split_leaf(sc.to_bytes(), sc.payload_bits, alpha)
     su_bytes = su.to_bytes()
     segs1 = [Segment(ROLE_AUX, su.payload_bits, su_bytes),
@@ -304,8 +305,9 @@ def zb_encode(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, u: Sequence,
     desc2 = pack_segments(MODE_MD2, n, segs2)
     r1_bits = su.payload_bits + c1.payload_bits + bits_a
     r2_bits = su.payload_bits + c2.payload_bits + bits_b
-    mi = empirical_mi(xhat, xtilde, u)
     pair = product_sequence((xhat, xtilde))
+    rho_pair = rho_cond(pair, u)
+    mi = rho_cond(xhat, u) + rho_cond(xtilde, u) - rho_pair  # empirical_mi(xhat, xtilde, u)
     report = {
         "n": n,
         "alpha": alpha,
@@ -315,12 +317,12 @@ def zb_encode(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, u: Sequence,
         "rates": {"r1": r1_bits / n if n else 0.0,
                   "r2": r2_bits / n if n else 0.0,
                   "sum": (r1_bits + r2_bits) / n if n else 0.0},
-        "mi_given_aux": mi.value,
+        "mi_given_aux": mi,
         "sum_decomposition": {
             "rho_aux_doubled": 2.0 * rho_lz(u),
-            "rho_pair_given_aux": rho_cond(pair, u),
-            "rho_center": rho_cond(xcheck, product_sequence((xhat, xtilde, u))),
-            "mi_given_aux": mi.value,
+            "rho_pair_given_aux": rho_pair,
+            "rho_center": rho_cond(xcheck, triple),
+            "mi_given_aux": mi,
         },
         "sum_identity": {
             "lhs_bits": r1_bits + r2_bits,

@@ -8,10 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from srlz.bitio import FNV64_PRIME, fnv1a64
+from srlz.bitio import FNV64_PRIME, fnv1a64, fnv1a64_u32
 from srlz.container import SideInfoMismatchError, StreamFormatError
 from srlz.cond_lz import (
-    _hash_node,
     as_side_info,
     cond_decode,
     cond_encode,
@@ -161,15 +160,20 @@ class TestHashFolding:
     fields = st.one_of(st.integers(0, 300), st.integers(65280, 65800),
                        st.integers(2 ** 32 - 300, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
 
-    @given(st.integers(0, 2 ** 64 - 1),
-           st.one_of(st.sampled_from([255, 256, 65535, 65536, 2 ** 32 - 1]),
-                     st.integers(0, 2 ** 32 - 1)),
-           fields, fields)
-    def test_hash_node_matches_struct_loop(self, h, parent, a, b):
+    triples = st.lists(st.tuples(
+        st.one_of(st.sampled_from([255, 256, 65535, 65536, 2 ** 32 - 1]),
+                  st.integers(0, 2 ** 32 - 1)),
+        fields, fields), max_size=20)
+
+    @given(st.integers(0, 2 ** 64 - 1), triples)
+    def test_dictionary_hash_matches_struct_loop(self, h, triples):
+        # the dictionary hash: one call over the flat (parent, a, b, ...) list
         want = h
-        for byte in struct.pack(">III", parent, a, b):
-            want = ((want ^ byte) * FNV64_PRIME) & 0xFFFFFFFFFFFFFFFF
-        assert _hash_node(h, parent, a, b) == want
+        for parent, a, b in triples:
+            for byte in struct.pack(">III", parent, a, b):
+                want = ((want ^ byte) * FNV64_PRIME) & 0xFFFFFFFFFFFFFFFF
+        flat = [v for triple in triples for v in triple]
+        assert fnv1a64_u32(flat, h) == want
 
 
 class TestDecodeErrors:
