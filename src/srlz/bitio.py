@@ -1,9 +1,11 @@
 """MSB-first bit packing and the FNV-1a 64 hash used for stream checksums.
 
-Both directions run in time linear in the stream length: `pack` keeps fewer
-than 64 pending bits in a small int and flushes whole bytes into a buffer,
-`BitReader` converts only the bytes that hold the field it reads, and
-`refill` feeds a decoder that keeps its own bit window, 8 bytes at a time.
+Both directions run in time linear in the stream length.  `pack` is the one
+packing loop: it keeps fewer than 64 pending bits in a small int and flushes
+whole bytes into a buffer; `BitWriter` collects fields for it.  `refill` is
+the one reading loop: it feeds a decoder that keeps its own bit window,
+8 bytes at a time; `BitReader` is a front end that keeps that window for
+callers that read one field at a time.
 """
 
 from __future__ import annotations
@@ -118,30 +120,30 @@ def refill(data: bytes, acc: int, have: int, pos: int, width: int) -> Tuple[int,
 
 
 class BitReader:
-    """Reads fixed-width unsigned fields from bytes produced by BitWriter."""
+    """Reads fixed-width unsigned fields from bytes produced by BitWriter:
+    a front end over the `refill` window.  A failed read leaves it as it was."""
 
-    __slots__ = ("_data", "_total", "_pos")
+    __slots__ = ("_data", "_acc", "_have", "_pos")
 
     def __init__(self, data: bytes) -> None:
         self._data = bytes(data)
-        self._total = len(data) * 8
-        self._pos = 0
+        self._acc = self._have = self._pos = 0
 
     def read(self, width: int) -> int:
         if width < 0:
             raise ValueError("negative width")
-        pos = self._pos
-        end = pos + width
-        if end > self._total:
-            raise TruncatedStreamError("unexpected end of bitstream")
-        self._pos = end
-        chunk = int.from_bytes(self._data[pos >> 3:(end + 7) >> 3], "big")
-        return (chunk >> (-end & 7)) & ((1 << width) - 1)
+        acc, have, pos = self._acc, self._have, self._pos
+        if have < width:
+            acc, have, pos = refill(self._data, acc, have, pos, width)
+        have -= width
+        value = acc >> have
+        self._acc, self._have, self._pos = acc ^ value << have, have, pos
+        return value
 
     @property
     def bits_read(self) -> int:
-        return self._pos
+        return 8 * self._pos - self._have
 
     @property
     def bits_left(self) -> int:
-        return self._total - self._pos
+        return 8 * len(self._data) - self.bits_read

@@ -112,6 +112,12 @@ def _file_checksum(path: str) -> str:
         return f"{fnv1a64(fh.read()):016x}"
 
 
+def _save_output(seq: Sequence, path: str, fmt: str, **fields) -> dict:
+    """Save seq to path; its report entry, with the checksum of the file written."""
+    save_sequence(seq, path, fmt)
+    return {"path": path, **fields, "checksum": _file_checksum(path)}
+
+
 def _write_bytes(path: str, data: bytes) -> dict:
     with open(path, "wb") as fh:
         fh.write(data)
@@ -438,9 +444,7 @@ def cmd_decode(args) -> int:
             raise UsageError("mode lz takes exactly one stream file")
         with open(args.inputs[0], "rb") as fh:
             seq = lz_decode(fh.read())
-        save_sequence(seq, args.output, args.fmt)
-        outputs.append({"path": args.output, "n": seq.n,
-                        "checksum": _file_checksum(args.output)})
+        outputs.append(_save_output(seq, args.output, args.fmt, n=seq.n))
     elif mode == "cond":
         if len(args.inputs) != 1 or not args.side_info:
             raise UsageError("mode cond takes one stream file plus --side-info")
@@ -449,9 +453,7 @@ def cmd_decode(args) -> int:
         side = load_sequence(args.side_info, args.fmt)
         with open(args.inputs[0], "rb") as fh:
             seq = cond_decode(fh.read(), side)
-        save_sequence(seq, args.output, args.fmt)
-        outputs.append({"path": args.output, "n": seq.n,
-                        "checksum": _file_checksum(args.output)})
+        outputs.append(_save_output(seq, args.output, args.fmt, n=seq.n))
     elif mode == "sr":
         if len(args.inputs) != 1:
             raise UsageError("mode sr takes exactly one stream file")
@@ -461,19 +463,13 @@ def cmd_decode(args) -> int:
             raw = fh.read()
         if args.stage == 1:
             coarse = sr_codec.sr_decode_stage1(raw)
-            save_sequence(coarse, args.output, args.fmt)
-            outputs.append({"path": args.output, "n": coarse.n, "stage": 1,
-                            "checksum": _file_checksum(args.output)})
+            outputs.append(_save_output(coarse, args.output, args.fmt, n=coarse.n, stage=1))
         else:
             coarse, fine = sr_codec.sr_decode_full(raw)
-            save_sequence(fine, args.output, args.fmt)
-            outputs.append({"path": args.output, "n": fine.n, "stage": 2,
-                            "checksum": _file_checksum(args.output)})
+            outputs.append(_save_output(fine, args.output, args.fmt, n=fine.n, stage=2))
             if args.coarse_output:
-                save_sequence(coarse, args.coarse_output, args.fmt)
-                outputs.append({"path": args.coarse_output, "n": coarse.n,
-                                "stage": 1,
-                                "checksum": _file_checksum(args.coarse_output)})
+                outputs.append(_save_output(coarse, args.coarse_output, args.fmt,
+                                            n=coarse.n, stage=1))
     elif mode in ("md-egc", "md-zb"):
         from . import mdc
 
@@ -494,12 +490,8 @@ def cmd_decode(args) -> int:
             else:
                 u, seq = mdc.zb_decode1(raws[0]) if decoder == 1 else mdc.zb_decode2(raws[0])
                 if args.aux_output:
-                    save_sequence(u, args.aux_output, args.fmt)
-                    outputs.append({"path": args.aux_output, "role": "aux",
-                                    "checksum": _file_checksum(args.aux_output)})
-            save_sequence(seq, args.output, args.fmt)
-            outputs.append({"path": args.output, "n": seq.n, "decoder": decoder,
-                            "checksum": _file_checksum(args.output)})
+                    outputs.append(_save_output(u, args.aux_output, args.fmt, role="aux"))
+            outputs.append(_save_output(seq, args.output, args.fmt, n=seq.n, decoder=decoder))
         elif decoder == 0:
             if len(raws) != 2:
                 raise UsageError("decoder 0 takes both description files")
@@ -511,10 +503,8 @@ def cmd_decode(args) -> int:
                 parts.append(("aux", u))
             parts += [("hat", xhat), ("tilde", xtilde), ("check", xcheck)]
             for name, seq in parts:
-                path = f"{args.output}.{name}"
-                save_sequence(seq, path, args.fmt)
-                outputs.append({"path": path, "n": seq.n, "role": name,
-                                "checksum": _file_checksum(path)})
+                outputs.append(_save_output(seq, f"{args.output}.{name}", args.fmt,
+                                            n=seq.n, role=name))
         else:
             raise UsageError("decoder must be 0, 1, or 2")
     else:

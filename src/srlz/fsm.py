@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence as Seq, Tuple, Union
 from . import bounds
 from .cond_lz import rho_cond
 from .container import BudgetExceededError
-from .lz_core import Alphabet, Sequence, parse
+from .lz_core import BINARY, Alphabet, Sequence, parse
 
 
 def _is_bits(out) -> bool:
@@ -387,42 +387,11 @@ def identity_encoder(primary_alphabet: Alphabet, secondary_alphabet: Alphabet) -
 # one-state binary family: enumeration and harnesses
 
 
-def _pairwalk_collision_f1(code: Seq[str], k_max: int, max_out_len: int) -> Optional[int]:
-    """Depth of the shallowest same-length collision for a one-state stage-1
-    code, or None.  Synchronized walk over (dangling suffix, diverged)."""
-    beta = len(code)
-    frontier = {("", False)}
-    seen = {("", False)}
-    for depth in range(1, k_max + 1):
-        nxt = set()
-        for u, div in frontier:
-            for xa in range(beta):
-                ahead = u + code[xa]
-                for xb in range(beta):
-                    behind = code[xb]
-                    if ahead.startswith(behind):
-                        u2 = ahead[len(behind):]
-                    elif behind.startswith(ahead):
-                        u2 = behind[len(ahead):]
-                    else:
-                        continue
-                    d2 = div or xa != xb
-                    if not u2 and d2:
-                        return depth
-                    if len(u2) > max_out_len * (k_max - depth):
-                        continue
-                    st = (u2, d2)
-                    if st not in seen:
-                        seen.add(st)
-                        nxt.add(st)
-        if not nxt:
-            return None
-        frontier = nxt
-    return None
-
-
-def _pairwalk_collision_f2(table: Seq[Seq[str]], k_max: int, max_out_len: int) -> Optional[int]:
-    """Same walk for stage 2 with the primary symbol shared by both sides."""
+def _pairwalk_collision(table: Seq[Seq[str]], k_max: int, max_out_len: int) -> Optional[int]:
+    """Depth of the shallowest same-length collision for a one-state code
+    table, or None: a synchronized walk over (dangling suffix, diverged) of
+    two inputs that share the row symbol a and may differ in the column
+    symbol b.  A stage-1 code is the one-row table (code,)."""
     beta = len(table)
     gamma = len(table[0])
     frontier = {("", False)}
@@ -464,27 +433,33 @@ def _out_strings(max_len: int) -> List[str]:
     return outs
 
 
-def enumerate_lossless_onestate_binary(max_out_len: int = 2, k_max: int = 8):
-    """All one-state binary-in/binary-out encoders with per-step outputs of
-    length <= max_out_len that pass the losslessness walk to depth k_max.
+def lossless_onestate_binary_tables(max_out_len: int = 2, k_max: int = 8):
+    """The stage tables of the one-state binary-in/binary-out encoders with
+    per-step outputs of length <= max_out_len that pass the losslessness walk
+    to depth k_max.  Every (f1, f2) pair of them is such an encoder.
 
-    Returns (encoders, f1_tables, f2_tables).
+    Returns (f1_tables, f2_tables): f1[a] and f2[a][b] are output strings.
     """
-    outs = _out_strings(max_out_len)
-    pa = sa = Alphabet(("0", "1"))
-    f1_tables = [c for c in iproduct(outs, repeat=2)
-                 if _pairwalk_collision_f1(c, k_max, max_out_len) is None]
-    f2_tables = []
-    for flat in iproduct(outs, repeat=4):
-        table = (flat[0:2], flat[2:4])
-        if _pairwalk_collision_f2(table, k_max, max_out_len) is None:
-            f2_tables.append(table)
-    encoders = []
-    for c1 in f1_tables:
-        for t2 in f2_tables:
-            f1 = {(0, 0): c1[0], (0, 1): c1[1]}
-            g1 = {(0, 0): 0, (0, 1): 0}
-            f2 = {(0, a, b): t2[a][b] for a in range(2) for b in range(2)}
-            g2 = {(0, a, b): 0 for a in range(2) for b in range(2)}
-            encoders.append(FsmEncoder(pa, sa, ("s0",), ("z0",), f1, g1, f2, g2))
-    return encoders, f1_tables, f2_tables
+    codes = list(iproduct(_out_strings(max_out_len), repeat=2))
+    f1_tables = [c for c in codes if _pairwalk_collision((c,), k_max, max_out_len) is None]
+    f2_tables = [t for t in iproduct(codes, repeat=2)
+                 if _pairwalk_collision(t, k_max, max_out_len) is None]
+    return f1_tables, f2_tables
+
+
+def onestate_binary_encoder(f1_table: Seq[str], f2_table: Seq[Seq[str]]) -> FsmEncoder:
+    """The one-state binary encoder with stage tables f1_table and f2_table."""
+    f1 = {(0, a): f1_table[a] for a in range(2)}
+    f2 = {(0, a, b): f2_table[a][b] for a in range(2) for b in range(2)}
+    return FsmEncoder(BINARY, BINARY, ("s0",), ("z0",),
+                      f1, dict.fromkeys(f1, 0), f2, dict.fromkeys(f2, 0))
+
+
+def enumerate_lossless_onestate_binary(max_out_len: int = 2, k_max: int = 8):
+    """Every encoder of lossless_onestate_binary_tables, built.
+
+    Returns (encoders, f1_tables, f2_tables); encoder i has the stage tables
+    f1_tables[i // len(f2_tables)] and f2_tables[i % len(f2_tables)].
+    """
+    f1s, f2s = lossless_onestate_binary_tables(max_out_len, k_max)
+    return [onestate_binary_encoder(c1, t2) for c1 in f1s for t2 in f2s], f1s, f2s

@@ -16,7 +16,7 @@ from itertools import product as _iproduct
 from typing import Iterable, List, Optional, Sequence as Seq, Tuple, Union
 
 from . import bounds
-from .bitio import BitReader, pack
+from .bitio import pack, refill
 from .container import (
     MODE_LZ,
     Bitstream,
@@ -288,28 +288,42 @@ def lz_decode(stream: Union[Bitstream, bytes]) -> Sequence:
     alphabet = Alphabet(stream.alphabet)
     size = alphabet.size
     symw = alphabet.bits_per_symbol
-    r = BitReader(stream.payload)
+    payload = stream.payload
     n = stream.n
     c = stream.phrase_count
     # Phrase p is out[edge[p]:edge[p + 1]]: phrase 0 is empty, and each
     # complete phrase starts where the previous one ended.
     edge = [0, 0]
     out: List[int] = []
+    acc = have = pos = 0  # the bit window of bitio.refill
     for j in range(1, c + 1):
-        ptr = r.read((j - 1).bit_length())
+        w = (j - 1).bit_length()
+        if have < w:
+            acc, have, pos = refill(payload, acc, have, pos, w)
+        have -= w
+        ptr = acc >> have
+        acc ^= ptr << have
         if ptr >= j:
-            raise PointerRangeError(f"phrase {j} points to undefined phrase {ptr}")
+            raise PointerRangeError(f"phrase {j} points to undefined phrase {ptr} "
+                                    f"at payload bit {8 * pos - have - w}")
         start, end = edge[ptr], edge[ptr + 1]
         if j == c and stream.last_incomplete:
             if len(out) + end - start != n:
-                raise StreamFormatError("incomplete last phrase length mismatch")
+                raise StreamFormatError("incomplete last phrase length mismatch "
+                                        f"at payload bit {8 * pos - have - w}")
             out += out[start:end]
         else:
-            s = r.read(symw)
+            if have < symw:
+                acc, have, pos = refill(payload, acc, have, pos, symw)
+            have -= symw
+            s = acc >> have
+            acc ^= s << have
             if s >= size:
-                raise StreamFormatError(f"symbol index {s} out of range")
+                raise StreamFormatError(
+                    f"symbol index {s} out of range at payload bit {8 * pos - have - symw}")
             if len(out) + end - start + 1 > n:
-                raise StreamFormatError("decoded length exceeds header length")
+                raise StreamFormatError("decoded length exceeds header length "
+                                        f"at payload bit {8 * pos - have - symw}")
             out += out[start:end]
             out.append(s)
             edge.append(len(out))

@@ -48,33 +48,40 @@ def suite_kraft(max_out_len: int = 2, block_len_max: int = 3,
     """Generalized Kraft sum over every enumerated lossless one-state binary
     encoder, at every block length up to block_len_max.
 
-    Reduction: a Kraft sum depends on an encoder only through its output
-    lengths and transitions (fsm.kraft_tables), so encoders with equal tables
-    share one exact kraft_check report per block length.
+    The suite iterates the certified stage tables, not encoder objects:
+    encoder i is the pair (f1s[i // len(f2s)], f2s[i % len(f2s)]), the order
+    of fsm.enumerate_lossless_onestate_binary.  Reduction: a Kraft sum
+    depends on an encoder only through its output lengths and transitions
+    (fsm.kraft_tables), and a one-state encoder has one transition, so pairs
+    with equal per-table length profiles share one exact kraft_check report
+    per block length, made on one representative encoder.
     """
     from . import fsm
 
-    encoders, f1s, f2s = fsm.enumerate_lossless_onestate_binary(max_out_len, k_max)
+    f1s, f2s = fsm.lossless_onestate_binary_tables(max_out_len, k_max)
+    p1 = [tuple(map(len, c)) for c in f1s]
+    p2 = [tuple(len(out) for row in t for out in row) for t in f2s]
     block_lens = list(range(1, block_len_max + 1))
     violations: List[dict] = []
     checks = 0
     max_ratio = 0.0
     reports: Dict[tuple, dict] = {}
-    for idx, enc in enumerate(encoders):
-        tables = fsm.kraft_tables(enc)
-        for l in block_lens:
-            key = (enc.q, enc.beta, enc.gamma, tables, l)
-            rep = reports.get(key)
-            if rep is None:
-                rep = reports[key] = fsm.kraft_check(enc, l, tol=tol)
-            checks += 1
-            max_ratio = max(max_ratio, rep["lhs"] / rep["rhs"])
-            if not rep["holds"]:
-                violations.append({"encoder": idx, "block_len": l,
-                                   "lhs": rep["lhs"], "rhs": rep["rhs"]})
+    for i1, lens1 in enumerate(p1):
+        for i2, lens2 in enumerate(p2):
+            for l in block_lens:
+                key = (lens1, lens2, l)
+                rep = reports.get(key)
+                if rep is None:
+                    enc = fsm.onestate_binary_encoder(f1s[i1], f2s[i2])
+                    rep = reports[key] = fsm.kraft_check(enc, l, tol=tol)
+                checks += 1
+                max_ratio = max(max_ratio, rep["lhs"] / rep["rhs"])
+                if not rep["holds"]:
+                    violations.append({"encoder": i1 * len(f2s) + i2, "block_len": l,
+                                       "lhs": rep["lhs"], "rhs": rep["rhs"]})
     return {
         "suite": "kraft",
-        "family_size": len(encoders),
+        "family_size": len(f1s) * len(f2s),
         "f1_tables": len(f1s),
         "f2_tables": len(f2s),
         "max_out_len": max_out_len,
@@ -111,13 +118,16 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
     tables, and both measured rates are linear in the per-symbol output
     lengths.  The minimum of rho1 (and of rho1+rho2) over the family therefore
     equals the minimum over the distinct length profiles of each stage, which
-    is exact, so one profile sweep per input pair covers every encoder.  Spot
-    checks push sampled (encoder, pair) combinations through the public
-    converse_check to tie the sweep back to the measured op.
+    is exact, so one profile sweep per input pair covers every encoder.  The
+    suite iterates the stage tables and builds an encoder object only for a
+    spot check: spot checks draw an index i into the family and push encoder
+    (f1s[i // len(f2s)], f2s[i % len(f2s)]), the order of
+    fsm.enumerate_lossless_onestate_binary, with a sampled pair through the
+    public converse_check to tie the sweep back to the measured op.
     """
     from . import bounds, corpus, fsm
 
-    encoders, f1s, f2s = fsm.enumerate_lossless_onestate_binary(max_out_len, k_max)
+    f1s, f2s = fsm.lossless_onestate_binary_tables(max_out_len, k_max)
     p1 = sorted({(len(a), len(b)) for a, b in f1s})
     p2 = sorted({(len(t[0][0]), len(t[0][1]), len(t[1][0]), len(t[1][1]))
                  for t in f2s})
@@ -228,7 +238,8 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
     spot_failures: List[dict] = []
     small_spots = spot_checks // 2
     for j in range(spot_checks):
-        enc = encoders[rng.randrange(len(encoders))]
+        i = rng.randrange(len(f1s) * len(f2s))
+        enc = fsm.onestate_binary_encoder(f1s[i // len(f2s)], f2s[i % len(f2s)])
         if j < small_spots:
             vh = rng.randrange(side)
             vt = rng.randrange(side)
@@ -248,7 +259,7 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
                   + adversarial_violations + spot_failures)
     return {
         "suite": "converse",
-        "family_size": len(encoders),
+        "family_size": len(f1s) * len(f2s),
         "f1_profiles": [list(p) for p in p1],
         "f2_profiles": [list(p) for p in p2],
         "reduction": "profile minima over the certified stage tables; the "

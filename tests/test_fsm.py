@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -16,6 +19,8 @@ from srlz.fsm import (
     is_information_lossless,
     kraft_check,
     kraft_tables,
+    lossless_onestate_binary_tables,
+    onestate_binary_encoder,
     run,
 )
 from srlz.lz_core import BINARY, Alphabet, Sequence, parse
@@ -191,6 +196,26 @@ class TestOneStateFamily:
         encs, _, _ = enumerate_lossless_onestate_binary(1, 6)
         for enc in encs:
             assert is_information_lossless(enc, k_max=4).passed
+
+    @pytest.mark.parametrize("args, digest", [
+        ((1, 6), "568d49587d4b3b1aa798280165d7c904e2b9b013db65bfa57a6dcf018798c549"),
+        ((2, 8), "da26bd445195097ec828f8b2cd2bd70824bf6be19ae85222a5bd91cd71a61510"),
+    ])
+    def test_stage_tables_golden(self, args, digest):
+        # SHA-256 of the f1 and f2 table lists made by one collision walk
+        # per stage
+        tables = lossless_onestate_binary_tables(*args)
+        assert hashlib.sha256(json.dumps(list(tables)).encode()).hexdigest() == digest
+
+    def test_encoder_index_maps_to_stage_tables(self):
+        encs, f1s, f2s = enumerate_lossless_onestate_binary()
+        primary, secondary = bits("0110100111"), bits("1100101001")
+        for i in random.Random(0).sample(range(len(encs)), 40) + [0, len(encs) - 1]:
+            enc = encs[i]
+            built = onestate_binary_encoder(f1s[i // len(f2s)], f2s[i % len(f2s)])
+            assert kraft_tables(built) == kraft_tables(enc)
+            assert (built.f1, built.g1, built.f2, built.g2) == (enc.f1, enc.g1, enc.f2, enc.g2)
+            assert run(built, primary, secondary) == run(enc, primary, secondary)
 
 
 class TestKraft:

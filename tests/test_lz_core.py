@@ -242,7 +242,20 @@ class TestDecodeErrors:
         bs = Bitstream(mode=MODE_LZ, n=6, alphabet=("0", "1"), phrase_count=3,
                        last_incomplete=False, payload=w.to_bytes(),
                        payload_bits=w.bit_length)
-        with pytest.raises(PointerRangeError):
+        with pytest.raises(PointerRangeError,
+                           match="phrase 3 points to undefined phrase 3 at payload bit 3"):
+            lz_decode(bs.to_bytes())
+
+    def test_symbol_out_of_range_names_payload_bit(self):
+        # phrase 2's 2-bit symbol, from bit 3, is not in a..c
+        from srlz.bitio import pack
+        from srlz.container import Bitstream
+
+        payload, nbits = pack([1, 1, 3], [2, 1, 2])
+        bs = Bitstream(mode=MODE_LZ, n=6, alphabet=("a", "b", "c"), phrase_count=3,
+                       last_incomplete=False, payload=payload, payload_bits=nbits)
+        with pytest.raises(StreamFormatError,
+                           match="symbol index 3 out of range at payload bit 3"):
             lz_decode(bs.to_bytes())
 
     def test_chained_phrases_stop_at_header_length(self):

@@ -79,6 +79,19 @@ class TestSmallSuiteRuns:
         assert len(seen) == calls
         assert rep["checks"] == rep["family_size"] * len(rep["block_lens"])
 
+    def test_kraft_violations_list_encoders_in_family_order(self, monkeypatch):
+        real = fsm.kraft_check
+
+        def failing(*args, **kw):
+            return {**real(*args, **kw), "holds": False}
+
+        monkeypatch.setattr(fsm, "kraft_check", failing)
+        rep = suite_kraft(max_out_len=1, block_len_max=2, k_max=6)
+        family = rep["family_size"]
+        assert family == 8
+        assert [(v["encoder"], v["block_len"]) for v in rep["violations"]] == [
+            (i, l) for i in range(family) for l in (1, 2)]
+
     def test_split_lemma(self):
         rep = suite_split_lemma(budget=2000)
         assert rep["holds"]
@@ -116,6 +129,56 @@ class TestSmallSuiteRuns:
         assert rep["exhaustive"]["checks"]["ii"] == 256
         assert rep["adversarial"]["violations"] == []
         assert rep["family_size"] == 16744
+
+
+class TestEncoderObjects:
+    """The suites iterate stage tables and build an encoder only to run it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = [0]
+        real = fsm.FsmEncoder.__init__
+
+        def counting(self, *args, **kw):
+            count[0] += 1
+            real(self, *args, **kw)
+
+        monkeypatch.setattr(fsm.FsmEncoder, "__init__", counting)
+        return count
+
+    def test_kraft_builds_one_encoder_per_check(self, built, monkeypatch):
+        calls = []
+        real = fsm.kraft_check
+
+        def counting(*args, **kw):
+            calls.append(args[1])
+            return real(*args, **kw)
+
+        monkeypatch.setattr(fsm, "kraft_check", counting)
+        rep = suite_kraft(block_len_max=2)
+        assert rep["family_size"] == 16744
+        assert 0 < built[0] <= len(calls)
+
+    def test_converse_builds_only_spot_check_encoders(self, built):
+        rep = suite_converse(n_small=4, random_pairs=2, n_large=64,
+                             spot_checks=6, spot_k_max=3)
+        assert rep["family_size"] == 16744
+        assert built[0] <= 6
+
+
+class TestConverseGolden:
+    # SHA-256 of the reports made when the suite built the whole family and
+    # drew spot-check encoders from that list
+    @pytest.mark.parametrize("kwargs, digest", [
+        ({"seed": 0}, "e587631956e92f5cded0ba2cd6d16541692fd69c13e8136e0a8d69020ff30a03"),
+        ({"seed": 5}, "c932f63515f85922a5ee85f3b7047892c16a98e6d800afb56201db71feef29a7"),
+        ({"seed": 0, "eps_mode": "zero"},
+         "31765d7bd37fb49d9a39da67047ede47fc4db1b2bf929114d2bb80513c932995"),
+    ])
+    def test_converse_report_golden(self, kwargs, digest):
+        rep = suite_converse(n_small=8, random_pairs=10, n_large=256, spot_checks=20, **kwargs)
+        assert rep["holds"] == (kwargs.get("eps_mode") != "zero")
+        assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
 
 
 class TestZeroSlackRegression:
