@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import bounds
-from .cond_lz import SideInfo, _joint_walk, as_side_info, rho_cond, rho_cond_from_counts
-from .lz_core import Sequence, _phrase_count, rho_from_count, rho_lz
+from .cond_lz import SideInfo, as_side_info, rho_cond
+from .lz_core import Sequence, rho_from_count, rho_lz
 
 TOL = 1e-12
 
@@ -51,19 +51,12 @@ def block_empirics(primary: Sequence, secondary: Optional[Sequence], block_len: 
         raise ValueError("primary and secondary lengths differ")
     count = n // l
     pd = primary.data
+    sd = None if secondary is None else secondary.data
     joint: Dict[tuple, int] = {}
     prim_marg: Dict[tuple, int] = {}
-    if secondary is None:
-        for t in range(0, n, l):
-            key = pd[t:t + l]
-            joint[key] = joint.get(key, 0) + 1
-        h_joint = _entropy_from_counts(joint, count)
-        dist = {k: v / count for k, v in joint.items()}
-        return BlockEmpirics(l, count, dist, h_joint, h_joint, 0.0)
-    sd = secondary.data
     for t in range(0, n, l):
         pb = pd[t:t + l]
-        key = (pb, sd[t:t + l])
+        key = pb if sd is None else (pb, sd[t:t + l])
         joint[key] = joint.get(key, 0) + 1
         prim_marg[pb] = prim_marg.get(pb, 0) + 1
     h_joint = _entropy_from_counts(joint, count)
@@ -131,13 +124,64 @@ def check_cond_entropy_inequality(secondary: Sequence, primary: SideInfo, block_
     }
 
 
-def _int_block_counts(v: int, n: int, l: int) -> Dict[int, int]:
-    mask = (1 << l) - 1
-    counts: Dict[int, int] = {}
-    for shift in range(n - l, -1, -l):
-        key = (v >> shift) & mask
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _prefix_walk(n: int, gamma: int, block_lens: Tuple[int, ...],
+                 leaf: Callable[..., None]) -> tuple:
+    """Depth-first walk over the prefix tree of all pairs (vh, vt) of binary
+    primary and gamma-ary secondary sequences of length n >= 1, so inputs that
+    share a prefix share its parse.  Step t adds the joint symbol a*gamma + b to
+    the joint trie, the primary trie with c_l (as cond_lz._joint_walk builds
+    them) and, per block length, the joint and primary block-count dicts (keys:
+    the block in base 2*gamma and in base 2; one set when gamma = 1, the plain
+    parse), and undoes it on return.  Invariant: each dict is in first-appearance
+    order along the current path and c_l in first-marking order; a count undone
+    to 0 is deleted.  At each leaf, in joint-prefix order, leaf(vh, vt, phrases,
+    c_l, joint, primary) sees c_l with the incomplete last phrase folded in.
+    Returns the tries, c_l and dicts, empty again.
+    """
+    AB = 2 * gamma
+    trie, ptrie, c_l = {}, {}, []  # trie values: (joint node, its primary node)
+    joint: List[dict] = [{} for _ in block_lens]
+    primary = joint if gamma == 1 else [{} for _ in block_lens]
+    # per depth: (dict, key modulus, keyed by the primary?) of each block ending there
+    ends = [[(ds[i], m ** l, prim) for i, l in enumerate(block_lens) if (t + 1) % l == 0
+             for ds, m, prim in ((joint, AB, False), (primary, 2, True))[:1 + (gamma > 1)]]
+            for t in range(n)]
+    steps = [(a, b, a * gamma + b) for a in (0, 1) for b in range(gamma)]
+
+    def step(t: int, node: int, pn: int, vh: int, vt: int, jv: int) -> None:
+        for a, b, s in steps:
+            h, w, v = vh * 2 + a, vt * gamma + b, jv * AB + s
+            for d, m, prim in ends[t]:
+                k = (h if prim else v) % m
+                d[k] = d.get(k, 0) + 1
+            key = node * AB + s
+            child = trie.get(key) if t + 1 < n else None
+            if child is not None:
+                step(t + 1, *child, h, w, v)
+            else:  # a phrase ends: a new one, or at a leaf the last (maybe incomplete)
+                pkey = pn * 2 + a
+                p = ptrie.setdefault(pkey, len(c_l) + 1)
+                if p > len(c_l):
+                    c_l.append(0)
+                c_l[p - 1] += 1
+                if t + 1 == n:
+                    leaf(h, w, len(trie) + 1, c_l, joint, primary)
+                else:
+                    trie[key] = (len(trie) + 1, p)
+                    step(t + 1, 0, 0, h, w, v)
+                    del trie[key]
+                c_l[p - 1] -= 1
+                if not c_l[p - 1]:
+                    c_l.pop()
+                    del ptrie[pkey]
+            for d, m, prim in ends[t]:
+                k = (h if prim else v) % m
+                d[k] -= 1
+                if not d[k]:
+                    del d[k]
+
+    step(0, 0, 0, 0, 0, 0)
+    return trie, ptrie, c_l, joint, primary
 
 
 def scan_entropy_inequality(n: int, beta: int = 2,
@@ -148,43 +192,8 @@ def scan_entropy_inequality(n: int, beta: int = 2,
     """Exhaustively check the plain inequality over every length-n sequence."""
     if beta != 2:
         raise ValueError("exhaustive scan is implemented for binary sequences")
-    for l in block_lens:
-        if n % l != 0:
-            raise ValueError(f"block length {l} does not divide n={n}")
-    total = beta ** n
-    if total > budget:
-        raise ValueError(f"{total} sequences exceed the scan budget {budget}")
-    eps_n = bounds.eps_n_value(n, beta, eps_mode)
-    deltas = {l: bounds.delta_n(l, n, beta, eps_n) for l in block_lens}
-    log2 = math.log2
-    violations: List[dict] = []
-    checks = 0
-    for v in range(total):
-        bits = [(v >> shift) & 1 for shift in range(n - 1, -1, -1)]
-        rho = rho_from_count(_phrase_count(bits, 2), n)
-        for l in block_lens:
-            counts = _int_block_counts(v, n, l)
-            blocks = n // l
-            s = 0.0
-            for cnt in counts.values():
-                s += cnt * log2(cnt)
-            lhs = (log2(blocks) - s / blocks) / l
-            checks += 1
-            if lhs < rho - deltas[l] - tol:
-                violations.append({"sequence": v, "block_len": l,
-                                   "lhs": lhs, "rhs": rho - deltas[l]})
-    return {
-        "suite": "entropy-ineq",
-        "n": n,
-        "beta": beta,
-        "block_lens": list(block_lens),
-        "eps_mode": str(eps_mode),
-        "eps_n": eps_n,
-        "sequences": total,
-        "checks": checks,
-        "violations": violations,
-        "holds": not violations,
-    }
+    return _scan({"suite": "entropy-ineq", "n": n, "beta": beta}, 1, "sequences",
+                 block_lens, eps_mode, tol, budget)
 
 
 def scan_cond_entropy_inequality(n: int, beta: int = 2, gamma: int = 2,
@@ -195,58 +204,54 @@ def scan_cond_entropy_inequality(n: int, beta: int = 2, gamma: int = 2,
     """Exhaustively check the joint inequality over every binary pair of length n."""
     if beta != 2 or gamma != 2:
         raise ValueError("exhaustive scan is implemented for binary pairs")
+    return _scan({"suite": "cond-entropy-ineq", "n": n, "beta": beta, "gamma": gamma}, 2,
+                 "pairs", block_lens, eps_mode, tol, budget)
+
+
+def _scan(head: dict, gamma: int, unit: str, block_lens: Tuple[int, ...],
+          eps_mode: Union[str, float], tol: float, budget: int) -> dict:
+    """Both exhaustive scans as one _prefix_walk, gamma = 1 for the plain
+    inequality and 2 for the conditional one.  Leaves sum c*log2(c) in the
+    order of the walker's dicts and c_l, as rho_from_count and
+    rho_cond_from_counts do, so every float is that of a left-to-right pass.
+    Leaves come in joint-prefix order, so violations are keyed by (vh, vt,
+    block-length position) and sorted once, into (vh, vt, position) order.
+    """
+    n = head["n"]
     for l in block_lens:
+        if l < 1:
+            raise ValueError("block length must be positive")
         if n % l != 0:
             raise ValueError(f"block length {l} does not divide n={n}")
-    total = (beta * gamma) ** n
+    total = (2 * gamma) ** n
     if total > budget:
-        raise ValueError(f"{total} pairs exceed the scan budget {budget}")
-    eps_n = bounds.eps_n_value(n, beta, eps_mode)
-    deltas = {l: bounds.delta_n_prime(l, n, beta, gamma, eps_n) for l in block_lens}
-    log2 = math.log2
-    side = beta ** n
-    bit_cache = []
-    for v in range(side):
-        bit_cache.append(tuple((v >> s) & 1 for s in range(n - 1, -1, -1)))
-    violations: List[dict] = []
-    checks = 0
-    for vh in range(side):
-        pb = bit_cache[vh]
-        for vt in range(side):
-            sb = bit_cache[vt]
-            rho_c = rho_cond_from_counts(_joint_walk(pb, sb, 2, 2)[2], n)
-            for l in block_lens:
-                hc: Dict[Tuple[int, int], int] = {}
-                pm: Dict[int, int] = {}
-                mask = (1 << l) - 1
-                for shift in range(n - l, -1, -l):
-                    hb = (vh >> shift) & mask
-                    key = (hb, (vt >> shift) & mask)
-                    hc[key] = hc.get(key, 0) + 1
-                    pm[hb] = pm.get(hb, 0) + 1
-                blocks = n // l
-                s = 0.0
-                for cnt in hc.values():
-                    s += cnt * log2(cnt)
-                sp = 0.0
-                for cnt in pm.values():
-                    sp += cnt * log2(cnt)
-                lhs = ((sp - s) / blocks) / l  # H(joint) - H(primary), log2(blocks) cancels
-                checks += 1
-                if lhs < rho_c - deltas[l] - tol:
-                    violations.append({"primary": vh, "secondary": vt,
-                                       "block_len": l, "lhs": lhs,
-                                       "rhs": rho_c - deltas[l]})
-    return {
-        "suite": "cond-entropy-ineq",
-        "n": n,
-        "beta": beta,
-        "gamma": gamma,
-        "block_lens": list(block_lens),
-        "eps_mode": str(eps_mode),
-        "eps_n": eps_n,
-        "pairs": total,
-        "checks": checks,
-        "violations": violations,
-        "holds": not violations,
-    }
+        raise ValueError(f"{total} {unit} exceed the scan budget {budget}")
+    eps_n = bounds.eps_n_value(n, 2, eps_mode)
+    xlogx = [c * math.log2(c) if c else 0.0 for c in range(n + 1)]  # each c*log2(c) once
+    cond = gamma > 1
+    terms = [(i, l, n // l, math.log2(n // l), bounds.delta_n_prime(l, n, 2, gamma, eps_n)
+              if cond else bounds.delta_n(l, n, 2, eps_n)) for i, l in enumerate(block_lens)]
+    found: List[tuple] = []
+
+    def leaf(vh: int, vt: int, c: int, c_l: list, joint: list, primary: list) -> None:
+        rho = sum(map(xlogx.__getitem__, c_l)) / n if cond else rho_from_count(c, n)
+        for i, l, blocks, log2_blocks, delta in terms:
+            s = sp = 0.0
+            for cnt in joint[i].values():
+                s += xlogx[cnt]
+            if cond:  # H(joint) - H(primary): log2(blocks) cancels
+                for cnt in primary[i].values():
+                    sp += xlogx[cnt]
+                lhs = ((sp - s) / blocks) / l
+            else:
+                lhs = (log2_blocks - s / blocks) / l
+            if lhs < rho - delta - tol:
+                found.append((vh, vt, i, l, lhs, rho - delta))
+
+    _prefix_walk(n, gamma, block_lens, leaf)
+    names = ("primary", "secondary") if cond else ("sequence",)
+    violations = [dict(zip(names, f), block_len=f[3], lhs=f[4], rhs=f[5])
+                  for f in sorted(found)]
+    return dict(head, block_lens=list(block_lens), eps_mode=str(eps_mode), eps_n=eps_n,
+                **{unit: total}, checks=total * len(block_lens), violations=violations,
+                holds=not violations)

@@ -202,11 +202,6 @@ def _lz_walk(data: Seq[int], size: int) -> Tuple[List[int], int]:
     return keys, node
 
 
-def _phrase_count(data: Seq[int], size: int) -> int:
-    keys, last = _lz_walk(data, size)
-    return len(keys) + (last != 0)
-
-
 def _phrases(keys: List[int], last: int, size: int) -> Tuple[List[Tuple[int, int]], List[int]]:
     """(start, length) and parent node of every phrase of a walk."""
     parents = [k // size for k in keys]
@@ -253,7 +248,8 @@ def parse(seq: Sequence) -> ParseResult:
 
 
 def rho_lz(seq: Sequence) -> float:
-    return rho_from_count(_phrase_count(seq.data, seq.alphabet.size), seq.n)
+    keys, last = _lz_walk(seq.data, seq.alphabet.size)
+    return rho_from_count(len(keys) + (last != 0), seq.n)
 
 
 def lz_encode(seq: Sequence) -> Bitstream:

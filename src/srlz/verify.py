@@ -8,13 +8,14 @@ byte for byte.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, List, Tuple, Union
 
 # The suites import the modules they exercise themselves, so running one
 # suite loads only what it runs.
-from .cond_lz import _joint_walk, cond_encode, rho_cond, rho_cond_from_counts
-from .lz_core import BINARY, Sequence, _phrase_count, lz_encode, parse, rho_from_count
+from .cond_lz import cond_encode, rho_cond
+from .lz_core import BINARY, Sequence, lz_encode, parse, rho_from_count
 
 TOL = 1e-9
 
@@ -116,16 +117,17 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
 
     Reduction: the family is the full product of certified stage-1 and stage-2
     tables, and both measured rates are linear in the per-symbol output
-    lengths.  The minimum of rho1 (and of rho1+rho2) over the family therefore
-    equals the minimum over the distinct length profiles of each stage, which
-    is exact, so one profile sweep per input pair covers every encoder.  The
-    suite iterates the stage tables and builds an encoder object only for a
-    spot check: spot checks draw an index i into the family and push encoder
-    (f1s[i // len(f2s)], f2s[i % len(f2s)]), the order of
-    fsm.enumerate_lossless_onestate_binary, with a sampled pair through the
-    public converse_check to tie the sweep back to the measured op.
+    lengths, so the minimum of rho1 (and of rho1+rho2) over the family is the
+    exact minimum over the distinct length profiles of each stage: one profile
+    sweep per input pair covers every encoder.  Part (ii) gets rho_cond of
+    every pair from one empirics._prefix_walk, which parses each shared joint
+    prefix once; its violations are sorted into (primary, secondary) order.
+    Encoder objects are built only for spot checks: each draws an index i into
+    the family and pushes encoder (f1s[i // len(f2s)], f2s[i % len(f2s)]), the
+    order of fsm.enumerate_lossless_onestate_binary, with a sampled pair
+    through the public converse_check to tie the sweep back to the measured op.
     """
-    from . import bounds, corpus, fsm
+    from . import bounds, corpus, empirics, fsm
 
     f1s, f2s = fsm.lossless_onestate_binary_tables(max_out_len, k_max)
     p1 = sorted({(len(a), len(b)) for a, b in f1s})
@@ -143,43 +145,39 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
     d1_small = bounds.delta1(1, n_small, 2, eps_small)
     d2_small, _ = bounds.delta2(1, n_small, 2, 2, eps_small)
     side = 1 << n_small
-    bits = [tuple((v >> s) & 1 for s in range(n_small - 1, -1, -1))
-            for v in range(side)]
-    phrase_counts = [_phrase_count(b, 2) for b in bits]
+    phrase_counts: List[int] = []  # gamma = 1 leaves come in sequence order
+    empirics._prefix_walk(n_small, 1, (), lambda v, _vt, c, *_: phrase_counts.append(c))
     rho_small = [rho_from_count(c, n_small) for c in phrase_counts]
     m1_by_ones = [min_rho1(n_small - o, o, n_small) for o in range(n_small + 1)]
     ones_of = [bin(v).count("1") for v in range(side)]
     m2_memo: Dict[Tuple[int, int, int, int], float] = {}
 
     exhaustive_violations: List[dict] = []
-    checks_i = checks_iii = 0
     for vh in range(side):
         m1 = m1_by_ones[ones_of[vh]]
-        checks_i += 1
         if m1 < rho_small[vh] - d1_small - tol:
             exhaustive_violations.append({"check": "i", "primary": vh})
         floor3 = bounds.zl78_floor(phrase_counts[vh], n_small, 1)
-        checks_iii += 1
         if m1 < floor3 - tol:
             exhaustive_violations.append({"check": "iii", "primary": vh})
-    checks_ii = 0
-    for vh in range(side):
-        pb = bits[vh]
-        m1 = m1_by_ones[ones_of[vh]]
-        rho_h = rho_small[vh]
+    found: List[int] = []
+    xlogx = [c * math.log2(c) if c else 0.0 for c in range(n_small + 1)]
+
+    def leaf(vh: int, vt: int, _c: int, c_l: List[int], _joint, _primary) -> None:
         oh = ones_of[vh]
-        for vt in range(side):
-            n11 = ones_of[vh & vt]
-            n01 = ones_of[vt] - n11
-            counts = (n_small - oh - n01, n01, oh - n11, n11)
-            m2 = m2_memo.get(counts)
-            if m2 is None:
-                m2 = m2_memo[counts] = min_rho2(counts, n_small)
-            rho_c = rho_cond_from_counts(_joint_walk(pb, bits[vt], 2, 2)[2], n_small)
-            checks_ii += 1
-            if m1 + m2 < rho_h + rho_c - d2_small - tol:
-                exhaustive_violations.append(
-                    {"check": "ii", "primary": vh, "secondary": vt})
+        n11 = ones_of[vh & vt]
+        n01 = ones_of[vt] - n11
+        counts = (n_small - oh - n01, n01, oh - n11, n11)
+        m2 = m2_memo.get(counts)
+        if m2 is None:
+            m2 = m2_memo[counts] = min_rho2(counts, n_small)
+        rho_c = sum(map(xlogx.__getitem__, c_l)) / n_small  # rho_cond_from_counts
+        if m1_by_ones[oh] + m2 < rho_small[vh] + rho_c - d2_small - tol:
+            found.append(vh * side + vt)
+
+    empirics._prefix_walk(n_small, 2, (), leaf)
+    exhaustive_violations += [{"check": "ii", "primary": k // side, "secondary": k % side}
+                              for k in sorted(found)]
 
     # seeded random pairs at n_large
     rng = random.Random(seed)
@@ -243,8 +241,8 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
         if j < small_spots:
             vh = rng.randrange(side)
             vt = rng.randrange(side)
-            primary = Sequence(BINARY, bits[vh])
-            secondary = Sequence(BINARY, bits[vt])
+            primary = Sequence.from_text(format(vh, f"0{n_small}b"), BINARY)
+            secondary = Sequence.from_text(format(vt, f"0{n_small}b"), BINARY)
             m1 = m1_by_ones[ones_of[vh]]
         else:
             primary, secondary, m1 = large_cases[rng.randrange(len(large_cases))]
@@ -269,7 +267,7 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
         "exhaustive": {
             "n": n_small,
             "pairs": side * side,
-            "checks": {"i": checks_i, "ii": checks_ii, "iii": checks_iii},
+            "checks": {"i": side, "ii": side * side, "iii": side},
             "violations": exhaustive_violations,
         },
         "random": {

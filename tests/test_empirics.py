@@ -6,15 +6,16 @@ from hypothesis import strategies as st
 
 import oracles
 from srlz.bounds import delta_n, delta_n_prime, eps_n_value
-from srlz.cond_lz import joint_parse
+from srlz.cond_lz import _joint_walk, joint_parse
 from srlz.empirics import (
+    _prefix_walk,
     block_empirics,
     check_cond_entropy_inequality,
     check_entropy_inequality,
     scan_cond_entropy_inequality,
     scan_entropy_inequality,
 )
-from srlz.lz_core import BINARY, Alphabet, Sequence, rho_lz
+from srlz.lz_core import BINARY, Alphabet, Sequence, _lz_walk, rho_lz
 
 
 def bits(text: str) -> Sequence:
@@ -148,7 +149,51 @@ class TestScans:
     def test_scan_rejects_bad_block_len(self):
         with pytest.raises(ValueError, match="does not divide"):
             scan_entropy_inequality(4, block_lens=(3,))
+        with pytest.raises(ValueError, match="block length must be positive"):
+            scan_entropy_inequality(4, block_lens=(0,))
+        with pytest.raises(ValueError, match="block length must be positive"):
+            scan_cond_entropy_inequality(2, block_lens=(0,))
 
     def test_scan_budget_guard(self):
         with pytest.raises(ValueError, match="budget"):
             scan_entropy_inequality(24, block_lens=(1,), budget=1 << 10)
+
+
+class TestPrefixWalk:
+    """Brute-force oracle: every leaf of the prefix-tree walk carries what the
+    per-input walks and left-to-right block counts give on that input."""
+
+    @pytest.mark.parametrize("gamma", [1, 2])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_leaves_match_per_input_walks(self, n, gamma):
+        lens = tuple(l for l in range(1, n + 1) if n % l == 0)
+        AB = 2 * gamma
+        seen = []
+
+        def leaf(vh, vt, phrases, c_l, joint, primary):
+            pd = [(vh >> s) & 1 for s in range(n - 1, -1, -1)]
+            sd = [vt // gamma ** s % gamma for s in range(n - 1, -1, -1)]
+            sym = [a * gamma + b for a, b in zip(pd, sd)]
+            keys, last = _lz_walk(sym, AB)
+            assert phrases == len(keys) + (last != 0)
+            assert c_l == _joint_walk(pd, sd, 2, gamma)[2]
+            for i, l in enumerate(lens):
+                want_j, want_p = {}, {}
+                for t in range(0, n, l):
+                    kj = sum(x * AB ** (l - 1 - u) for u, x in enumerate(sym[t:t + l]))
+                    kp = sum(x << (l - 1 - u) for u, x in enumerate(pd[t:t + l]))
+                    want_j[kj] = want_j.get(kj, 0) + 1
+                    want_p[kp] = want_p.get(kp, 0) + 1
+                assert list(joint[i].items()) == list(want_j.items())
+                assert list(primary[i].items()) == list(want_p.items())
+            seen.append((vh, vt, sum(x * AB ** (n - 1 - u) for u, x in enumerate(sym))))
+
+        state = _prefix_walk(n, gamma, lens, leaf)
+        assert len(seen) == len(set(seen)) == (2 * gamma) ** n
+        assert {(vh, vt) for vh, vt, _ in seen} == {
+            (vh, vt) for vh in range(2 ** n) for vt in range(gamma ** n)}
+        # leaves in joint-prefix order
+        assert [jv for _, _, jv in seen] == list(range(AB ** n))
+        trie, ptrie, c_l, joint, primary = state
+        assert not trie and not ptrie and not c_l
+        assert all(not d for d in joint + primary)

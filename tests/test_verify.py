@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from srlz import fsm
+from srlz import cond_lz, empirics, fsm, lz_core, verify
 from srlz.lz_core import parse
 from srlz.verify import (
     SUITES,
@@ -179,6 +179,60 @@ class TestConverseGolden:
         rep = suite_converse(n_small=8, random_pairs=10, n_large=256, spot_checks=20, **kwargs)
         assert rep["holds"] == (kwargs.get("eps_mode") != "zero")
         assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
+
+
+class TestExhaustiveGolden:
+    # SHA-256 of the reports made when each exhaustive suite parsed every
+    # input on its own; the tol=-1e6 runs list every check as a violation
+    @pytest.mark.parametrize("suite, kwargs, digest", [
+        (suite_entropy_ineq, {"n": 14, "block_lens": (1, 2, 7)},
+         "e0bcbc65d459e1708a46ee947c554972480468517861ed139c880d0fc2be0acd"),
+        (suite_entropy_ineq, {"n": 14, "block_lens": (1, 2, 7), "eps_mode": "zero"},
+         "a9637135b7b4b543d97a92d5932eb19c2178d81e2bbd4c3bd1418bc45016a807"),
+        (suite_entropy_ineq, {"n": 8, "block_lens": (1, 2, 4), "tol": -1e6},
+         "1a047e7dd6de938fec57b05d9043c533004a94ba68edb2b291ee01e874878910"),
+        (suite_cond_entropy_ineq, {"n": 7, "block_lens": (1, 7)},
+         "b552cf2122577d1b59d528e26f5627151e1b0f0742747a35504fba0c58bfc47b"),
+        (suite_cond_entropy_ineq, {"n": 4, "block_lens": (1, 2, 4), "tol": -1e6},
+         "e94a04f9809db57128583cf1bd7626cd1f07c095893e5e37577a7c79504afe9e"),
+        (suite_converse, {"n_small": 4, "random_pairs": 0, "spot_checks": 0,
+                          "n_large": 16, "tol": -1e6},
+         "9a2f9f51c82b7d6cb9564dcaac01692b0e77b76529736c815649077b8a7a3c02"),
+    ])
+    def test_exhaustive_report_golden(self, suite, kwargs, digest):
+        rep = suite(**kwargs)
+        if kwargs.get("tol") == -1e6:
+            assert len(rep["violations"]) == (291 if suite is suite_converse else 768)
+        assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
+
+
+class TestPerInputWalks:
+    """The exhaustive suites walk one prefix tree instead of parsing each input."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = {"_lz_walk": 0, "_joint_walk": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return real(*args, **kw)
+            return wrapper
+
+        for name in calls:
+            for mod in (lz_core, cond_lz, empirics, verify):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+        return calls
+
+    def test_entropy_scans_make_no_per_input_walk(self, walks):
+        suite_entropy_ineq(n=14, block_lens=(1, 2, 7))
+        suite_cond_entropy_ineq(n=7, block_lens=(1, 7))
+        assert walks == {"_lz_walk": 0, "_joint_walk": 0}
+
+    def test_converse_walks_only_random_adversarial_and_spot_inputs(self, walks):
+        suite_converse(n_small=8, random_pairs=10, n_large=256, spot_checks=20)
+        assert walks["_joint_walk"] < 100
 
 
 class TestZeroSlackRegression:
