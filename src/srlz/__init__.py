@@ -29,7 +29,7 @@ _ORIGIN = {
     "TruncatedStreamError": "bitio",
     **dict.fromkeys(("Alphabet", "Sequence", "lz_decode", "lz_encode", "parse",
                      "product_sequence", "rho_lz"), "lz_core"),
-    **dict.fromkeys(("MdRegion", "egc_decode0", "egc_decode1", "egc_decode2", "egc_encode",
+    **dict.fromkeys(("egc_decode0", "egc_decode1", "egc_decode2", "egc_encode",
                      "empirical_mi", "md_outer_region", "split_rates", "zb_decode0",
                      "zb_decode1", "zb_decode2", "zb_encode"), "mdc"),
     **dict.fromkeys(("HalfPlaneRegion", "RatePoint", "RegionUnion", "SearchBudget",

@@ -28,7 +28,7 @@ from .container import (
 from .lz_core import Alphabet, Sequence, lz_decode, lz_encode, parse
 
 if TYPE_CHECKING:
-    from . import mdc, regions, sr_codec
+    from . import regions, sr_codec
 
 REPORT_VERSION = 1
 
@@ -155,10 +155,11 @@ def _region_dict(r: regions.HalfPlaneRegion) -> dict:
     return out
 
 
-def _md_region_dict(r: mdc.MdRegion) -> dict:
-    return {"a": r.a, "b": r.b, "c": r.c, "kind": r.kind,
-            "clamped_a": r.clamped_a, "clamped_b": r.clamped_b,
-            "clamped_c": r.clamped_c, "meta": r.meta}
+def _md_region_dict(r: regions.HalfPlaneRegion, kind: str) -> dict:
+    # report v1's layout: "b" is the R2 floor and "c" the sum floor
+    return {"a": r.a, "b": r.c, "c": r.b, "kind": kind,
+            "clamped_a": r.clamped_a, "clamped_b": r.clamped_c,
+            "clamped_c": r.clamped_b, "meta": r.meta}
 
 
 def _eps_mode(args) -> str:
@@ -274,15 +275,11 @@ def _phrase_names(seq: Sequence, pr) -> List[str]:
 # encode / decode
 
 
-def _distortion_spec(args, need_d0: bool = False) -> sr_codec.DistortionSpec:
+def _distortion_spec(args) -> sr_codec.DistortionSpec:
     from . import sr_codec
 
-    kind = args.distortion
-    d = sr_codec.PerLetterDistortion(kind)
-    level0 = args.d0 if need_d0 else None
-    return sr_codec.DistortionSpec(d1=d, d2=d, level1=args.d1, level2=args.d2,
-                                   d0=d if level0 is not None else None,
-                                   level0=level0)
+    d = sr_codec.PerLetterDistortion(args.distortion)
+    return sr_codec.DistortionSpec(d1=d, d2=d, level1=args.d1, level2=args.d2)
 
 
 def _search_budget(args) -> regions.SearchBudget:
@@ -364,9 +361,9 @@ def cmd_encode(args) -> int:
     elif mode == "sr":
         from . import regions, sr_codec
 
+        dist = _distortion_spec(args)
         if len(args.inputs) == 1:
             x = load_sequence(args.inputs[0], args.fmt)
-            dist = _distortion_spec(args)
             xhat, xtilde, diag = sr_codec.select_reproductions(
                 x, dist, args.objective, _search_budget(args))
         elif len(args.inputs) == 3:
@@ -382,8 +379,8 @@ def cmd_encode(args) -> int:
             "n": n,
             "rates": {"r1": enc.r1, "r2": enc.r2, "sum": enc.r1 + enc.r2},
             "distortion": {
-                "stage1": sr_codec.distortion(x, xhat, _distortion_spec(args).d1) / n if n else 0.0,
-                "stage2": sr_codec.distortion(x, xtilde, _distortion_spec(args).d2) / n if n else 0.0,
+                "stage1": sr_codec.distortion(x, xhat, dist.d1) / n if n else 0.0,
+                "stage2": sr_codec.distortion(x, xtilde, dist.d2) / n if n else 0.0,
             },
             "selection": diag,
             "outputs": [out],
@@ -404,22 +401,22 @@ def cmd_encode(args) -> int:
         xhat, xtilde, xcheck = _md_triple(args)
         if mode == "md-egc":
             desc1, desc2, enc_rep = mdc.egc_encode(xhat, xtilde, xcheck, args.split)
-            inner = mdc.egc_inner_region(xhat, xtilde, xcheck)
+            inner = _md_region_dict(mdc.egc_inner_region(xhat, xtilde, xcheck), "egc-inner")
         else:
             if args.u_file:
                 u = load_sequence(args.u_file, args.fmt)
             else:
                 u = mdc.default_auxiliary(xhat, levels=2)
             desc1, desc2, enc_rep = mdc.zb_encode(xhat, xtilde, xcheck, u, args.alpha)
-            inner = mdc.zb_inner_region(xhat, xtilde, xcheck, u)
+            inner = _md_region_dict(mdc.zb_inner_region(xhat, xtilde, xcheck, u), "zb-inner")
         out1 = _write_bytes(args.output + ".d1", desc1)
         out2 = _write_bytes(args.output + ".d2", desc2)
         results = dict(enc_rep)
         results["outputs"] = [out1, out2]
         if xhat.n >= 2:
             results["outer_region"] = _md_region_dict(
-                mdc.md_outer_region(xhat, xtilde, xcheck, args.q, eps))
-            results["inner_region"] = _md_region_dict(inner)
+                mdc.md_outer_region(xhat, xtilde, xcheck, args.q, eps), "outer")
+            results["inner_region"] = inner
         inputs = list(args.inputs) + ([args.u_file] if args.u_file else [])
         report["inputs"] = _inputs_block(inputs)
         report["parameters"].update({"split": args.split, "alpha": args.alpha,
@@ -575,14 +572,14 @@ def cmd_region(args) -> int:
         outer = mdc.md_outer_region(xhat, xtilde, xcheck, args.q, eps)
         egc_inner = mdc.egc_inner_region(xhat, xtilde, xcheck)
         results = {
-            "outer": _md_region_dict(outer),
-            "egc_inner": _md_region_dict(egc_inner),
+            "outer": _md_region_dict(outer, "outer"),
+            "egc_inner": _md_region_dict(egc_inner, "egc-inner"),
             "mi": mdc.empirical_mi(xhat, xtilde).value,
         }
         if args.u_file:
             u = load_sequence(args.u_file, args.fmt)
             results["zb_inner"] = _md_region_dict(
-                mdc.zb_inner_region(xhat, xtilde, xcheck, u))
+                mdc.zb_inner_region(xhat, xtilde, xcheck, u), "zb-inner")
             results["mi_given_aux"] = mdc.empirical_mi(xhat, xtilde, u).value
         report["results"] = results
     else:

@@ -8,7 +8,6 @@ conditional-stream slack constant was fitted on it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .lz_core import Alphabet, Sequence
@@ -17,7 +16,6 @@ ALPHABET_SIZES = (2, 4, 26)
 STYLES = ("uniform", "tiled", "biased", "runs")
 
 CALIBRATION_SEED = 0x5EED
-STANDARD_SEED = 0xC0DEC
 
 
 def random_sequence(rng: random.Random, size: int, n: int,
@@ -68,45 +66,6 @@ def _log_uniform_n(rng: random.Random, lo: int, hi: int) -> int:
     if lo >= hi:
         return lo
     return min(hi, int(lo * (hi / lo) ** rng.random()))
-
-
-@dataclass(frozen=True)
-class CorpusCase:
-    """One bundle of related sequences feeding every codec suite."""
-
-    index: int
-    style: str
-    n: int
-    beta: int
-    gamma: int
-    x: Sequence        # source, over the beta-letter alphabet
-    xhat: Sequence     # coarse reproduction, beta letters
-    xtilde: Sequence   # fine reproduction, gamma letters
-    xcheck: Sequence   # central reproduction, gamma letters
-    u: Sequence        # shared auxiliary, 2 or 4 letters
-    split: float       # refinement share for the description split
-
-
-def standard_cases(seed: int = STANDARD_SEED, count: int = 500,
-                   n_lo: int = 16, n_hi: int = 4096) -> List[CorpusCase]:
-    """The round-trip / payload-bound corpus: all nine (beta, gamma) size
-    combinations and all four textures cycle; n is log-uniform in [n_lo, n_hi]."""
-    rng = random.Random(seed)
-    cases: List[CorpusCase] = []
-    for i in range(count):
-        beta = ALPHABET_SIZES[i % 3]
-        gamma = ALPHABET_SIZES[(i // 3) % 3]
-        style = STYLES[i % 4]
-        n = _log_uniform_n(rng, n_lo, n_hi)
-        x = random_sequence(rng, beta, n, style)
-        xhat = noisy_copy(rng, x, beta, flip=0.1)
-        xtilde = noisy_copy(rng, x, gamma, flip=0.1)
-        xcheck = noisy_copy(rng, x, gamma, flip=0.05)
-        u = noisy_copy(rng, xhat, 2 if i % 2 else 4, flip=0.2)
-        cases.append(CorpusCase(index=i, style=style, n=n, beta=beta,
-                                gamma=gamma, x=x, xhat=xhat, xtilde=xtilde,
-                                xcheck=xcheck, u=u, split=rng.random()))
-    return cases
 
 
 def calibration_pairs(seed: int = CALIBRATION_SEED, count: int = 500,

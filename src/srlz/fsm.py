@@ -367,22 +367,6 @@ def converse_check(encoder: FsmEncoder, primary: Sequence, secondary: Sequence,
     return report
 
 
-def identity_encoder(primary_alphabet: Alphabet, secondary_alphabet: Alphabet) -> FsmEncoder:
-    """One state per stage; fixed-length codes of each symbol."""
-    bw = primary_alphabet.bits_per_symbol
-    gw = secondary_alphabet.bits_per_symbol
-    f1 = {(0, a): format(a, f"0{bw}b") if bw else "" for a in range(primary_alphabet.size)}
-    g1 = {(0, a): 0 for a in range(primary_alphabet.size)}
-    f2 = {}
-    g2 = {}
-    for a in range(primary_alphabet.size):
-        for b in range(secondary_alphabet.size):
-            f2[(0, a, b)] = format(b, f"0{gw}b") if gw else ""
-            g2[(0, a, b)] = 0
-    return FsmEncoder(primary_alphabet, secondary_alphabet, ("s0",), ("z0",),
-                      f1, g1, f2, g2)
-
-
 # ---------------------------------------------------------------------------
 # one-state binary family: enumeration and harnesses
 

@@ -13,8 +13,8 @@ reproduction given it; the central refinement conditions on all three.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from . import bounds
 from .container import (
@@ -33,30 +33,11 @@ from .container import (
     unpack_segments,
 )
 from .cond_lz import cond_decode, cond_encode, joint_parse, rho_cond
-from .lz_core import Sequence, lz_decode, lz_encode, product_sequence, rho_lz
+from .lz_core import Alphabet, Sequence, lz_decode, lz_encode, product_sequence, rho_lz
 
-
-@dataclass(frozen=True)
-class MdRegion:
-    """{R1 >= a, R2 >= b, R1 + R2 >= c} with clamp flags.
-
-    kind says which side of the sandwich the region sits on: "outer" for
-    converse floors, "egc-inner" / "zb-inner" for measured achievable sets of
-    the two pipelines (sweeping the split share).
-    """
-
-    a: float
-    b: float
-    c: float
-    kind: str = "outer"
-    clamped_a: bool = False
-    clamped_b: bool = False
-    clamped_c: bool = False
-    meta: dict = field(default_factory=dict, compare=False)
-
-    def contains(self, r1: float, r2: float, tol: float = 1e-9) -> bool:
-        return (r1 >= self.a - tol and r2 >= self.b - tol
-                and r1 + r2 >= self.c - tol)
+# the region functions import regions when called: decoders never load it
+if TYPE_CHECKING:
+    from .regions import HalfPlaneRegion
 
 
 @dataclass(frozen=True)
@@ -83,9 +64,11 @@ def empirical_mi(xhat: Sequence, xtilde: Sequence,
 
 
 def md_outer_region(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, q: int,
-                    eps_mode: Union[str, float] = "default") -> MdRegion:
+                    eps_mode: Union[str, float] = "default") -> HalfPlaneRegion:
     """Converse floors for any q-state-per-stage two-description encoder
-    reproducing (xhat, xtilde, xcheck)."""
+    reproducing (xhat, xtilde, xcheck): a on R1, c on R2, b on R1 + R2."""
+    from .regions import clamped_region
+
     n = xhat.n
     if n < 2:
         raise ValueError("needs n >= 2")
@@ -102,15 +85,13 @@ def md_outer_region(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, q: int,
     d1_hat = bounds.delta1(q, n, beta, e1)
     d1_til = bounds.delta1(q, n, gamma, e2)
     d2, d2_l = bounds.delta2(q, n, beta * gamma, xcheck.alphabet.size, e12)
-    a = rho_lz(xhat) - d1_hat
-    b = rho_lz(xtilde) - d1_til
-    c = jp_pair.rho_joint + rho_center - d2
-    return MdRegion(
-        a=max(a, 0.0), b=max(b, 0.0), c=max(c, 0.0), kind="outer",
-        clamped_a=a < 0, clamped_b=b < 0, clamped_c=c < 0,
+    rho_hat = rho_lz(xhat)
+    rho_til = rho_lz(xtilde)
+    return clamped_region(
+        rho_hat - d1_hat, jp_pair.rho_joint + rho_center - d2, rho_til - d1_til,
         meta={
             "n": n, "q": q,
-            "rho_lz_hat": rho_lz(xhat), "rho_lz_tilde": rho_lz(xtilde),
+            "rho_lz_hat": rho_hat, "rho_lz_tilde": rho_til,
             "rho_joint": jp_pair.rho_joint, "rho_center": rho_center,
             "delta1_hat": d1_hat, "delta1_tilde": d1_til,
             "delta2": d2, "delta2_block_len": d2_l,
@@ -120,10 +101,12 @@ def md_outer_region(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, q: int,
 
 
 def egc_inner_region(xhat: Sequence, xtilde: Sequence,
-                     xcheck: Sequence) -> MdRegion:
+                     xcheck: Sequence) -> HalfPlaneRegion:
     """Measured achievable region of pipeline 1 as the split share sweeps
     [0, 1]: per-description floors are the private streams, the sum floor adds
     the central refinement."""
+    from .regions import HalfPlaneRegion
+
     n = xhat.n
     if xtilde.n != n or xcheck.n != n:
         raise ValueError("sequences must have equal length")
@@ -132,20 +115,20 @@ def egc_inner_region(xhat: Sequence, xtilde: Sequence,
     bits_hat = lz_encode(xhat).payload_bits
     bits_til = lz_encode(xtilde).payload_bits
     bits_center = cond_encode(xcheck, product_sequence((xhat, xtilde))).payload_bits
-    return MdRegion(
-        a=bits_hat / n, b=bits_til / n,
-        c=(bits_hat + bits_til + bits_center) / n,
-        kind="egc-inner",
+    return HalfPlaneRegion(
+        a=bits_hat / n, b=(bits_hat + bits_til + bits_center) / n, c=bits_til / n,
         meta={"n": n, "bits_hat": bits_hat, "bits_tilde": bits_til,
               "bits_center": bits_center},
     )
 
 
 def zb_inner_region(xhat: Sequence, xtilde: Sequence, xcheck: Sequence,
-                    u: Sequence) -> MdRegion:
+                    u: Sequence) -> HalfPlaneRegion:
     """Measured achievable region of pipeline 2 as the split share sweeps
     [0, 1]: each description carries the auxiliary stream plus its own
     conditional stream; the sum floor adds the central refinement."""
+    from .regions import HalfPlaneRegion
+
     n = xhat.n
     if xtilde.n != n or xcheck.n != n or u.n != n:
         raise ValueError("sequences must have equal length")
@@ -157,10 +140,9 @@ def zb_inner_region(xhat: Sequence, xtilde: Sequence, xcheck: Sequence,
     bits_center = cond_encode(
         xcheck, product_sequence((xhat, xtilde, u))).payload_bits
     a = (bits_u + bits_hat) / n
-    b = (bits_u + bits_til) / n
-    return MdRegion(
-        a=a, b=b, c=a + b + bits_center / n,
-        kind="zb-inner",
+    c = (bits_u + bits_til) / n
+    return HalfPlaneRegion(
+        a=a, b=a + c + bits_center / n, c=c,
         meta={"n": n, "bits_aux": bits_u, "bits_hat_given_aux": bits_hat,
               "bits_tilde_given_aux": bits_til, "bits_center": bits_center},
     )
@@ -188,6 +170,32 @@ def split_rates(a: float, b: float, c: float, r1: float, r2: float,
 
 
 # ---------------------------------------------------------------------------
+# shared by both pipelines: packing and reassembling the central stream
+
+
+def _describe(n: int, own1: list, own2: list, center, share: float
+              ) -> Tuple[bytes, bytes, int, int]:
+    """Both descriptions: own segments, then a share of the central stream."""
+    part_a, part_b, bits_a, bits_b = split_leaf(center.to_bytes(), center.payload_bits, share)
+    if part_a:
+        own1.append(Segment(ROLE_COND_PART_A, bits_a, part_a))
+    if part_b:
+        own2.append(Segment(ROLE_COND_PART_B, bits_b, part_b))
+    return pack_segments(MODE_MD1, n, own1), pack_segments(MODE_MD2, n, own2), bits_a, bits_b
+
+
+def _center(segs1: Tuple[Segment, ...], segs2: Tuple[Segment, ...],
+            side: Tuple[Sequence, ...]) -> Sequence:
+    """The central stream, joined from its two parts and decoded given the sides."""
+    part_a = find_segment(segs1, ROLE_COND_PART_A)
+    part_b = find_segment(segs2, ROLE_COND_PART_B)
+    raw = (part_a.data if part_a else b"") + (part_b.data if part_b else b"")
+    if not raw:
+        raise StreamFormatError("central refinement stream missing")
+    return cond_decode(raw, product_sequence(side))
+
+
+# ---------------------------------------------------------------------------
 # pipeline 1: private reproductions + split central refinement
 
 
@@ -201,17 +209,10 @@ def egc_encode(xhat: Sequence, xtilde: Sequence, xcheck: Sequence,
         raise ValueError(f"share fraction out of range: {split}")
     s1 = lz_encode(xhat)
     s2 = lz_encode(xtilde)
-    pair = product_sequence((xhat, xtilde))
-    sc = cond_encode(xcheck, pair)
-    part_a, part_b, bits_a, bits_b = split_leaf(sc.to_bytes(), sc.payload_bits, split)
-    segs1 = [Segment(ROLE_MD_PRIMARY, s1.payload_bits, s1.to_bytes())]
-    if part_a:
-        segs1.append(Segment(ROLE_COND_PART_A, bits_a, part_a))
-    segs2 = [Segment(ROLE_MD_PRIMARY, s2.payload_bits, s2.to_bytes())]
-    if part_b:
-        segs2.append(Segment(ROLE_COND_PART_B, bits_b, part_b))
-    desc1 = pack_segments(MODE_MD1, n, segs1)
-    desc2 = pack_segments(MODE_MD2, n, segs2)
+    sc = cond_encode(xcheck, product_sequence((xhat, xtilde)))
+    desc1, desc2, bits_a, bits_b = _describe(
+        n, [Segment(ROLE_MD_PRIMARY, s1.payload_bits, s1.to_bytes())],
+        [Segment(ROLE_MD_PRIMARY, s2.payload_bits, s2.to_bytes())], sc, split)
     r1_bits = s1.payload_bits + bits_a
     r2_bits = s2.payload_bits + bits_b
     center_bits = sc.payload_bits
@@ -236,41 +237,31 @@ def egc_encode(xhat: Sequence, xtilde: Sequence, xcheck: Sequence,
     return desc1, desc2, report
 
 
-def _md_segments(desc: bytes, expect_mode: int) -> Tuple[int, Tuple[Segment, ...]]:
-    _, n, segments = unpack_segments(desc, expect_mode=expect_mode)
-    return n, segments
+def _egc_side(desc: bytes, which: int) -> Tuple[int, Segment, Tuple[Segment, ...]]:
+    """(n, reproduction segment, all segments) of description 1 or 2, undecoded."""
+    _, n, segments = unpack_segments(desc, expect_mode=(MODE_MD1, MODE_MD2)[which - 1])
+    seg = find_segment(segments, ROLE_MD_PRIMARY)
+    if seg is None:
+        raise StreamFormatError(f"description {which} missing its reproduction stream")
+    return n, seg, segments
 
 
 def egc_decode1(desc1: bytes) -> Sequence:
-    _, segments = _md_segments(desc1, MODE_MD1)
-    seg = find_segment(segments, ROLE_MD_PRIMARY)
-    if seg is None:
-        raise StreamFormatError("description 1 missing its reproduction stream")
-    return lz_decode(seg.data)
+    return lz_decode(_egc_side(desc1, 1)[1].data)
 
 
 def egc_decode2(desc2: bytes) -> Sequence:
-    _, segments = _md_segments(desc2, MODE_MD2)
-    seg = find_segment(segments, ROLE_MD_PRIMARY)
-    if seg is None:
-        raise StreamFormatError("description 2 missing its reproduction stream")
-    return lz_decode(seg.data)
+    return lz_decode(_egc_side(desc2, 2)[1].data)
 
 
 def egc_decode0(desc1: bytes, desc2: bytes) -> Tuple[Sequence, Sequence, Sequence]:
-    n1, segs1 = _md_segments(desc1, MODE_MD1)
-    n2, segs2 = _md_segments(desc2, MODE_MD2)
+    n1, seg1, segs1 = _egc_side(desc1, 1)
+    n2, seg2, segs2 = _egc_side(desc2, 2)
     if n1 != n2:
         raise StreamFormatError("descriptions disagree on the source length")
-    xhat = egc_decode1(desc1)
-    xtilde = egc_decode2(desc2)
-    part_a = find_segment(segs1, ROLE_COND_PART_A)
-    part_b = find_segment(segs2, ROLE_COND_PART_B)
-    raw = (part_a.data if part_a else b"") + (part_b.data if part_b else b"")
-    if not raw:
-        raise StreamFormatError("central refinement stream missing")
-    pair = product_sequence((xhat, xtilde))
-    return xhat, xtilde, cond_decode(raw, pair)
+    xhat = lz_decode(seg1.data)
+    xtilde = lz_decode(seg2.data)
+    return xhat, xtilde, _center(segs1, segs2, (xhat, xtilde))
 
 
 # ---------------------------------------------------------------------------
@@ -291,22 +282,13 @@ def zb_encode(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, u: Sequence,
     c2 = cond_encode(xtilde, u)
     triple = product_sequence((xhat, xtilde, u))
     sc = cond_encode(xcheck, triple)
-    part_a, part_b, bits_a, bits_b = split_leaf(sc.to_bytes(), sc.payload_bits, alpha)
-    su_bytes = su.to_bytes()
-    segs1 = [Segment(ROLE_AUX, su.payload_bits, su_bytes),
-             Segment(ROLE_COND_GIVEN_AUX, c1.payload_bits, c1.to_bytes())]
-    if part_a:
-        segs1.append(Segment(ROLE_COND_PART_A, bits_a, part_a))
-    segs2 = [Segment(ROLE_AUX, su.payload_bits, su_bytes),
-             Segment(ROLE_COND_GIVEN_AUX, c2.payload_bits, c2.to_bytes())]
-    if part_b:
-        segs2.append(Segment(ROLE_COND_PART_B, bits_b, part_b))
-    desc1 = pack_segments(MODE_MD1, n, segs1)
-    desc2 = pack_segments(MODE_MD2, n, segs2)
+    aux = Segment(ROLE_AUX, su.payload_bits, su.to_bytes())
+    desc1, desc2, bits_a, bits_b = _describe(
+        n, [aux, Segment(ROLE_COND_GIVEN_AUX, c1.payload_bits, c1.to_bytes())],
+        [aux, Segment(ROLE_COND_GIVEN_AUX, c2.payload_bits, c2.to_bytes())], sc, alpha)
     r1_bits = su.payload_bits + c1.payload_bits + bits_a
     r2_bits = su.payload_bits + c2.payload_bits + bits_b
-    pair = product_sequence((xhat, xtilde))
-    rho_pair = rho_cond(pair, u)
+    rho_pair = rho_cond(product_sequence((xhat, xtilde)), u)
     mi = rho_cond(xhat, u) + rho_cond(xtilde, u) - rho_pair  # empirical_mi(xhat, xtilde, u)
     report = {
         "n": n,
@@ -334,8 +316,8 @@ def zb_encode(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, u: Sequence,
     return desc1, desc2, report
 
 
-def _zb_side(desc: bytes, expect_mode: int) -> Tuple[Sequence, Sequence, Tuple[Segment, ...]]:
-    _, segments = _md_segments(desc, expect_mode)
+def _zb_side(desc: bytes, which: int) -> Tuple[Sequence, Sequence, Tuple[Segment, ...]]:
+    _, _, segments = unpack_segments(desc, expect_mode=(MODE_MD1, MODE_MD2)[which - 1])
     seg_u = find_segment(segments, ROLE_AUX)
     seg_c = find_segment(segments, ROLE_COND_GIVEN_AUX)
     if seg_u is None or seg_c is None:
@@ -346,27 +328,19 @@ def _zb_side(desc: bytes, expect_mode: int) -> Tuple[Sequence, Sequence, Tuple[S
 
 
 def zb_decode1(desc1: bytes) -> Tuple[Sequence, Sequence]:
-    u, xhat, _ = _zb_side(desc1, MODE_MD1)
-    return u, xhat
+    return _zb_side(desc1, 1)[:2]
 
 
 def zb_decode2(desc2: bytes) -> Tuple[Sequence, Sequence]:
-    u, xtilde, _ = _zb_side(desc2, MODE_MD2)
-    return u, xtilde
+    return _zb_side(desc2, 2)[:2]
 
 
 def zb_decode0(desc1: bytes, desc2: bytes) -> Tuple[Sequence, Sequence, Sequence, Sequence]:
-    u1, xhat, segs1 = _zb_side(desc1, MODE_MD1)
-    u2, xtilde, segs2 = _zb_side(desc2, MODE_MD2)
+    u1, xhat, segs1 = _zb_side(desc1, 1)
+    u2, xtilde, segs2 = _zb_side(desc2, 2)
     if u1 != u2:
         raise StreamFormatError("descriptions carry different auxiliary sequences")
-    part_a = find_segment(segs1, ROLE_COND_PART_A)
-    part_b = find_segment(segs2, ROLE_COND_PART_B)
-    raw = (part_a.data if part_a else b"") + (part_b.data if part_b else b"")
-    if not raw:
-        raise StreamFormatError("central refinement stream missing")
-    xcheck = cond_decode(raw, product_sequence((xhat, xtilde, u1)))
-    return u1, xhat, xtilde, xcheck
+    return u1, xhat, xtilde, _center(segs1, segs2, (xhat, xtilde, u1))
 
 
 def default_auxiliary(x: Sequence, levels: int = 2) -> Sequence:
@@ -375,7 +349,4 @@ def default_auxiliary(x: Sequence, levels: int = 2) -> Sequence:
         raise ValueError("levels must be positive")
     size = x.alphabet.size
     levels = min(levels, size)
-    from .lz_core import Alphabet
-
-    alpha = Alphabet(tuple(str(i) for i in range(levels)))
-    return Sequence(alpha, (v * levels // size for v in x.data))
+    return Sequence(Alphabet.of_size(levels), (v * levels // size for v in x.data))

@@ -71,22 +71,17 @@ class PerLetterDistortion:
 
 @dataclass(frozen=True)
 class DistortionSpec:
-    """Distortion measures and levels for the two decoders (plus an optional
-    central/untrusted third, used by the two-description pipelines)."""
+    """Distortion measures and levels for the two decoders."""
 
     d1: PerLetterDistortion
     d2: PerLetterDistortion
     level1: float
     level2: float
-    d0: Optional[PerLetterDistortion] = None
-    level0: Optional[float] = None
 
 
-def hamming_spec(level1: float, level2: float,
-                 level0: Optional[float] = None) -> DistortionSpec:
+def hamming_spec(level1: float, level2: float) -> DistortionSpec:
     d = PerLetterDistortion("hamming")
-    return DistortionSpec(d1=d, d2=d, level1=level1, level2=level2,
-                          d0=d if level0 is not None else None, level0=level0)
+    return DistortionSpec(d1=d, d2=d, level1=level1, level2=level2)
 
 
 def distortion(x: Sequence, y: Sequence, d: PerLetterDistortion) -> float:
@@ -94,13 +89,6 @@ def distortion(x: Sequence, y: Sequence, d: PerLetterDistortion) -> float:
         raise ValueError("length mismatch")
     cost = d.letter_cost(x.alphabet, y.alphabet)
     return sum(cost[a][b] for a, b in zip(x.data, y.data))
-
-
-def in_ball(x: Sequence, xhat: Sequence, xtilde: Sequence, dist: DistortionSpec,
-            tol: float = 1e-9) -> bool:
-    """Both reproductions within their per-letter average distortion levels."""
-    return (distortion(x, xhat, dist.d1) <= dist.level1 * x.n + tol
-            and distortion(x, xtilde, dist.d2) <= dist.level2 * x.n + tol)
 
 
 @dataclass(frozen=True)

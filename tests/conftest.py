@@ -13,6 +13,6 @@ settings.load_profile("suite")
 
 @pytest.fixture(scope="session")
 def standard_corpus():
-    from srlz import corpus
+    import oracles
 
-    return corpus.standard_cases()
+    return oracles.standard_cases()

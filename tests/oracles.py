@@ -8,9 +8,16 @@ and grid scans for region geometry.  Slow but obviously correct.
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
+from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Sequence as Seq, Tuple
+
+from srlz.corpus import ALPHABET_SIZES, STYLES, _log_uniform_n, noisy_copy, random_sequence
+from srlz.fsm import FsmEncoder
+from srlz.lz_core import Alphabet, Sequence
+from srlz.sr_codec import DistortionSpec, distortion
 
 
 def parse_by_set(symbols: Seq) -> Tuple[List[tuple], int, bool]:
@@ -221,3 +228,72 @@ def grid_corners(floors: Seq[Tuple[float, float]], step: float,
                     and not in_union(floors, r1, r2 - step)):
                 corners.append((r1, r2))
     return corners
+
+
+# ---------------------------------------------------------------------------
+# fixtures: a reference encoder, the distortion-ball test, the standard corpus
+
+
+def identity_encoder(primary_alphabet: Alphabet, secondary_alphabet: Alphabet) -> FsmEncoder:
+    """One state per stage; fixed-length codes of each symbol."""
+    bw = primary_alphabet.bits_per_symbol
+    gw = secondary_alphabet.bits_per_symbol
+    f1 = {(0, a): format(a, f"0{bw}b") if bw else "" for a in range(primary_alphabet.size)}
+    g1 = {(0, a): 0 for a in range(primary_alphabet.size)}
+    f2 = {}
+    g2 = {}
+    for a in range(primary_alphabet.size):
+        for b in range(secondary_alphabet.size):
+            f2[(0, a, b)] = format(b, f"0{gw}b") if gw else ""
+            g2[(0, a, b)] = 0
+    return FsmEncoder(primary_alphabet, secondary_alphabet, ("s0",), ("z0",),
+                      f1, g1, f2, g2)
+
+
+def in_ball(x: Sequence, xhat: Sequence, xtilde: Sequence, dist: DistortionSpec,
+            tol: float = 1e-9) -> bool:
+    """Both reproductions within their per-letter average distortion levels."""
+    return (distortion(x, xhat, dist.d1) <= dist.level1 * x.n + tol
+            and distortion(x, xtilde, dist.d2) <= dist.level2 * x.n + tol)
+
+
+STANDARD_SEED = 0xC0DEC
+
+
+@dataclass(frozen=True)
+class CorpusCase:
+    """One bundle of related sequences feeding every codec suite."""
+
+    index: int
+    style: str
+    n: int
+    beta: int
+    gamma: int
+    x: Sequence        # source, over the beta-letter alphabet
+    xhat: Sequence     # coarse reproduction, beta letters
+    xtilde: Sequence   # fine reproduction, gamma letters
+    xcheck: Sequence   # central reproduction, gamma letters
+    u: Sequence        # shared auxiliary, 2 or 4 letters
+    split: float       # refinement share for the description split
+
+
+def standard_cases(seed: int = STANDARD_SEED, count: int = 500,
+                   n_lo: int = 16, n_hi: int = 4096) -> List[CorpusCase]:
+    """The round-trip / payload-bound corpus: all nine (beta, gamma) size
+    combinations and all four textures cycle; n is log-uniform in [n_lo, n_hi]."""
+    rng = random.Random(seed)
+    cases: List[CorpusCase] = []
+    for i in range(count):
+        beta = ALPHABET_SIZES[i % 3]
+        gamma = ALPHABET_SIZES[(i // 3) % 3]
+        style = STYLES[i % 4]
+        n = _log_uniform_n(rng, n_lo, n_hi)
+        x = random_sequence(rng, beta, n, style)
+        xhat = noisy_copy(rng, x, beta, flip=0.1)
+        xtilde = noisy_copy(rng, x, gamma, flip=0.1)
+        xcheck = noisy_copy(rng, x, gamma, flip=0.05)
+        u = noisy_copy(rng, xhat, 2 if i % 2 else 4, flip=0.2)
+        cases.append(CorpusCase(index=i, style=style, n=n, beta=beta,
+                                gamma=gamma, x=x, xhat=xhat, xtilde=xtilde,
+                                xcheck=xcheck, u=u, split=rng.random()))
+    return cases

@@ -9,8 +9,8 @@ from srlz.corpus import (
     noisy_copy,
     random_pair,
     random_sequence,
-    standard_cases,
 )
+from oracles import standard_cases
 
 
 class TestStandardCases:

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from oracles import identity_encoder
 from srlz import bounds
 from srlz.cond_lz import joint_parse
 from srlz.container import BudgetExceededError
@@ -15,7 +16,6 @@ from srlz.fsm import (
     FsmEncoder,
     converse_check,
     enumerate_lossless_onestate_binary,
-    identity_encoder,
     is_information_lossless,
     kraft_check,
     kraft_tables,

@@ -53,6 +53,21 @@ class TestFootprint:
             "assert main(['verify', '--suite', 'split-lemma', '--budget', '50']) == 0")
         assert got == CLI_BASE | {"srlz.verify", "srlz.mdc", "srlz.cond_lz"}
 
+    def test_md_decode_skips_the_region_and_search_modules(self, tmp_path):
+        from srlz import mdc
+        from srlz.lz_core import Alphabet, Sequence
+
+        seq = Sequence(Alphabet.of_size(3), [i * i % 3 for i in range(90)])
+        desc1, desc2, _ = mdc.egc_encode(seq, seq, seq)
+        (tmp_path / "md.d1").write_bytes(desc1)
+        (tmp_path / "md.d2").write_bytes(desc2)
+        got = loaded_after(
+            "from srlz.cli import main\n"
+            "assert main(['decode', 'md.d1', 'md.d2', '--mode', 'md-egc', '-o', 'out']) == 0",
+            cwd=tmp_path)
+        assert got == CLI_BASE | {"srlz.mdc", "srlz.cond_lz"}
+        assert (tmp_path / "out.check").exists()
+
     def test_lz_round_trip_loads_only_the_shared_modules(self, tmp_path):
         (tmp_path / "s.bin").write_bytes(b"abracadabra" * 20)
         got = loaded_after(
@@ -85,7 +100,7 @@ class TestSurface:
         namespace: dict = {}
         exec("from srlz import *", namespace)
         assert set(srlz.__all__) <= set(namespace)
-        assert len(srlz.__all__) == len(set(srlz.__all__)) == 54
+        assert len(srlz.__all__) == len(set(srlz.__all__)) == 53
 
     def test_dir_lists_every_public_name(self):
         assert set(srlz.__all__) <= set(dir(srlz))

@@ -1,12 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from srlz.container import StreamFormatError, TruncatedStreamError
 from srlz.cond_lz import rho_cond
+from srlz.corpus import STYLES, noisy_copy, random_sequence
 from srlz.lz_core import BINARY, Alphabet, Sequence, lz_encode, product_sequence, rho_lz
 from srlz.mdc import (
-    MdRegion,
     default_auxiliary,
     egc_decode0,
     egc_decode1,
@@ -23,6 +25,7 @@ from srlz.mdc import (
     zb_inner_region,
 )
 from srlz import bounds
+from srlz.regions import HalfPlaneRegion, RatePoint, region_contains_region
 
 
 def bits(text: str) -> Sequence:
@@ -110,18 +113,20 @@ class TestOuterRegion:
         b = rho_lz(xtilde) - bounds.delta1(1, n, 2, e1)
         d2, _ = bounds.delta2(1, n, 4, 2, e12)
         c = joint_parse(xhat, xtilde).rho_joint + rho_cond(xcheck, pair) - d2
-        assert reg.kind == "outer"
+        assert isinstance(reg, HalfPlaneRegion)
         assert reg.a == pytest.approx(max(a, 0.0))
-        assert reg.b == pytest.approx(max(b, 0.0))
-        assert reg.c == pytest.approx(max(c, 0.0))
+        assert reg.c == pytest.approx(max(b, 0.0))   # R2 floor
+        assert reg.b == pytest.approx(max(c, 0.0))   # sum floor
         assert reg.clamped_a == (a < 0)
+        assert reg.clamped_c == (b < 0)
+        assert reg.clamped_b == (c < 0)
 
     def test_contains_needs_all_three_floors(self):
-        reg = MdRegion(a=0.5, b=0.5, c=1.5)
-        assert reg.contains(0.7, 0.8)
-        assert not reg.contains(0.4, 2.0)   # r1 floor
-        assert not reg.contains(2.0, 0.4)   # r2 floor
-        assert not reg.contains(0.6, 0.6)   # sum floor
+        reg = HalfPlaneRegion(a=0.5, b=1.5, c=0.5)
+        assert reg.contains(RatePoint(0.7, 0.8))
+        assert not reg.contains(RatePoint(0.4, 2.0))   # r1 floor
+        assert not reg.contains(RatePoint(2.0, 0.4))   # r2 floor
+        assert not reg.contains(RatePoint(0.6, 0.6))   # sum floor
 
     def test_input_validation(self):
         x = bits("01")
@@ -176,9 +181,9 @@ class TestPipelineOne:
         xhat, xtilde, xcheck = triple()
         reg = egc_inner_region(xhat, xtilde, xcheck)
         bits_hat = lz_encode(xhat).payload_bits
-        assert reg.kind == "egc-inner"
         assert reg.a == pytest.approx(bits_hat / 16)
-        assert reg.c == pytest.approx(
+        assert reg.c == pytest.approx(reg.meta["bits_tilde"] / 16)
+        assert reg.b == pytest.approx(
             (reg.meta["bits_hat"] + reg.meta["bits_tilde"]
              + reg.meta["bits_center"]) / 16)
 
@@ -187,8 +192,8 @@ class TestPipelineOne:
         reg = egc_inner_region(xhat, xtilde, xcheck)
         for split in (0.0, 0.25, 0.5, 0.75, 1.0):
             _, _, rep = egc_encode(xhat, xtilde, xcheck, split)
-            assert reg.contains(rep["rates"]["r1"], rep["rates"]["r2"])
-            assert rep["rates"]["sum"] == pytest.approx(reg.c)
+            assert reg.contains(RatePoint(rep["rates"]["r1"], rep["rates"]["r2"]))
+            assert rep["rates"]["sum"] == pytest.approx(reg.b)
 
 
 class TestPipelineTwo:
@@ -232,9 +237,9 @@ class TestPipelineTwo:
         u = default_auxiliary(xhat)
         reg = zb_inner_region(xhat, xtilde, xcheck, u)
         m = reg.meta
-        assert reg.kind == "zb-inner"
         assert reg.a == pytest.approx((m["bits_aux"] + m["bits_hat_given_aux"]) / 16)
-        assert reg.c == pytest.approx(reg.a + reg.b + m["bits_center"] / 16)
+        assert reg.c == pytest.approx((m["bits_aux"] + m["bits_tilde_given_aux"]) / 16)
+        assert reg.b == pytest.approx(reg.a + reg.c + m["bits_center"] / 16)
 
     def test_measured_rates_lie_in_inner_region(self):
         xhat, xtilde, xcheck = triple()
@@ -242,8 +247,8 @@ class TestPipelineTwo:
         reg = zb_inner_region(xhat, xtilde, xcheck, u)
         for alpha in (0.0, 0.5, 1.0):
             _, _, rep = zb_encode(xhat, xtilde, xcheck, u, alpha)
-            assert reg.contains(rep["rates"]["r1"], rep["rates"]["r2"])
-            assert rep["rates"]["sum"] == pytest.approx(reg.c)
+            assert reg.contains(RatePoint(rep["rates"]["r1"], rep["rates"]["r2"]))
+            assert rep["rates"]["sum"] == pytest.approx(reg.b)
 
 
 class TestSandwichOnMeasuredRates:
@@ -260,10 +265,43 @@ class TestSandwichOnMeasuredRates:
             xcheck = Sequence(BINARY, base)
             outer = md_outer_region(xhat, xtilde, xcheck, q=1)
             _, _, rep1 = egc_encode(xhat, xtilde, xcheck)
-            assert outer.contains(rep1["rates"]["r1"], rep1["rates"]["r2"])
+            assert outer.contains(RatePoint(rep1["rates"]["r1"], rep1["rates"]["r2"]))
             u = default_auxiliary(xhat)
             _, _, rep2 = zb_encode(xhat, xtilde, xcheck, u)
-            assert outer.contains(rep2["rates"]["r1"], rep2["rates"]["r2"])
+            assert outer.contains(RatePoint(rep2["rates"]["r1"], rep2["rates"]["r2"]))
+
+
+def sandwich_triples():
+    """triple() plus 20 seeded corpus triples: n log-uniform in [16, 1000],
+    alphabets of 2 and 4 letters, all four textures."""
+    rng = random.Random("md-sandwich")
+    out = [("triple", triple())]
+    for i in range(20):
+        size = (2, 4)[i % 2]
+        n = int(16 * (1000 / 16) ** rng.random())
+        x = random_sequence(rng, size, n, STYLES[i % 4])
+        out.append((f"corpus-{i}-n{n}-a{size}",
+                     (noisy_copy(rng, x, size, flip=0.1), noisy_copy(rng, x, size, flip=0.1),
+                      noisy_copy(rng, x, size, flip=0.05))))
+    return out
+
+
+SANDWICH = sandwich_triples()
+
+
+@pytest.mark.parametrize("seqs", [s for _, s in SANDWICH], ids=[name for name, _ in SANDWICH])
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("eps_mode", ["default", "zero"])
+def test_inner_regions_lie_in_the_outer_region(seqs, q, eps_mode):
+    """The shared containment routine places both measured achievable regions
+    inside the converse region, floor by floor.  At these lengths the default
+    slack clamps most outer floors to zero; at q = 1 without slack none is
+    zero, so the comparison has something to compare."""
+    xhat, xtilde, xcheck = seqs
+    outer = md_outer_region(xhat, xtilde, xcheck, q, eps_mode)
+    assert region_contains_region(outer, egc_inner_region(xhat, xtilde, xcheck))
+    assert region_contains_region(
+        outer, zb_inner_region(xhat, xtilde, xcheck, default_auxiliary(xhat)))
 
 
 class TestDefaultAuxiliary:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import in_ball
 from srlz.container import (
     BudgetExceededError,
     InfeasibleError,
@@ -27,7 +28,6 @@ from srlz.sr_codec import (
     candidate_pairs,
     distortion,
     hamming_spec,
-    in_ball,
     nearest_feasible,
     select_reproductions,
     sr_decode_full,
@@ -112,14 +112,6 @@ class TestNearestFeasible:
         d = PerLetterDistortion("absdiff", reproduction=rep)
         with pytest.raises(InfeasibleError, match="unreachable"):
             nearest_feasible(x, d, 1.0)
-
-
-class TestHammingSpec:
-    def test_central_level_optional(self):
-        spec = hamming_spec(0.1, 0.2)
-        assert spec.d0 is None and spec.level0 is None
-        spec0 = hamming_spec(0.1, 0.2, 0.0)
-        assert spec0.d0 is not None and spec0.level0 == 0.0
 
 
 class TestRefinementCodec:
