@@ -401,14 +401,12 @@ def cmd_encode(args) -> int:
         xhat, xtilde, xcheck = _md_triple(args)
         if mode == "md-egc":
             desc1, desc2, enc_rep = mdc.egc_encode(xhat, xtilde, xcheck, args.split)
-            inner = _md_region_dict(mdc.egc_inner_region(xhat, xtilde, xcheck), "egc-inner")
         else:
             if args.u_file:
                 u = load_sequence(args.u_file, args.fmt)
             else:
                 u = mdc.default_auxiliary(xhat, levels=2)
             desc1, desc2, enc_rep = mdc.zb_encode(xhat, xtilde, xcheck, u, args.alpha)
-            inner = _md_region_dict(mdc.zb_inner_region(xhat, xtilde, xcheck, u), "zb-inner")
         out1 = _write_bytes(args.output + ".d1", desc1)
         out2 = _write_bytes(args.output + ".d2", desc2)
         results = dict(enc_rep)
@@ -416,7 +414,9 @@ def cmd_encode(args) -> int:
         if xhat.n >= 2:
             results["outer_region"] = _md_region_dict(
                 mdc.md_outer_region(xhat, xtilde, xcheck, args.q, eps), "outer")
-            results["inner_region"] = inner
+            # the region of the streams just coded, from their bit counts
+            results["inner_region"] = _md_region_dict(
+                mdc.md_inner_region(xhat.n, enc_rep["bits"]), mode[3:] + "-inner")
         inputs = list(args.inputs) + ([args.u_file] if args.u_file else [])
         report["inputs"] = _inputs_block(inputs)
         report["parameters"].update({"split": args.split, "alpha": args.alpha,

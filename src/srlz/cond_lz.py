@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from typing import List, Sequence as Seq, Tuple, Union
 
 from .bitio import fnv1a64, fnv1a64_u32, pack, refill
@@ -46,15 +45,39 @@ def side_info_checksum(primary: SideInfo) -> int:
     return fnv1a64_u32(seq.data, h)
 
 
-@dataclass(frozen=True)
 class JointParseResult:
-    phrases: Tuple[Tuple[int, int], ...]  # (start, length) per joint phrase
-    c_joint: int
-    c_prime: int                  # distinct primary phrase strings
-    c_l: Tuple[int, ...]          # joint phrases per distinct primary phrase
-    rho_cond: float
-    rho_joint: float
-    is_last_incomplete: bool
+    __slots__ = ("phrases", "c_joint", "c_prime", "c_l", "rho_cond", "rho_joint",
+                 "is_last_incomplete")
+
+    def __init__(self, phrases: Tuple[Tuple[int, int], ...], c_joint: int, c_prime: int,
+                 c_l: Tuple[int, ...], rho_cond: float, rho_joint: float,
+                 is_last_incomplete: bool) -> None:
+        self.phrases = phrases  # (start, length) per joint phrase
+        self.c_joint = c_joint
+        self.c_prime = c_prime  # distinct primary phrase strings
+        self.c_l = c_l  # joint phrases per distinct primary phrase
+        self.rho_cond = rho_cond
+        self.rho_joint = rho_joint
+        self.is_last_incomplete = is_last_incomplete
+
+    def _key(self) -> tuple:
+        return (self.phrases, self.c_joint, self.c_prime, self.c_l, self.rho_cond,
+                self.rho_joint, self.is_last_incomplete)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"JointParseResult(phrases={self.phrases!r}, "
+                f"c_joint={self.c_joint!r}, c_prime={self.c_prime!r}, "
+                f"c_l={self.c_l!r}, rho_cond={self.rho_cond!r}, "
+                f"rho_joint={self.rho_joint!r}, "
+                f"is_last_incomplete={self.is_last_incomplete!r})")
 
 
 def _joint_walk(pd: Seq[int], sd: Seq[int], A: int, B: int) -> Tuple[List[int], int, List[int]]:

@@ -11,7 +11,6 @@ segment bytes, so embedded streams stay exactly delimited.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from typing import Optional, Sequence as Seq, Tuple
 
 from .bitio import StreamFormatError, TruncatedStreamError  # re-exported
@@ -63,19 +62,42 @@ class InfeasibleError(ValueError):
     """No solution exists under the given constraints."""
 
 
-@dataclass
 class Bitstream:
     """A decoded or to-be-serialized leaf container."""
 
-    mode: int
-    n: int
-    alphabet: Tuple[str, ...]
-    phrase_count: int
-    last_incomplete: bool
-    payload: bytes
-    payload_bits: Optional[int] = None  # exact when produced by an encoder
-    side_checksum: Optional[int] = None  # conditional streams only
-    dict_hash: Optional[int] = None      # conditional streams only
+    __slots__ = ("mode", "n", "alphabet", "phrase_count", "last_incomplete", "payload",
+                 "payload_bits", "side_checksum", "dict_hash")
+
+    def __init__(self, mode: int, n: int, alphabet: Tuple[str, ...], phrase_count: int,
+                 last_incomplete: bool, payload: bytes, payload_bits: Optional[int] = None,
+                 side_checksum: Optional[int] = None, dict_hash: Optional[int] = None) -> None:
+        self.mode = mode
+        self.n = n
+        self.alphabet = alphabet
+        self.phrase_count = phrase_count
+        self.last_incomplete = last_incomplete
+        self.payload = payload
+        self.payload_bits = payload_bits  # exact when produced by an encoder
+        self.side_checksum = side_checksum  # conditional streams only
+        self.dict_hash = dict_hash          # conditional streams only
+
+    def _key(self) -> tuple:
+        return (self.mode, self.n, self.alphabet, self.phrase_count, self.last_incomplete,
+                self.payload, self.payload_bits, self.side_checksum, self.dict_hash)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # mutable: payload_bits is set after decoding
+
+    def __repr__(self) -> str:
+        return (f"Bitstream(mode={self.mode!r}, n={self.n!r}, alphabet={self.alphabet!r}, "
+                f"phrase_count={self.phrase_count!r}, "
+                f"last_incomplete={self.last_incomplete!r}, payload={self.payload!r}, "
+                f"payload_bits={self.payload_bits!r}, side_checksum={self.side_checksum!r}, "
+                f"dict_hash={self.dict_hash!r})")
 
     def to_bytes(self) -> bytes:
         if self.mode not in (MODE_LZ, MODE_COND):
@@ -179,11 +201,26 @@ def leaf_header_length(raw: bytes) -> int:
     return pos + 9  # phrase count + flags
 
 
-@dataclass
 class Segment:
-    role: int
-    bit_length: int
-    data: bytes = field(repr=False)
+    __slots__ = ("role", "bit_length", "data")
+
+    def __init__(self, role: int, bit_length: int, data: bytes) -> None:
+        self.role = role
+        self.bit_length = bit_length
+        self.data = data
+
+    def _key(self) -> tuple:
+        return (self.role, self.bit_length, self.data)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # mutable, like Bitstream
+
+    def __repr__(self) -> str:  # data is left out: it can run to megabytes
+        return f"Segment(role={self.role!r}, bit_length={self.bit_length!r})"
 
 
 def pack_segments(mode: int, n: int, segments: Seq[Segment]) -> bytes:

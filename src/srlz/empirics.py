@@ -11,7 +11,6 @@ entropies by normalized parse complexities minus vanishing penalties:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import bounds
@@ -21,14 +20,35 @@ from .lz_core import Sequence, rho_from_count, rho_lz
 TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class BlockEmpirics:
-    block_len: int
-    count: int  # number of blocks
-    joint_dist: Dict[tuple, float]
-    h_joint: float   # bits per block
-    h_primary: float
-    h_cond: float    # h_joint - h_primary
+    __slots__ = ("block_len", "count", "joint_dist", "h_joint", "h_primary", "h_cond")
+
+    def __init__(self, block_len: int, count: int, joint_dist: Dict[tuple, float],
+                 h_joint: float, h_primary: float, h_cond: float) -> None:
+        self.block_len = block_len
+        self.count = count  # number of blocks
+        self.joint_dist = joint_dist
+        self.h_joint = h_joint  # bits per block
+        self.h_primary = h_primary
+        self.h_cond = h_cond  # h_joint - h_primary
+
+    def _key(self) -> tuple:
+        return (self.block_len, self.count, self.joint_dist, self.h_joint, self.h_primary,
+                self.h_cond)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"BlockEmpirics(block_len={self.block_len!r}, "
+                f"count={self.count!r}, joint_dist={self.joint_dist!r}, "
+                f"h_joint={self.h_joint!r}, h_primary={self.h_primary!r}, "
+                f"h_cond={self.h_cond!r})")
 
 
 def _entropy_from_counts(counts: Dict, total: int) -> float:

@@ -11,7 +11,6 @@ the stage-2 data, the input pair).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence as Seq, Tuple, Union
 
@@ -26,21 +25,28 @@ def _is_bits(out) -> bool:
     return isinstance(out, str) and not out.strip("01")
 
 
-@dataclass(eq=False)
 class FsmEncoder:
-    primary_alphabet: Alphabet
-    secondary_alphabet: Alphabet
-    states_s: Tuple[str, ...]
-    states_z: Tuple[str, ...]
-    f1: Dict[Tuple[int, int], str]       # (state, primary symbol) -> bits
-    g1: Dict[Tuple[int, int], int]       # (state, primary symbol) -> next state
-    f2: Dict[Tuple[int, int, int], str]  # (state, primary, secondary) -> bits
-    g2: Dict[Tuple[int, int, int], int]
-    s1: int = 0
-    z1: int = 0
-    q: int = 0  # state budget; defaults to max(|S|, |Z|)
+    """A validated two-stage encoder; compared by identity."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("primary_alphabet", "secondary_alphabet", "states_s", "states_z",
+                 "f1", "g1", "f2", "g2", "s1", "z1", "q")
+
+    def __init__(self, primary_alphabet: Alphabet, secondary_alphabet: Alphabet,
+                 states_s: Tuple[str, ...], states_z: Tuple[str, ...],
+                 f1: Dict[Tuple[int, int], str], g1: Dict[Tuple[int, int], int],
+                 f2: Dict[Tuple[int, int, int], str], g2: Dict[Tuple[int, int, int], int],
+                 s1: int = 0, z1: int = 0, q: int = 0) -> None:
+        self.primary_alphabet = primary_alphabet
+        self.secondary_alphabet = secondary_alphabet
+        self.states_s = states_s
+        self.states_z = states_z
+        self.f1 = f1  # (state, primary symbol) -> bits
+        self.g1 = g1  # (state, primary symbol) -> next state
+        self.f2 = f2  # (state, primary, secondary) -> bits
+        self.g2 = g2
+        self.s1 = s1
+        self.z1 = z1
+        self.q = q  # state budget; defaults to max(|S|, |Z|)
         ns, nz = len(self.states_s), len(self.states_z)
         if ns == 0 or nz == 0:
             raise ValueError("state sets must be nonempty")
@@ -72,6 +78,13 @@ class FsmEncoder:
                     if not 0 <= self.g2[(z, a, b)] < nz:
                         raise ValueError("g2 target out of range")
 
+    def __repr__(self) -> str:
+        return (f"FsmEncoder(primary_alphabet={self.primary_alphabet!r}, "
+                f"secondary_alphabet={self.secondary_alphabet!r}, "
+                f"states_s={self.states_s!r}, states_z={self.states_z!r}, "
+                f"f1={self.f1!r}, g1={self.g1!r}, f2={self.f2!r}, g2={self.g2!r}, "
+                f"s1={self.s1!r}, z1={self.z1!r}, q={self.q!r})")
+
     @property
     def beta(self) -> int:
         return self.primary_alphabet.size
@@ -81,16 +94,40 @@ class FsmEncoder:
         return self.secondary_alphabet.size
 
 
-@dataclass(frozen=True)
 class EncodingTrace:
-    outputs_u: Tuple[str, ...]
-    outputs_v: Tuple[str, ...]
-    states_s: Tuple[int, ...]
-    states_z: Tuple[int, ...]
-    bits_u: int
-    bits_v: int
-    rho1: float
-    rho12: float
+    __slots__ = ("outputs_u", "outputs_v", "states_s", "states_z", "bits_u", "bits_v",
+                 "rho1", "rho12")
+
+    def __init__(self, outputs_u: Tuple[str, ...], outputs_v: Tuple[str, ...],
+                 states_s: Tuple[int, ...], states_z: Tuple[int, ...], bits_u: int,
+                 bits_v: int, rho1: float, rho12: float) -> None:
+        self.outputs_u = outputs_u
+        self.outputs_v = outputs_v
+        self.states_s = states_s
+        self.states_z = states_z
+        self.bits_u = bits_u
+        self.bits_v = bits_v
+        self.rho1 = rho1
+        self.rho12 = rho12
+
+    def _key(self) -> tuple:
+        return (self.outputs_u, self.outputs_v, self.states_s, self.states_z, self.bits_u,
+                self.bits_v, self.rho1, self.rho12)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"EncodingTrace(outputs_u={self.outputs_u!r}, "
+                f"outputs_v={self.outputs_v!r}, states_s={self.states_s!r}, "
+                f"states_z={self.states_z!r}, bits_u={self.bits_u!r}, "
+                f"bits_v={self.bits_v!r}, rho1={self.rho1!r}, "
+                f"rho12={self.rho12!r})")
 
 
 def run(encoder: FsmEncoder, primary: Sequence, secondary: Sequence) -> EncodingTrace:
@@ -133,12 +170,33 @@ def run(encoder: FsmEncoder, primary: Sequence, secondary: Sequence) -> Encoding
     )
 
 
-@dataclass(frozen=True)
 class LosslessnessReport:
-    passed: bool
-    depth_certified: int
-    from_all_states: bool
-    counterexample: Optional[dict] = None
+    __slots__ = ("passed", "depth_certified", "from_all_states", "counterexample")
+
+    def __init__(self, passed: bool, depth_certified: int, from_all_states: bool,
+                 counterexample: Optional[dict] = None) -> None:
+        self.passed = passed
+        self.depth_certified = depth_certified
+        self.from_all_states = from_all_states
+        self.counterexample = counterexample
+
+    def _key(self) -> tuple:
+        return (self.passed, self.depth_certified, self.from_all_states,
+                self.counterexample)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"LosslessnessReport(passed={self.passed!r}, "
+                f"depth_certified={self.depth_certified!r}, "
+                f"from_all_states={self.from_all_states!r}, "
+                f"counterexample={self.counterexample!r})")
 
 
 def is_information_lossless(encoder: FsmEncoder, k_max: int = 8,

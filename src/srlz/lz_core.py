@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iproduct
 from typing import Iterable, List, Optional, Sequence as Seq, Tuple, Union
 
-from . import bounds
 from .bitio import pack, refill
 from .container import (
     MODE_LZ,
@@ -168,14 +166,34 @@ def product_sequence(seqs: Seq[Sequence]) -> Sequence:
     return Sequence(alphabet, data)
 
 
-@dataclass(frozen=True)
 class ParseResult:
-    phrases: Tuple[Tuple[int, int], ...]  # (start, length) per phrase
-    c: int
-    is_last_incomplete: bool
-    rho_lz: float
-    code_len_bound: float
-    parents: Tuple[int, ...]  # trie node extended by each phrase (0 = root)
+    __slots__ = ("phrases", "c", "is_last_incomplete", "rho_lz", "code_len_bound", "parents")
+
+    def __init__(self, phrases: Tuple[Tuple[int, int], ...], c: int, is_last_incomplete: bool,
+                 rho_lz: float, code_len_bound: float, parents: Tuple[int, ...]) -> None:
+        self.phrases = phrases  # (start, length) per phrase
+        self.c = c
+        self.is_last_incomplete = is_last_incomplete
+        self.rho_lz = rho_lz
+        self.code_len_bound = code_len_bound
+        self.parents = parents  # trie node extended by each phrase (0 = root)
+
+    def _key(self) -> tuple:
+        return (self.phrases, self.c, self.is_last_incomplete, self.rho_lz,
+                self.code_len_bound, self.parents)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"ParseResult(phrases={self.phrases!r}, c={self.c!r}, "
+                f"is_last_incomplete={self.is_last_incomplete!r}, rho_lz={self.rho_lz!r}, "
+                f"code_len_bound={self.code_len_bound!r}, parents={self.parents!r})")
 
 
 def _lz_walk(data: Seq[int], size: int) -> Tuple[List[int], int]:
@@ -226,6 +244,8 @@ def rho_from_count(c: int, n: int) -> float:
 
 
 def parse(seq: Sequence) -> ParseResult:
+    from . import bounds
+
     keys, last = _lz_walk(seq.data, seq.alphabet.size)
     phrases, parents = _phrases(keys, last, seq.alphabet.size)
     n = seq.n

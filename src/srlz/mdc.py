@@ -13,10 +13,8 @@ reproduction given it; the central refinement conditions on all three.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple, Union
 
-from . import bounds
 from .container import (
     MODE_MD1,
     MODE_MD2,
@@ -35,15 +33,31 @@ from .container import (
 from .cond_lz import cond_decode, cond_encode, joint_parse, rho_cond
 from .lz_core import Alphabet, Sequence, lz_decode, lz_encode, product_sequence, rho_lz
 
-# the region functions import regions when called: decoders never load it
+# the region functions import regions and bounds when called: decoders never load them
 if TYPE_CHECKING:
     from .regions import HalfPlaneRegion
 
 
-@dataclass(frozen=True)
 class EmpiricalMutualInfo:
-    value: float
-    conditional: bool
+    __slots__ = ("value", "conditional")
+
+    def __init__(self, value: float, conditional: bool) -> None:
+        self.value = value
+        self.conditional = conditional
+
+    def _key(self) -> tuple:
+        return (self.value, self.conditional)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"EmpiricalMutualInfo(value={self.value!r}, conditional={self.conditional!r})"
 
 
 def empirical_mi(xhat: Sequence, xtilde: Sequence,
@@ -67,6 +81,7 @@ def md_outer_region(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, q: int,
                     eps_mode: Union[str, float] = "default") -> HalfPlaneRegion:
     """Converse floors for any q-state-per-stage two-description encoder
     reproducing (xhat, xtilde, xcheck): a on R1, c on R2, b on R1 + R2."""
+    from . import bounds
     from .regions import clamped_region
 
     n = xhat.n
@@ -100,45 +115,27 @@ def md_outer_region(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, q: int,
     )
 
 
-def egc_inner_region(xhat: Sequence, xtilde: Sequence,
-                     xcheck: Sequence) -> HalfPlaneRegion:
-    """Measured achievable region of pipeline 1 as the split share sweeps
-    [0, 1]: per-description floors are the private streams, the sum floor adds
-    the central refinement."""
+def md_inner_region(n: int, bits: dict) -> HalfPlaneRegion:
+    """Measured achievable region of either pipeline as the split share sweeps
+    [0, 1], from the stream bit counts in the "bits" block of its encoder's
+    report.  Pipeline 1 (keys stage_hat, stage_tilde, center): per-description
+    floors are the private streams.  Pipeline 2 (keys aux, hat_given_aux,
+    tilde_given_aux, center): each description carries the auxiliary stream
+    plus its own conditional stream.  The sum floor adds the central
+    refinement."""
     from .regions import HalfPlaneRegion
 
-    n = xhat.n
-    if xtilde.n != n or xcheck.n != n:
-        raise ValueError("sequences must have equal length")
     if n == 0:
         raise ValueError("needs n >= 1")
-    bits_hat = lz_encode(xhat).payload_bits
-    bits_til = lz_encode(xtilde).payload_bits
-    bits_center = cond_encode(xcheck, product_sequence((xhat, xtilde))).payload_bits
-    return HalfPlaneRegion(
-        a=bits_hat / n, b=(bits_hat + bits_til + bits_center) / n, c=bits_til / n,
-        meta={"n": n, "bits_hat": bits_hat, "bits_tilde": bits_til,
-              "bits_center": bits_center},
-    )
-
-
-def zb_inner_region(xhat: Sequence, xtilde: Sequence, xcheck: Sequence,
-                    u: Sequence) -> HalfPlaneRegion:
-    """Measured achievable region of pipeline 2 as the split share sweeps
-    [0, 1]: each description carries the auxiliary stream plus its own
-    conditional stream; the sum floor adds the central refinement."""
-    from .regions import HalfPlaneRegion
-
-    n = xhat.n
-    if xtilde.n != n or xcheck.n != n or u.n != n:
-        raise ValueError("sequences must have equal length")
-    if n == 0:
-        raise ValueError("needs n >= 1")
-    bits_u = lz_encode(u).payload_bits
-    bits_hat = cond_encode(xhat, u).payload_bits
-    bits_til = cond_encode(xtilde, u).payload_bits
-    bits_center = cond_encode(
-        xcheck, product_sequence((xhat, xtilde, u))).payload_bits
+    bits_center = bits["center"]
+    if "aux" not in bits:
+        bits_hat, bits_til = bits["stage_hat"], bits["stage_tilde"]
+        return HalfPlaneRegion(
+            a=bits_hat / n, b=(bits_hat + bits_til + bits_center) / n, c=bits_til / n,
+            meta={"n": n, "bits_hat": bits_hat, "bits_tilde": bits_til,
+                  "bits_center": bits_center},
+        )
+    bits_u, bits_hat, bits_til = bits["aux"], bits["hat_given_aux"], bits["tilde_given_aux"]
     a = (bits_u + bits_hat) / n
     c = (bits_u + bits_til) / n
     return HalfPlaneRegion(
@@ -146,6 +143,35 @@ def zb_inner_region(xhat: Sequence, xtilde: Sequence, xcheck: Sequence,
         meta={"n": n, "bits_aux": bits_u, "bits_hat_given_aux": bits_hat,
               "bits_tilde_given_aux": bits_til, "bits_center": bits_center},
     )
+
+
+def egc_inner_region(xhat: Sequence, xtilde: Sequence,
+                     xcheck: Sequence) -> HalfPlaneRegion:
+    """Pipeline 1's inner region (md_inner_region) from coding the three
+    reproductions."""
+    n = xhat.n
+    if xtilde.n != n or xcheck.n != n:
+        raise ValueError("sequences must have equal length")
+    return md_inner_region(n, {
+        "stage_hat": lz_encode(xhat).payload_bits,
+        "stage_tilde": lz_encode(xtilde).payload_bits,
+        "center": cond_encode(xcheck, product_sequence((xhat, xtilde))).payload_bits,
+    })
+
+
+def zb_inner_region(xhat: Sequence, xtilde: Sequence, xcheck: Sequence,
+                    u: Sequence) -> HalfPlaneRegion:
+    """Pipeline 2's inner region (md_inner_region) from coding the three
+    reproductions and the auxiliary sequence."""
+    n = xhat.n
+    if xtilde.n != n or xcheck.n != n or u.n != n:
+        raise ValueError("sequences must have equal length")
+    return md_inner_region(n, {
+        "aux": lz_encode(u).payload_bits,
+        "hat_given_aux": cond_encode(xhat, u).payload_bits,
+        "tilde_given_aux": cond_encode(xtilde, u).payload_bits,
+        "center": cond_encode(xcheck, product_sequence((xhat, xtilde, u))).payload_bits,
+    })
 
 
 def split_rates(a: float, b: float, c: float, r1: float, r2: float,

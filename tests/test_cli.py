@@ -446,6 +446,30 @@ class TestEncodeDecode:
         assert cli.load_sequence(aux).symbols() == list("0101010101010101")
         assert cli.load_sequence(got).symbols() == list("0110100110010111")
 
+    @pytest.mark.parametrize("mode", ["md-egc", "md-zb"])
+    def test_md_empty_files_round_trip(self, tmp_path, capsys, mode):
+        paths = []
+        for name in ("hat", "tilde", "check"):
+            (tmp_path / name).write_bytes(b"")
+            paths.append(str(tmp_path / name))
+        base = str(tmp_path / "md")
+        code, rep, _, err = run(capsys, "encode", *paths, "--mode", mode, "-o", base)
+        assert code == 0, err
+        assert rep["results"]["n"] == 0
+        assert "inner_region" not in rep["results"]
+        for decoder in ("1", "2"):
+            got = str(tmp_path / ("got" + decoder))
+            code, _, _, err = run(capsys, "decode", base + ".d" + decoder, "--mode", mode,
+                                  "--decoder", decoder, "-o", got)
+            assert code == 0, err
+            assert Path(got).read_bytes() == b""
+        code, rep, _, err = run(capsys, "decode", base + ".d1", base + ".d2",
+                                "--mode", mode, "-o", str(tmp_path / "joint"))
+        assert code == 0, err
+        outputs = rep["results"]["outputs"]
+        assert len(outputs) == (3 if mode == "md-egc" else 4)
+        assert all(Path(o["path"]).read_bytes() == b"" for o in outputs)
+
     def test_md_usage_errors(self, tmp_path, capsys):
         f = token_file(tmp_path, "s.txt", "0101")
         code, _, _, err = run(capsys, "encode", f, f, "--mode", "md-egc",

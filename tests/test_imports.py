@@ -1,9 +1,10 @@
 """Import footprint and package surface: `import srlz` loads no submodule,
-each CLI call loads only the modules it runs, and every public name still
-resolves."""
+each CLI call loads only the modules it runs and never `dataclasses` or
+`inspect`, and every public name still resolves."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -19,8 +20,10 @@ from srlz import cli, verify
 
 PKG_ROOT = str(Path(srlz.__file__).resolve().parents[1])
 # what bitio, container and lz_core pull in, and nothing else
-CLI_BASE = {"srlz", "srlz.cli", "srlz.bitio", "srlz.bounds", "srlz.container",
-            "srlz.lz_core"}
+CLI_BASE = {"srlz", "srlz.cli", "srlz.bitio", "srlz.container", "srlz.lz_core"}
+# standard modules that no CLI path may load: dataclasses alone pulls in inspect
+# and generates its methods with exec on every fresh start
+SLOW_STDLIB = ("dataclasses", "inspect")
 
 
 def fresh(code: str, cwd=None) -> subprocess.CompletedProcess:
@@ -32,12 +35,30 @@ def fresh(code: str, cwd=None) -> subprocess.CompletedProcess:
 
 
 def loaded_after(code: str, cwd=None) -> set:
-    """The srlz modules in sys.modules after code runs in a new interpreter."""
+    """The srlz modules in sys.modules after code runs in a new interpreter,
+    plus any of SLOW_STDLIB, so that an exact comparison also rules those out."""
     proc = fresh(code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in "
-                 "sys.modules if m == 'srlz' or m.startswith('srlz.'))), file=sys.stderr)",
+                 "sys.modules if m == 'srlz' or m.startswith('srlz.') "
+                 f"or m in {SLOW_STDLIB!r})), file=sys.stderr)",
                  cwd)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stderr.strip().splitlines()[-1]))
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """A source file and one container of each leaf mode and of sr, all over it."""
+    from srlz.cond_lz import cond_encode
+    from srlz.lz_core import Sequence, lz_encode
+    from srlz.sr_codec import sr_encode
+
+    raw = b"abracadabra" * 20
+    x = Sequence.from_bytes(raw)
+    (tmp_path / "s.bin").write_bytes(raw)
+    (tmp_path / "s.lzc").write_bytes(lz_encode(x).to_bytes())
+    (tmp_path / "s.cnd").write_bytes(cond_encode(x, x).to_bytes())
+    (tmp_path / "s.src").write_bytes(sr_encode(x, x, x).to_bytes())
+    return tmp_path
 
 
 class TestFootprint:
@@ -68,15 +89,61 @@ class TestFootprint:
         assert got == CLI_BASE | {"srlz.mdc", "srlz.cond_lz"}
         assert (tmp_path / "out.check").exists()
 
-    def test_lz_round_trip_loads_only_the_shared_modules(self, tmp_path):
-        (tmp_path / "s.bin").write_bytes(b"abracadabra" * 20)
+    def test_lz_round_trip_loads_only_the_shared_modules(self, inputs):
+        # encode reports the parse's code-length bound, so it loads bounds
         got = loaded_after(
             "from srlz.cli import main\n"
-            "assert main(['encode', 's.bin', '--mode', 'lz', '-o', 's.lzc']) == 0\n"
-            "assert main(['decode', 's.lzc', '--mode', 'lz', '-o', 's.out']) == 0",
-            cwd=tmp_path)
-        assert got == CLI_BASE
-        assert (tmp_path / "s.out").read_bytes() == (tmp_path / "s.bin").read_bytes()
+            "assert main(['encode', 's.bin', '--mode', 'lz', '-o', 'r.lzc']) == 0\n"
+            "assert main(['decode', 'r.lzc', '--mode', 'lz', '-o', 's.out']) == 0",
+            cwd=inputs)
+        assert got == CLI_BASE | {"srlz.bounds"}
+        assert (inputs / "s.out").read_bytes() == (inputs / "s.bin").read_bytes()
+
+    @pytest.mark.parametrize("argv, extra", [
+        ("'s.lzc', '--mode', 'lz'", set()),
+        ("'s.cnd', '--mode', 'cond', '--side-info', 's.bin'", {"srlz.cond_lz"}),
+        ("'s.src', '--mode', 'sr'", {"srlz.cond_lz", "srlz.sr_codec"}),
+    ], ids=["lz", "cond", "sr"])
+    def test_decode_skips_bounds(self, inputs, argv, extra):
+        got = loaded_after(
+            f"from srlz.cli import main\nassert main(['decode', {argv}, '-o', 's.out']) == 0",
+            cwd=inputs)
+        assert got == CLI_BASE | extra
+        assert (inputs / "s.out").read_bytes() == (inputs / "s.bin").read_bytes()
+
+    def test_analyze_loads_bounds_only(self, inputs):
+        got = loaded_after("from srlz.cli import main\nassert main(['analyze', 's.bin']) == 0",
+                           cwd=inputs)
+        assert got == CLI_BASE | {"srlz.bounds"}
+
+    def test_sr_encode_of_given_reproductions(self, inputs):
+        got = loaded_after(
+            "from srlz.cli import main\n"
+            "assert main(['encode', 's.bin', 's.bin', 's.bin', '--mode', 'sr', "
+            "'-o', 'r.src']) == 0",
+            cwd=inputs)
+        assert got == CLI_BASE | {"srlz.bounds", "srlz.cond_lz", "srlz.regions",
+                                  "srlz.sr_codec"}
+
+    def test_md_region(self, inputs):
+        got = loaded_after(
+            "from srlz.cli import main\n"
+            "assert main(['region', 'md', 's.bin', 's.bin', 's.bin']) == 0",
+            cwd=inputs)
+        assert got == CLI_BASE | {"srlz.bounds", "srlz.cond_lz", "srlz.mdc", "srlz.regions"}
+
+
+def test_no_module_imports_dataclasses():
+    # records are plain classes with __slots__; see SLOW_STDLIB
+    for path in Path(srlz.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            assert "dataclasses" not in names, f"{path.name}:{node.lineno}"
 
 
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(srlz.__path__)))

@@ -16,6 +16,7 @@ from srlz.mdc import (
     egc_encode,
     egc_inner_region,
     empirical_mi,
+    md_inner_region,
     md_outer_region,
     split_rates,
     zb_decode0,
@@ -187,6 +188,15 @@ class TestPipelineOne:
             (reg.meta["bits_hat"] + reg.meta["bits_tilde"]
              + reg.meta["bits_center"]) / 16)
 
+    def test_inner_region_from_the_encoders_bit_counts(self):
+        xhat, xtilde, xcheck = triple()
+        reg = egc_inner_region(xhat, xtilde, xcheck)
+        _, _, rep = egc_encode(xhat, xtilde, xcheck)
+        got = md_inner_region(16, rep["bits"])
+        assert (got, got.meta) == (reg, reg.meta)
+        with pytest.raises(ValueError, match="needs n >= 1"):
+            md_inner_region(0, rep["bits"])
+
     def test_measured_rates_lie_in_inner_region(self):
         xhat, xtilde, xcheck = triple()
         reg = egc_inner_region(xhat, xtilde, xcheck)
@@ -240,6 +250,14 @@ class TestPipelineTwo:
         assert reg.a == pytest.approx((m["bits_aux"] + m["bits_hat_given_aux"]) / 16)
         assert reg.c == pytest.approx((m["bits_aux"] + m["bits_tilde_given_aux"]) / 16)
         assert reg.b == pytest.approx(reg.a + reg.c + m["bits_center"] / 16)
+
+    def test_inner_region_from_the_encoders_bit_counts(self):
+        xhat, xtilde, xcheck = triple()
+        u = default_auxiliary(xhat)
+        reg = zb_inner_region(xhat, xtilde, xcheck, u)
+        _, _, rep = zb_encode(xhat, xtilde, xcheck, u)
+        got = md_inner_region(16, rep["bits"])
+        assert (got, got.meta) == (reg, reg.meta)
 
     def test_measured_rates_lie_in_inner_region(self):
         xhat, xtilde, xcheck = triple()
