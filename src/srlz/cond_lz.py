@@ -23,6 +23,7 @@ from .container import (
     MODE_COND,
     Bitstream,
     ModeMismatchError,
+    Record,
     SideInfoMismatchError,
     StreamFormatError,
 )
@@ -45,7 +46,7 @@ def side_info_checksum(primary: SideInfo) -> int:
     return fnv1a64_u32(seq.data, h)
 
 
-class JointParseResult:
+class JointParseResult(Record):
     __slots__ = ("phrases", "c_joint", "c_prime", "c_l", "rho_cond", "rho_joint",
                  "is_last_incomplete")
 
@@ -59,26 +60,6 @@ class JointParseResult:
         self.rho_cond = rho_cond
         self.rho_joint = rho_joint
         self.is_last_incomplete = is_last_incomplete
-
-    def _key(self) -> tuple:
-        return (self.phrases, self.c_joint, self.c_prime, self.c_l, self.rho_cond,
-                self.rho_joint, self.is_last_incomplete)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"JointParseResult(phrases={self.phrases!r}, "
-                f"c_joint={self.c_joint!r}, c_prime={self.c_prime!r}, "
-                f"c_l={self.c_l!r}, rho_cond={self.rho_cond!r}, "
-                f"rho_joint={self.rho_joint!r}, "
-                f"is_last_incomplete={self.is_last_incomplete!r})")
-
 
 def _joint_walk(pd: Seq[int], sd: Seq[int], A: int, B: int) -> Tuple[List[int], int, List[int]]:
     """The joint parse: the plain parse of the pair indices a*B + b.

@@ -6,6 +6,9 @@ checksum in the header plus a dictionary-hash trailer.  Wrapper containers
 (refinement and description pairs) reuse the same header with an empty
 alphabet block; their payload is a segment directory followed by the raw
 segment bytes, so embedded streams stay exactly delimited.
+
+The module also holds the error classes the package shares and `Record`, the
+base that gives every result record its ==, hash and repr.
 """
 
 from __future__ import annotations
@@ -62,7 +65,44 @@ class InfeasibleError(ValueError):
     """No solution exists under the given constraints."""
 
 
-class Bitstream:
+class Record:
+    """Value semantics from `__slots__`, which list the fields in `__init__` order.
+
+    == compares records of the same class field by field (other classes get
+    NotImplemented), hash is the hash of the same field tuple, and repr has the
+    dataclass format.  A subclass names the fields left out of == and hash in
+    `_uncompared` and those left out of repr in `_unshown`; a mutable one sets
+    `__hash__ = None`.
+    """
+
+    __slots__ = ()
+    _uncompared: Tuple[str, ...] = ()
+    _unshown: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # A compiled tuple of slot reads costs what a hand-written _key method
+        # does; operator.attrgetter's generic lookups made == about 1.8 times
+        # as slow on CPython 3.11.  Slot names are identifiers, so the source
+        # is safe to compile.
+        fields = "".join(f"self.{f}, " for f in cls.__slots__ if f not in cls._uncompared)
+        cls._key = eval(f"lambda self: ({fields})")
+        cls._shown = tuple(f for f in cls.__slots__ if f not in cls._unshown)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Bitstream(Record):
     """A decoded or to-be-serialized leaf container."""
 
     __slots__ = ("mode", "n", "alphabet", "phrase_count", "last_incomplete", "payload",
@@ -81,23 +121,7 @@ class Bitstream:
         self.side_checksum = side_checksum  # conditional streams only
         self.dict_hash = dict_hash          # conditional streams only
 
-    def _key(self) -> tuple:
-        return (self.mode, self.n, self.alphabet, self.phrase_count, self.last_incomplete,
-                self.payload, self.payload_bits, self.side_checksum, self.dict_hash)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
     __hash__ = None  # mutable: payload_bits is set after decoding
-
-    def __repr__(self) -> str:
-        return (f"Bitstream(mode={self.mode!r}, n={self.n!r}, alphabet={self.alphabet!r}, "
-                f"phrase_count={self.phrase_count!r}, "
-                f"last_incomplete={self.last_incomplete!r}, payload={self.payload!r}, "
-                f"payload_bits={self.payload_bits!r}, side_checksum={self.side_checksum!r}, "
-                f"dict_hash={self.dict_hash!r})")
 
     def to_bytes(self) -> bytes:
         if self.mode not in (MODE_LZ, MODE_COND):
@@ -177,7 +201,11 @@ def _parse_common_header(raw: bytes) -> Tuple[int, int, Tuple[str, ...], int]:
         pos += 2
         if pos + slen > len(raw):
             raise TruncatedStreamError("truncated alphabet symbol")
-        symbols.append(raw[pos:pos + slen].decode("utf-8"))
+        try:
+            symbols.append(raw[pos:pos + slen].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise StreamFormatError(
+                f"alphabet symbol {len(symbols)} at byte {pos} is not UTF-8") from None
         pos += slen
     if len(set(symbols)) != len(symbols):
         raise StreamFormatError("duplicate alphabet symbols")
@@ -201,26 +229,15 @@ def leaf_header_length(raw: bytes) -> int:
     return pos + 9  # phrase count + flags
 
 
-class Segment:
+class Segment(Record):
     __slots__ = ("role", "bit_length", "data")
+    _unshown = ("data",)  # it can run to megabytes
+    __hash__ = None  # mutable, like Bitstream
 
     def __init__(self, role: int, bit_length: int, data: bytes) -> None:
         self.role = role
         self.bit_length = bit_length
         self.data = data
-
-    def _key(self) -> tuple:
-        return (self.role, self.bit_length, self.data)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    __hash__ = None  # mutable, like Bitstream
-
-    def __repr__(self) -> str:  # data is left out: it can run to megabytes
-        return f"Segment(role={self.role!r}, bit_length={self.bit_length!r})"
 
 
 def pack_segments(mode: int, n: int, segments: Seq[Segment]) -> bytes:

@@ -14,13 +14,14 @@ import math
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import bounds
+from .container import Record
 from .cond_lz import SideInfo, as_side_info, rho_cond
 from .lz_core import Sequence, rho_from_count, rho_lz
 
 TOL = 1e-12
 
 
-class BlockEmpirics:
+class BlockEmpirics(Record):
     __slots__ = ("block_len", "count", "joint_dist", "h_joint", "h_primary", "h_cond")
 
     def __init__(self, block_len: int, count: int, joint_dist: Dict[tuple, float],
@@ -31,25 +32,6 @@ class BlockEmpirics:
         self.h_joint = h_joint  # bits per block
         self.h_primary = h_primary
         self.h_cond = h_cond  # h_joint - h_primary
-
-    def _key(self) -> tuple:
-        return (self.block_len, self.count, self.joint_dist, self.h_joint, self.h_primary,
-                self.h_cond)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"BlockEmpirics(block_len={self.block_len!r}, "
-                f"count={self.count!r}, joint_dist={self.joint_dist!r}, "
-                f"h_joint={self.h_joint!r}, h_primary={self.h_primary!r}, "
-                f"h_cond={self.h_cond!r})")
-
 
 def _entropy_from_counts(counts: Dict, total: int) -> float:
     if total == 0:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence as Seq, Tuple, Union
 
 from . import bounds
 from .cond_lz import rho_cond
-from .container import BudgetExceededError
+from .container import BudgetExceededError, Record
 from .lz_core import BINARY, Alphabet, Sequence, parse
 
 
@@ -25,11 +25,13 @@ def _is_bits(out) -> bool:
     return isinstance(out, str) and not out.strip("01")
 
 
-class FsmEncoder:
+class FsmEncoder(Record):
     """A validated two-stage encoder; compared by identity."""
 
     __slots__ = ("primary_alphabet", "secondary_alphabet", "states_s", "states_z",
                  "f1", "g1", "f2", "g2", "s1", "z1", "q")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, primary_alphabet: Alphabet, secondary_alphabet: Alphabet,
                  states_s: Tuple[str, ...], states_z: Tuple[str, ...],
@@ -78,13 +80,6 @@ class FsmEncoder:
                     if not 0 <= self.g2[(z, a, b)] < nz:
                         raise ValueError("g2 target out of range")
 
-    def __repr__(self) -> str:
-        return (f"FsmEncoder(primary_alphabet={self.primary_alphabet!r}, "
-                f"secondary_alphabet={self.secondary_alphabet!r}, "
-                f"states_s={self.states_s!r}, states_z={self.states_z!r}, "
-                f"f1={self.f1!r}, g1={self.g1!r}, f2={self.f2!r}, g2={self.g2!r}, "
-                f"s1={self.s1!r}, z1={self.z1!r}, q={self.q!r})")
-
     @property
     def beta(self) -> int:
         return self.primary_alphabet.size
@@ -94,7 +89,7 @@ class FsmEncoder:
         return self.secondary_alphabet.size
 
 
-class EncodingTrace:
+class EncodingTrace(Record):
     __slots__ = ("outputs_u", "outputs_v", "states_s", "states_z", "bits_u", "bits_v",
                  "rho1", "rho12")
 
@@ -109,26 +104,6 @@ class EncodingTrace:
         self.bits_v = bits_v
         self.rho1 = rho1
         self.rho12 = rho12
-
-    def _key(self) -> tuple:
-        return (self.outputs_u, self.outputs_v, self.states_s, self.states_z, self.bits_u,
-                self.bits_v, self.rho1, self.rho12)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"EncodingTrace(outputs_u={self.outputs_u!r}, "
-                f"outputs_v={self.outputs_v!r}, states_s={self.states_s!r}, "
-                f"states_z={self.states_z!r}, bits_u={self.bits_u!r}, "
-                f"bits_v={self.bits_v!r}, rho1={self.rho1!r}, "
-                f"rho12={self.rho12!r})")
-
 
 def run(encoder: FsmEncoder, primary: Sequence, secondary: Sequence) -> EncodingTrace:
     if primary.n != secondary.n:
@@ -170,7 +145,7 @@ def run(encoder: FsmEncoder, primary: Sequence, secondary: Sequence) -> Encoding
     )
 
 
-class LosslessnessReport:
+class LosslessnessReport(Record):
     __slots__ = ("passed", "depth_certified", "from_all_states", "counterexample")
 
     def __init__(self, passed: bool, depth_certified: int, from_all_states: bool,
@@ -179,25 +154,6 @@ class LosslessnessReport:
         self.depth_certified = depth_certified
         self.from_all_states = from_all_states
         self.counterexample = counterexample
-
-    def _key(self) -> tuple:
-        return (self.passed, self.depth_certified, self.from_all_states,
-                self.counterexample)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"LosslessnessReport(passed={self.passed!r}, "
-                f"depth_certified={self.depth_certified!r}, "
-                f"from_all_states={self.from_all_states!r}, "
-                f"counterexample={self.counterexample!r})")
-
 
 def is_information_lossless(encoder: FsmEncoder, k_max: int = 8,
                             from_all_states: bool = True,

@@ -20,6 +20,7 @@ from .container import (
     Bitstream,
     ModeMismatchError,
     PointerRangeError,
+    Record,
     StreamFormatError,
 )
 
@@ -166,7 +167,7 @@ def product_sequence(seqs: Seq[Sequence]) -> Sequence:
     return Sequence(alphabet, data)
 
 
-class ParseResult:
+class ParseResult(Record):
     __slots__ = ("phrases", "c", "is_last_incomplete", "rho_lz", "code_len_bound", "parents")
 
     def __init__(self, phrases: Tuple[Tuple[int, int], ...], c: int, is_last_incomplete: bool,
@@ -177,24 +178,6 @@ class ParseResult:
         self.rho_lz = rho_lz
         self.code_len_bound = code_len_bound
         self.parents = parents  # trie node extended by each phrase (0 = root)
-
-    def _key(self) -> tuple:
-        return (self.phrases, self.c, self.is_last_incomplete, self.rho_lz,
-                self.code_len_bound, self.parents)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"ParseResult(phrases={self.phrases!r}, c={self.c!r}, "
-                f"is_last_incomplete={self.is_last_incomplete!r}, rho_lz={self.rho_lz!r}, "
-                f"code_len_bound={self.code_len_bound!r}, parents={self.parents!r})")
-
 
 def _lz_walk(data: Seq[int], size: int) -> Tuple[List[int], int]:
     """The incremental parse as a trie walk, every index below `size`.

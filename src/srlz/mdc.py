@@ -23,6 +23,7 @@ from .container import (
     ROLE_COND_PART_A,
     ROLE_COND_PART_B,
     ROLE_MD_PRIMARY,
+    Record,
     Segment,
     StreamFormatError,
     find_segment,
@@ -38,27 +39,12 @@ if TYPE_CHECKING:
     from .regions import HalfPlaneRegion
 
 
-class EmpiricalMutualInfo:
+class EmpiricalMutualInfo(Record):
     __slots__ = ("value", "conditional")
 
     def __init__(self, value: float, conditional: bool) -> None:
         self.value = value
         self.conditional = conditional
-
-    def _key(self) -> tuple:
-        return (self.value, self.conditional)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"EmpiricalMutualInfo(value={self.value!r}, conditional={self.conditional!r})"
-
 
 def empirical_mi(xhat: Sequence, xtilde: Sequence,
                  u: Optional[Sequence] = None) -> EmpiricalMutualInfo:

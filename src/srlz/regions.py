@@ -12,35 +12,21 @@ import math
 from typing import Dict, Iterable, List, Optional, Sequence as Seq, Tuple, Union
 
 from . import bounds
+from .container import Record
 from .cond_lz import rho_cond
 from .lz_core import Sequence, rho_lz
 
 TOL = 1e-9
 
 
-class RatePoint:
+class RatePoint(Record):
     __slots__ = ("r1", "r2")
 
     def __init__(self, r1: float, r2: float) -> None:
         self.r1 = r1
         self.r2 = r2
 
-    def _key(self) -> tuple:
-        return (self.r1, self.r2)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"RatePoint(r1={self.r1!r}, r2={self.r2!r})"
-
-
-class HalfPlaneRegion:
+class HalfPlaneRegion(Record):
     """{(R1, R2): R1 >= a, R1 + R2 >= b, R2 >= c} (c optional).
 
     `meta` and `exact_corner` take no part in == or hash; repr leaves out
@@ -48,6 +34,8 @@ class HalfPlaneRegion:
 
     __slots__ = ("a", "b", "c", "clamped_a", "clamped_b", "clamped_c", "meta",
                  "exact_corner")
+    _uncompared = ("meta", "exact_corner")
+    _unshown = ("exact_corner",)
 
     def __init__(self, a: float, b: float, c: Optional[float] = None,
                  clamped_a: bool = False, clamped_b: bool = False, clamped_c: bool = False,
@@ -62,22 +50,6 @@ class HalfPlaneRegion:
         self.meta = {} if meta is None else meta
         # the point given to region_from_corner; corner() returns it unrounded
         self.exact_corner = exact_corner
-
-    def _key(self) -> tuple:
-        return (self.a, self.b, self.c, self.clamped_a, self.clamped_b, self.clamped_c)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"HalfPlaneRegion(a={self.a!r}, b={self.b!r}, c={self.c!r}, "
-                f"clamped_a={self.clamped_a!r}, clamped_b={self.clamped_b!r}, "
-                f"clamped_c={self.clamped_c!r}, meta={self.meta!r})")
 
     def floors(self) -> Tuple[float, float, float]:
         """Effective (R1 floor, R2 floor, sum floor) with the implicit >= 0."""
@@ -170,32 +142,17 @@ def region_contains_region(outer: HalfPlaneRegion, inner: HalfPlaneRegion,
     return a_i >= a_o - tol and c_i >= c_o - tol and b_i >= b_o - tol
 
 
-class RegionUnion:
+class RegionUnion(Record):
     """Member regions and the union's frontier; `meta` takes no part in == or hash."""
 
     __slots__ = ("members", "frontier", "meta")
+    _uncompared = ("meta",)
 
     def __init__(self, members: Tuple[HalfPlaneRegion, ...], frontier: Tuple[RatePoint, ...],
                  meta: Optional[dict] = None) -> None:
         self.members = members
         self.frontier = frontier
         self.meta = {} if meta is None else meta
-
-    def _key(self) -> tuple:
-        return (self.members, self.frontier)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"RegionUnion(members={self.members!r}, frontier={self.frontier!r}, "
-                f"meta={self.meta!r})")
-
 
 def region_for_pair(primary: Sequence, secondary: Sequence, q: int,
                     eps_mode: Union[str, float] = "default") -> HalfPlaneRegion:
@@ -276,7 +233,7 @@ def blockwise_region(primary: Sequence, secondary: Sequence, q: int, block_len: 
     return clamped_region(avg1 + e1, avg12 + e1 + e2, meta=meta)
 
 
-class SearchBudget:
+class SearchBudget(Record):
     """Knobs for reproduction-pair search; `mode` auto picks exhaustive when
     the candidate-pair count is at most `exhaustive_limit`."""
 
@@ -291,26 +248,6 @@ class SearchBudget:
         self.restarts = restarts
         self.seed = seed
         self.weight = weight
-
-    def _key(self) -> tuple:
-        return (self.mode, self.exhaustive_limit, self.evaluations, self.restarts,
-                self.seed, self.weight)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"SearchBudget(mode={self.mode!r}, "
-                f"exhaustive_limit={self.exhaustive_limit!r}, "
-                f"evaluations={self.evaluations!r}, "
-                f"restarts={self.restarts!r}, seed={self.seed!r}, "
-                f"weight={self.weight!r})")
-
 
 def sr_outer_region(x: Sequence, dist, q: int,
                     search: Optional[SearchBudget] = None,

@@ -23,6 +23,7 @@ from .container import (
     InfeasibleError,
     ROLE_STAGE1,
     ROLE_STAGE2,
+    Record,
     Segment,
     StreamFormatError,
     find_segment,
@@ -35,7 +36,7 @@ from .lz_core import Alphabet, Sequence, lz_decode, lz_encode, rho_lz
 OBJECTIVES = ("min-r1", "min-sum", "weighted")
 
 
-class PerLetterDistortion:
+class PerLetterDistortion(Record):
     """Single-letter distortion between a source alphabet and a reproduction
     alphabet.  kind: hamming (0/1 on symbol names), absdiff (|int - int| on
     decimal names), or table (explicit dict keyed by symbol-name pairs)."""
@@ -48,21 +49,6 @@ class PerLetterDistortion:
         self.kind = kind
         self.table = table
         self.reproduction = reproduction
-
-    def _key(self) -> tuple:
-        return (self.kind, self.table, self.reproduction)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"PerLetterDistortion(kind={self.kind!r}, "
-                f"table={self.table!r}, reproduction={self.reproduction!r})")
 
     def rep_alphabet(self, source: Alphabet) -> Alphabet:
         return self.reproduction if self.reproduction is not None else source
@@ -87,7 +73,7 @@ class PerLetterDistortion:
         raise ValueError(f"unknown distortion kind: {self.kind}")
 
 
-class DistortionSpec:
+class DistortionSpec(Record):
     """Distortion measures and levels for the two decoders."""
 
     __slots__ = ("d1", "d2", "level1", "level2")
@@ -98,22 +84,6 @@ class DistortionSpec:
         self.d2 = d2
         self.level1 = level1
         self.level2 = level2
-
-    def _key(self) -> tuple:
-        return (self.d1, self.d2, self.level1, self.level2)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"DistortionSpec(d1={self.d1!r}, d2={self.d2!r}, "
-                f"level1={self.level1!r}, level2={self.level2!r})")
-
 
 def hamming_spec(level1: float, level2: float) -> DistortionSpec:
     d = PerLetterDistortion("hamming")
@@ -127,7 +97,7 @@ def distortion(x: Sequence, y: Sequence, d: PerLetterDistortion) -> float:
     return sum(cost[a][b] for a, b in zip(x.data, y.data))
 
 
-class SrEncoded:
+class SrEncoded(Record):
     __slots__ = ("stage1", "stage2", "n", "r1", "r2")
 
     def __init__(self, stage1: Bitstream, stage2: Bitstream, n: int, r1: float,
@@ -137,21 +107,6 @@ class SrEncoded:
         self.n = n
         self.r1 = r1
         self.r2 = r2
-
-    def _key(self) -> tuple:
-        return (self.stage1, self.stage2, self.n, self.r1, self.r2)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"SrEncoded(stage1={self.stage1!r}, stage2={self.stage2!r}, "
-                f"n={self.n!r}, r1={self.r1!r}, r2={self.r2!r})")
 
     def to_bytes(self) -> bytes:
         return pack_segments(MODE_SR, self.n, [

@@ -54,6 +54,14 @@ def test_unicode_alphabet_symbols_survive():
     assert t.alphabet == ("α", "β", "long-symbol")
 
 
+def test_non_utf8_alphabet_symbol_is_a_format_error():
+    raw = bytearray(make_leaf().to_bytes())
+    assert raw[23] == ord("1")  # 18-byte header, then "0" and "1" after 2-byte lengths
+    raw[23] = 0xFF
+    with pytest.raises(StreamFormatError, match="alphabet symbol 1 at byte 23 is not UTF-8"):
+        Bitstream.from_bytes(bytes(raw))
+
+
 def test_bad_magic_and_version():
     raw = bytearray(make_leaf().to_bytes())
     with pytest.raises(StreamFormatError):

@@ -2,18 +2,21 @@
 
 A decoder reads untrusted bytes: it returns exactly the encoded sequence or
 raises a `StreamFormatError` or `SideInfoMismatchError` subclass, never an
-`IndexError`, `KeyError` or another bare exception.  The 300-letter case has
-a 9-bit symbol field and, in the md pipelines, side alphabets above 2^16; the
-26-letter case has a 5-bit symbol field.
+`IndexError`, `KeyError`, `UnicodeDecodeError` or another bare exception.
+The 300-letter case has a 9-bit symbol field and, in the md pipelines, side
+alphabets above 2^16; the 26-letter case has a 5-bit symbol field.
 """
 
 import random
+from functools import lru_cache
 
 import pytest
 
+from srlz import mdc
 from srlz.bitio import TruncatedStreamError
 from srlz.cond_lz import cond_decode, cond_encode, side_info_checksum
 from srlz.container import (
+    MAGIC,
     MODE_COND,
     Bitstream,
     SideInfoMismatchError,
@@ -21,10 +24,13 @@ from srlz.container import (
     leaf_header_length,
 )
 from srlz.lz_core import Alphabet, Sequence, lz_decode, lz_encode
+from srlz.sr_codec import sr_decode_full, sr_encode
 from test_golden_containers import _inputs
 
 CASES = ["300-uniform-800", "26-uniform-600"]
 FLIPS = 200  # sampled payload bits per case and mode
+MUTANTS = 150  # sampled mutations of each kind per whole-container mode
+HEADER_SPAN = 128  # bytes after each magic: header, alphabet block, directory
 
 
 def _streams(name):
@@ -79,6 +85,53 @@ def test_payload_bit_flips(name, mode):
             # without a payload checksum a flip can decode to another
             # sequence, but never to one the header does not describe
             assert got.alphabet == want.alphabet and got.n == want.n
+
+
+@lru_cache(maxsize=None)
+def _containers(name):
+    """{mode: (containers, decoders)}: each decoder takes the list of containers,
+    one of them mutated."""
+    x, hat, tilde, u = _inputs(name)
+    d1, d2, _ = mdc.egc_encode(hat, tilde, x, 0.5)
+    z1, z2, _ = mdc.zb_encode(hat, tilde, x, u, 0.5)
+    return {
+        "lz": ([lz_encode(x).to_bytes()], [lambda c: lz_decode(c[0])]),
+        "cond": ([cond_encode(tilde, hat).to_bytes()], [lambda c: cond_decode(c[0], hat)]),
+        "sr": ([sr_encode(x, hat, tilde).to_bytes()], [lambda c: sr_decode_full(c[0])]),
+        "md-egc": ([d1, d2], [lambda c: mdc.egc_decode1(c[0]), lambda c: mdc.egc_decode0(*c)]),
+        "md-zb": ([z1, z2], [lambda c: mdc.zb_decode1(c[0]), lambda c: mdc.zb_decode0(*c)]),
+    }
+
+
+def _mutants(raw, rng):
+    """Header-byte rewrites after every magic (wrapper and embedded leaves),
+    bit flips anywhere, and truncations."""
+    starts = [i for i in range(len(raw)) if raw.startswith(MAGIC, i)]
+    header = sorted({p for s in starts for p in range(s, min(s + HEADER_SPAN, len(raw)))})
+    for pos in rng.sample(header, min(MUTANTS, len(header))):
+        bad = bytearray(raw)
+        bad[pos] = rng.choice([v for v in range(256) if v != raw[pos]])
+        yield bytes(bad)
+    for bit in rng.sample(range(8 * len(raw)), MUTANTS):
+        bad = bytearray(raw)
+        bad[bit >> 3] ^= 0x80 >> (bit & 7)
+        yield bytes(bad)
+    for cut in rng.sample(range(len(raw)), min(MUTANTS, len(raw))):
+        yield raw[:cut]
+
+
+@pytest.mark.parametrize("mode", ["lz", "cond", "sr", "md-egc", "md-zb"])
+def test_whole_container_mutations(mode):
+    raws, decoders = _containers("26-uniform-600")[mode]
+    rng = random.Random(f"mutants/{mode}")
+    for which, raw in enumerate(raws):
+        for bad in _mutants(raw, rng):
+            containers = raws[:which] + [bad] + raws[which + 1:]
+            for decode in decoders:
+                try:
+                    decode(containers)
+                except (StreamFormatError, SideInfoMismatchError):
+                    pass
 
 
 def _cond_stream(payload: bytes, n: int, side: Sequence) -> Bitstream:

@@ -2,24 +2,30 @@
 repr, including the fields that take no part in them.
 
 The reprs and the integer hashes were taken from the records' earlier
-dataclass form.  Hashes of records holding None or str vary between
-interpreter runs, so those are checked against the hash of their fields.
+dataclass form; those of `EncodingTrace`, `EmpiricalMutualInfo` and
+`SrEncoded` from their hand-written form before the shared `Record` base.
+Hashes of records holding None or str vary between interpreter runs, so
+those are checked against the hash of their fields.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from srlz.cond_lz import joint_parse
-from srlz.container import Bitstream, Segment
+from srlz.container import Bitstream, Record, Segment
 from srlz.empirics import block_empirics
-from srlz.fsm import LosslessnessReport, onestate_binary_encoder
+from srlz.fsm import LosslessnessReport, onestate_binary_encoder, run
 from srlz.lz_core import Alphabet, Sequence, lz_encode, parse
+from srlz.mdc import empirical_mi
 from srlz.regions import HalfPlaneRegion, RatePoint, RegionUnion, SearchBudget
-from srlz.sr_codec import DistortionSpec, PerLetterDistortion, hamming_spec
+from srlz.sr_codec import DistortionSpec, PerLetterDistortion, hamming_spec, sr_encode
 
 X = Sequence.from_text("abracadabra")
 Y = Sequence.from_text("abbacadabba", Alphabet(["a", "b", "c", "d", "r"]))
+BITS = Sequence.from_text("0110")
 
 
 def copy(record):
@@ -75,6 +81,18 @@ HASHABLE = [
      "LosslessnessReport(passed=True, depth_certified=8, from_all_states=True, "
      "counterexample=None)",
      None),
+    (run(onestate_binary_encoder(["0", "1"], [["0", "1"], ["0", "1"]]), BITS,
+         Sequence.from_text("0011")),
+     "EncodingTrace(outputs_u=('0', '1', '1', '0'), outputs_v=('0', '0', '1', '1'), "
+     "states_s=(0, 0, 0, 0, 0), states_z=(0, 0, 0, 0, 0), bits_u=4, bits_v=4, rho1=1.0, "
+     "rho12=2.0)",
+     None),
+    (empirical_mi(X, Y),
+     "EmpiricalMutualInfo(value=1.7864985867639298, conditional=False)",
+     5070689285302407988),
+    (empirical_mi(X, Y, X),
+     "EmpiricalMutualInfo(value=0.0, conditional=True)",
+     -1950498447580522560),
 ]
 
 # (record, repr, message of the TypeError that hash raises)
@@ -103,6 +121,14 @@ UNHASHABLE = [
      "LosslessnessReport(passed=False, depth_certified=3, from_all_states=False, "
      "counterexample={'k': 2})",
      "unhashable type: 'dict'"),
+    (sr_encode(BITS, BITS, BITS),
+     "SrEncoded(stage1=Bitstream(mode=0, n=4, alphabet=('0', '1'), phrase_count=3, "
+     "last_incomplete=False, payload=b'0', payload_bits=6, side_checksum=None, "
+     "dict_hash=None), stage2=Bitstream(mode=1, n=4, alphabet=('0', '1'), phrase_count=3, "
+     "last_incomplete=False, payload=b'@', payload_bits=4, "
+     "side_checksum=2604026403950270131, dict_hash=12574716802826731679), n=4, r1=1.5, "
+     "r2=1.0)",
+     "unhashable type: 'Bitstream'"),
 ]
 
 
@@ -182,3 +208,20 @@ def test_fsm_encoder_validates_on_construction():
     with pytest.raises(ValueError, match="f1 outputs must be binary strings"):
         type(enc)(**dict(fields, f1={k: "2" for k in enc.f1}))
     assert type(enc)(**dict(fields, q=0)).q == 1
+
+
+RECORDS = Record.__subclasses__()
+
+
+def test_every_record_class_is_covered():
+    # PerLetterDistortion is pinned inside the DistortionSpec rows
+    names = {cls.__name__ for cls in RECORDS}
+    assert names == {type(r).__name__ for r, _, _ in HASHABLE + UNHASHABLE} | {
+        "PerLetterDistortion", "FsmEncoder"}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_slots_match_the_constructor(cls):
+    # the generic ==, hash and repr and copy() above read the fields from __slots__
+    params = list(inspect.signature(cls.__init__).parameters)[1:]
+    assert list(cls.__slots__) == params
