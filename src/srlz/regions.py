@@ -249,6 +249,7 @@ class SearchBudget(Record):
         self.seed = seed
         self.weight = weight
 
+
 def sr_outer_region(x: Sequence, dist, q: int,
                     search: Optional[SearchBudget] = None,
                     eps_mode: Union[str, float] = "default") -> RegionUnion:

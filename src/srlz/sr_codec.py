@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
-from itertools import islice
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .container import (
     MODE_COND,
@@ -84,6 +82,7 @@ class DistortionSpec(Record):
         self.d2 = d2
         self.level1 = level1
         self.level2 = level2
+
 
 def hamming_spec(level1: float, level2: float) -> DistortionSpec:
     d = PerLetterDistortion("hamming")
@@ -319,29 +318,38 @@ class _FlipScorer:
 
     `rebuild` walks the whole pair (plain trie over h, joint and primary tries
     over (h, t)) and records the walker state before every position.  Each
-    trie hands out ids 1, 2, 3, ... in insertion order, so the trie as it stood
-    before position i is its first (next id - 1) entries: `score(i, coarse)`
-    copies those, resumes from the state at i and walks positions i..n-1,
-    adding its own entries to the copies.  For a coarse flip (h changed) the
-    plain and joint walks run in one loop; for a fine flip only the joint
-    walk runs.  The primary trie is looked up once per joint phrase, from the
-    primary node of the joint node the phrase extends (`jp`); the primary trie
-    is not cut back, since its ids only have to name h-strings consistently
-    within one score, and new ids start after the base's last one.
+    trie hands out ids 1, 2, 3, ... in insertion order, so ids follow
+    position order.  Invariant: the prefix state (`lz0`, `children0`,
+    `counts0`) is the plain and joint tries as they stood before position
+    `pos`, and the phrase count of each primary node over the joint phrases
+    completed before `pos`, in first-marking order.  `score(i, coarse)` moves
+    `pos` forward to i by appending the base entries and phrases made at
+    pos..i-1, in id order; a call with i < pos starts a new sweep and first
+    empties the state.  It then copies the prefix dicts (insert-only, so a
+    copy is a plain clone), resumes from the walker state at i and walks
+    positions i..n-1, adding its own entries and phrase counts to the copies.
+    For a coarse flip (h changed) the plain and joint walks run in one loop;
+    for a fine flip only the joint walk runs.  The primary trie is looked up
+    once per joint phrase, from the primary node of the joint node the phrase
+    extends (`jp`); it is copied whole, since its ids only have to name
+    h-strings consistently within one score, and new ids start after the
+    base's last one.
     Protocol: when `score(i, ...)` is called, every position except i is as it
     was at the last `rebuild` (`score` patches the joint letter hb[i] and puts
-    it back); call `rebuild` after a change is kept.  Scores are bit-identical
-    to rho_lz(hat) + joint_parse(hat, til).rho_cond: c_l*log2(c_l), read from a
-    table, is summed in first-marking order, which is the insertion order of a
-    Counter over the joint phrases' primary nodes.  A and B are the sizes of
-    the two reproduction alphabets (trie keys are node*A + a and
-    node*A*B + a*B + b).
+    it back); call `rebuild` after a change is kept, at the position scored
+    last, so the prefix before it is unchanged and survives the rebuild.
+    Scores are bit-identical to rho_lz(hat) + joint_parse(hat, til).rho_cond:
+    c_l*log2(c_l), from a table, is summed in first-marking order (prefix keys,
+    then suffix keys as first seen), as a Counter over the phrases would be.
+    A and B are the sizes of the two reproduction alphabets (trie keys are
+    node*A + a and node*A*B + a*B + b).
     """
 
     def __init__(self, h: List[int], t: List[int], A: int, B: int) -> None:
         self.h, self.t, self.A, self.B = h, t, A, B
         # c*log2(c) for every count a parse of n symbols can reach
         self.xlogx = [0.0] + [c * math.log2(c) for c in range(1, len(h) + 1)]
+        self.pos, self.lz0, self.children0, self.counts0 = 0, {}, {}, {}
 
     def rebuild(self) -> float:
         h, A, B = self.h, self.A, self.B
@@ -380,26 +388,36 @@ class _FlipScorer:
                 node = child
         self.c_h = lnid if lnode else lnid - 1
         if node:
-            pl.append(jp[node])
+            pl.append(jp[node])  # the unfinished phrase; no prefix reaches it
         self.lz, self.children, self.pnodes, self.jp, self.pl, self.at = (
             lz, children, pnodes, jp, pl, at)
-        return self._total(self.c_h, pl)
+        self.lz_items, self.children_items = list(lz.items()), list(children.items())
+        return self._total(self.c_h, _tally({}, pl))
 
     def score(self, i: int, coarse: bool) -> float:
         h, hb, A, B = self.h, self.hb, self.A, self.B
         AB = A * B
         lnode, lnid, node, nid = self.at[i]
+        if i < self.pos:
+            self.pos, self.lz0, self.children0, self.counts0 = 0, {}, {}, {}
+        if i > self.pos:
+            done = len(self.children0)
+            self.lz0.update(self.lz_items[len(self.lz0):lnid - 1])
+            self.children0.update(self.children_items[done:nid - 1])
+            _tally(self.counts0, self.pl[done:nid - 1])
+            self.pos = i
         old = hb[i]
         hb[i] = h[i] * B + self.t[i]
-        children = dict(islice(self.children.items(), nid - 1))
+        children = self.children0.copy()
         get = children.get
         pnodes = self.pnodes.copy()
         pget = pnodes.get
         pnext = len(pnodes) + 1
         jp = self.jp[:nid]
-        pl = self.pl[:nid - 1]
+        counts = self.counts0.copy()
+        cget = counts.get
         if coarse:
-            lz = dict(islice(self.lz.items(), lnid - 1))
+            lz = self.lz0.copy()
             lget = lz.get
             for a, ab in zip(h[i:], hb[i:]):
                 key = lnode * A + a
@@ -421,7 +439,7 @@ class _FlipScorer:
                         pnodes[pkey] = pn = pnext
                         pnext += 1
                     jp.append(pn)
-                    pl.append(pn)
+                    counts[pn] = cget(pn, 0) + 1
                     node = 0
                 else:
                     node = child
@@ -439,22 +457,29 @@ class _FlipScorer:
                         pnodes[pkey] = pn = pnext
                         pnext += 1
                     jp.append(pn)
-                    pl.append(pn)
+                    counts[pn] = cget(pn, 0) + 1
                     node = 0
                 else:
                     node = child
             c = self.c_h
         hb[i] = old
         if node:
-            pl.append(jp[node])
-        return self._total(c, pl)
+            _tally(counts, (jp[node],))
+        return self._total(c, counts)
 
-    def _total(self, c_hat: int, phrase_pnodes: List[int]) -> float:
+    def _total(self, c_hat: int, counts: Dict[int, int]) -> float:
         n, xlogx = len(self.h), self.xlogx
         if not n:
             return 0.0
-        return (xlogx[c_hat] / n
-                + sum(map(xlogx.__getitem__, Counter(phrase_pnodes).values())) / n)
+        return xlogx[c_hat] / n + sum(map(xlogx.__getitem__, counts.values())) / n
+
+
+def _tally(counts: Dict[int, int], pnodes: Iterable[int]) -> Dict[int, int]:
+    """Add one phrase per listed primary node to counts, keeping first-marking order."""
+    get = counts.get
+    for pn in pnodes:
+        counts[pn] = get(pn, 0) + 1
+    return counts
 
 
 def _random_feasible(x: Sequence, d: PerLetterDistortion, level: float,

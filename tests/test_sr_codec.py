@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -337,12 +338,16 @@ GOLDEN_CASES = {
                     SearchBudget(mode="greedy", evaluations=2000, seed=4, restarts=2)),
     # the shape of the search-regions benchmark: long suffixes, full budget
     "hamming-n256": (0, 4, 256, hamming_spec(0.25, 0.0), SearchBudget(mode="greedy", seed=0)),
+    # the benchmark's second size; source seed 0 would make the first restart
+    # replay the source, since both draw randrange(4) from Random(0)
+    "hamming-n512": (7, 4, 512, hamming_spec(0.25, 0.0), SearchBudget(mode="greedy", seed=0)),
 }
 
 # Captured from the search that scored every candidate with a full
-# rho_lz + joint_parse (hamming-n256 later, from the suffix scorer that the
-# others had checked): (coarse, fine) index strings of candidate_pairs,
-# then the selected objective values for "weighted" and "min-sum".
+# rho_lz + joint_parse (hamming-n256 and hamming-n512 later, from the suffix
+# scorer that the others had checked, before it kept per-sweep prefix tries):
+# (coarse, fine) index strings of candidate_pairs, then the selected
+# objective values for "weighted" and "min-sum".
 GOLDEN = {
     "hamming": (
         [
@@ -494,6 +499,58 @@ GOLDEN = {
              "3300322303101033201000101221033002302120120001222033321132011222"),
         ],
         1.9873212796523008, 1.9990400296523008),
+    "hamming-n512": (
+        [
+            ("2130002010033010300103010123102101200013323322111023232003121330"
+             "0222330023002323203210301211333013321323231101111031220132210333"
+             "3303301013102000102001312223003333201022310121020221212111311320"
+             "0232123220101312130320031313203330111013132110001311021212231023"
+             "3110310111300230011200300321233121313033201301201212131033111332"
+             "3122020233032200100220121323132020130200201020302321010120112212"
+             "3122020001313033321121132010023100321203112302222102121023032110"
+             "0201303022101323121031010001203300132030003202111333032010122210",
+             "2130002010033010300103010123102101200013323322111023232003121330"
+             "0222330023002323203210301211333013321323231101111031220132210333"
+             "3303301013102000102001312223003333201022310121020221212111311320"
+             "0232123220101312130320031313203330111013132110001311021212231023"
+             "3110310111300230011200300321233121313033201301201212131033111332"
+             "3122020233032200100220121323132020130200201020302321010120112212"
+             "3122020001313033321121132010023100321203112302222102121023032110"
+             "0201303022101323121031010001203300132030003202111333032010122210"),
+            ("1100002010033010300103110103102101200013323322111023230003121330"
+             "0222330023002323303210301211333013321323231101111031220132210333"
+             "3303301013102000102001312223003333201022310121020221212111311320"
+             "0232123220101312130320032313203330111013132110001311021212231023"
+             "3110310111300230011200300321233121313033201301201212131033111332"
+             "3122020233032200100220121323132020130200201020302321010120112212"
+             "3122020001313033321121132010023100321203212302222102121023032110"
+             "0201303022101323121031010001203300132030002202111333032010122210",
+             "2130002010033010300103010123102101200013323322111023232003121330"
+             "0222330023002323203210301211333013321323231101111031220132210333"
+             "3303301013102000102001312223003333201022310121020221212111311320"
+             "0232123220101312130320031313203330111013132110001311021212231023"
+             "3110310111300230011200300321233121313033201301201212131033111332"
+             "3122020233032200100220121323132020130200201020302321010120112212"
+             "3122020001313033321121132010023100321203112302222102121023032110"
+             "0201303022101323121031010001203300132030003202111333032010122210"),
+            ("3302332321121021200230232133200030321201111300230220212303212111"
+             "0230011003211323320203211020121230011000010302000110310030201022"
+             "3103003122311011220310332232103020211322210121020221212111311320"
+             "0232123220101312130320031313203330111013132110001311021212231023"
+             "3110310111300230011200300321233121313033201301201212131033111332"
+             "3122020233032200100220121323132020130200201020302321010120112212"
+             "3122020001313033321121132010023100321203112302222102121023032110"
+             "0201303022101323121031010001203300132030003202111333032010122210",
+             "2130002010033010300103010123102101200013323322111023232003121330"
+             "0222330023002323203210301211333013321323231101111031220132210333"
+             "3303301013102000102001312223003333201022310121020221212111311320"
+             "0232123220101312130320031313203330111013132110001311021212231023"
+             "3110310111300230011200300321233121313033201301201212131033111332"
+             "3122020233032200100220121323132020130200201020302321010120112212"
+             "3122020001313033321121132010023100321203112302222102121023032110"
+             "0201303022101323121031010001203300132030003202111333032010122210"),
+        ],
+        2.012185634590608, 2.0246415794169397),
 }
 
 
@@ -591,14 +648,20 @@ def test_scorer_under_the_greedy_protocol(case):
 
 @given(scorer_cases)
 def test_rebuilt_tries_number_entries_in_insertion_order(case):
-    """`score` snapshots a trie as it stood before position i by taking its
-    first (next id - 1) entries, which needs ids 1..m in insertion order;
-    and it must leave the base tries as they were."""
+    """`score` keeps a prefix state per sweep: the plain and joint tries as
+    they stood before the position scored, which it extends with the base
+    entries whose ids lie below the walker's next ids, in id order, and the
+    phrase counts per primary node in first-marking order.  That needs ids
+    1..m in insertion order; and `score` works on clones, so it must leave
+    the base tries and the prefix state as they were."""
     size_a, size_b, h, t, flips = case
     scorer = _FlipScorer(h, t, size_a, size_b)
 
     def tries():
         return [list(d.items()) for d in (scorer.lz, scorer.children, scorer.pnodes)]
+
+    def prefix():
+        return [list(d.items()) for d in (scorer.lz0, scorer.children0, scorer.counts0)]
 
     scorer.rebuild()
     for i, coarse, letter, keep in flips + [(0, True, 0, True)]:
@@ -609,6 +672,14 @@ def test_rebuilt_tries_number_entries_in_insertion_order(case):
         old = seq[i]
         seq[i] = (old + letter) % size
         scorer.score(i, coarse)
+        assert tries() == base
+        _, lnid, _, nid = scorer.at[i]
+        snapshot = prefix()
+        assert snapshot == [base[0][:lnid - 1], base[1][:nid - 1],
+                            list(Counter(scorer.pl[:nid - 1]).items())]
+        scorer.score(i, coarse)
+        scorer.score(i, not coarse)
+        assert prefix() == snapshot
         assert tries() == base
         if keep:
             scorer.rebuild()
