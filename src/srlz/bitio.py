@@ -1,4 +1,6 @@
-"""MSB-first bit packing and the FNV-1a 64 hash used for stream checksums.
+"""MSB-first bit packing, and the FNV-1a 64 hash behind the side-information
+checksum of conditional streams and the CLI's file checksums.  Containers
+themselves end in a `zlib.crc32` trailer (see `srlz.container`).
 
 Both directions run in time linear in the stream length.  `pack` is the one
 packing loop: it keeps fewer than 64 pending bits in a small int and flushes

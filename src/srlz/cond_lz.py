@@ -136,18 +136,17 @@ def cond_encode(secondary: Sequence, primary: SideInfo) -> Bitstream:
     fan: dict = {}    # node*A + a -> m
     values: List[int] = []  # one field per symbol: a rank, or m << secw | b
     widths: List[int] = []
-    innovations: List[int] = []  # (parent, a, b) per dictionary node, flat
-    node = 0
+    nodes = node = 0  # dictionary nodes so far, and the current one
     for a, b in zip(prim.data, secondary.data):
         key = node * A + a
         hit = get(key * B + b)
         if hit is None:  # m+1 choices: children 0..m-1 or innovate
             m = fan.get(key, 0)
             fan[key] = m + 1
-            child[key * B + b] = (m, len(innovations) // 3 + 1)
+            nodes += 1
+            child[key * B + b] = (m, nodes)
             values.append(m << secw | b)
             widths.append(m.bit_length() + secw)
-            innovations += (node, a, b)
             node = 0
         else:
             rank, node = hit
@@ -159,12 +158,11 @@ def cond_encode(secondary: Sequence, primary: SideInfo) -> Bitstream:
         mode=MODE_COND,
         n=secondary.n,
         alphabet=secondary.alphabet.symbols,
-        phrase_count=len(innovations) // 3 + incomplete,
+        phrase_count=nodes + incomplete,
         last_incomplete=incomplete,
         payload=payload,
         payload_bits=payload_bits,
         side_checksum=side_info_checksum(prim),
-        dict_hash=fnv1a64_u32(innovations),
     )
 
 
@@ -186,9 +184,8 @@ def cond_decode(stream: Union[Bitstream, bytes], primary: SideInfo) -> Sequence:
     A = prim.alphabet.size
     by_a: dict = {}  # node*A + a -> [(b, child id)] in rank order
     out: List[int] = []
-    innovations: List[int] = []  # (parent, a, b) per dictionary node, flat
     acc = have = pos = 0  # the bit window of bitio.refill
-    node = 0
+    nodes = node = 0  # dictionary nodes so far, and the current one
     for a in prim.data:
         key = node * A + a
         lst = by_a.get(key)
@@ -218,12 +215,9 @@ def cond_decode(stream: Union[Bitstream, bytes], primary: SideInfo) -> Sequence:
         out.append(b)
         if lst is None:
             by_a[key] = lst = []
-        innovations += (node, a, b)
-        lst.append((b, len(innovations) // 3))
+        nodes += 1
+        lst.append((b, nodes))
         node = 0
-    c = len(innovations) // 3 + (node != 0)
-    if c != stream.phrase_count or (node != 0) != stream.last_incomplete:
+    if nodes + (node != 0) != stream.phrase_count or (node != 0) != stream.last_incomplete:
         raise StreamFormatError("phrase accounting mismatch")
-    if fnv1a64_u32(innovations) != stream.dict_hash:
-        raise SideInfoMismatchError("dictionary hash mismatch")
     return Sequence(alphabet, out)

@@ -1,11 +1,16 @@
 """Self-describing binary containers shared by every codec in the package.
 
-Leaf containers (plain and conditional streams) carry a header, a bit-packed
-payload padded to a byte boundary, and, for conditional streams, a side-info
-checksum in the header plus a dictionary-hash trailer.  Wrapper containers
-(refinement and description pairs) reuse the same header with an empty
-alphabet block; their payload is a segment directory followed by the raw
-segment bytes, so embedded streams stay exactly delimited.
+Leaf containers (plain and conditional streams) carry a header and a
+bit-packed payload padded to a byte boundary; a conditional stream's header
+also holds the side-information checksum.  Wrapper containers (refinement and
+description pairs) reuse the same header with an empty alphabet block; their
+payload is a segment directory followed by the raw segment bytes, so embedded
+streams stay exactly delimited.
+
+Every container, leaf or wrapper, ends in a 4-byte big-endian `zlib.crc32` of
+all bytes before it.  The parsers read the header, alphabet and directory
+first, so a malformed field keeps its own error, and check the trailer before
+they return: a decoder only sees fields that the checksum has verified.
 
 The module also holds the error classes the package shares and `Record`, the
 base that gives every result record its ==, hash and repr.
@@ -14,12 +19,14 @@ base that gives every result record its ==, hash and repr.
 from __future__ import annotations
 
 import struct
+import zlib
 from typing import Optional, Sequence as Seq, Tuple
 
 from .bitio import StreamFormatError, TruncatedStreamError  # re-exported
 
 MAGIC = b"SRLZ"
-VERSION = 1
+VERSION = 2
+CRC_BYTES = 4  # the zlib.crc32 trailer
 
 MODE_LZ = 0
 MODE_COND = 1
@@ -106,11 +113,11 @@ class Bitstream(Record):
     """A decoded or to-be-serialized leaf container."""
 
     __slots__ = ("mode", "n", "alphabet", "phrase_count", "last_incomplete", "payload",
-                 "payload_bits", "side_checksum", "dict_hash")
+                 "payload_bits", "side_checksum")
 
     def __init__(self, mode: int, n: int, alphabet: Tuple[str, ...], phrase_count: int,
                  last_incomplete: bool, payload: bytes, payload_bits: Optional[int] = None,
-                 side_checksum: Optional[int] = None, dict_hash: Optional[int] = None) -> None:
+                 side_checksum: Optional[int] = None) -> None:
         self.mode = mode
         self.n = n
         self.alphabet = alphabet
@@ -119,7 +126,6 @@ class Bitstream(Record):
         self.payload = payload
         self.payload_bits = payload_bits  # exact when produced by an encoder
         self.side_checksum = side_checksum  # conditional streams only
-        self.dict_hash = dict_hash          # conditional streams only
 
     __hash__ = None  # mutable: payload_bits is set after decoding
 
@@ -135,37 +141,30 @@ class Bitstream(Record):
             out += struct.pack(">H", len(enc))
             out += enc
         if self.mode == MODE_COND:
-            if self.side_checksum is None or self.dict_hash is None:
-                raise StreamFormatError("conditional stream needs checksum and dict hash")
+            if self.side_checksum is None:
+                raise StreamFormatError("conditional stream needs a side-info checksum")
             out += struct.pack(">Q", self.side_checksum)
         out += struct.pack(">QB", self.phrase_count, 1 if self.last_incomplete else 0)
         out += self.payload
-        if self.mode == MODE_COND:
-            out += struct.pack(">Q", self.dict_hash)
-        return bytes(out)
+        return _sealed(out)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Bitstream":
         mode, n, alphabet, pos = _parse_leaf_header(raw)
+        end = len(raw) - CRC_BYTES
         side_checksum = None
         if mode == MODE_COND:
-            if pos + 8 > len(raw):
+            if pos + 8 > end:
                 raise TruncatedStreamError("truncated side-info checksum")
             (side_checksum,) = struct.unpack_from(">Q", raw, pos)
             pos += 8
-        if pos + 9 > len(raw):
+        if pos + 9 > end:
             raise TruncatedStreamError("truncated phrase-count block")
         phrase_count, flags = struct.unpack_from(">QB", raw, pos)
         pos += 9
         if flags > 1:
             raise StreamFormatError(f"unknown flag bits: {flags:#x}")
-        dict_hash = None
-        end = len(raw)
-        if mode == MODE_COND:
-            if end - pos < 8:
-                raise TruncatedStreamError("truncated dictionary-hash trailer")
-            (dict_hash,) = struct.unpack_from(">Q", raw, end - 8)
-            end -= 8
+        _check_crc(raw)
         return cls(
             mode=mode,
             n=n,
@@ -175,15 +174,31 @@ class Bitstream(Record):
             payload=raw[pos:end],
             payload_bits=None,
             side_checksum=side_checksum,
-            dict_hash=dict_hash,
         )
 
 
+def _sealed(out: bytearray) -> bytes:
+    """The container bytes in `out` with their CRC-32 trailer appended."""
+    out += zlib.crc32(out).to_bytes(CRC_BYTES, "big")
+    return bytes(out)
+
+
+def _check_crc(raw: bytes) -> None:
+    """Raise unless the trailer is the CRC-32 of every byte before it; the
+    parsers call it after their field checks, so `raw` has room for it."""
+    end = len(raw) - CRC_BYTES
+    if zlib.crc32(memoryview(raw)[:end]) != int.from_bytes(raw[end:], "big"):
+        raise StreamFormatError(f"container checksum mismatch (CRC-32 trailer at byte {end})")
+
+
 def _parse_common_header(raw: bytes) -> Tuple[int, int, Tuple[str, ...], int]:
-    """Returns (mode, n, alphabet_symbols, offset past the alphabet block)."""
+    """Returns (mode, n, alphabet_symbols, offset past the alphabet block).
+
+    Every field is read from the bytes before the CRC-32 trailer."""
     if len(raw) < 4 or raw[:4] != MAGIC:
         raise StreamFormatError("bad magic")
-    if len(raw) < 4 + 2 + 8 + 4:
+    end = len(raw) - CRC_BYTES
+    if end < 4 + 2 + 8 + 4:
         raise TruncatedStreamError("truncated header")
     version, mode = raw[4], raw[5]
     if version != VERSION:
@@ -195,11 +210,11 @@ def _parse_common_header(raw: bytes) -> Tuple[int, int, Tuple[str, ...], int]:
     pos = 18
     symbols = []
     for _ in range(count):
-        if pos + 2 > len(raw):
+        if pos + 2 > end:
             raise TruncatedStreamError("truncated alphabet block")
         (slen,) = struct.unpack_from(">H", raw, pos)
         pos += 2
-        if pos + slen > len(raw):
+        if pos + slen > end:
             raise TruncatedStreamError("truncated alphabet symbol")
         try:
             symbols.append(raw[pos:pos + slen].decode("utf-8"))
@@ -252,7 +267,7 @@ def pack_segments(mode: int, n: int, segments: Seq[Segment]) -> bytes:
         out += struct.pack(">BQQ", seg.role, len(seg.data), seg.bit_length)
     for seg in segments:
         out += seg.data
-    return bytes(out)
+    return _sealed(out)
 
 
 def unpack_segments(raw: bytes, expect_mode: Optional[int] = None) -> Tuple[int, int, Tuple[Segment, ...]]:
@@ -264,7 +279,8 @@ def unpack_segments(raw: bytes, expect_mode: Optional[int] = None) -> Tuple[int,
             f"expected {MODE_NAMES[expect_mode]} container, got {MODE_NAMES[mode]}")
     if alphabet:
         raise StreamFormatError("wrapper container with nonempty alphabet block")
-    if pos + 9 > len(raw):
+    end = len(raw) - CRC_BYTES
+    if pos + 9 > end:
         raise TruncatedStreamError("truncated segment count")
     count, flags = struct.unpack_from(">QB", raw, pos)
     pos += 9
@@ -272,19 +288,20 @@ def unpack_segments(raw: bytes, expect_mode: Optional[int] = None) -> Tuple[int,
         raise StreamFormatError(f"unknown flag bits: {flags:#x}")
     entries = []
     for _ in range(count):
-        if pos + 17 > len(raw):
+        if pos + 17 > end:
             raise TruncatedStreamError("truncated segment directory")
         role, blen, bits = struct.unpack_from(">BQQ", raw, pos)
         pos += 17
         entries.append((role, blen, bits))
     segments = []
     for role, blen, bits in entries:
-        if pos + blen > len(raw):
+        if pos + blen > end:
             raise TruncatedStreamError("truncated segment data")
         segments.append(Segment(role=role, bit_length=bits, data=raw[pos:pos + blen]))
         pos += blen
-    if pos != len(raw):
+    if pos != end:
         raise StreamFormatError("trailing bytes after last segment")
+    _check_crc(raw)
     return mode, n, tuple(segments)
 
 
@@ -301,15 +318,13 @@ def split_leaf(raw: bytes, payload_bits: int, fraction: float) -> Tuple[bytes, b
     Part A is the header plus the first ceil(fraction * payload_bytes) payload
     bytes; part B is everything after.  Concatenating the parts restores the
     container byte for byte.  Returns (part_a, part_b, bits_a, bits_b) where
-    the bit counts attribute the payload bits (never the padding or trailer)
-    exactly once.
+    the bit counts attribute the payload bits (never the padding or CRC-32
+    trailer) exactly once.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"share fraction out of range: {fraction}")
     hdr = leaf_header_length(raw)
-    mode = raw[5]
-    trailer = 8 if mode == MODE_COND else 0
-    payload_bytes = len(raw) - hdr - trailer
+    payload_bytes = len(raw) - hdr - CRC_BYTES
     if payload_bytes < 0:
         raise StreamFormatError("container shorter than its header")
     if payload_bits > payload_bytes * 8:

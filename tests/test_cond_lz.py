@@ -160,20 +160,14 @@ class TestHashFolding:
     fields = st.one_of(st.integers(0, 300), st.integers(65280, 65800),
                        st.integers(2 ** 32 - 300, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
 
-    triples = st.lists(st.tuples(
-        st.one_of(st.sampled_from([255, 256, 65535, 65536, 2 ** 32 - 1]),
-                  st.integers(0, 2 ** 32 - 1)),
-        fields, fields), max_size=20)
-
-    @given(st.integers(0, 2 ** 64 - 1), triples)
-    def test_dictionary_hash_matches_struct_loop(self, h, triples):
-        # the dictionary hash: one call over the flat (parent, a, b, ...) list
+    @given(st.integers(0, 2 ** 64 - 1), st.lists(st.one_of(
+        st.sampled_from([255, 256, 65535, 65536, 2 ** 32 - 1]), fields), max_size=60))
+    def test_u32_hash_matches_struct_loop(self, h, values):
+        # every fold, chained from any start value: below 2^8, below 2^16, and the rest
         want = h
-        for parent, a, b in triples:
-            for byte in struct.pack(">III", parent, a, b):
-                want = ((want ^ byte) * FNV64_PRIME) & 0xFFFFFFFFFFFFFFFF
-        flat = [v for triple in triples for v in triple]
-        assert fnv1a64_u32(flat, h) == want
+        for byte in b"".join(struct.pack(">I", v) for v in values):
+            want = ((want ^ byte) * FNV64_PRIME) & 0xFFFFFFFFFFFFFFFF
+        assert fnv1a64_u32(values, h) == want
 
 
 class TestDecodeErrors:
@@ -187,7 +181,8 @@ class TestDecodeErrors:
         with pytest.raises(SideInfoMismatchError):
             cond_decode(enc.to_bytes(), bits("0111"))
 
-    def test_corrupted_payload_fails_dict_hash_or_format(self):
+    def test_corrupted_payload_fails_the_checksum(self):
+        # a format error, not a side-information mismatch: the side is right
         side = bits("00110101")
         enc = cond_encode(bits("10110100"), side)
         raw = bytearray(enc.to_bytes())
@@ -195,7 +190,8 @@ class TestDecodeErrors:
 
         off = leaf_header_length(bytes(raw))
         raw[off] ^= 0x80
-        with pytest.raises((SideInfoMismatchError, StreamFormatError)):
+        with pytest.raises(StreamFormatError,
+                           match=rf"checksum mismatch \(CRC-32 trailer at byte {len(raw) - 4}\)"):
             cond_decode(bytes(raw), side)
 
     def test_length_mismatch_raises(self):

@@ -1,8 +1,11 @@
+import zlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from srlz.bitio import TruncatedStreamError
+from srlz.cond_lz import cond_encode
 from srlz.container import (
     MODE_COND,
     MODE_LZ,
@@ -18,13 +21,15 @@ from srlz.container import (
     split_leaf,
     unpack_segments,
 )
+from srlz.lz_core import Sequence, lz_encode
+from srlz.sr_codec import sr_encode
 
 
 def make_leaf(mode=MODE_LZ, n=5, alphabet=("0", "1"), payload=b"\xaa\x55",
               **kw):
     extra = {}
     if mode == MODE_COND:
-        extra = {"side_checksum": 7, "dict_hash": 9}
+        extra = {"side_checksum": 7}
     extra.update(kw)
     return Bitstream(mode=mode, n=n, alphabet=tuple(alphabet), phrase_count=3,
                      last_incomplete=True, payload=payload, payload_bits=12,
@@ -42,10 +47,11 @@ def test_leaf_round_trip_plain():
 
 def test_leaf_round_trip_conditional_with_trailer():
     s = make_leaf(MODE_COND)
-    t = Bitstream.from_bytes(s.to_bytes())
+    raw = s.to_bytes()
+    t = Bitstream.from_bytes(raw)
     assert t.side_checksum == 7
-    assert t.dict_hash == 9
     assert t.payload == s.payload
+    assert raw[-4:] == zlib.crc32(raw[:-4]).to_bytes(4, "big")
 
 
 def test_unicode_alphabet_symbols_survive():
@@ -84,14 +90,51 @@ def test_wrapper_mode_rejected_as_leaf():
         Bitstream.from_bytes(wrapped)
 
 
-def test_truncation_before_payload_always_raises():
-    raw = make_leaf(MODE_COND).to_bytes()
-    hdr = leaf_header_length(raw)
-    # cuts inside the header or the 8-byte trailer budget must fail loudly;
-    # cuts inside the payload proper only surface at decode time
-    for cut in range(hdr + 8):
-        with pytest.raises((TruncatedStreamError, StreamFormatError)):
-            Bitstream.from_bytes(raw[:cut])
+def small_containers():
+    """{kind: (container bytes, the parser that verifies it)} over short sequences."""
+    x = Sequence.from_text("abracadabra")
+    y = Sequence.from_text("abracadabrx")
+    return {
+        "lz": (lz_encode(x).to_bytes(), Bitstream.from_bytes),
+        "cond": (cond_encode(y, x).to_bytes(), Bitstream.from_bytes),
+        "sr": (sr_encode(x, x, y).to_bytes(), unpack_segments),
+    }
+
+
+def test_every_proper_prefix_raises():
+    # the CRC-32 trailer covers the payload too, so no cut parses, wherever it falls
+    for kind, (raw, parse) in small_containers().items():
+        for cut in range(len(raw)):
+            with pytest.raises(StreamFormatError):
+                parse(raw[:cut])
+        parse(raw)
+
+
+@pytest.mark.parametrize("kind", ["lz", "cond", "sr"])
+def test_every_single_bit_flip_raises(kind):
+    raw, parse = small_containers()[kind]
+    for bit in range(8 * len(raw)):
+        bad = bytearray(raw)
+        bad[bit >> 3] ^= 0x80 >> (bit & 7)
+        with pytest.raises(StreamFormatError):
+            parse(bytes(bad))
+
+
+# the same lz leaf and sr wrapper of "0110" in container version 1, which
+# had no CRC-32 trailer and ended a conditional stream in a dictionary hash
+V1_LEAF = "53524c5a010000000000000000040000000200013000013100000000000000030030"
+V1_WRAPPER = (
+    "53524c5a01020000000000000004000000000000000000000002000100000000000000220000000000"
+    "000006020000000000000032000000000000000453524c5a0100000000000000000400000002000130"
+    "0001310000000000000003003053524c5a010100000000000000040000000200013000013124235c37"
+    "b93196b300000000000000030040ae825e4ef79f809f")
+
+
+def test_version_1_is_rejected():
+    with pytest.raises(StreamFormatError, match="unsupported version: 1"):
+        Bitstream.from_bytes(bytes.fromhex(V1_LEAF))
+    with pytest.raises(StreamFormatError, match="unsupported version: 1"):
+        unpack_segments(bytes.fromhex(V1_WRAPPER))
 
 
 def test_leaf_header_length_points_at_payload():
@@ -150,6 +193,21 @@ def test_split_leaf_full_share_keeps_trailer_in_part_a():
     part_a, part_b, bits_a, bits_b = split_leaf(raw, 30, 1.0)
     assert part_b == b""
     assert (bits_a, bits_b) == (30, 0)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.3, 0.5, 0.99, 1.0])
+def test_split_cond_leaf_rejoins_into_a_verified_container(fraction):
+    x = Sequence.from_text("abracadabra" * 5)
+    y = Sequence.from_text("abracadabrx" * 5)
+    stream = cond_encode(y, x)
+    raw = stream.to_bytes()
+    part_a, part_b, _, _ = split_leaf(raw, stream.payload_bits, fraction)
+    back = Bitstream.from_bytes(part_a + part_b)
+    assert (back.payload, back.side_checksum) == (stream.payload, stream.side_checksum)
+    if part_b:  # neither part alone verifies
+        for part in (part_a, part_b):
+            with pytest.raises(StreamFormatError):
+                Bitstream.from_bytes(part)
 
 
 def test_split_leaf_bad_fraction():

@@ -1,8 +1,11 @@
 """Container bytes of all five modes, pinned by SHA-256.
 
-The digests were captured before bit packing and the stream hashes were
-rewritten for speed, and are asserted with `==`: a speed-up may not change a
-single output byte.  The inputs come from a private generator here, so
+The digests are asserted with `==`: a speed-up may not change a single
+output byte.  They pin container version 2, re-captured when the CRC-32
+trailer replaced the dictionary hash, after checking on every input here
+that each v2 leaf is its v1 bytes with the version byte set to 2, the 8-byte
+dictionary hash removed and the CRC appended, and that each wrapper is its
+v1 directory over those leaves, sealed the same way.  The inputs come from a private generator here, so
 nothing outside this file can move them.  The 26-letter cases give the md
 pipelines product side alphabets of 676 (`md-egc`) and 1352 (`md-zb`); the
 300-letter case gives 90,000 and 180,000, above the 2^16 values that the
@@ -73,53 +76,53 @@ def containers(name):
 
 GOLDEN = {
     '26-n1': {
-        'lz': 'b98d77457c904d0ed6094f76ef12b1ee203ea74cc3bb22084b93f6f325451c37',
-        'cond': '81383df2f3ed587e3e0af72764ba8e6c70b37be2b8297e8c1af4fb4a1632b25e',
-        'sr': 'c82c01f9ce60c0bdbcd74965fda7b543a4689c99931c9d4826ff9071bf863569',
-        'md-egc': '0a11de738839481cd918d2b867bc46ddcf23ef788b0c0f98974105238961e292',
-        'md-zb': '94477e95a2d7d1951b0759c5487da0649c4ff4cd5b19deb34f700130d4bf7d3f',
+        'lz': '7c17a4968638a3bd1f7718b242dd1e341198a7dbd30099eba9c666c5fd42a685',
+        'cond': 'c65582c124b45ff274d4f78dd459bc75e29dd276cda3a68268b17fdd956e6757',
+        'sr': '5d7f12b22d64b36e108c91e88ec82e5377376784e6512671367ff46f85a5c29a',
+        'md-egc': '3692d3c17eaf672a0375c7c644b71c62f143b0a25d08e79dc77b602c9e975ad7',
+        'md-zb': '26ae4bf855c0fe040431c7e50ec049de3b4453045f456b1addd16fcdfeaba5f1',
     },
     '26-tiled-2000': {
-        'lz': 'f4a64a5464becb1646883315b1458e6ccd3dfe5427b4c7883e4341302724ddc6',
-        'cond': '6cd8831a0671c1c08882930abb8beda23964b789be745eb777dd29131da683dc',
-        'sr': '16bff5bc46688d4c7cf49bdbe3e4f594b0d04eed8fabd3e078d5771074fc634e',
-        'md-egc': '1577de0e5542e00298b1b5b34b8691159edc55847b606d79e10fc3f530d7a33c',
-        'md-zb': '1df0654918b54d0eff4713dee892ac619848c59bb2a23176a4cec1a31c3810eb',
+        'lz': '22e2a418f098dd815b0e655db7403a7e9f9e8654c70b862994b0f0cd64f0cca3',
+        'cond': '6b5b2e0a707375114e3d07e5824e496910b0b60958583a78df8478a348b6acca',
+        'sr': '52b4c10f4d082d733b3686e06985441fde8070f27e4eb043f93393e0f2809915',
+        'md-egc': '75cedeb044f631ac027eae19425b53b9b2b71a38e1830a83ca7c113a9d87fcaf',
+        'md-zb': 'af1e5fb30a4043c4082d9d1cb1648406e8f283c3ade1ae9e05ce7eaf161ba580',
     },
     '26-uniform-600': {
-        'lz': 'f20caf5b38c644da564d6ec6892ec348b64971e908717ab1d07024ea5d8a5981',
-        'cond': '824fdb327af0832fb84eea8599df00513997c9082723f063faed303e0c0bb097',
-        'sr': 'bcd08cd478a283230fd90f43686243dbdb177252a37e7590384678a0306400d4',
-        'md-egc': '1ea768a3c0b24d1a61f30c13afd876a22d04228550051da74fadd1158b731242',
-        'md-zb': '2faf34c7ff3df1bcd924ef893fd8f3e6ef36b5609f9d596930faee5095ae4283',
+        'lz': '729571c3087aa6611531504cfb8b9a0db7ff3b052918425cbbc20ebe9ad7a29c',
+        'cond': '0ea6745bc183ca7f84e98e164d2a7b37fe55429a2c64e3b0a0873647433de544',
+        'sr': 'bc87173ebb9c84188c3d2fdbe97ff0ad29414a1f4d2ac3df68b0c9614a2e8d87',
+        'md-egc': '37db60421a031c29febb4583d29bcf225f0296558066c9e55226a9839b0e7325',
+        'md-zb': '3f7851190da083f42fa64b704f8c07e49143d3154de63bf28d50eee9a0305ba8',
     },
     '300-uniform-800': {
-        'lz': '618b54678d9da5d657af5c70bdcb9bc7d13e7c18c5e1d759c58244b4e94a3720',
-        'cond': '334ce4bf3009c7e3cd6f42dc3769c84c2e01d4007b33957c35a4b41da6b8f931',
-        'sr': 'e727dcc69163dd0b535a1c3408141501a091fe084bb8224775bf7da37300b500',
-        'md-egc': '4b36152020e7bbe3405fd7109000d1731b102162b7180299505cedd774d27ea2',
-        'md-zb': 'c76dd98a618030ba75bf49b28b9bb7319c6da4ffab975a069cfe27f517913a37',
+        'lz': 'bf084ba59ddb400e55873bf723e72d519f93b1d35dcad0aba54b234ee0999c95',
+        'cond': '186639e0e76042be57352aa302049ea19bba096cb53b5f3760313fdd95625347',
+        'sr': 'f9d889e1bd27e269988d9b099136a88ed4bbd40d4a659280b1126fbab32a1a36',
+        'md-egc': '59505535035f0f207203ea1ba4771837c858f98d17569653f57db146462c139c',
+        'md-zb': '88d31a3ce0eb1516c9c27be941b6545fa2a2ab11e91860543f87476560062f1a',
     },
     'bin-n0': {
-        'lz': '7493aade1500976a32fec501498e304c26f74837cb07741ba474135bdea1958b',
-        'cond': 'eeb36467e54b04e77cf364762c53ad4ed00c67c92d06ab57cb483cbd64d7ae7f',
-        'sr': 'fba3f95e66c9c1ec8be12f8975035b8ea2b577a4acd47bfae502322fbe9535bf',
-        'md-egc': '088865a0e55f0dd408670e57f0641d61320aaea4fce499705e73594edc2bc968',
-        'md-zb': '48fc69a8dbba2189bc96af52fca687350c5102bf1cb1368b20c2e0ea8b806e3f',
+        'lz': '329a2c9c337327836cbbdc5b07da30befc96e2017be6f131bd078ee294cade94',
+        'cond': '18ee5ed7e86e9865d6715ceaad4e3a8cbf1fa1422b747d470e3d41308c7af8a9',
+        'sr': '5f4668ed9af6dd528438ba044500594bca6c8447a5507f4b252c9e0792ea847d',
+        'md-egc': 'dc3297e3d9b1457a27cb99e3353e3dc38db013bc4b76891ff88204ca570460ff',
+        'md-zb': 'ddb4ea841bd412a0d24bed85f6f6d6d563187068c54f015233f3e23faaab76a3',
     },
     'bin-runs-1500': {
-        'lz': 'bbb209ffbe6b5ea298d4d6d0b6c08e4cf989da086cfc09988f49f0b95abf35db',
-        'cond': 'd033e9b75c60860e69a5bd1c95f50b3b89f20e120f5a40594262e3d7289ce7d9',
-        'sr': 'fdab72549f265124676a77216f4116d283c8544665741d79ca25144aaa6feec2',
-        'md-egc': '3bb164a184377f376f8d68217c595a0da12a67f7c9303aad11ce69fdc5e92665',
-        'md-zb': '3016b863d949d4bf2f84078d3a2b800d12346eb9e3df55f9934875de09ada932',
+        'lz': '0228027c1395f9653298a67506974dee342c065e113ff51d797f59ee992a170d',
+        'cond': 'a0db8090ffcf83c4ee4a1880648dded925bb0498e9a42a6dfcea6be53a562390',
+        'sr': 'e198244b6b597e5a56ed756fc4caffec48c3654a570cf601fd1c20dacbdbdb55',
+        'md-egc': '988d64905bf2f53ce92903cfe8fbce85f048e1247214c8e32e6f52eaba002bb7',
+        'md-zb': 'ef59eec3a85559d084edd6332a2d87c6a1a65ca05787c62d451e6210ba8ff522',
     },
     'bin-uniform-400': {
-        'lz': '6634aaa3c8424d6175025ae9cf152f02a5ffaeb47b9c77f5aa580aa421ec8797',
-        'cond': '4e4cc828184b19aea27cc313218ec6c41ff18e5c731b3bb30d25d0f0c78fd8b2',
-        'sr': '1f29a55f1016ded5a90b1712386b9646bb1d4b1d562d707cbee1e0a0b8665a1a',
-        'md-egc': 'f5ee7f9caf510642d30fdd9ce6b31fd4bce63f32d3a05e879a56b8288badad8d',
-        'md-zb': '9dbdd43f85e7c77c135cfbdd361004e43866b3573fbbc91f9833669bba068603',
+        'lz': 'e9768ae789e2c96c624d7f3366af140338d2026a6bba1be666a64429818de9a9',
+        'cond': '5feb9abf8f6a454550ce963eb0be4583a747f5aa8af4fb7a0623f55bfb9fe107',
+        'sr': 'f5c9ebcc59c0e514af54331b22ca49f7e17be66cf9a737a339ee45d3ef85ad7d',
+        'md-egc': '7b85fe9a50233dadbc9811876d9875e489ae3de0b2510b97d886133c49717258',
+        'md-zb': '9e6f9ced31a0616523302c841b08e285933a07420fb207015dc693969b3f9151',
     },
 }
 

@@ -1,6 +1,6 @@
 """Import footprint and package surface: `import srlz` loads no submodule,
-each CLI call loads only the modules it runs and never `dataclasses` or
-`inspect`, and every public name still resolves."""
+each CLI call loads only the modules it runs and never `dataclasses`,
+`inspect` or `hashlib`, and every public name still resolves."""
 
 from __future__ import annotations
 
@@ -22,8 +22,10 @@ PKG_ROOT = str(Path(srlz.__file__).resolve().parents[1])
 # what bitio, container and lz_core pull in, and nothing else
 CLI_BASE = {"srlz", "srlz.cli", "srlz.bitio", "srlz.container", "srlz.lz_core"}
 # standard modules that no CLI path may load: dataclasses alone pulls in inspect
-# and generates its methods with exec on every fresh start
-SLOW_STDLIB = ("dataclasses", "inspect")
+# and generates its methods with exec on every fresh start; hashlib loads
+# OpenSSL's _hashlib, about 3.5 MiB of RSS and 3 ms in a bare interpreter, which
+# is why the container checksum is zlib.crc32 (zlib is loaded at start-up)
+SLOW_STDLIB = ("dataclasses", "inspect", "hashlib", "_hashlib")
 
 
 def fresh(code: str, cwd=None) -> subprocess.CompletedProcess:

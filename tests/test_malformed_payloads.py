@@ -3,6 +3,8 @@
 A decoder reads untrusted bytes: it returns exactly the encoded sequence or
 raises a `StreamFormatError` or `SideInfoMismatchError` subclass, never an
 `IndexError`, `KeyError`, `UnicodeDecodeError` or another bare exception.
+Every container ends in a CRC-32 of all bytes before it, so a flipped bit
+anywhere is an error, and no mutation decodes to a different sequence.
 The 300-letter case has a 9-bit symbol field and, in the md pipelines, side
 alphabets above 2^16; the 26-letter case has a 5-bit symbol field.
 """
@@ -21,14 +23,13 @@ from srlz.container import (
     Bitstream,
     SideInfoMismatchError,
     StreamFormatError,
-    leaf_header_length,
 )
 from srlz.lz_core import Alphabet, Sequence, lz_decode, lz_encode
 from srlz.sr_codec import sr_decode_full, sr_encode
 from test_golden_containers import _inputs
 
 CASES = ["300-uniform-800", "26-uniform-600"]
-FLIPS = 200  # sampled payload bits per case and mode
+FLIPS = 200  # sampled container bits per case and mode
 MUTANTS = 150  # sampled mutations of each kind per whole-container mode
 HEADER_SPAN = 128  # bytes after each magic: header, alphabet block, directory
 
@@ -68,38 +69,33 @@ def test_every_payload_truncation_runs_out_of_bits(name, mode):
 @pytest.mark.parametrize("mode", ["lz", "cond"])
 @pytest.mark.parametrize("name", CASES)
 def test_payload_bit_flips(name, mode):
-    raw, decode, want = _streams(name)[mode]
-    start = leaf_header_length(raw)
-    end = len(raw) - 8 if mode == "cond" else len(raw)  # before the dictionary hash
+    # header, payload and trailer alike: CRC-32 catches every single-bit error
+    raw, decode, _ = _streams(name)[mode]
     rng = random.Random(f"flips/{name}/{mode}")
-    for bit in rng.sample(range(8 * start, 8 * end), FLIPS):
+    for bit in rng.sample(range(8 * len(raw)), FLIPS):
         bad = bytearray(raw)
         bad[bit >> 3] ^= 0x80 >> (bit & 7)
-        try:
-            got = decode(bytes(bad))
-        except (StreamFormatError, SideInfoMismatchError):
-            continue
-        if mode == "cond":
-            assert got == want
-        else:
-            # without a payload checksum a flip can decode to another
-            # sequence, but never to one the header does not describe
-            assert got.alphabet == want.alphabet and got.n == want.n
+        with pytest.raises(StreamFormatError):
+            decode(bytes(bad))
 
 
 @lru_cache(maxsize=None)
 def _containers(name):
-    """{mode: (containers, decoders)}: each decoder takes the list of containers,
-    one of them mutated."""
+    """{mode: (containers, [(decoder, what it must return)])}: each decoder
+    takes the list of containers, one of them mutated."""
     x, hat, tilde, u = _inputs(name)
     d1, d2, _ = mdc.egc_encode(hat, tilde, x, 0.5)
     z1, z2, _ = mdc.zb_encode(hat, tilde, x, u, 0.5)
     return {
-        "lz": ([lz_encode(x).to_bytes()], [lambda c: lz_decode(c[0])]),
-        "cond": ([cond_encode(tilde, hat).to_bytes()], [lambda c: cond_decode(c[0], hat)]),
-        "sr": ([sr_encode(x, hat, tilde).to_bytes()], [lambda c: sr_decode_full(c[0])]),
-        "md-egc": ([d1, d2], [lambda c: mdc.egc_decode1(c[0]), lambda c: mdc.egc_decode0(*c)]),
-        "md-zb": ([z1, z2], [lambda c: mdc.zb_decode1(c[0]), lambda c: mdc.zb_decode0(*c)]),
+        "lz": ([lz_encode(x).to_bytes()], [(lambda c: lz_decode(c[0]), x)]),
+        "cond": ([cond_encode(tilde, hat).to_bytes()],
+                 [(lambda c: cond_decode(c[0], hat), tilde)]),
+        "sr": ([sr_encode(x, hat, tilde).to_bytes()],
+               [(lambda c: sr_decode_full(c[0]), (hat, tilde))]),
+        "md-egc": ([d1, d2], [(lambda c: mdc.egc_decode1(c[0]), hat),
+                              (lambda c: mdc.egc_decode0(*c), (hat, tilde, x))]),
+        "md-zb": ([z1, z2], [(lambda c: mdc.zb_decode1(c[0]), (u, hat)),
+                             (lambda c: mdc.zb_decode0(*c), (u, hat, tilde, x))]),
     }
 
 
@@ -127,17 +123,18 @@ def test_whole_container_mutations(mode):
     for which, raw in enumerate(raws):
         for bad in _mutants(raw, rng):
             containers = raws[:which] + [bad] + raws[which + 1:]
-            for decode in decoders:
+            for decode, want in decoders:
                 try:
-                    decode(containers)
+                    got = decode(containers)
                 except (StreamFormatError, SideInfoMismatchError):
-                    pass
+                    continue
+                assert got == want
 
 
 def _cond_stream(payload: bytes, n: int, side: Sequence) -> Bitstream:
     return Bitstream(mode=MODE_COND, n=n, alphabet=("a", "b", "c"), phrase_count=n,
                      last_incomplete=False, payload=payload,
-                     side_checksum=side_info_checksum(side), dict_hash=0)
+                     side_checksum=side_info_checksum(side))
 
 
 class TestErrorOffsets:

@@ -99,11 +99,11 @@ HASHABLE = [
 UNHASHABLE = [
     (lz_encode(Sequence.from_text("0110")),
      "Bitstream(mode=0, n=4, alphabet=('0', '1'), phrase_count=3, last_incomplete=False, "
-     "payload=b'0', payload_bits=6, side_checksum=None, dict_hash=None)",
+     "payload=b'0', payload_bits=6, side_checksum=None)",
      "unhashable type: 'Bitstream'"),
-    (Bitstream(2, 3, ("a", "b"), 2, True, b"\x01", 9, 77, 88),
+    (Bitstream(2, 3, ("a", "b"), 2, True, b"\x01", 9, 77),
      "Bitstream(mode=2, n=3, alphabet=('a', 'b'), phrase_count=2, last_incomplete=True, "
-     "payload=b'\\x01', payload_bits=9, side_checksum=77, dict_hash=88)",
+     "payload=b'\\x01', payload_bits=9, side_checksum=77)",
      "unhashable type: 'Bitstream'"),
     (Segment(1, 10, b"ab"), "Segment(role=1, bit_length=10)", "unhashable type: 'Segment'"),
     (DistortionSpec(PerLetterDistortion("absdiff"),
@@ -123,11 +123,10 @@ UNHASHABLE = [
      "unhashable type: 'dict'"),
     (sr_encode(BITS, BITS, BITS),
      "SrEncoded(stage1=Bitstream(mode=0, n=4, alphabet=('0', '1'), phrase_count=3, "
-     "last_incomplete=False, payload=b'0', payload_bits=6, side_checksum=None, "
-     "dict_hash=None), stage2=Bitstream(mode=1, n=4, alphabet=('0', '1'), phrase_count=3, "
+     "last_incomplete=False, payload=b'0', payload_bits=6, side_checksum=None), "
+     "stage2=Bitstream(mode=1, n=4, alphabet=('0', '1'), phrase_count=3, "
      "last_incomplete=False, payload=b'@', payload_bits=4, "
-     "side_checksum=2604026403950270131, dict_hash=12574716802826731679), n=4, r1=1.5, "
-     "r2=1.0)",
+     "side_checksum=2604026403950270131), n=4, r1=1.5, r2=1.0)",
      "unhashable type: 'Bitstream'"),
 ]
 
@@ -179,7 +178,7 @@ def test_defaults():
             region.meta, region.exact_corner) == (None, False, False, False, {}, None)
     assert HalfPlaneRegion(1.0, 2.0).meta is not region.meta
     stream = Bitstream(0, 0, ("0",), 0, False, b"")
-    assert (stream.payload_bits, stream.side_checksum, stream.dict_hash) == (None, None, None)
+    assert (stream.payload_bits, stream.side_checksum) == (None, None)
     assert PerLetterDistortion() == PerLetterDistortion("hamming", None, None)
     assert LosslessnessReport(True, 1, True).counterexample is None
 
