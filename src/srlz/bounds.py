@@ -18,7 +18,8 @@ LOG2E = math.log2(math.e)
 # Calibrated constant for the conditional-stream slack eps_hat(n) =
 # EPS_HAT_K * log2(log2 n) / log2 n: the smallest power of two such that
 # payload_bits <= n*rho_cond + n*eps_hat(n) across the fixed-seed calibration
-# corpus (see calibrate_eps_hat_k and the bounds tests).
+# corpus; tests/test_bounds.py::test_calibration_reproduces_frozen_constant
+# recomputes it.
 EPS_HAT_K = 16
 
 EPS_MODES = ("default", "zero")
@@ -188,30 +189,3 @@ def phrase_count_bound(n: int, beta: int, eps_n: float) -> float:
         raise ValueError("needs n >= 2")
     logb = math.log2(beta) if beta > 1 else 1.0
     return n * logb / ((1.0 - eps_n) * math.log2(n))
-
-
-def calibrate_eps_hat_k(pairs=None, max_power: int = 10) -> int:
-    """Smallest power-of-two K making the conditional payload bound hold on the
-    calibration corpus.  Used once to freeze EPS_HAT_K; kept for the tests."""
-    from . import cond_lz, corpus  # local import: avoids a cycle at module load
-
-    if pairs is None:
-        pairs = corpus.calibration_pairs()
-    needed = 1
-    for secondary, primary in pairs:
-        n = secondary.n
-        if n < 3:  # log2(log2 n) <= 0 gives no budget; excluded by corpus anyway
-            continue
-        stream = cond_lz.cond_encode(secondary, primary)
-        rho_c = cond_lz.rho_cond(secondary, primary)
-        slack_unit = n * math.log2(max(1.0, math.log2(n))) / math.log2(n)
-        excess = stream.payload_bits - n * rho_c
-        if excess <= 0:
-            continue
-        k = 1
-        while k * slack_unit < excess:
-            k *= 2
-            if k > 2 ** max_power:
-                raise RuntimeError("calibration did not converge")
-        needed = max(needed, k)
-    return needed

@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, List, Optional, Sequence as Seq, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence as Seq, Tuple
 
 # Only what every subcommand needs is imported here; each cmd_* imports the
 # rest, so a call loads just the modules it runs.
@@ -83,18 +83,11 @@ def load_sequence(path: str, fmt: str = "auto") -> Sequence:
             f"{path}: token {exc.args[0]!r} is not in the declared alphabet") from exc
 
 
-def _all_byte_names(alpha: Alphabet) -> bool:
-    try:
-        return all(0 <= int(s) <= 255 for s in alpha.symbols)
-    except ValueError:
-        return False
-
-
 def save_sequence(seq: Sequence, path: str, fmt: str = "auto") -> None:
     if fmt == "auto":
-        fmt = "bytes" if _all_byte_names(seq.alphabet) else "tokens"
+        fmt = "bytes" if seq.alphabet.byte_named else "tokens"
     if fmt == "bytes":
-        if not _all_byte_names(seq.alphabet):
+        if not seq.alphabet.byte_named:
             raise UsageError("alphabet symbols are not byte values; use token output")
         payload = seq.to_bytes()
     elif fmt == "tokens":

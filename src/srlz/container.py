@@ -11,6 +11,7 @@ Every container, leaf or wrapper, ends in a 4-byte big-endian `zlib.crc32` of
 all bytes before it.  The parsers read the header, alphabet and directory
 first, so a malformed field keeps its own error, and check the trailer before
 they return: a decoder only sees fields that the checksum has verified.
+Every format error raised here names the byte offset of the field at fault.
 
 The module also holds the error classes the package shares and `Record`, the
 base that gives every result record its ==, hash and repr.
@@ -131,7 +132,7 @@ class Bitstream(Record):
 
     def to_bytes(self) -> bytes:
         if self.mode not in (MODE_LZ, MODE_COND):
-            raise StreamFormatError(f"not a leaf mode: {self.mode}")
+            raise StreamFormatError(f"not a leaf mode: {self.mode} at byte 5")
         out = bytearray()
         out += MAGIC
         out += struct.pack(">BBQ", VERSION, self.mode, self.n)
@@ -142,7 +143,8 @@ class Bitstream(Record):
             out += enc
         if self.mode == MODE_COND:
             if self.side_checksum is None:
-                raise StreamFormatError("conditional stream needs a side-info checksum")
+                raise StreamFormatError(
+                    f"conditional stream needs a side-info checksum at byte {len(out)}")
             out += struct.pack(">Q", self.side_checksum)
         out += struct.pack(">QB", self.phrase_count, 1 if self.last_incomplete else 0)
         out += self.payload
@@ -155,15 +157,15 @@ class Bitstream(Record):
         side_checksum = None
         if mode == MODE_COND:
             if pos + 8 > end:
-                raise TruncatedStreamError("truncated side-info checksum")
+                raise TruncatedStreamError(f"truncated side-info checksum at byte {pos}")
             (side_checksum,) = struct.unpack_from(">Q", raw, pos)
             pos += 8
         if pos + 9 > end:
-            raise TruncatedStreamError("truncated phrase-count block")
+            raise TruncatedStreamError(f"truncated phrase-count block at byte {pos}")
         phrase_count, flags = struct.unpack_from(">QB", raw, pos)
         pos += 9
         if flags > 1:
-            raise StreamFormatError(f"unknown flag bits: {flags:#x}")
+            raise StreamFormatError(f"unknown flag bits: {flags:#x} at byte {pos - 1}")
         _check_crc(raw)
         return cls(
             mode=mode,
@@ -196,26 +198,26 @@ def _parse_common_header(raw: bytes) -> Tuple[int, int, Tuple[str, ...], int]:
 
     Every field is read from the bytes before the CRC-32 trailer."""
     if len(raw) < 4 or raw[:4] != MAGIC:
-        raise StreamFormatError("bad magic")
+        raise StreamFormatError("bad magic at byte 0")
     end = len(raw) - CRC_BYTES
     if end < 4 + 2 + 8 + 4:
-        raise TruncatedStreamError("truncated header")
+        raise TruncatedStreamError("truncated header at byte 4")
     version, mode = raw[4], raw[5]
     if version != VERSION:
-        raise StreamFormatError(f"unsupported version: {version}")
+        raise StreamFormatError(f"unsupported version: {version} at byte 4")
     if mode not in MODE_NAMES:
-        raise StreamFormatError(f"unknown mode byte: {mode}")
+        raise StreamFormatError(f"unknown mode byte: {mode} at byte 5")
     (n,) = struct.unpack_from(">Q", raw, 6)
     (count,) = struct.unpack_from(">I", raw, 14)
     pos = 18
     symbols = []
     for _ in range(count):
         if pos + 2 > end:
-            raise TruncatedStreamError("truncated alphabet block")
+            raise TruncatedStreamError(f"truncated alphabet block at byte {pos}")
         (slen,) = struct.unpack_from(">H", raw, pos)
         pos += 2
         if pos + slen > end:
-            raise TruncatedStreamError("truncated alphabet symbol")
+            raise TruncatedStreamError(f"truncated alphabet symbol at byte {pos}")
         try:
             symbols.append(raw[pos:pos + slen].decode("utf-8"))
         except UnicodeDecodeError:
@@ -223,16 +225,17 @@ def _parse_common_header(raw: bytes) -> Tuple[int, int, Tuple[str, ...], int]:
                 f"alphabet symbol {len(symbols)} at byte {pos} is not UTF-8") from None
         pos += slen
     if len(set(symbols)) != len(symbols):
-        raise StreamFormatError("duplicate alphabet symbols")
+        raise StreamFormatError("duplicate symbols in the alphabet block at byte 18")
     return mode, n, tuple(symbols), pos
 
 
 def _parse_leaf_header(raw: bytes) -> Tuple[int, int, Tuple[str, ...], int]:
     mode, n, alphabet, pos = _parse_common_header(raw)
     if mode not in (MODE_LZ, MODE_COND):
-        raise ModeMismatchError(f"expected a leaf container, got {MODE_NAMES[mode]}")
+        raise ModeMismatchError(
+            f"expected a leaf container, got {MODE_NAMES[mode]} at byte 5")
     if not alphabet:
-        raise StreamFormatError("leaf container with empty alphabet")
+        raise StreamFormatError("leaf container with empty alphabet at byte 14")
     return mode, n, alphabet, pos
 
 
@@ -257,7 +260,7 @@ class Segment(Record):
 
 def pack_segments(mode: int, n: int, segments: Seq[Segment]) -> bytes:
     if mode not in (MODE_SR, MODE_MD1, MODE_MD2):
-        raise StreamFormatError(f"not a wrapper mode: {mode}")
+        raise StreamFormatError(f"not a wrapper mode: {mode} at byte 5")
     out = bytearray()
     out += MAGIC
     out += struct.pack(">BBQ", VERSION, mode, n)
@@ -273,34 +276,35 @@ def pack_segments(mode: int, n: int, segments: Seq[Segment]) -> bytes:
 def unpack_segments(raw: bytes, expect_mode: Optional[int] = None) -> Tuple[int, int, Tuple[Segment, ...]]:
     mode, n, alphabet, pos = _parse_common_header(raw)
     if mode not in (MODE_SR, MODE_MD1, MODE_MD2):
-        raise ModeMismatchError(f"expected a wrapper container, got {MODE_NAMES[mode]}")
+        raise ModeMismatchError(
+            f"expected a wrapper container, got {MODE_NAMES[mode]} at byte 5")
     if expect_mode is not None and mode != expect_mode:
         raise ModeMismatchError(
-            f"expected {MODE_NAMES[expect_mode]} container, got {MODE_NAMES[mode]}")
+            f"expected {MODE_NAMES[expect_mode]} container, got {MODE_NAMES[mode]} at byte 5")
     if alphabet:
-        raise StreamFormatError("wrapper container with nonempty alphabet block")
+        raise StreamFormatError("wrapper container with nonempty alphabet block at byte 14")
     end = len(raw) - CRC_BYTES
     if pos + 9 > end:
-        raise TruncatedStreamError("truncated segment count")
+        raise TruncatedStreamError(f"truncated segment count at byte {pos}")
     count, flags = struct.unpack_from(">QB", raw, pos)
     pos += 9
     if flags:
-        raise StreamFormatError(f"unknown flag bits: {flags:#x}")
+        raise StreamFormatError(f"unknown flag bits: {flags:#x} at byte {pos - 1}")
     entries = []
     for _ in range(count):
         if pos + 17 > end:
-            raise TruncatedStreamError("truncated segment directory")
+            raise TruncatedStreamError(f"truncated segment directory at byte {pos}")
         role, blen, bits = struct.unpack_from(">BQQ", raw, pos)
         pos += 17
         entries.append((role, blen, bits))
     segments = []
     for role, blen, bits in entries:
         if pos + blen > end:
-            raise TruncatedStreamError("truncated segment data")
+            raise TruncatedStreamError(f"truncated segment data at byte {pos}")
         segments.append(Segment(role=role, bit_length=bits, data=raw[pos:pos + blen]))
         pos += blen
     if pos != end:
-        raise StreamFormatError("trailing bytes after last segment")
+        raise StreamFormatError(f"trailing bytes after last segment at byte {pos}")
     _check_crc(raw)
     return mode, n, tuple(segments)
 
@@ -326,7 +330,8 @@ def split_leaf(raw: bytes, payload_bits: int, fraction: float) -> Tuple[bytes, b
     hdr = leaf_header_length(raw)
     payload_bytes = len(raw) - hdr - CRC_BYTES
     if payload_bytes < 0:
-        raise StreamFormatError("container shorter than its header")
+        raise StreamFormatError(
+            f"container shorter than its header: the payload would start at byte {hdr}")
     if payload_bits > payload_bytes * 8:
         raise ValueError("payload bit count exceeds payload bytes")
     k = min(payload_bytes, _ceil_frac(fraction, payload_bytes))

@@ -1,21 +1,18 @@
 """Seeded random corpora for the codec and bound suites.
 
 Generators draw from a private `random.Random(seed)`, so every corpus is a
-pure function of its seed; the calibration corpus seed is frozen because the
-conditional-stream slack constant was fitted on it.
+pure function of its seed.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .lz_core import Alphabet, Sequence
 
 ALPHABET_SIZES = (2, 4, 26)
 STYLES = ("uniform", "tiled", "biased", "runs")
-
-CALIBRATION_SEED = 0x5EED
 
 
 def random_sequence(rng: random.Random, size: int, n: int,
@@ -60,34 +57,6 @@ def noisy_copy(rng: random.Random, src: Sequence, size: int,
         if rng.random() < flip:
             data[i] = rng.randrange(size)
     return Sequence(alpha, data)
-
-
-def _log_uniform_n(rng: random.Random, lo: int, hi: int) -> int:
-    if lo >= hi:
-        return lo
-    return min(hi, int(lo * (hi / lo) ** rng.random()))
-
-
-def calibration_pairs(seed: int = CALIBRATION_SEED, count: int = 500,
-                      n_lo: int = 16, n_hi: int = 4096
-                      ) -> List[Tuple[Sequence, Sequence]]:
-    """(secondary, primary) pairs the conditional-stream slack constant was
-    calibrated on.  Do not change the seed or the draw order: the frozen
-    constant is a function of this exact corpus."""
-    rng = random.Random(seed)
-    pairs: List[Tuple[Sequence, Sequence]] = []
-    for i in range(count):
-        beta = ALPHABET_SIZES[i % 3]
-        gamma = ALPHABET_SIZES[(i // 3) % 3]
-        style = STYLES[i % 4]
-        n = _log_uniform_n(rng, n_lo, n_hi)
-        primary = random_sequence(rng, beta, n, style)
-        if i % 2:
-            secondary = noisy_copy(rng, primary, gamma, flip=0.1)
-        else:
-            secondary = random_sequence(rng, gamma, n, style)
-        pairs.append((secondary, primary))
-    return pairs
 
 
 def random_pair(rng: random.Random, beta: int, gamma: int, n: int,

@@ -25,6 +25,9 @@ from .container import (
 )
 
 
+_BYTE_NAMES = frozenset(str(v) for v in range(256))  # canonical: "7", never "07" or "+7"
+
+
 class Alphabet:
     """Ordered set of distinct symbol names; order fixes every index and code."""
 
@@ -41,6 +44,12 @@ class Alphabet:
     @property
     def size(self) -> int:
         return len(self.symbols)
+
+    @property
+    def byte_named(self) -> bool:
+        """True when every symbol is a byte value's decimal name, str(v) for v
+        in 0..255, so that symbols and bytes map one to one."""
+        return all(s in _BYTE_NAMES for s in self.symbols)
 
     @property
     def bits_per_symbol(self) -> int:
@@ -113,7 +122,11 @@ class Sequence:
         return cls(alphabet, (remap[b] for b in data))
 
     def to_bytes(self) -> bytes:
-        return bytes(int(self.alphabet.symbols[v]) for v in self.data)
+        """One byte per symbol, the byte its name gives; needs `byte_named`."""
+        if not self.alphabet.byte_named:
+            raise ValueError("alphabet symbols are not byte values")
+        table = bytes(int(s) for s in self.alphabet.symbols).ljust(256, b"\0")
+        return bytes(self.data).translate(table)
 
     def symbols(self) -> List[str]:
         syms = self.alphabet.symbols

@@ -8,8 +8,7 @@ ascending in R1.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Optional, Sequence as Seq, Tuple, Union
+from typing import Iterable, List, Optional, Sequence as Seq, Tuple, Union
 
 from . import bounds
 from .container import Record

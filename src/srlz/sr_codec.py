@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .container import (
     MODE_COND,
@@ -316,110 +316,79 @@ class _FlipScorer:
     """rho_lz(h) + rho_cond(t | h) of the index lists h and t, which the
     caller changes in place one position at a time.
 
-    `rebuild` walks the whole pair (plain trie over h, joint and primary tries
-    over (h, t)) and records the walker state before every position.  Each
-    trie hands out ids 1, 2, 3, ... in insertion order, so ids follow
-    position order.  Invariant: the prefix state (`lz0`, `children0`,
-    `counts0`) is the plain and joint tries as they stood before position
-    `pos`, and the phrase count of each primary node over the joint phrases
-    completed before `pos`, in first-marking order.  `score(i, coarse)` moves
-    `pos` forward to i by appending the base entries and phrases made at
-    pos..i-1, in id order; a call with i < pos starts a new sweep and first
-    empties the state.  It then copies the prefix dicts (insert-only, so a
-    copy is a plain clone), resumes from the walker state at i and walks
-    positions i..n-1, adding its own entries and phrase counts to the copies.
-    For a coarse flip (h changed) the plain and joint walks run in one loop;
-    for a fine flip only the joint walk runs.  The primary trie is looked up
-    once per joint phrase, from the primary node of the joint node the phrase
-    extends (`jp`); it is copied whole, since its ids only have to name
-    h-strings consistently within one score, and new ids start after the
-    base's last one.
+    All of it is one resumable LZ78 walk, `_walk`, over the plain trie of h
+    and the joint trie of (h, t).  A joint phrase's primary phrase is its h
+    part, named by its bijective base-(A+1) numeral (digits a+1, the empty
+    string 0): `jp[node]` names the h part of each joint node, a child's is
+    jp[node]*(A+1) + a + 1, and distinct h strings get distinct names, so no
+    primary trie is needed.  `counts` is the phrase count per primary phrase
+    in first-marking order.  `rebuild` walks the whole pair.  Invariant: the
+    prefix state (`lz0`, `children0`, `jp0`, `counts0` and the walker
+    `state`) is the walk of positions < `pos` of the sequences as at the last
+    `rebuild`.  `score(i, coarse)` walks that state forward to i in place
+    (from 0 when i < pos: a new sweep), then walks i..n-1 on copies of it
+    (insert-only dicts, so a copy is a plain clone): plain and joint tries
+    for a coarse flip (h changed), the joint trie alone for a fine flip.
     Protocol: when `score(i, ...)` is called, every position except i is as it
     was at the last `rebuild` (`score` patches the joint letter hb[i] and puts
     it back); call `rebuild` after a change is kept, at the position scored
     last, so the prefix before it is unchanged and survives the rebuild.
     Scores are bit-identical to rho_lz(hat) + joint_parse(hat, til).rho_cond:
-    c_l*log2(c_l), from a table, is summed in first-marking order (prefix keys,
-    then suffix keys as first seen), as a Counter over the phrases would be.
-    A and B are the sizes of the two reproduction alphabets (trie keys are
-    node*A + a and node*A*B + a*B + b).
+    c_l*log2(c_l), from a table, is summed in first-marking order, as a
+    Counter over the phrases would be.  A and B are the sizes of the two
+    reproduction alphabets (trie keys are node*A + a and node*A*B + a*B + b).
     """
 
     def __init__(self, h: List[int], t: List[int], A: int, B: int) -> None:
         self.h, self.t, self.A, self.B = h, t, A, B
         # c*log2(c) for every count a parse of n symbols can reach
         self.xlogx = [0.0] + [c * math.log2(c) for c in range(1, len(h) + 1)]
-        self.pos, self.lz0, self.children0, self.counts0 = 0, {}, {}, {}
+        self._restart()
+
+    def _restart(self) -> None:
+        self.pos, self.state = 0, (0, 1, 0, 1)
+        self.lz0, self.children0, self.jp0, self.counts0 = {}, {}, [0], {}
 
     def rebuild(self) -> float:
-        h, A, B = self.h, self.A, self.B
-        AB = A * B
-        self.hb = hb = [a * B + b for a, b in zip(h, self.t)]  # joint letters
-        lz: dict = {}
-        children: dict = {}
-        pnodes: dict = {}
-        jp = [0]  # primary node of each joint node
-        pl: List[int] = []  # primary node of each joint phrase
-        at = []  # (plain node, plain next id, joint node, joint next id) before i
-        lnode, lnid, node, nid = 0, 1, 0, 1
-        for a, ab in zip(h, hb):
-            at.append((lnode, lnid, node, nid))
-            key = lnode * A + a
-            child = lz.get(key)
-            if child is None:
-                lz[key] = lnid
-                lnid += 1
-                lnode = 0
-            else:
-                lnode = child
-            key = node * AB + ab
-            child = children.get(key)
-            if child is None:
-                children[key] = nid
-                nid += 1
-                pkey = jp[node] * A + a
-                pn = pnodes.get(pkey)
-                if pn is None:
-                    pnodes[pkey] = pn = len(pnodes) + 1
-                jp.append(pn)
-                pl.append(pn)
-                node = 0
-            else:
-                node = child
+        B = self.B
+        self.hb = [a * B + b for a, b in zip(self.h, self.t)]  # joint letters
+        jp, counts = [0], {}
+        lnode, lnid, node, _ = self._walk({}, {}, jp, counts, (0, 1, 0, 1), 0, True)
         self.c_h = lnid if lnode else lnid - 1
-        if node:
-            pl.append(jp[node])  # the unfinished phrase; no prefix reaches it
-        self.lz, self.children, self.pnodes, self.jp, self.pl, self.at = (
-            lz, children, pnodes, jp, pl, at)
-        self.lz_items, self.children_items = list(lz.items()), list(children.items())
-        return self._total(self.c_h, _tally({}, pl))
+        return self._total(self.c_h, counts, jp, node)
 
     def score(self, i: int, coarse: bool) -> float:
-        h, hb, A, B = self.h, self.hb, self.A, self.B
-        AB = A * B
-        lnode, lnid, node, nid = self.at[i]
         if i < self.pos:
-            self.pos, self.lz0, self.children0, self.counts0 = 0, {}, {}, {}
+            self._restart()
         if i > self.pos:
-            done = len(self.children0)
-            self.lz0.update(self.lz_items[len(self.lz0):lnid - 1])
-            self.children0.update(self.children_items[done:nid - 1])
-            _tally(self.counts0, self.pl[done:nid - 1])
+            self.state = self._walk(self.lz0, self.children0, self.jp0, self.counts0,
+                                    self.state, self.pos, True, i)
             self.pos = i
-        old = hb[i]
-        hb[i] = h[i] * B + self.t[i]
-        children = self.children0.copy()
-        get = children.get
-        pnodes = self.pnodes.copy()
-        pget = pnodes.get
-        pnext = len(pnodes) + 1
-        jp = self.jp[:nid]
-        counts = self.counts0.copy()
-        cget = counts.get
-        if coarse:
-            lz = self.lz0.copy()
+        hb = self.hb
+        old, hb[i] = hb[i], self.h[i] * self.B + self.t[i]
+        jp, counts = self.jp0[:], self.counts0.copy()
+        lnode, lnid, node, _ = self._walk(self.lz0.copy() if coarse else None,
+                                          self.children0.copy(), jp, counts, self.state,
+                                          i, coarse)
+        hb[i] = old
+        c = (lnid if lnode else lnid - 1) if coarse else self.c_h
+        return self._total(c, counts, jp, node)
+
+    def _walk(self, lz: Optional[dict], children: dict, jp: List[int],
+              counts: Dict[int, int], state: Tuple[int, int, int, int], start: int,
+              plain: bool, stop: Optional[int] = None) -> Tuple[int, int, int, int]:
+        """Walk positions start..stop-1 from the walker state (plain node, plain
+        next id, joint node, joint next id), adding entries and the counts of
+        completed joint phrases in place; returns the state after them.  With
+        `plain` false only the joint trie is walked."""
+        A = self.A
+        A1, AB = A + 1, A * self.B
+        lnode, lnid, node, nid = state
+        get, cget = children.get, counts.get
+        letters = zip(self.h[start:stop], self.hb[start:stop])
+        if plain:
             lget = lz.get
-            for a, ab in zip(h[i:], hb[i:]):
+            for a, ab in letters:
                 key = lnode * A + a
                 child = lget(key)
                 if child is None:
@@ -433,53 +402,36 @@ class _FlipScorer:
                 if child is None:
                     children[key] = nid
                     nid += 1
-                    pkey = jp[node] * A + a
-                    pn = pget(pkey)
-                    if pn is None:
-                        pnodes[pkey] = pn = pnext
-                        pnext += 1
+                    pn = jp[node] * A1 + a + 1
                     jp.append(pn)
                     counts[pn] = cget(pn, 0) + 1
                     node = 0
                 else:
                     node = child
-            c = lnid if lnode else lnid - 1
         else:
-            for a, ab in zip(h[i:], hb[i:]):
+            for a, ab in letters:
                 key = node * AB + ab
                 child = get(key)
                 if child is None:
                     children[key] = nid
                     nid += 1
-                    pkey = jp[node] * A + a
-                    pn = pget(pkey)
-                    if pn is None:
-                        pnodes[pkey] = pn = pnext
-                        pnext += 1
+                    pn = jp[node] * A1 + a + 1
                     jp.append(pn)
                     counts[pn] = cget(pn, 0) + 1
                     node = 0
                 else:
                     node = child
-            c = self.c_h
-        hb[i] = old
-        if node:
-            _tally(counts, (jp[node],))
-        return self._total(c, counts)
+        return lnode, lnid, node, nid
 
-    def _total(self, c_hat: int, counts: Dict[int, int]) -> float:
+    def _total(self, c_hat: int, counts: Dict[int, int], jp: List[int], node: int) -> float:
+        """The score; the unfinished joint phrase, if any, ends at `node`."""
         n, xlogx = len(self.h), self.xlogx
         if not n:
             return 0.0
+        if node:
+            pn = jp[node]
+            counts[pn] = counts.get(pn, 0) + 1
         return xlogx[c_hat] / n + sum(map(xlogx.__getitem__, counts.values())) / n
-
-
-def _tally(counts: Dict[int, int], pnodes: Iterable[int]) -> Dict[int, int]:
-    """Add one phrase per listed primary node to counts, keeping first-marking order."""
-    get = counts.get
-    for pn in pnodes:
-        counts[pn] = get(pn, 0) + 1
-    return counts
 
 
 def _random_feasible(x: Sequence, d: PerLetterDistortion, level: float,

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Sequence as Seq, Tuple
 
-from srlz.corpus import ALPHABET_SIZES, STYLES, _log_uniform_n, noisy_copy, random_sequence
+from srlz.cond_lz import cond_encode, rho_cond
+from srlz.corpus import ALPHABET_SIZES, STYLES, noisy_copy, random_sequence
 from srlz.fsm import FsmEncoder
 from srlz.lz_core import Alphabet, Sequence
 from srlz.sr_codec import DistortionSpec, distortion
@@ -258,6 +259,13 @@ def in_ball(x: Sequence, xhat: Sequence, xtilde: Sequence, dist: DistortionSpec,
 
 
 STANDARD_SEED = 0xC0DEC
+CALIBRATION_SEED = 0x5EED
+
+
+def _log_uniform_n(rng: random.Random, lo: int, hi: int) -> int:
+    if lo >= hi:
+        return lo
+    return min(hi, int(lo * (hi / lo) ** rng.random()))
 
 
 @dataclass(frozen=True)
@@ -297,3 +305,50 @@ def standard_cases(seed: int = STANDARD_SEED, count: int = 500,
                                 gamma=gamma, x=x, xhat=xhat, xtilde=xtilde,
                                 xcheck=xcheck, u=u, split=rng.random()))
     return cases
+
+
+def calibration_pairs(seed: int = CALIBRATION_SEED, count: int = 500,
+                      n_lo: int = 16, n_hi: int = 4096
+                      ) -> List[Tuple[Sequence, Sequence]]:
+    """(secondary, primary) pairs the conditional-stream slack constant
+    `bounds.EPS_HAT_K` was calibrated on.  Do not change the seed or the draw
+    order: the frozen constant is a function of this exact corpus."""
+    rng = random.Random(seed)
+    pairs: List[Tuple[Sequence, Sequence]] = []
+    for i in range(count):
+        beta = ALPHABET_SIZES[i % 3]
+        gamma = ALPHABET_SIZES[(i // 3) % 3]
+        style = STYLES[i % 4]
+        n = _log_uniform_n(rng, n_lo, n_hi)
+        primary = random_sequence(rng, beta, n, style)
+        if i % 2:
+            secondary = noisy_copy(rng, primary, gamma, flip=0.1)
+        else:
+            secondary = random_sequence(rng, gamma, n, style)
+        pairs.append((secondary, primary))
+    return pairs
+
+
+def calibrate_eps_hat_k(pairs=None, max_power: int = 10) -> int:
+    """Smallest power-of-two K making the conditional payload bound hold on the
+    calibration corpus: how `bounds.EPS_HAT_K` was frozen."""
+    if pairs is None:
+        pairs = calibration_pairs()
+    needed = 1
+    for secondary, primary in pairs:
+        n = secondary.n
+        if n < 3:  # log2(log2 n) <= 0 gives no budget; excluded by corpus anyway
+            continue
+        stream = cond_encode(secondary, primary)
+        rho_c = rho_cond(secondary, primary)
+        slack_unit = n * math.log2(max(1.0, math.log2(n))) / math.log2(n)
+        excess = stream.payload_bits - n * rho_c
+        if excess <= 0:
+            continue
+        k = 1
+        while k * slack_unit < excess:
+            k *= 2
+            if k > 2 ** max_power:
+                raise RuntimeError("calibration did not converge")
+        needed = max(needed, k)
+    return needed

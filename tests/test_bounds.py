@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import calibrate_eps_hat_k
 from srlz import bounds
 
 
@@ -69,7 +70,7 @@ class TestEpsHat:
 
 def test_calibration_reproduces_frozen_constant():
     # the frozen K is exactly what the fixed-seed corpus demands
-    assert bounds.calibrate_eps_hat_k() == bounds.EPS_HAT_K
+    assert calibrate_eps_hat_k() == bounds.EPS_HAT_K
 
 
 class TestDeltas:

@@ -263,6 +263,19 @@ class TestEncodeDecode:
         assert run(capsys, "decode", stream, "--mode", "lz", "-o", back)[0] == 0
         assert cli.load_sequence(back).symbols() == cli.load_sequence(f).symbols()
 
+    def test_numeric_names_that_are_not_byte_names_stay_tokens(self, tmp_path, capsys):
+        # "1" and "01" both read as the integer 1; as bytes they would merge
+        f = token_file(tmp_path, "src.txt", ["1", "01", "1", "01"], "1 01")
+        stream = str(tmp_path / "out.lzc")
+        assert run(capsys, "encode", f, "--mode", "lz", "-o", stream)[0] == 0
+        back = tmp_path / "back.txt"
+        assert run(capsys, "decode", stream, "--mode", "lz", "-o", str(back))[0] == 0
+        assert back.read_text(encoding="utf-8") == open(f, encoding="utf-8").read()
+        code, _, _, err = run(capsys, "decode", stream, "--mode", "lz", "--format", "bytes",
+                              "-o", str(tmp_path / "back.bin"))
+        assert code == 2
+        assert "not byte values" in err
+
     def test_lz_rejects_extra_inputs(self, tmp_path, capsys):
         f = token_file(tmp_path, "s.txt", "0101")
         code, _, _, err = run(capsys, "encode", f, f, "--mode", "lz",

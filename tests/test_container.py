@@ -105,7 +105,7 @@ def test_every_proper_prefix_raises():
     # the CRC-32 trailer covers the payload too, so no cut parses, wherever it falls
     for kind, (raw, parse) in small_containers().items():
         for cut in range(len(raw)):
-            with pytest.raises(StreamFormatError):
+            with pytest.raises(StreamFormatError, match=r"at byte \d+"):
                 parse(raw[:cut])
         parse(raw)
 
@@ -116,7 +116,7 @@ def test_every_single_bit_flip_raises(kind):
     for bit in range(8 * len(raw)):
         bad = bytearray(raw)
         bad[bit >> 3] ^= 0x80 >> (bit & 7)
-        with pytest.raises(StreamFormatError):
+        with pytest.raises(StreamFormatError, match=r"at byte \d+"):
             parse(bytes(bad))
 
 

@@ -5,12 +5,11 @@ import pytest
 from srlz.corpus import (
     ALPHABET_SIZES,
     STYLES,
-    calibration_pairs,
     noisy_copy,
     random_pair,
     random_sequence,
 )
-from oracles import standard_cases
+from oracles import calibration_pairs, standard_cases
 
 
 class TestStandardCases:

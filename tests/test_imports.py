@@ -148,6 +148,48 @@ def test_no_module_imports_dataclasses():
             assert "dataclasses" not in names, f"{path.name}:{node.lineno}"
 
 
+# names a module imports only so that others can import them from it
+REEXPORTS = {"container": {"StreamFormatError", "TruncatedStreamError"}}
+
+
+def _module_imports(tree: ast.Module):
+    """(bound name, line) of every module-level import, `if TYPE_CHECKING:` included."""
+    body = list(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            body.extend(node.body)
+    for node in body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _referenced_names(tree: ast.Module) -> set:
+    """Every name the module reads, quoted annotations such as -> "Sequence" included."""
+    nodes = list(ast.walk(tree))
+    notes = [n.annotation for n in nodes if isinstance(n, (ast.arg, ast.AnnAssign))]
+    notes += [n.returns for n in nodes if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for note in filter(None, notes):
+        for leaf in ast.walk(note):
+            if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str):
+                nodes.extend(ast.walk(ast.parse(leaf.value, mode="eval")))
+    return {node.id for node in nodes if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", sorted(Path(srlz.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_every_import_is_used(path):
+    # no linter runs on this tree, so this test stands in for an unused-import check
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _referenced_names(tree) | REEXPORTS.get(path.stem, set())
+    unused = [f"{path.name}:{line} {name}" for name, line in _module_imports(tree)
+              if name not in used]
+    assert not unused
+
+
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(srlz.__path__)))
 def test_each_module_imports_alone(module):
     # with imports inside functions, an import cycle would show only on some paths

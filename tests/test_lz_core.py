@@ -101,6 +101,16 @@ class TestSequence:
         assert s.alphabet.symbols == ("0", "5", "200")
         assert s.to_bytes() == data
 
+    @pytest.mark.parametrize("names", [("1", "01"), ("+1",), ("-0",), ("١",), ("256",),
+                                       ("a",), (" 1",)])
+    def test_only_canonical_decimal_names_are_bytes(self, names):
+        # only str(v) for v in 0..255 names a byte; int() also reads "01", "+1", "١", " 1"
+        s = Sequence(Alphabet(names), range(len(names)))
+        assert not s.alphabet.byte_named
+        with pytest.raises(ValueError, match="not byte values"):
+            s.to_bytes()
+        assert Alphabet(("0", "1", "255")).byte_named
+
     def test_empty_bytes(self):
         s = Sequence.from_bytes(b"")
         assert s.n == 0

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -646,41 +645,35 @@ def test_scorer_under_the_greedy_protocol(case):
                         seq[i] = old
 
 
+def _prefix_state(scorer):
+    return ([list(d.items()) for d in (scorer.lz0, scorer.children0, scorer.counts0)],
+            list(scorer.jp0), scorer.state)
+
+
 @given(scorer_cases)
-def test_rebuilt_tries_number_entries_in_insertion_order(case):
-    """`score` keeps a prefix state per sweep: the plain and joint tries as
-    they stood before the position scored, which it extends with the base
-    entries whose ids lie below the walker's next ids, in id order, and the
-    phrase counts per primary node in first-marking order.  That needs ids
-    1..m in insertion order; and `score` works on clones, so it must leave
-    the base tries and the prefix state as they were."""
+def test_prefix_state_is_a_fresh_walk_of_the_prefix(case):
+    """After `score(i, ...)` the prefix state is exactly what a fresh walk of
+    positions < i gives: the trie and count dicts item for item (so the
+    counts in first-marking order), `jp` and the walker state; and further
+    scores at i, of both kinds, change neither it nor h, t and hb."""
     size_a, size_b, h, t, flips = case
     scorer = _FlipScorer(h, t, size_a, size_b)
-
-    def tries():
-        return [list(d.items()) for d in (scorer.lz, scorer.children, scorer.pnodes)]
-
-    def prefix():
-        return [list(d.items()) for d in (scorer.lz0, scorer.children0, scorer.counts0)]
-
     scorer.rebuild()
     for i, coarse, letter, keep in flips + [(0, True, 0, True)]:
-        base = tries()
-        for items in base:
-            assert [v for _, v in items] == list(range(1, len(items) + 1))
         seq, size = (h, size_a) if coarse else (t, size_b)
         old = seq[i]
         seq[i] = (old + letter) % size
         scorer.score(i, coarse)
-        assert tries() == base
-        _, lnid, _, nid = scorer.at[i]
-        snapshot = prefix()
-        assert snapshot == [base[0][:lnid - 1], base[1][:nid - 1],
-                            list(Counter(scorer.pl[:nid - 1]).items())]
+        assert scorer.pos == i
+        lz, children, jp, counts = {}, {}, [0], {}
+        state = scorer._walk(lz, children, jp, counts, (0, 1, 0, 1), 0, True, i)
+        fresh = ([list(d.items()) for d in (lz, children, counts)], jp, state)
+        assert _prefix_state(scorer) == fresh
+        sequences = (list(h), list(t), list(scorer.hb))
         scorer.score(i, coarse)
         scorer.score(i, not coarse)
-        assert prefix() == snapshot
-        assert tries() == base
+        assert _prefix_state(scorer) == fresh
+        assert (h, t, scorer.hb) == sequences
         if keep:
             scorer.rebuild()
         else:
