@@ -158,15 +158,12 @@ def delta2(q: int, n: int, beta: int, gamma: int, eps_n: float) -> Tuple[float, 
         raise ValueError("state budget must be positive")
     best = math.inf
     best_l = 1
-    q4 = q ** 4
     for l in divisors(n):
         d = delta_n(l, n, beta, eps_n)
         dp = delta_n_prime(l, n, beta, gamma, eps_n)
         if math.isinf(d) or math.isinf(dp):
             continue
-        big = (beta * gamma) ** l
-        third = math.log2(q4 * (1.0 + _log2_1p_ratio(big, q4))) / l
-        val = d + dp + third
+        val = d + dp + math.log2(kraft_rhs(q, l, beta, gamma)) / l
         if val < best:
             best = val
             best_l = l

@@ -51,6 +51,13 @@ class UsageError(ValueError):
 # sequence file I/O: raw bytes, or token text with an alphabet header
 
 
+def _bad_token(symbols: Seq[str]) -> Optional[str]:
+    """The first symbol a token file cannot hold, or None: a token symbol is
+    non-empty, has no whitespace and does not start with '#', which marks a
+    comment line."""
+    return next((s for s in symbols if s.split() != [s] or s.startswith("#")), None)
+
+
 def load_sequence(path: str, fmt: str = "auto") -> Sequence:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -72,6 +79,10 @@ def load_sequence(path: str, fmt: str = "auto") -> Sequence:
     names = tuple(lines[0][len("alphabet:"):].split())
     if not names:
         raise UsageError(f"{path}: the alphabet header lists no symbols")
+    bad = _bad_token(names)
+    if bad is not None:
+        raise UsageError(f"{path}: alphabet symbol {bad!r} starts with '#', "
+                         "which marks a comment line")
     try:
         alpha = Alphabet(names)
     except ValueError as exc:
@@ -91,6 +102,10 @@ def save_sequence(seq: Sequence, path: str, fmt: str = "auto") -> None:
             raise UsageError("alphabet symbols are not byte values; use token output")
         payload = seq.to_bytes()
     elif fmt == "tokens":
+        bad = _bad_token(seq.alphabet.symbols)
+        if bad is not None:
+            raise UsageError(f"alphabet symbol {bad!r} cannot be written as a token: token "
+                             "symbols are non-empty, without whitespace, not starting with '#'")
         lines = ["alphabet: " + " ".join(seq.alphabet.symbols)]
         lines.extend(seq.symbols())
         payload = ("\n".join(lines) + "\n").encode("utf-8")
@@ -594,9 +609,7 @@ def cmd_region(args) -> int:
 # verify
 
 
-def _block_lens(raw: Optional[str], default: Tuple[int, ...]) -> Tuple[int, ...]:
-    if not raw:
-        return default
+def _block_lens(raw: str) -> Tuple[int, ...]:
     try:
         lens = tuple(int(tok) for tok in raw.split(","))
     except ValueError as exc:
@@ -606,49 +619,35 @@ def _block_lens(raw: Optional[str], default: Tuple[int, ...]) -> Tuple[int, ...]
     return lens
 
 
+# per suite, the CLI flags it reads and the keyword each one sets; a flag left
+# unset (None, or an empty --block-lens) keeps the suite's own default
+VERIFY_FLAGS = {
+    "entropy-ineq": {"n": "n", "beta": "beta", "block_lens": "block_lens",
+                     "eps_mode": "eps_mode"},
+    "cond-entropy-ineq": {"n": "n", "beta": "beta", "gamma": "gamma",
+                          "block_lens": "block_lens", "eps_mode": "eps_mode"},
+    "kraft": {},
+    "converse": {"seed": "seed", "budget": "random_pairs", "n": "n_large",
+                 "eps_mode": "eps_mode"},
+    "frontier": {"seed": "seed", "budget": "unions"},
+    "split-lemma": {"seed": "seed", "budget": "budget"},
+    "sandwich": {"seed": "seed", "budget": "pairs", "n": "n", "q": "q", "eps_mode": "eps_mode"},
+}
+
+
 def cmd_verify(args) -> int:
     from . import verify
 
     eps = _eps_mode(args)
     suite = args.suite
-    if suite == "entropy-ineq":
-        rep = verify.suite_entropy_ineq(
-            n=args.n if args.n is not None else 16,
-            beta=args.beta,
-            block_lens=_block_lens(args.block_lens, (1, 2, 4, 8)),
-            eps_mode=eps)
-    elif suite == "cond-entropy-ineq":
-        rep = verify.suite_cond_entropy_ineq(
-            n=args.n if args.n is not None else 8,
-            beta=args.beta,
-            gamma=args.gamma,
-            block_lens=_block_lens(args.block_lens, (1, 2, 4)),
-            eps_mode=eps)
-    elif suite == "kraft":
-        rep = verify.suite_kraft()
-    elif suite == "converse":
-        rep = verify.suite_converse(
-            seed=args.seed,
-            random_pairs=args.budget if args.budget is not None else 200,
-            n_large=args.n if args.n is not None else 1024,
-            eps_mode=eps)
-    elif suite == "frontier":
-        rep = verify.suite_frontier(
-            seed=args.seed,
-            unions=args.budget if args.budget is not None else 100)
-    elif suite == "split-lemma":
-        rep = verify.suite_split_lemma(
-            seed=args.seed,
-            budget=args.budget if args.budget is not None else 100000)
-    elif suite == "sandwich":
-        rep = verify.suite_sandwich(
-            seed=args.seed,
-            pairs=args.budget if args.budget is not None else 100,
-            n=args.n if args.n is not None else 1024,
-            q=args.q,
-            eps_mode=eps)
-    else:
+    if suite not in VERIFY_FLAGS:
         raise UsageError(f"unknown suite: {suite}")
+    kwargs = {}
+    for flag, keyword in VERIFY_FLAGS[suite].items():
+        value = eps if flag == "eps_mode" else getattr(args, flag)
+        if value is not None and value != "":
+            kwargs[keyword] = _block_lens(value) if flag == "block_lens" else value
+    rep = verify.SUITES[suite](**kwargs)
     emit_report({
         "command": "verify",
         "parameters": {"suite": suite, "seed": args.seed, "eps_mode": str(eps)},

@@ -47,19 +47,11 @@ def side_info_checksum(primary: SideInfo) -> int:
 
 
 class JointParseResult(Record):
-    __slots__ = ("phrases", "c_joint", "c_prime", "c_l", "rho_cond", "rho_joint",
-                 "is_last_incomplete")
-
-    def __init__(self, phrases: Tuple[Tuple[int, int], ...], c_joint: int, c_prime: int,
-                 c_l: Tuple[int, ...], rho_cond: float, rho_joint: float,
-                 is_last_incomplete: bool) -> None:
-        self.phrases = phrases  # (start, length) per joint phrase
-        self.c_joint = c_joint
-        self.c_prime = c_prime  # distinct primary phrase strings
-        self.c_l = c_l  # joint phrases per distinct primary phrase
-        self.rho_cond = rho_cond
-        self.rho_joint = rho_joint
-        self.is_last_incomplete = is_last_incomplete
+    __slots__ = ("phrases",  # (start, length) per joint phrase
+                 "c_joint",
+                 "c_prime",  # distinct primary phrase strings
+                 "c_l",  # joint phrases per distinct primary phrase
+                 "rho_cond", "rho_joint", "is_last_incomplete")
 
 def _joint_walk(pd: Seq[int], sd: Seq[int], A: int, B: int) -> Tuple[List[int], int, List[int]]:
     """The joint parse: the plain parse of the pair indices a*B + b.

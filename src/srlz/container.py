@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Optional, Sequence as Seq, Tuple
+from typing import Dict, Optional, Sequence as Seq, Tuple
 
 from .bitio import StreamFormatError, TruncatedStreamError  # re-exported
 
@@ -76,7 +76,10 @@ class InfeasibleError(ValueError):
 class Record:
     """Value semantics from `__slots__`, which list the fields in `__init__` order.
 
-    == compares records of the same class field by field (other classes get
+    Unless a subclass writes its own `__init__`, the base builds one that takes
+    one parameter per slot, in slot order, and stores each; `_defaults` maps
+    the trailing slots that may be omitted to their default values.  == compares
+    records of the same class field by field (other classes get
     NotImplemented), hash is the hash of the same field tuple, and repr has the
     dataclass format.  A subclass names the fields left out of == and hash in
     `_uncompared` and those left out of repr in `_unshown`; a mutable one sets
@@ -84,6 +87,7 @@ class Record:
     """
 
     __slots__ = ()
+    _defaults: Dict[str, object] = {}
     _uncompared: Tuple[str, ...] = ()
     _unshown: Tuple[str, ...] = ()
 
@@ -96,6 +100,16 @@ class Record:
         fields = "".join(f"self.{f}, " for f in cls.__slots__ if f not in cls._uncompared)
         cls._key = eval(f"lambda self: ({fields})")
         cls._shown = tuple(f for f in cls.__slots__ if f not in cls._unshown)
+        if "__init__" not in cls.__dict__:
+            # compiled for the same reason: it runs as fast as a written one
+            params = "".join(f", {f}=_defaults[{f!r}]" if f in cls._defaults else f", {f}"
+                             for f in cls.__slots__)
+            body = "".join(f"\n    self.{f} = {f}" for f in cls.__slots__)
+            scope: Dict[str, object] = {}
+            exec(f"def __init__(self{params}):{body}",
+                 {"__name__": cls.__module__, "_defaults": cls._defaults}, scope)
+            scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = scope["__init__"]
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -114,20 +128,9 @@ class Bitstream(Record):
     """A decoded or to-be-serialized leaf container."""
 
     __slots__ = ("mode", "n", "alphabet", "phrase_count", "last_incomplete", "payload",
-                 "payload_bits", "side_checksum")
-
-    def __init__(self, mode: int, n: int, alphabet: Tuple[str, ...], phrase_count: int,
-                 last_incomplete: bool, payload: bytes, payload_bits: Optional[int] = None,
-                 side_checksum: Optional[int] = None) -> None:
-        self.mode = mode
-        self.n = n
-        self.alphabet = alphabet
-        self.phrase_count = phrase_count
-        self.last_incomplete = last_incomplete
-        self.payload = payload
-        self.payload_bits = payload_bits  # exact when produced by an encoder
-        self.side_checksum = side_checksum  # conditional streams only
-
+                 "payload_bits",  # exact when produced by an encoder
+                 "side_checksum")  # conditional streams only
+    _defaults = {"payload_bits": None, "side_checksum": None}
     __hash__ = None  # mutable: payload_bits is set after decoding
 
     def to_bytes(self) -> bytes:
@@ -251,11 +254,6 @@ class Segment(Record):
     __slots__ = ("role", "bit_length", "data")
     _unshown = ("data",)  # it can run to megabytes
     __hash__ = None  # mutable, like Bitstream
-
-    def __init__(self, role: int, bit_length: int, data: bytes) -> None:
-        self.role = role
-        self.bit_length = bit_length
-        self.data = data
 
 
 def pack_segments(mode: int, n: int, segments: Seq[Segment]) -> bytes:

@@ -22,16 +22,12 @@ TOL = 1e-12
 
 
 class BlockEmpirics(Record):
-    __slots__ = ("block_len", "count", "joint_dist", "h_joint", "h_primary", "h_cond")
-
-    def __init__(self, block_len: int, count: int, joint_dist: Dict[tuple, float],
-                 h_joint: float, h_primary: float, h_cond: float) -> None:
-        self.block_len = block_len
-        self.count = count  # number of blocks
-        self.joint_dist = joint_dist
-        self.h_joint = h_joint  # bits per block
-        self.h_primary = h_primary
-        self.h_cond = h_cond  # h_joint - h_primary
+    __slots__ = ("block_len",
+                 "count",  # number of blocks
+                 "joint_dist",
+                 "h_joint",  # bits per block
+                 "h_primary",
+                 "h_cond")  # h_joint - h_primary
 
 def _entropy_from_counts(counts: Dict, total: int) -> float:
     if total == 0:

@@ -93,18 +93,6 @@ class EncodingTrace(Record):
     __slots__ = ("outputs_u", "outputs_v", "states_s", "states_z", "bits_u", "bits_v",
                  "rho1", "rho12")
 
-    def __init__(self, outputs_u: Tuple[str, ...], outputs_v: Tuple[str, ...],
-                 states_s: Tuple[int, ...], states_z: Tuple[int, ...], bits_u: int,
-                 bits_v: int, rho1: float, rho12: float) -> None:
-        self.outputs_u = outputs_u
-        self.outputs_v = outputs_v
-        self.states_s = states_s
-        self.states_z = states_z
-        self.bits_u = bits_u
-        self.bits_v = bits_v
-        self.rho1 = rho1
-        self.rho12 = rho12
-
 def run(encoder: FsmEncoder, primary: Sequence, secondary: Sequence) -> EncodingTrace:
     if primary.n != secondary.n:
         raise ValueError("primary and secondary lengths differ")
@@ -147,13 +135,7 @@ def run(encoder: FsmEncoder, primary: Sequence, secondary: Sequence) -> Encoding
 
 class LosslessnessReport(Record):
     __slots__ = ("passed", "depth_certified", "from_all_states", "counterexample")
-
-    def __init__(self, passed: bool, depth_certified: int, from_all_states: bool,
-                 counterexample: Optional[dict] = None) -> None:
-        self.passed = passed
-        self.depth_certified = depth_certified
-        self.from_all_states = from_all_states
-        self.counterexample = counterexample
+    _defaults = {"counterexample": None}
 
 def is_information_lossless(encoder: FsmEncoder, k_max: int = 8,
                             from_all_states: bool = True,
@@ -169,79 +151,51 @@ def is_information_lossless(encoder: FsmEncoder, k_max: int = 8,
     if (beta * gamma) ** k_max > pair_budget:
         raise BudgetExceededError(
             f"(beta*gamma)^k_max = {(beta * gamma) ** k_max} exceeds budget {pair_budget}")
-    starts_s = range(len(encoder.states_s)) if from_all_states else [encoder.s1]
-    starts_z = range(len(encoder.states_z)) if from_all_states else [encoder.z1]
-    # stage 1
-    for s0 in starts_s:
-        level: List[Tuple[Tuple[int, ...], str, int]] = [((), "", s0)]
-        for k in range(1, k_max + 1):
-            nxt = []
-            seen: Dict[Tuple[str, int], Tuple[int, ...]] = {}
-            for syms, out, s in level:
-                for a in range(beta):
-                    out2 = out + encoder.f1[(s, a)]
-                    s2 = encoder.g1[(s, a)]
-                    syms2 = syms + (a,)
-                    key = (out2, s2)
-                    other = seen.get(key)
-                    if other is not None:
-                        return LosslessnessReport(
-                            passed=False, depth_certified=k - 1,
-                            from_all_states=from_all_states,
-                            counterexample={
-                                "stage": 1, "k": k, "start_state": encoder.states_s[s0],
-                                "inputs": [_names(encoder.primary_alphabet, other),
-                                           _names(encoder.primary_alphabet, syms2)],
-                                "output": out2,
-                                "final_state": encoder.states_s[s2],
-                            })
-                    seen[key] = syms2
-                    nxt.append((syms2, out2, s2))
-            level = nxt
-    # stage 2 (joint)
-    for s0 in starts_s:
-        for z0 in starts_z:
-            jlevel: List[Tuple[Tuple[Tuple[int, int], ...], str, int, str, int]] = [
-                ((), "", s0, "", z0)]
+    ns, nz = len(encoder.states_s), len(encoder.states_z)
+    f1, g1, f2, g2 = encoder.f1, encoder.g1, encoder.f2, encoder.g2
+    starts_s = range(ns) if from_all_states else [encoder.s1]
+    starts_z = range(nz) if from_all_states else [encoder.z1]
+    # moves[s][z] = [(input, stage-1 bits, next s, stage-2 bits, next z)]; stage 1
+    # is the same search with a second stage that emits "" and stays in state 0
+    moves1 = [[[(a, f1[(s, a)], g1[(s, a)], "", 0) for a in range(beta)]] for s in range(ns)]
+    moves2 = [[[((a, b), f1[(s, a)], g1[(s, a)], f2[(z, a, b)], g2[(z, a, b)])
+                for a in range(beta) for b in range(gamma)] for z in range(nz)]
+              for s in range(ns)]
+    for stage, moves, starts in ((1, moves1, [(s0, 0) for s0 in starts_s]),
+                                 (2, moves2, [(s0, z0) for s0 in starts_s for z0 in starts_z])):
+        for s0, z0 in starts:
+            level: List[Tuple[tuple, str, int, str, int]] = [((), "", s0, "", z0)]
             for k in range(1, k_max + 1):
-                nxt2 = []
-                seen2: Dict[Tuple[str, int, str, int], tuple] = {}
-                for pairs, uout, s, vout, z in jlevel:
-                    for a in range(beta):
-                        u2 = uout + encoder.f1[(s, a)]
-                        s2 = encoder.g1[(s, a)]
-                        for b in range(gamma):
-                            v2 = vout + encoder.f2[(z, a, b)]
-                            z2 = encoder.g2[(z, a, b)]
-                            pairs2 = pairs + ((a, b),)
-                            key = (u2, s2, v2, z2)
-                            other = seen2.get(key)
-                            if other is not None:
-                                return LosslessnessReport(
-                                    passed=False, depth_certified=k - 1,
-                                    from_all_states=from_all_states,
-                                    counterexample={
-                                        "stage": 2, "k": k,
-                                        "start_states": [encoder.states_s[s0],
-                                                         encoder.states_z[z0]],
-                                        "inputs": [_pair_names(encoder, other),
-                                                   _pair_names(encoder, pairs2)],
-                                        "outputs": [u2, v2],
-                                    })
-                            seen2[key] = pairs2
-                            nxt2.append((pairs2, u2, s2, v2, z2))
-                jlevel = nxt2
+                nxt = []
+                seen: Dict[Tuple[str, int, str, int], tuple] = {}
+                for inputs, u, s, v, z in level:
+                    for x, du, s2, dv, z2 in moves[s][z]:
+                        u2, v2, inputs2 = u + du, v + dv, inputs + (x,)
+                        key = (u2, s2, v2, z2)
+                        other = seen.get(key)
+                        if other is not None:
+                            return LosslessnessReport(
+                                False, k - 1, from_all_states,
+                                _counterexample(encoder, stage, k, s0, z0, (other, inputs2),
+                                                u2, s2, v2))
+                        seen[key] = inputs2
+                        nxt.append((inputs2, u2, s2, v2, z2))
+                level = nxt
     return LosslessnessReport(passed=True, depth_certified=k_max,
                               from_all_states=from_all_states)
 
 
-def _names(alphabet: Alphabet, idxs: Seq[int]) -> List[str]:
-    return [alphabet.symbols[i] for i in idxs]
-
-
-def _pair_names(encoder: FsmEncoder, pairs) -> List[Tuple[str, str]]:
+def _counterexample(encoder: FsmEncoder, stage: int, k: int, s0: int, z0: int,
+                    inputs: Tuple[tuple, tuple], u: str, s: int, v: str) -> dict:
+    """Two inputs from the same start states that end in the same outputs and states."""
     pa, sa = encoder.primary_alphabet.symbols, encoder.secondary_alphabet.symbols
-    return [(pa[a], sa[b]) for a, b in pairs]
+    if stage == 1:
+        return {"stage": 1, "k": k, "start_state": encoder.states_s[s0],
+                "inputs": [[pa[a] for a in syms] for syms in inputs],
+                "output": u, "final_state": encoder.states_s[s]}
+    return {"stage": 2, "k": k, "start_states": [encoder.states_s[s0], encoder.states_z[z0]],
+            "inputs": [[(pa[a], sa[b]) for a, b in pairs] for pairs in inputs],
+            "outputs": [u, v]}
 
 
 KraftTable = Tuple[Tuple[Tuple[int, int], ...], ...]

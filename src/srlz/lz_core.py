@@ -181,16 +181,9 @@ def product_sequence(seqs: Seq[Sequence]) -> Sequence:
 
 
 class ParseResult(Record):
-    __slots__ = ("phrases", "c", "is_last_incomplete", "rho_lz", "code_len_bound", "parents")
-
-    def __init__(self, phrases: Tuple[Tuple[int, int], ...], c: int, is_last_incomplete: bool,
-                 rho_lz: float, code_len_bound: float, parents: Tuple[int, ...]) -> None:
-        self.phrases = phrases  # (start, length) per phrase
-        self.c = c
-        self.is_last_incomplete = is_last_incomplete
-        self.rho_lz = rho_lz
-        self.code_len_bound = code_len_bound
-        self.parents = parents  # trie node extended by each phrase (0 = root)
+    __slots__ = ("phrases",  # (start, length) per phrase
+                 "c", "is_last_incomplete", "rho_lz", "code_len_bound",
+                 "parents")  # trie node extended by each phrase (0 = root)
 
 def _lz_walk(data: Seq[int], size: int) -> Tuple[List[int], int]:
     """The incremental parse as a trie walk, every index below `size`.

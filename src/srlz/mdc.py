@@ -42,10 +42,6 @@ if TYPE_CHECKING:
 class EmpiricalMutualInfo(Record):
     __slots__ = ("value", "conditional")
 
-    def __init__(self, value: float, conditional: bool) -> None:
-        self.value = value
-        self.conditional = conditional
-
 def empirical_mi(xhat: Sequence, xtilde: Sequence,
                  u: Optional[Sequence] = None) -> EmpiricalMutualInfo:
     """rho_lz(xhat) + rho_lz(xtilde) - rho_joint, or the conditional variant

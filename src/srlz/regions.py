@@ -21,10 +21,6 @@ TOL = 1e-9
 class RatePoint(Record):
     __slots__ = ("r1", "r2")
 
-    def __init__(self, r1: float, r2: float) -> None:
-        self.r1 = r1
-        self.r2 = r2
-
 class HalfPlaneRegion(Record):
     """{(R1, R2): R1 >= a, R1 + R2 >= b, R2 >= c} (c optional).
 
@@ -236,17 +232,10 @@ class SearchBudget(Record):
     """Knobs for reproduction-pair search; `mode` auto picks exhaustive when
     the candidate-pair count is at most `exhaustive_limit`."""
 
-    __slots__ = ("mode", "exhaustive_limit", "evaluations", "restarts", "seed", "weight")
-
-    def __init__(self, mode: str = "auto", exhaustive_limit: int = 1 << 24,
-                 evaluations: int = 4096, restarts: int = 3, seed: int = 0,
-                 weight: float = 0.5) -> None:
-        self.mode = mode  # auto | exhaustive | greedy
-        self.exhaustive_limit = exhaustive_limit
-        self.evaluations = evaluations
-        self.restarts = restarts
-        self.seed = seed
-        self.weight = weight
+    __slots__ = ("mode",  # auto | exhaustive | greedy
+                 "exhaustive_limit", "evaluations", "restarts", "seed", "weight")
+    _defaults = {"mode": "auto", "exhaustive_limit": 1 << 24, "evaluations": 4096,
+                 "restarts": 3, "seed": 0, "weight": 0.5}
 
 
 def sr_outer_region(x: Sequence, dist, q: int,

@@ -40,13 +40,7 @@ class PerLetterDistortion(Record):
     decimal names), or table (explicit dict keyed by symbol-name pairs)."""
 
     __slots__ = ("kind", "table", "reproduction")
-
-    def __init__(self, kind: str = "hamming",
-                 table: Optional[Dict[Tuple[str, str], float]] = None,
-                 reproduction: Optional[Alphabet] = None) -> None:
-        self.kind = kind
-        self.table = table
-        self.reproduction = reproduction
+    _defaults = {"kind": "hamming", "table": None, "reproduction": None}
 
     def rep_alphabet(self, source: Alphabet) -> Alphabet:
         return self.reproduction if self.reproduction is not None else source
@@ -76,13 +70,6 @@ class DistortionSpec(Record):
 
     __slots__ = ("d1", "d2", "level1", "level2")
 
-    def __init__(self, d1: PerLetterDistortion, d2: PerLetterDistortion, level1: float,
-                 level2: float) -> None:
-        self.d1 = d1
-        self.d2 = d2
-        self.level1 = level1
-        self.level2 = level2
-
 
 def hamming_spec(level1: float, level2: float) -> DistortionSpec:
     d = PerLetterDistortion("hamming")
@@ -98,14 +85,6 @@ def distortion(x: Sequence, y: Sequence, d: PerLetterDistortion) -> float:
 
 class SrEncoded(Record):
     __slots__ = ("stage1", "stage2", "n", "r1", "r2")
-
-    def __init__(self, stage1: Bitstream, stage2: Bitstream, n: int, r1: float,
-                 r2: float) -> None:
-        self.stage1 = stage1
-        self.stage2 = stage2
-        self.n = n
-        self.r1 = r1
-        self.r2 = r2
 
     def to_bytes(self) -> bytes:
         return pack_segments(MODE_SR, self.n, [

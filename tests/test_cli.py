@@ -110,6 +110,33 @@ class TestSequenceIO:
         cli.save_sequence(seq, str(tmp_path / "out"))
         assert (tmp_path / "out").read_bytes().startswith(b"alphabet: a b")
 
+    def test_hash_symbol_in_header_exits_2(self, tmp_path, capsys):
+        # its data lines would read as comments: '#a b #a b' loaded as 'b b'
+        p = tmp_path / "hash.txt"
+        p.write_text("alphabet: #a b\n#a\nb\n#a\nb\n", encoding="utf-8")
+        code, _, out, err = run(capsys, "encode", str(p), "--mode", "lz",
+                                "-o", str(tmp_path / "o.lzc"))
+        assert code == 2 and out == ""
+        assert "alphabet symbol '#a' starts with '#'" in err
+        assert not (tmp_path / "o.lzc").exists()
+
+    @pytest.mark.parametrize("symbols", [("#a", "b"), ("a b", "c"), ("", "c"), ("a\u2028", "c")],
+                             ids=["hash", "space", "empty", "line-separator"])
+    def test_token_output_refuses_symbols_it_cannot_hold(self, tmp_path, capsys, symbols):
+        from srlz.lz_core import lz_encode
+
+        seq = Sequence(Alphabet(symbols), [0, 1, 0, 1])
+        with pytest.raises(cli.UsageError, match="cannot be written as a token"):
+            cli.save_sequence(seq, str(tmp_path / "direct.txt"))
+        stream = tmp_path / "s.lzc"
+        stream.write_bytes(lz_encode(seq).to_bytes())
+        code, _, out, err = run(capsys, "decode", str(stream), "--mode", "lz",
+                                "-o", str(tmp_path / "back.txt"))
+        assert code == 2 and out == ""
+        assert f"alphabet symbol {symbols[0]!r} cannot be written as a token" in err
+        assert not (tmp_path / "back.txt").exists()
+        assert not (tmp_path / "direct.txt").exists()
+
 
 class TestAnalyze:
     def test_worked_single_sequence(self, tmp_path, capsys):

@@ -1,11 +1,14 @@
-"""CLI reports of the two-description, region and refinement commands, pinned
-by the SHA-256 of their stdout.
+"""CLI reports of every subcommand, pinned by the SHA-256 of their stdout.
 
-The digests were captured before the two-description regions were folded into
-`HalfPlaneRegion`, and are asserted with `==`: a refactor may not change a
-single report byte.  The 14 encode and decode digests were re-captured for
-container version 2, whose reports differ from version 1 only in the `bytes`
-and `checksum` fields that echo container files.  Every call runs in its own temporary directory with
+The two-description, region and refinement digests were captured before the
+two-description regions were folded into `HalfPlaneRegion`, and are asserted
+with `==`: a refactor may not change a single report byte.  The 14 encode and
+decode digests were re-captured for container version 2, whose reports differ
+from version 1 only in the `bytes` and `checksum` fields that echo container
+files.  The analyze, lz and cond codec, refinement-stage decode and verify-suite
+digests were captured before the record constructors were generated from
+`__slots__` and before `verify`'s flags were mapped through one table.  Every
+call runs in its own temporary directory with
 relative file names, since reports echo input and output paths.  The inputs
 come from a private generator here, so nothing outside this file can move
 them.
@@ -85,17 +88,52 @@ CALLS = {
                                "--mode", "sr", "-o", "sr")),
     "encode-sr-searched": (None, ("encode", "s.txt", "--mode", "sr", "--d1", "0.125",
                                   "--d2", "0.0625", "--objective", "min-sum", "-o", "sr")),
+    "decode-sr-stage1": ("encode-sr-given", ("decode", "sr", "--mode", "sr", "--stage", "1",
+                                             "-o", "out.txt")),
+    "decode-sr-coarse": ("encode-sr-given", ("decode", "sr", "--mode", "sr",
+                                             "--coarse-output", "coarse.txt", "-o", "out.txt")),
+    "analyze": (None, ("analyze", "s.txt")),
+    "analyze-side": (None, ("analyze", "x.txt", "--side-info", "u.txt")),
+    "analyze-block": (None, ("analyze", "x.txt", "--block-len", "4")),
+    "analyze-side-block": (None, ("analyze", "x.txt", "--side-info", "u.txt",
+                                  "--block-len", "2")),
+    "encode-lz": (None, ("encode", "x.txt", "--mode", "lz", "-o", "x.lzc")),
+    "decode-lz": ("encode-lz", ("decode", "x.lzc", "--mode", "lz", "-o", "out.txt")),
+    "encode-cond": (None, ("encode", "x.txt", "--mode", "cond", "--side-info", "u.txt",
+                           "-o", "x.cnd")),
+    "decode-cond": ("encode-cond", ("decode", "x.cnd", "--mode", "cond",
+                                    "--side-info", "u.txt", "-o", "out.txt")),
+    "verify-split-lemma": (None, ("verify", "--suite", "split-lemma", "--budget", "300")),
+    "verify-frontier": (None, ("verify", "--suite", "frontier", "--budget", "10")),
+    "verify-entropy-ineq": (None, ("verify", "--suite", "entropy-ineq", "--n", "8")),
+    "verify-cond-entropy-ineq": (None, ("verify", "--suite", "cond-entropy-ineq",
+                                        "--n", "4")),
+    "verify-converse": (None, ("verify", "--suite", "converse", "--budget", "2",
+                               "--n", "64")),
+    "verify-sandwich": (None, ("verify", "--suite", "sandwich", "--budget", "2",
+                               "--n", "64")),
+    "verify-kraft": (None, ("verify", "--suite", "kraft")),
 }
 
 GOLDEN = {
+    'analyze': '88d07516bc5145ddaa5242dae6b3f1018f872272952c15ad424a5de38f0af751',
+    'analyze-block': 'f5fdbfbf7f720d12fa7a1a0699ae2a406b089f4f5240650db44f49f841645347',
+    'analyze-side': 'd951260c96ed1617c07d9f60f36dd92ed6059490769c5e88d7491ae34f06494a',
+    'analyze-side-block': '21efc7596f1881f22c6ccfa5da6a49792903debed531739e741881e78700847b',
+    'decode-cond': 'dc0c085ce5a5611d8349d9cfcb525c9025589bd5722d9e355a0686ac28c2d821',
     'decode-egc-0': 'f1c2c09f06f7ad8594669fd6e5503b7a88c7f8779b044235e21c0ca9d2a485d8',
     'decode-egc-1': 'e33be0cdd50ba475ecadd0125c19052dfbc466394fa2bf487961398517d0a6b7',
     'decode-egc-2': 'a519ee61e7703ec3dfaa5b664382d29df3e77ee5888e0fafb30b88f5d11be7cb',
+    'decode-lz': '2c16127c887a3d936793ef3ee6371023bd3e12137a4eaaed160305ce5494deea',
+    'decode-sr-coarse': '988b6079a23f4795e53b868b92b4bf8acb74f41e9453a93d64989c8ae14672f3',
+    'decode-sr-stage1': 'ed1b5e5c4f8cef90b2e1212b12c91434de6de4164718c386bb52aa8f7010b734',
     'decode-zb-0': '071ca4e2a2afa81d4dab3df04a8abb595831e279f5b7cde064f91de6b09654b2',
     'decode-zb-1': '3e757988d3b1f0b8907fb0d3c8f940c715d29f157768402de67116b3f7457f13',
     'decode-zb-2': '1d20f655cb5f41e32b49cb096ed29c421ca49171e0178fcf9b9a083dbd2d7698',
+    'encode-cond': '06db119270f397064a54c1acdd48e7728298868e4bc1999514d12daa756dcb3d',
     'encode-egc-files': '52d9f836512e29566636935e0aab5977ad1bf09b5e7086374e4903d66ef79a86',
     'encode-egc-levels': '99ee7d27ca547ac98dfd1d2ecafa4d63cd3bc6a17d1472839c93263338824863',
+    'encode-lz': 'd60f76dc772928cf2720c336065c76f41a1263b05489cb4e2397d401aa2fe61e',
     'encode-sr-given': '5b85c78dea905366afe2e349bf7498ce42be7ba6c43a2de6a9479f4f9bd149fd',
     'encode-sr-searched': '1cc36584b2d84303143a2b1a15ae520500fe540029c1e109726ff9ee9ef065af',
     'encode-zb-files': '630c48c5be8b3d93a5fb553f8a85f3dd70570b10b2cba4630f62677c139625cf',
@@ -108,6 +146,13 @@ GOLDEN = {
     'region-md-u': 'b0eaa92f2d8b6141ee86b9532cf962e0b2b3ad27502ecbf4934871c89769e7e9',
     'region-pair': '6c762b06d8911793687bf24cc616f435964640f14a6d64345983ae2e1b11b47b',
     'region-sr': '4014164ccad26ce432b06a8b2fe24d282b905ce154d029a0d1d0a5bee901901f',
+    'verify-cond-entropy-ineq': '7fe933cd527b7e1e7f87b11496ff413cbc888ca61953262c8e907183523d7b7a',
+    'verify-converse': '16b93a887b47e3b89aebe01d9f6eebb4f68f51c23ca7042a4784195c02feca31',
+    'verify-entropy-ineq': '4632de3a8bac8b5bed8eea770e4c0cd23246b9bc36f55fc3717e7c14138e3295',
+    'verify-frontier': '63e9816190c4744671203679f4707f51fd2772384e81833757632da358b1ac8b',
+    'verify-kraft': '04bc37e6b0dc19a8242db2fed8882927980dbf4a6ca61d58a2909f493410ab5b',
+    'verify-sandwich': '2207c667773e6e8afabaffb752984978fd1baaae25129f952dbc15511b1b3295',
+    'verify-split-lemma': 'c206c2e4f230735f5b8e981155a575ed11339e12d6629e657a7985778cabf9d7',
 }
 
 

@@ -10,10 +10,13 @@ those are checked against the hash of their fields.
 
 from __future__ import annotations
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
+import srlz
 from srlz.cond_lz import joint_parse
 from srlz.container import Bitstream, Record, Segment
 from srlz.empirics import block_empirics
@@ -224,3 +227,77 @@ def test_slots_match_the_constructor(cls):
     # the generic ==, hash and repr and copy() above read the fields from __slots__
     params = list(inspect.signature(cls.__init__).parameters)[1:]
     assert list(cls.__slots__) == params
+
+
+# str(inspect.signature(cls)) without annotations, captured from the
+# hand-written constructors: names, order and defaults are the record API
+SIGNATURES = {
+    "Bitstream": "(mode, n, alphabet, phrase_count, last_incomplete, payload, "
+                 "payload_bits=None, side_checksum=None)",
+    "BlockEmpirics": "(block_len, count, joint_dist, h_joint, h_primary, h_cond)",
+    "DistortionSpec": "(d1, d2, level1, level2)",
+    "EmpiricalMutualInfo": "(value, conditional)",
+    "EncodingTrace": "(outputs_u, outputs_v, states_s, states_z, bits_u, bits_v, rho1, rho12)",
+    "FsmEncoder": "(primary_alphabet, secondary_alphabet, states_s, states_z, f1, g1, f2, g2, "
+                  "s1=0, z1=0, q=0)",
+    "HalfPlaneRegion": "(a, b, c=None, clamped_a=False, clamped_b=False, clamped_c=False, "
+                       "meta=None, exact_corner=None)",
+    "JointParseResult": "(phrases, c_joint, c_prime, c_l, rho_cond, rho_joint, "
+                        "is_last_incomplete)",
+    "LosslessnessReport": "(passed, depth_certified, from_all_states, counterexample=None)",
+    "ParseResult": "(phrases, c, is_last_incomplete, rho_lz, code_len_bound, parents)",
+    "PerLetterDistortion": "(kind='hamming', table=None, reproduction=None)",
+    "RatePoint": "(r1, r2)",
+    "RegionUnion": "(members, frontier, meta=None)",
+    "SearchBudget": "(mode='auto', exhaustive_limit=16777216, evaluations=4096, restarts=3, "
+                    "seed=0, weight=0.5)",
+    "Segment": "(role, bit_length, data)",
+    "SrEncoded": "(stage1, stage2, n, r1, r2)",
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_constructor_signature_is_pinned(cls):
+    sig = inspect.signature(cls)
+    bare = sig.replace(parameters=[p.replace(annotation=p.empty)
+                                   for p in sig.parameters.values()],
+                       return_annotation=sig.empty)
+    assert str(bare) == SIGNATURES[cls.__name__]
+
+
+def test_generated_constructor_binds_positionally_and_by_keyword():
+    assert Bitstream(0, 3, ("a",), 2, True, b"p", 7) == Bitstream(
+        payload=b"p", payload_bits=7, last_incomplete=True, phrase_count=2,
+        alphabet=("a",), n=3, mode=0)
+    assert RatePoint.__init__.__qualname__ == "RatePoint.__init__"
+    with pytest.raises(TypeError):
+        RatePoint(1.0)
+    with pytest.raises(TypeError):
+        RatePoint(1.0, 2.0, r3=3.0)
+
+
+def _copies_its_arguments(init: ast.FunctionDef) -> bool:
+    """True when every statement of init is `self.<name> = <parameter>`."""
+    params = {a.arg for a in init.args.args + init.args.kwonlyargs}
+    self_name = init.args.args[0].arg if init.args.args else None
+    return all(isinstance(st, ast.Assign) and len(st.targets) == 1
+               and isinstance(st.targets[0], ast.Attribute)
+               and isinstance(st.targets[0].value, ast.Name)
+               and st.targets[0].value.id == self_name
+               and isinstance(st.value, ast.Name) and st.value.id in params
+               for st in init.body)
+
+
+@pytest.mark.parametrize("path", sorted(Path(srlz.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_record_writes_a_copy_only_constructor(path):
+    # Record builds __init__ from __slots__ and _defaults; a hand-written one
+    # must do more than copy its arguments
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [f"{path.name}:{init.lineno} {node.name}.__init__"
+             for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             and any(isinstance(b, ast.Name) and b.id == "Record" for b in node.bases)
+             for init in node.body
+             if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+             and _copies_its_arguments(init)]
+    assert not found
