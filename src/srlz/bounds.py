@@ -6,6 +6,11 @@ mode decays like O(loglog n / log n), stays below 1 for every n >= 2, and is
 generous enough at small n that the phrase-count bound
 c <= n*log2(beta) / ((1-eps_n)*log2(n)) holds for every input (the converse
 terms silently assume it).  Mode "zero" exists for formula regression only.
+
+`converse_terms` and `converse_floors` are the converse's one definition:
+every region, check and report that states floors (i)-(iii) for a
+q-state-per-stage encoder takes its penalties from the first and its
+right-hand sides from the second.
 """
 
 from __future__ import annotations
@@ -178,6 +183,25 @@ def zl78_floor(c: int, n: int, q: int) -> float:
         return 2.0 * q * q / n
     q2 = q * q
     return (c + q2) / n * math.log2((c + q2) / (4.0 * q2)) + 2.0 * q2 / n
+
+
+def converse_terms(q: int, n: int, beta: int, gamma: int,
+                   eps_mode: Union[str, float] = "default") -> Tuple[float, float, float, int]:
+    """The converse penalties for a length-n pair over primary and secondary
+    alphabets of sizes beta and gamma: (eps_n, delta1, delta2, delta2's block
+    length).  eps_n is resolved for n and the primary alphabet, and both
+    penalties share it."""
+    eps_n = eps_n_value(n, beta, eps_mode)
+    d1 = delta1(q, n, beta, eps_n)
+    return (eps_n, d1) + delta2(q, n, beta, gamma, eps_n)
+
+
+def converse_floors(rho_lz: float, rho_c: float, c: int, n: int, q: int,
+                    d1: float, d2: float) -> Tuple[float, float, float]:
+    """Right-hand sides of the converse floors on rho1, rho1 + rho2 and rho1:
+    (i) rho_lz - delta1, (ii) rho_lz + rho_cond - delta2, and (iii) the
+    phrase-count floor zl78_floor(c, n, q)."""
+    return rho_lz - d1, rho_lz + rho_c - d2, zl78_floor(c, n, q)
 
 
 def phrase_count_bound(n: int, beta: int, eps_n: float) -> float:

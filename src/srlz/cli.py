@@ -250,15 +250,9 @@ def cmd_analyze(args) -> int:
                 f"{bounds.divisors(target.n)})") from exc
     if n >= 2:
         beta = results["beta"]
-        eps_n = bounds.eps_n_value(n, beta, eps)
-        floors = {
-            "q": args.q,
-            "eps_mode": str(eps),
-            "eps_n": eps_n,
-            "delta1": bounds.delta1(args.q, n, beta, eps_n),
-        }
+        eps_n, d1, d2, d2_l = bounds.converse_terms(args.q, n, beta, seq.alphabet.size, eps)
+        floors = {"q": args.q, "eps_mode": str(eps), "eps_n": eps_n, "delta1": d1}
         if side is not None:
-            d2, d2_l = bounds.delta2(args.q, n, beta, seq.alphabet.size, eps_n)
             floors["delta2"] = d2
             floors["delta2_block_len"] = d2_l
         results["bounds"] = floors
@@ -578,17 +572,19 @@ def cmd_region(args) -> int:
 
         xhat, xtilde, xcheck = (load_sequence(p, args.fmt) for p in args.inputs)
         outer = mdc.md_outer_region(xhat, xtilde, xcheck, args.q, eps)
-        egc_inner = mdc.egc_inner_region(xhat, xtilde, xcheck)
+        egc = mdc.egc_encode(xhat, xtilde, xcheck)[2]
         results = {
             "outer": _md_region_dict(outer, "outer"),
-            "egc_inner": _md_region_dict(egc_inner, "egc-inner"),
-            "mi": mdc.empirical_mi(xhat, xtilde).value,
+            "egc_inner": _md_region_dict(mdc.md_inner_region(xhat.n, egc["bits"]),
+                                         "egc-inner"),
+            "mi": egc["mi"],
         }
         if args.u_file:
             u = load_sequence(args.u_file, args.fmt)
-            results["zb_inner"] = _md_region_dict(
-                mdc.zb_inner_region(xhat, xtilde, xcheck, u), "zb-inner")
-            results["mi_given_aux"] = mdc.empirical_mi(xhat, xtilde, u).value
+            zb = mdc.zb_encode(xhat, xtilde, xcheck, u)[2]
+            results["zb_inner"] = _md_region_dict(mdc.md_inner_region(xhat.n, zb["bits"]),
+                                                  "zb-inner")
+            results["mi_given_aux"] = zb["mi_given_aux"]
         report["results"] = results
     else:
         raise UsageError(f"unknown region kind: {kind}")

@@ -274,10 +274,11 @@ def kraft_check(encoder: FsmEncoder, block_len: int, q: Optional[int] = None,
 def converse_check(encoder: FsmEncoder, primary: Sequence, secondary: Sequence,
                    k_max: int = 6, eps_mode: Union[str, float] = "default",
                    tol: float = 1e-12) -> dict:
-    """Measure the encoder on a pair and verify the three converse floors.
+    """Measure the encoder on a pair and verify the three converse floors of
+    bounds.converse_terms and bounds.converse_floors.
 
-    (i)   rho1  >= rho_lz(primary) - delta1(q, n)
-    (ii)  rho12 >= rho_lz(primary) + rho_cond - delta2(q, n)
+    (i)   rho1  >= rho_lz(primary) - delta1
+    (ii)  rho12 >= rho_lz(primary) + rho_cond - delta2
     (iii) rho1  >= (c+q^2)/n * log2((c+q^2)/(4q^2)) + 2q^2/n
 
     Not applicable (reported, not raised) when the losslessness certificate
@@ -305,18 +306,12 @@ def converse_check(encoder: FsmEncoder, primary: Sequence, secondary: Sequence,
     trace = run(encoder, primary, secondary)
     pr = parse(primary)
     rho_c = rho_cond(secondary, primary)
-    eps_n = bounds.eps_n_value(n, encoder.beta, eps_mode)
-    d1 = bounds.delta1(q, n, encoder.beta, eps_n)
-    d2, d2_l = bounds.delta2(q, n, encoder.beta, encoder.gamma, eps_n)
-    floor3 = bounds.zl78_floor(pr.c, n, q)
-    checks = {
-        "i": {"lhs": trace.rho1, "rhs": pr.rho_lz - d1,
-              "holds": trace.rho1 >= pr.rho_lz - d1 - tol},
-        "ii": {"lhs": trace.rho12, "rhs": pr.rho_lz + rho_c - d2,
-               "holds": trace.rho12 >= pr.rho_lz + rho_c - d2 - tol},
-        "iii": {"lhs": trace.rho1, "rhs": floor3,
-                "holds": trace.rho1 >= floor3 - tol},
-    }
+    eps_n, d1, d2, d2_l = bounds.converse_terms(q, n, encoder.beta, encoder.gamma, eps_mode)
+    floors = bounds.converse_floors(pr.rho_lz, rho_c, pr.c, n, q, d1, d2)
+    checks = {name: {"lhs": lhs, "rhs": rhs, "holds": lhs >= rhs - tol}
+              for name, lhs, rhs in zip(("i", "ii", "iii"),
+                                        (trace.rho1, trace.rho12, trace.rho1), floors)}
+    cap = bounds.phrase_count_bound(n, encoder.beta, eps_n)
     report.update({
         "eps_n": eps_n,
         "rho1": trace.rho1,
@@ -327,8 +322,8 @@ def converse_check(encoder: FsmEncoder, primary: Sequence, secondary: Sequence,
         "delta1": d1,
         "delta2": d2,
         "delta2_block_len": d2_l,
-        "phrase_count_cap": bounds.phrase_count_bound(n, encoder.beta, eps_n),
-        "phrase_count_cap_ok": pr.c <= bounds.phrase_count_bound(n, encoder.beta, eps_n),
+        "phrase_count_cap": cap,
+        "phrase_count_cap_ok": pr.c <= cap,
         "checks": checks,
         "all_hold": all(c["holds"] for c in checks.values()),
     })

@@ -9,6 +9,12 @@ between the descriptions at a byte boundary.
 Pipeline 2 (common auxiliary): both descriptions carry the plain stream of a
 shared auxiliary sequence, then the conditional stream of their own
 reproduction given it; the central refinement conditions on all three.
+
+The outer region takes its penalties from bounds.converse_terms: each
+description's delta1 as a single-description converse on its own
+reproduction, and the sum floor's delta2 with the reproduction pair as the
+primary sequence.  A pipeline's inner region is md_inner_region of the "bits"
+block of its encoder's report, so only the encoder lists the streams it codes.
 """
 
 from __future__ import annotations
@@ -76,12 +82,9 @@ def md_outer_region(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, q: int,
     pair = product_sequence((xhat, xtilde))
     jp_pair = joint_parse(xhat, xtilde)
     rho_center = rho_cond(xcheck, pair)
-    e1 = bounds.eps_n_value(n, beta, eps_mode)
-    e2 = bounds.eps_n_value(n, gamma, eps_mode)
-    e12 = bounds.eps_n_value(n, beta * gamma, eps_mode)
-    d1_hat = bounds.delta1(q, n, beta, e1)
-    d1_til = bounds.delta1(q, n, gamma, e2)
-    d2, d2_l = bounds.delta2(q, n, beta * gamma, xcheck.alphabet.size, e12)
+    d1_hat = bounds.converse_terms(q, n, beta, gamma, eps_mode)[1]
+    d1_til = bounds.converse_terms(q, n, gamma, beta, eps_mode)[1]
+    d2, d2_l = bounds.converse_terms(q, n, beta * gamma, xcheck.alphabet.size, eps_mode)[2:]
     rho_hat = rho_lz(xhat)
     rho_til = rho_lz(xtilde)
     return clamped_region(
@@ -125,35 +128,6 @@ def md_inner_region(n: int, bits: dict) -> HalfPlaneRegion:
         meta={"n": n, "bits_aux": bits_u, "bits_hat_given_aux": bits_hat,
               "bits_tilde_given_aux": bits_til, "bits_center": bits_center},
     )
-
-
-def egc_inner_region(xhat: Sequence, xtilde: Sequence,
-                     xcheck: Sequence) -> HalfPlaneRegion:
-    """Pipeline 1's inner region (md_inner_region) from coding the three
-    reproductions."""
-    n = xhat.n
-    if xtilde.n != n or xcheck.n != n:
-        raise ValueError("sequences must have equal length")
-    return md_inner_region(n, {
-        "stage_hat": lz_encode(xhat).payload_bits,
-        "stage_tilde": lz_encode(xtilde).payload_bits,
-        "center": cond_encode(xcheck, product_sequence((xhat, xtilde))).payload_bits,
-    })
-
-
-def zb_inner_region(xhat: Sequence, xtilde: Sequence, xcheck: Sequence,
-                    u: Sequence) -> HalfPlaneRegion:
-    """Pipeline 2's inner region (md_inner_region) from coding the three
-    reproductions and the auxiliary sequence."""
-    n = xhat.n
-    if xtilde.n != n or xcheck.n != n or u.n != n:
-        raise ValueError("sequences must have equal length")
-    return md_inner_region(n, {
-        "aux": lz_encode(u).payload_bits,
-        "hat_given_aux": cond_encode(xhat, u).payload_bits,
-        "tilde_given_aux": cond_encode(xtilde, u).payload_bits,
-        "center": cond_encode(xcheck, product_sequence((xhat, xtilde, u))).payload_bits,
-    })
 
 
 def split_rates(a: float, b: float, c: float, r1: float, r2: float,

@@ -159,11 +159,9 @@ def region_for_pair(primary: Sequence, secondary: Sequence, q: int,
         raise ValueError("sequences must have equal length")
     beta = primary.alphabet.size
     gamma = secondary.alphabet.size
-    eps_n = bounds.eps_n_value(n, beta, eps_mode)
+    eps_n, d1, d2, d2_l = bounds.converse_terms(q, n, beta, gamma, eps_mode)
     rho1 = rho_lz(primary)
     rho_c = rho_cond(secondary, primary)
-    d1 = bounds.delta1(q, n, beta, eps_n)
-    d2, d2_l = bounds.delta2(q, n, beta, gamma, eps_n)
     return clamped_region(
         rho1 - d1,
         rho1 + rho_c - d2,
@@ -187,6 +185,8 @@ def blockwise_region(primary: Sequence, secondary: Sequence, q: int, block_len: 
     """
     n = primary.n
     k = block_len
+    if n < 2:
+        raise ValueError("needs n >= 2")
     if secondary.n != n:
         raise ValueError("sequences must have equal length")
     if k < 2:
@@ -216,9 +216,7 @@ def blockwise_region(primary: Sequence, secondary: Sequence, q: int, block_len: 
         "eps_mode": str(eps_mode),
     }
     if side == "outer-minus":
-        eps_n = bounds.eps_n_value(k, beta, eps_mode)
-        d1 = bounds.delta1(q, k, beta, eps_n)
-        d2, d2_l = bounds.delta2(q, k, beta, gamma, eps_n)
+        eps_n, d1, d2, d2_l = bounds.converse_terms(q, k, beta, gamma, eps_mode)
         meta.update({"delta1": d1, "delta2": d2, "delta2_block_len": d2_l,
                      "eps_n": eps_n})
         return clamped_region(avg1 - d1, avg12 - d2, meta=meta)

@@ -141,9 +141,7 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
         return min(sum(c * w for c, w in zip(counts, prof)) for prof in p2) / n
 
     # exhaustive binary pairs at n_small
-    eps_small = bounds.eps_n_value(n_small, 2, eps_mode)
-    d1_small = bounds.delta1(1, n_small, 2, eps_small)
-    d2_small, _ = bounds.delta2(1, n_small, 2, 2, eps_small)
+    _, d1_small, d2_small, _ = bounds.converse_terms(1, n_small, 2, 2, eps_mode)
     side = 1 << n_small
     phrase_counts: List[int] = []  # gamma = 1 leaves come in sequence order
     empirics._prefix_walk(n_small, 1, (), lambda v, _vt, c, *_: phrase_counts.append(c))
@@ -179,15 +177,10 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
     exhaustive_violations += [{"check": "ii", "primary": k // side, "secondary": k % side}
                               for k in sorted(found)]
 
-    # seeded random pairs at n_large
-    rng = random.Random(seed)
-    eps_large = bounds.eps_n_value(n_large, 2, eps_mode)
-    d1_large = bounds.delta1(1, n_large, 2, eps_large)
-    d2_large, _ = bounds.delta2(1, n_large, 2, 2, eps_large)
-    random_violations: List[dict] = []
-    large_cases: List[Tuple[Sequence, Sequence, float]] = []
-    for i in range(random_pairs):
-        primary, secondary = corpus.random_pair(rng, 2, 2, n_large)
+    eps_large, d1_large, d2_large, _ = bounds.converse_terms(1, n_large, 2, 2, eps_mode)
+
+    def large_case(primary: Sequence, secondary: Sequence) -> tuple:
+        """(parse, rho_cond, family minima m1 and m2, floors, failed checks)."""
         pr = parse(primary)
         rho_c = rho_cond(secondary, primary)
         ones = sum(primary.data)
@@ -196,49 +189,42 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
         for a, b in zip(primary.data, secondary.data):
             cnt[2 * a + b] += 1
         m2 = min_rho2(tuple(cnt), n_large)
-        floor3 = bounds.zl78_floor(pr.c, n_large, 1)
-        if m1 < pr.rho_lz - d1_large - tol:
-            random_violations.append({"check": "i", "pair": i})
-        if m1 + m2 < pr.rho_lz + rho_c - d2_large - tol:
-            random_violations.append({"check": "ii", "pair": i})
-        if m1 < floor3 - tol:
-            random_violations.append({"check": "iii", "pair": i})
+        floors = bounds.converse_floors(pr.rho_lz, rho_c, pr.c, n_large, 1,
+                                        d1_large, d2_large)
+        failed = [name for name, lhs, rhs in zip(("i", "ii", "iii"), (m1, m1 + m2, m1),
+                                                 floors) if lhs < rhs - tol]
+        return pr, rho_c, m1, m2, floors, failed
+
+    # seeded random pairs at n_large
+    rng = random.Random(seed)
+    random_violations: List[dict] = []
+    large_cases: List[Tuple[Sequence, Sequence, float]] = []
+    for i in range(random_pairs):
+        primary, secondary = corpus.random_pair(rng, 2, 2, n_large)
+        _, _, m1, _, _, failed = large_case(primary, secondary)
+        random_violations += [{"check": name, "pair": i} for name in failed]
         large_cases.append((primary, secondary, m1))
 
     # deterministic stress case: the near-maximal-complexity sequence, paired
     # with itself.  It sits close to floor (iii) and, in the regression-only
     # zero slack mode, genuinely breaches floor (i): the phrase-count cap the
     # floor presumes fails there, and the suite must say so.
-    adversarial_violations: List[dict] = []
     counting = _counting_sequence(n_large)
-    pr = parse(counting)
-    ones = sum(counting.data)
-    m1 = min_rho1(n_large - ones, ones, n_large)
-    cnt = [0, 0, 0, 0]
-    for a in counting.data:
-        cnt[3 * a] += 1
-    m2 = min_rho2(tuple(cnt), n_large)
-    rho_c = rho_cond(counting, counting)
-    floor3 = bounds.zl78_floor(pr.c, n_large, 1)
-    if m1 < pr.rho_lz - d1_large - tol:
-        adversarial_violations.append(
-            {"check": "i", "rho_lz": pr.rho_lz, "family_min": m1,
-             "delta1": d1_large})
-    if m1 + m2 < pr.rho_lz + rho_c - d2_large - tol:
-        adversarial_violations.append(
-            {"check": "ii", "rho_sum": pr.rho_lz + rho_c,
-             "family_min": m1 + m2, "delta2": d2_large})
-    if m1 < floor3 - tol:
-        adversarial_violations.append(
-            {"check": "iii", "floor": floor3, "family_min": m1})
+    pr, rho_c, m1, m2, floors, failed = large_case(counting, counting)
+    details = {"i": {"rho_lz": pr.rho_lz, "family_min": m1, "delta1": d1_large},
+               "ii": {"rho_sum": pr.rho_lz + rho_c, "family_min": m1 + m2,
+                      "delta2": d2_large},
+               "iii": {"floor": floors[2], "family_min": m1}}
+    adversarial_violations = [dict(check=name, **details[name]) for name in failed]
 
-    # spot checks through the public op
+    # spot checks through the public op; with no random pair to draw, each
+    # draws a small case
     spot_failures: List[dict] = []
     small_spots = spot_checks // 2
     for j in range(spot_checks):
         i = rng.randrange(len(f1s) * len(f2s))
         enc = fsm.onestate_binary_encoder(f1s[i // len(f2s)], f2s[i % len(f2s)])
-        if j < small_spots:
+        if j < small_spots or not large_cases:
             vh = rng.randrange(side)
             vt = rng.randrange(side)
             primary = Sequence.from_text(format(vh, f"0{n_small}b"), BINARY)

@@ -1,11 +1,14 @@
+import json
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import calibrate_eps_hat_k
-from srlz import bounds
+from oracles import calibrate_eps_hat_k, identity_encoder
+from srlz import bounds, cli, corpus, fsm, mdc, regions, verify
+from srlz.lz_core import BINARY
 
 
 class TestEpsNValue:
@@ -177,3 +180,63 @@ def test_default_slacks_positive(n, beta):
     assert bounds.eps_slack(n, beta, eps_n) > 0
     assert bounds.delta1(1, n, beta, eps_n) > 0
     assert bounds.delta_n(1, n, beta, eps_n) > 0
+
+
+class TestConverseTerms:
+    def test_terms_share_one_eps_n_for_the_primary_alphabet(self):
+        eps = bounds.eps_n_value(240, 4, "default")
+        d2, d2_l = bounds.delta2(2, 240, 4, 2, eps)
+        assert bounds.converse_terms(2, 240, 4, 2, "default") == (
+            eps, bounds.delta1(2, 240, 4, eps), d2, d2_l)
+
+    def test_floors(self):
+        rho_lz, rho_c, d1, d2 = 1.25, 0.5, 0.125, 0.375
+        assert bounds.converse_floors(rho_lz, rho_c, 181, 1024, 2, d1, d2) == (
+            rho_lz - d1, rho_lz + rho_c - d2, bounds.zl78_floor(181, 1024, 2))
+
+
+# larger than every penalty below, so that no lowered floor is clamped at zero
+SHIFT = 4096.0
+
+
+def test_every_consumer_takes_its_penalties_from_converse_terms(monkeypatch, tmp_path, capsys):
+    """Lower delta1 and delta2 at their one source: every floor built on them
+    moves by exactly the amount, and the converse suite starts failing.  The
+    sum floors sit at zero before any lowering, so the moves are measured
+    from one lowering to the next."""
+    monkeypatch.delenv("SRLZ_EPS_MODE", raising=False)
+    primary, secondary = corpus.random_pair(random.Random("converse-terms"), 2, 2, 256)
+    x, u = str(tmp_path / "x.txt"), str(tmp_path / "u.txt")
+    cli.save_sequence(primary, x)
+    cli.save_sequence(secondary, u)
+    encoder = identity_encoder(BINARY, BINARY)
+    real = bounds.converse_terms
+
+    def lowered(by):
+        def terms(*args, **kw):
+            eps_n, d1, d2, d2_l = real(*args, **kw)
+            return eps_n, d1 - by, d2 - by, d2_l
+
+        monkeypatch.setattr(bounds, "converse_terms", terms)
+        pair = regions.region_for_pair(primary, secondary, 2)
+        block = regions.blockwise_region(primary, secondary, 2, 64, "outer")
+        checks = fsm.converse_check(encoder, primary, secondary)["checks"]
+        md = mdc.md_outer_region(primary, secondary, primary, 2)
+        assert cli.main(["analyze", x, "--side-info", u, "--q", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)["results"]["bounds"]
+        return {
+            "pair.a": pair.a, "pair.b": pair.b, "blockwise.a": block.a,
+            "blockwise.b": block.b, "converse_check.i": checks["i"]["rhs"],
+            "converse_check.ii": checks["ii"]["rhs"], "md.a": md.a, "md.b": md.b,
+            "md.c": md.c, "analyze.-delta1": -report["delta1"],
+            "analyze.-delta2": -report["delta2"],
+        }, checks["iii"]["rhs"]
+
+    suite_flags = {"n_small": 4, "random_pairs": 2, "n_large": 64, "spot_checks": 2}
+    assert verify.suite_converse(**suite_flags)["holds"]
+    once, floor3 = lowered(SHIFT)
+    twice, floor3_twice = lowered(2 * SHIFT)
+    assert {name: twice[name] - once[name] for name in once} == pytest.approx(
+        dict.fromkeys(once, SHIFT), abs=1e-9)
+    assert floor3_twice == floor3  # (iii) takes no penalty
+    assert verify.suite_converse(**suite_flags)["violations"]

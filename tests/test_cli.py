@@ -606,6 +606,15 @@ class TestRegionCmd:
         assert rep["parameters"]["block_len"] == 4
         assert rep["parameters"]["side"] == "inner-plus"
 
+    @pytest.mark.parametrize("kind", ["pair", "blockwise", "md"])
+    def test_empty_inputs_exit_2(self, tmp_path, capsys, kind):
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        inputs = [str(empty)] * (3 if kind == "md" else 2)
+        code, _, out, err = run(capsys, "region", kind, *inputs, "--block-len", "2")
+        assert code == 2 and out == ""
+        assert "needs n >= 2" in err
+
     def test_sr_union_and_csv(self, tmp_path, capsys):
         x = token_file(tmp_path, "x.txt", "01101001")
         csv_path = str(tmp_path / "front.csv")
@@ -701,6 +710,12 @@ class TestVerifyCmd:
                               "--budget", "1", "--n", "1024")
         assert code == 0
         assert rep["results"]["holds"] is True
+
+    def test_converse_suite_at_budget_zero(self, capsys):
+        code, rep, _, _ = run(capsys, "verify", "--suite", "converse", "--budget", "0")
+        assert code == 0
+        assert rep["results"]["holds"] is True
+        assert rep["results"]["random"]["pairs"] == 0
 
     def test_bad_block_lens_exit_2(self, capsys):
         code, _, _, err = run(capsys, "verify", "--suite", "entropy-ineq",

@@ -7,7 +7,10 @@ decode digests were re-captured for container version 2, whose reports differ
 from version 1 only in the `bytes` and `checksum` fields that echo container
 files.  The analyze, lz and cond codec, refinement-stage decode and verify-suite
 digests were captured before the record constructors were generated from
-`__slots__` and before `verify`'s flags were mapped through one table.  Every
+`__slots__` and before `verify`'s flags were mapped through one table.  The
+five `q2` digests (penalties at q = 2 and at a custom slack) were captured
+before the converse penalties and floors moved into `bounds.converse_terms`
+and `bounds.converse_floors`.  Every
 call runs in its own temporary directory with
 relative file names, since reports echo input and output paths.  The inputs
 come from a private generator here, so nothing outside this file can move
@@ -113,6 +116,15 @@ CALLS = {
     "verify-sandwich": (None, ("verify", "--suite", "sandwich", "--budget", "2",
                                "--n", "64")),
     "verify-kraft": (None, ("verify", "--suite", "kraft")),
+    # penalties at q = 2 and at a custom slack
+    "analyze-side-q2": (None, ("analyze", "x.txt", "--side-info", "u.txt", "--q", "2")),
+    "region-pair-q2": (None, ("region", "pair", "s_hat.txt", "s_tilde.txt", "--q", "2")),
+    "region-blockwise-q2": (None, ("region", "blockwise", "s_hat.txt", "s_tilde.txt",
+                                   "--block-len", "8", "--side", "outer", "--q", "2")),
+    "region-md-q2-custom": (None, ("region", "md", *MD3, "--q", "2",
+                                   "--eps-mode", "custom:0.3")),
+    "verify-sandwich-q2": (None, ("verify", "--suite", "sandwich", "--budget", "2",
+                                  "--n", "64", "--q", "2")),
 }
 
 GOLDEN = {
@@ -120,6 +132,7 @@ GOLDEN = {
     'analyze-block': 'f5fdbfbf7f720d12fa7a1a0699ae2a406b089f4f5240650db44f49f841645347',
     'analyze-side': 'd951260c96ed1617c07d9f60f36dd92ed6059490769c5e88d7491ae34f06494a',
     'analyze-side-block': '21efc7596f1881f22c6ccfa5da6a49792903debed531739e741881e78700847b',
+    'analyze-side-q2': 'beb0f1fe33555347f722bee96d2ce3ce0635ea63835fe1bcc95b65ef7efd0dcb',
     'decode-cond': 'dc0c085ce5a5611d8349d9cfcb525c9025589bd5722d9e355a0686ac28c2d821',
     'decode-egc-0': 'f1c2c09f06f7ad8594669fd6e5503b7a88c7f8779b044235e21c0ca9d2a485d8',
     'decode-egc-1': 'e33be0cdd50ba475ecadd0125c19052dfbc466394fa2bf487961398517d0a6b7',
@@ -141,10 +154,13 @@ GOLDEN = {
     'encode-zb-levels': '24c11159085d7bb2bf8a2db22ed4cb20ac532cfabd50f66158c4517bca3246f7',
     'encode-zb-levels-u': '996b38767f9f00992488ef3f01dea01730c1acd38c3cf0c52c428781ca1b548d',
     'region-blockwise': 'a10245c9a5e9603ec1ee8f20c8ee92b73fee929ede1680de66ecc4e627cb9123',
+    'region-blockwise-q2': 'f9f12f49779a09e4fb3b7a21cec84049b6957f8795ea5ddb152475a67efcbae8',
     'region-md': '9f6c43e11860cb0dece21e81d2ea665a5480ceaaf336b60aca9980353dfe9f55',
     'region-md-eps-zero': 'cc913266b109aa4d9c7495144deea36ecc45671dd1587d70d14d273db8ec2fb1',
+    'region-md-q2-custom': '9eedb34a9ae9bacea117dacddab2790826574fd7100a2699873803c507053785',
     'region-md-u': 'b0eaa92f2d8b6141ee86b9532cf962e0b2b3ad27502ecbf4934871c89769e7e9',
     'region-pair': '6c762b06d8911793687bf24cc616f435964640f14a6d64345983ae2e1b11b47b',
+    'region-pair-q2': 'f2a31017312ab5fa94138bbf77307febf3ec9854283eb6e5357a6ea84c173ab2',
     'region-sr': '4014164ccad26ce432b06a8b2fe24d282b905ce154d029a0d1d0a5bee901901f',
     'verify-cond-entropy-ineq': '7fe933cd527b7e1e7f87b11496ff413cbc888ca61953262c8e907183523d7b7a',
     'verify-converse': '16b93a887b47e3b89aebe01d9f6eebb4f68f51c23ca7042a4784195c02feca31',
@@ -152,6 +168,7 @@ GOLDEN = {
     'verify-frontier': '63e9816190c4744671203679f4707f51fd2772384e81833757632da358b1ac8b',
     'verify-kraft': '04bc37e6b0dc19a8242db2fed8882927980dbf4a6ca61d58a2909f493410ab5b',
     'verify-sandwich': '2207c667773e6e8afabaffb752984978fd1baaae25129f952dbc15511b1b3295',
+    'verify-sandwich-q2': '59e99eb8a9a5aba345992ce19df69a69b3872dae90c6429b234d31ee3ea30acb',
     'verify-split-lemma': 'c206c2e4f230735f5b8e981155a575ed11339e12d6629e657a7985778cabf9d7',
 }
 

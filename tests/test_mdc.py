@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from srlz.container import StreamFormatError, TruncatedStreamError
-from srlz.cond_lz import rho_cond
+from srlz.cond_lz import cond_encode, rho_cond
 from srlz.corpus import STYLES, noisy_copy, random_sequence
 from srlz.lz_core import BINARY, Alphabet, Sequence, lz_encode, product_sequence, rho_lz
 from srlz.mdc import (
@@ -14,7 +14,6 @@ from srlz.mdc import (
     egc_decode1,
     egc_decode2,
     egc_encode,
-    egc_inner_region,
     empirical_mi,
     md_inner_region,
     md_outer_region,
@@ -23,7 +22,6 @@ from srlz.mdc import (
     zb_decode1,
     zb_decode2,
     zb_encode,
-    zb_inner_region,
 )
 from srlz import bounds
 from srlz.regions import HalfPlaneRegion, RatePoint, region_contains_region
@@ -38,6 +36,16 @@ def triple():
     xtilde = bits("0110011011000101")
     xcheck = bits("0100011011010001")
     return xhat, xtilde, xcheck
+
+
+def egc_inner(xhat, xtilde, xcheck):
+    """Pipeline 1's inner region from its encoder's bit counts."""
+    return md_inner_region(xhat.n, egc_encode(xhat, xtilde, xcheck)[2]["bits"])
+
+
+def zb_inner(xhat, xtilde, xcheck, u):
+    """Pipeline 2's inner region from its encoder's bit counts."""
+    return md_inner_region(xhat.n, zb_encode(xhat, xtilde, xcheck, u)[2]["bits"])
 
 
 class TestSplitRates:
@@ -180,7 +188,7 @@ class TestPipelineOne:
 
     def test_inner_region_matches_stream_bits(self):
         xhat, xtilde, xcheck = triple()
-        reg = egc_inner_region(xhat, xtilde, xcheck)
+        reg = egc_inner(xhat, xtilde, xcheck)
         bits_hat = lz_encode(xhat).payload_bits
         assert reg.a == pytest.approx(bits_hat / 16)
         assert reg.c == pytest.approx(reg.meta["bits_tilde"] / 16)
@@ -190,7 +198,11 @@ class TestPipelineOne:
 
     def test_inner_region_from_the_encoders_bit_counts(self):
         xhat, xtilde, xcheck = triple()
-        reg = egc_inner_region(xhat, xtilde, xcheck)
+        reg = md_inner_region(16, {
+            "stage_hat": lz_encode(xhat).payload_bits,
+            "stage_tilde": lz_encode(xtilde).payload_bits,
+            "center": cond_encode(xcheck, product_sequence((xhat, xtilde))).payload_bits,
+        })
         _, _, rep = egc_encode(xhat, xtilde, xcheck)
         got = md_inner_region(16, rep["bits"])
         assert (got, got.meta) == (reg, reg.meta)
@@ -199,7 +211,7 @@ class TestPipelineOne:
 
     def test_measured_rates_lie_in_inner_region(self):
         xhat, xtilde, xcheck = triple()
-        reg = egc_inner_region(xhat, xtilde, xcheck)
+        reg = egc_inner(xhat, xtilde, xcheck)
         for split in (0.0, 0.25, 0.5, 0.75, 1.0):
             _, _, rep = egc_encode(xhat, xtilde, xcheck, split)
             assert reg.contains(RatePoint(rep["rates"]["r1"], rep["rates"]["r2"]))
@@ -245,7 +257,7 @@ class TestPipelineTwo:
     def test_inner_region_matches_stream_bits(self):
         xhat, xtilde, xcheck = triple()
         u = default_auxiliary(xhat)
-        reg = zb_inner_region(xhat, xtilde, xcheck, u)
+        reg = zb_inner(xhat, xtilde, xcheck, u)
         m = reg.meta
         assert reg.a == pytest.approx((m["bits_aux"] + m["bits_hat_given_aux"]) / 16)
         assert reg.c == pytest.approx((m["bits_aux"] + m["bits_tilde_given_aux"]) / 16)
@@ -254,7 +266,12 @@ class TestPipelineTwo:
     def test_inner_region_from_the_encoders_bit_counts(self):
         xhat, xtilde, xcheck = triple()
         u = default_auxiliary(xhat)
-        reg = zb_inner_region(xhat, xtilde, xcheck, u)
+        reg = md_inner_region(16, {
+            "aux": lz_encode(u).payload_bits,
+            "hat_given_aux": cond_encode(xhat, u).payload_bits,
+            "tilde_given_aux": cond_encode(xtilde, u).payload_bits,
+            "center": cond_encode(xcheck, product_sequence((xhat, xtilde, u))).payload_bits,
+        })
         _, _, rep = zb_encode(xhat, xtilde, xcheck, u)
         got = md_inner_region(16, rep["bits"])
         assert (got, got.meta) == (reg, reg.meta)
@@ -262,7 +279,7 @@ class TestPipelineTwo:
     def test_measured_rates_lie_in_inner_region(self):
         xhat, xtilde, xcheck = triple()
         u = default_auxiliary(xhat)
-        reg = zb_inner_region(xhat, xtilde, xcheck, u)
+        reg = zb_inner(xhat, xtilde, xcheck, u)
         for alpha in (0.0, 0.5, 1.0):
             _, _, rep = zb_encode(xhat, xtilde, xcheck, u, alpha)
             assert reg.contains(RatePoint(rep["rates"]["r1"], rep["rates"]["r2"]))
@@ -317,9 +334,9 @@ def test_inner_regions_lie_in_the_outer_region(seqs, q, eps_mode):
     zero, so the comparison has something to compare."""
     xhat, xtilde, xcheck = seqs
     outer = md_outer_region(xhat, xtilde, xcheck, q, eps_mode)
-    assert region_contains_region(outer, egc_inner_region(xhat, xtilde, xcheck))
+    assert region_contains_region(outer, egc_inner(xhat, xtilde, xcheck))
     assert region_contains_region(
-        outer, zb_inner_region(xhat, xtilde, xcheck, default_auxiliary(xhat)))
+        outer, zb_inner(xhat, xtilde, xcheck, default_auxiliary(xhat)))
 
 
 class TestDefaultAuxiliary:

@@ -238,6 +238,12 @@ class TestBlockwise:
         with pytest.raises(ValueError, match="equal length"):
             blockwise_region(primary, bits("01"), 1, 2, "outer")
 
+    def test_needs_n_of_at_least_two(self):
+        # checked first: n = 0 passes every divisibility test
+        for short in ("", "0"):
+            with pytest.raises(ValueError, match="needs n >= 2"):
+                blockwise_region(bits(short), bits(short), 1, 2, "outer")
+
 
 class TestOuterUnion:
     def test_exhaustive_tiny_search(self):

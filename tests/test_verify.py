@@ -130,6 +130,12 @@ class TestSmallSuiteRuns:
         assert rep["adversarial"]["violations"] == []
         assert rep["family_size"] == 16744
 
+    def test_converse_spot_checks_without_random_pairs(self):
+        # with no large case to draw, every spot check takes a small one
+        rep = suite_converse(random_pairs=0, spot_checks=4, n_small=4, n_large=16)
+        assert rep["holds"]
+        assert rep["spot_checks"]["count"] == 4
+
 
 class TestEncoderObjects:
     """The suites iterate stage tables and build an encoder only to run it."""
