@@ -24,9 +24,8 @@ import importlib
 _ORIGIN = {
     **dict.fromkeys(("cond_decode", "cond_encode", "joint_parse", "rho_cond"), "cond_lz"),
     **dict.fromkeys(("BudgetExceededError", "InfeasibleError", "ModeMismatchError",
-                     "PointerRangeError", "SideInfoMismatchError", "StreamFormatError"),
-                    "container"),
-    "TruncatedStreamError": "bitio",
+                     "PointerRangeError", "SideInfoMismatchError", "StreamFormatError",
+                     "TruncatedStreamError"), "container"),
     **dict.fromkeys(("Alphabet", "Sequence", "lz_decode", "lz_encode", "parse",
                      "product_sequence", "rho_lz"), "lz_core"),
     **dict.fromkeys(("egc_decode0", "egc_decode1", "egc_decode2", "egc_encode",

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Tuple
 
+from .container import TruncatedStreamError
+
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
 _FNV_MASK = 0xFFFFFFFFFFFFFFFF
@@ -43,14 +45,6 @@ def fnv1a64_u32(values: Iterable[int], h: int = FNV64_OFFSET) -> int:
         else:
             h = fnv1a64(v.to_bytes(4, "big"), h)
     return h
-
-
-class StreamFormatError(ValueError):
-    """Malformed container: bad magic, version, mode, or inconsistent fields."""
-
-
-class TruncatedStreamError(StreamFormatError):
-    """Raised when a read runs past the end of the bitstream."""
 
 
 def pack(values: Iterable[int], widths: Iterable[int]) -> Tuple[bytes, int]:

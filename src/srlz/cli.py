@@ -618,10 +618,8 @@ def _block_lens(raw: str) -> Tuple[int, ...]:
 # per suite, the CLI flags it reads and the keyword each one sets; a flag left
 # unset (None, or an empty --block-lens) keeps the suite's own default
 VERIFY_FLAGS = {
-    "entropy-ineq": {"n": "n", "beta": "beta", "block_lens": "block_lens",
-                     "eps_mode": "eps_mode"},
-    "cond-entropy-ineq": {"n": "n", "beta": "beta", "gamma": "gamma",
-                          "block_lens": "block_lens", "eps_mode": "eps_mode"},
+    "entropy-ineq": {"n": "n", "block_lens": "block_lens", "eps_mode": "eps_mode"},
+    "cond-entropy-ineq": {"n": "n", "block_lens": "block_lens", "eps_mode": "eps_mode"},
     "kraft": {},
     "converse": {"seed": "seed", "budget": "random_pairs", "n": "n_large",
                  "eps_mode": "eps_mode"},
@@ -663,15 +661,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "the verification harness for their converse bounds.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # each subcommand accepts only the shared flags it reads
+    def bound_flags(p):
         p.add_argument("--eps-mode", default=None,
                        help="slack mode: default, zero, or custom:<value> "
                             "(env SRLZ_EPS_MODE applies when unset)")
+        p.add_argument("--q", type=int, default=1,
+                       help="per-stage state budget for the bound terms")
+
+    def format_flag(p):
         p.add_argument("--format", dest="fmt", default="auto",
                        choices=("auto", "bytes", "tokens"),
                        help="sequence file format (auto sniffs the header)")
-        p.add_argument("--q", type=int, default=1,
-                       help="per-stage state budget for the bound terms")
+
+    def common(p):
+        bound_flags(p)
+        format_flag(p)
 
     pa = sub.add_parser("analyze", help="complexities, entropies, and inequality checks")
     pa.add_argument("input")
@@ -715,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="md: which decoder to run (default 0 with two inputs)")
     pd.add_argument("--aux-output", default=None,
                     help="md-zb: also write the auxiliary sequence here")
-    common(pd)
+    format_flag(pd)
     pd.set_defaults(func=cmd_decode)
 
     pr = sub.add_parser("region", help="rate regions and staircase frontiers")
@@ -737,14 +742,12 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", required=True, choices=SUITES)
     pv.add_argument("--n", type=int, default=None)
-    pv.add_argument("--beta", type=int, default=2)
-    pv.add_argument("--gamma", type=int, default=2)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--budget", type=int, default=None,
                     help="suite case count (pairs, unions, or tuples)")
     pv.add_argument("--block-lens", default=None,
                     help="comma-separated block lengths for the entropy suites")
-    common(pv)
+    bound_flags(pv)
     pv.set_defaults(func=cmd_verify)
     return top
 

@@ -10,6 +10,9 @@ at each step only the children of the current dictionary node whose primary
 component matches the known next primary symbol are distinguishable, so the
 stream spends ceil(log2(m+1)) bits to pick among those m children or signal
 an innovation, and innovation steps add the secondary symbol.
+
+Side information is one `Sequence`; several are packed into one first with
+`lz_core.product_sequence`.
 """
 
 from __future__ import annotations
@@ -27,28 +30,17 @@ from .container import (
     SideInfoMismatchError,
     StreamFormatError,
 )
-from .lz_core import Alphabet, Sequence, _lz_walk, _phrases, product_sequence, rho_from_count
-
-SideInfo = Union[Sequence, Tuple[Sequence, ...], List[Sequence]]
+from .lz_core import Alphabet, Sequence, _lz_walk, rho_from_count
 
 
-def as_side_info(primary: SideInfo) -> Sequence:
-    """Tuple side information is packed into one product-alphabet sequence."""
-    if isinstance(primary, Sequence):
-        return primary
-    return product_sequence(tuple(primary))
-
-
-def side_info_checksum(primary: SideInfo) -> int:
+def side_info_checksum(primary: Sequence) -> int:
     """Checksum over the canonical encoding (alphabet size, n, indices)."""
-    seq = as_side_info(primary)
-    h = fnv1a64(struct.pack(">IQ", seq.alphabet.size, seq.n))
-    return fnv1a64_u32(seq.data, h)
+    h = fnv1a64(struct.pack(">IQ", primary.alphabet.size, primary.n))
+    return fnv1a64_u32(primary.data, h)
 
 
 class JointParseResult(Record):
-    __slots__ = ("phrases",  # (start, length) per joint phrase
-                 "c_joint",
+    __slots__ = ("c_joint",
                  "c_prime",  # distinct primary phrase strings
                  "c_l",  # joint phrases per distinct primary phrase
                  "rho_cond", "rho_joint", "is_last_incomplete")
@@ -84,44 +76,37 @@ def rho_cond_from_counts(c_l: Seq[int], n: int) -> float:
     return sum(cl * math.log2(cl) for cl in c_l) / n if n else 0.0
 
 
-def joint_parse(primary: SideInfo, secondary: Sequence) -> JointParseResult:
-    prim = as_side_info(primary)
-    if prim.n != secondary.n:
+def joint_parse(primary: Sequence, secondary: Sequence) -> JointParseResult:
+    if primary.n != secondary.n:
         raise ValueError("primary and secondary lengths differ")
-    A = prim.alphabet.size
-    B = secondary.alphabet.size
-    keys, last, c_l = _joint_walk(prim.data, secondary.data, A, B)
-    phrases, _ = _phrases(keys, last, A * B)
+    keys, last, c_l = _joint_walk(primary.data, secondary.data, primary.alphabet.size,
+                                  secondary.alphabet.size)
     n = secondary.n
-    c_joint = len(phrases)
-    rho_c = rho_cond_from_counts(c_l, n)
+    c_joint = len(keys) + (last != 0)
     return JointParseResult(
-        phrases=tuple(phrases),
         c_joint=c_joint,
         c_prime=len(c_l),
         c_l=tuple(c_l),
-        rho_cond=rho_c,
+        rho_cond=rho_cond_from_counts(c_l, n),
         rho_joint=rho_from_count(c_joint, n),
         is_last_incomplete=last != 0,
     )
 
 
-def rho_cond(secondary: Sequence, primary: SideInfo) -> float:
-    """joint_parse(primary, secondary).rho_cond without the phrase records."""
-    prim = as_side_info(primary)
-    if prim.n != secondary.n:
+def rho_cond(secondary: Sequence, primary: Sequence) -> float:
+    """joint_parse(primary, secondary).rho_cond without the other counts."""
+    if primary.n != secondary.n:
         raise ValueError("primary and secondary lengths differ")
-    _, _, c_l = _joint_walk(prim.data, secondary.data, prim.alphabet.size,
+    _, _, c_l = _joint_walk(primary.data, secondary.data, primary.alphabet.size,
                             secondary.alphabet.size)
     return rho_cond_from_counts(c_l, secondary.n)
 
 
-def cond_encode(secondary: Sequence, primary: SideInfo) -> Bitstream:
-    prim = as_side_info(primary)
-    if prim.n != secondary.n:
+def cond_encode(secondary: Sequence, primary: Sequence) -> Bitstream:
+    if primary.n != secondary.n:
         raise ValueError("primary and secondary lengths differ")
     secw = secondary.alphabet.bits_per_symbol
-    A = prim.alphabet.size
+    A = primary.alphabet.size
     B = secondary.alphabet.size
     child: dict = {}  # (node*A + a)*B + b -> (rank among the m children of (node, a), id)
     get = child.get
@@ -129,7 +114,7 @@ def cond_encode(secondary: Sequence, primary: SideInfo) -> Bitstream:
     values: List[int] = []  # one field per symbol: a rank, or m << secw | b
     widths: List[int] = []
     nodes = node = 0  # dictionary nodes so far, and the current one
-    for a, b in zip(prim.data, secondary.data):
+    for a, b in zip(primary.data, secondary.data):
         key = node * A + a
         hit = get(key * B + b)
         if hit is None:  # m+1 choices: children 0..m-1 or innovate
@@ -154,31 +139,30 @@ def cond_encode(secondary: Sequence, primary: SideInfo) -> Bitstream:
         last_incomplete=incomplete,
         payload=payload,
         payload_bits=payload_bits,
-        side_checksum=side_info_checksum(prim),
+        side_checksum=side_info_checksum(primary),
     )
 
 
-def cond_decode(stream: Union[Bitstream, bytes], primary: SideInfo) -> Sequence:
+def cond_decode(stream: Union[Bitstream, bytes], primary: Sequence) -> Sequence:
     if isinstance(stream, (bytes, bytearray)):
         stream = Bitstream.from_bytes(bytes(stream))
     if stream.mode != MODE_COND:
         raise ModeMismatchError("not a conditional stream container")
-    prim = as_side_info(primary)
-    if prim.n != stream.n:
+    if primary.n != stream.n:
         raise SideInfoMismatchError(
-            f"side information has length {prim.n}, stream expects {stream.n}")
-    if side_info_checksum(prim) != stream.side_checksum:
+            f"side information has length {primary.n}, stream expects {stream.n}")
+    if side_info_checksum(primary) != stream.side_checksum:
         raise SideInfoMismatchError("side information checksum mismatch")
     alphabet = Alphabet(stream.alphabet)
     size = alphabet.size
     secw = alphabet.bits_per_symbol
     payload = stream.payload
-    A = prim.alphabet.size
+    A = primary.alphabet.size
     by_a: dict = {}  # node*A + a -> [(b, child id)] in rank order
     out: List[int] = []
     acc = have = pos = 0  # the bit window of bitio.refill
     nodes = node = 0  # dictionary nodes so far, and the current one
-    for a in prim.data:
+    for a in primary.data:
         key = node * A + a
         lst = by_a.get(key)
         if lst is not None:  # m+1 choices: children 0..m-1 or innovate

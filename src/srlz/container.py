@@ -19,11 +19,10 @@ base that gives every result record its ==, hash and repr.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from typing import Dict, Optional, Sequence as Seq, Tuple
-
-from .bitio import StreamFormatError, TruncatedStreamError  # re-exported
 
 MAGIC = b"SRLZ"
 VERSION = 2
@@ -51,6 +50,14 @@ ROLE_COND_PART_A = 4   # first byte-slice of a shared conditional stream
 ROLE_COND_PART_B = 5   # remaining byte-slice of a shared conditional stream
 ROLE_AUX = 6           # plain stream of the shared auxiliary sequence
 ROLE_COND_GIVEN_AUX = 7  # conditional stream given the auxiliary sequence
+
+
+class StreamFormatError(ValueError):
+    """Malformed container: bad magic, version, mode, or inconsistent fields."""
+
+
+class TruncatedStreamError(StreamFormatError):
+    """Raised when a read runs past the end of the container or bitstream."""
 
 
 class PointerRangeError(StreamFormatError):
@@ -332,7 +339,7 @@ def split_leaf(raw: bytes, payload_bits: int, fraction: float) -> Tuple[bytes, b
             f"container shorter than its header: the payload would start at byte {hdr}")
     if payload_bits > payload_bytes * 8:
         raise ValueError("payload bit count exceeds payload bytes")
-    k = min(payload_bytes, _ceil_frac(fraction, payload_bytes))
+    k = min(payload_bytes, math.ceil(fraction * payload_bytes))
     cut = hdr + k
     if k == payload_bytes:
         cut = len(raw)  # part A keeps the trailer when it takes the whole payload
@@ -342,10 +349,3 @@ def split_leaf(raw: bytes, payload_bits: int, fraction: float) -> Tuple[bytes, b
     bits_b = payload_bits - bits_a
     return part_a, part_b, bits_a, bits_b
 
-
-def _ceil_frac(fraction: float, total: int) -> int:
-    exact = fraction * total
-    k = int(exact)
-    if exact > k:
-        k += 1
-    return k

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import bounds
 from .container import Record
-from .cond_lz import SideInfo, as_side_info, rho_cond
+from .cond_lz import rho_cond
 from .lz_core import Sequence, rho_from_count, rho_lz
 
 TOL = 1e-12
@@ -24,7 +24,6 @@ TOL = 1e-12
 class BlockEmpirics(Record):
     __slots__ = ("block_len",
                  "count",  # number of blocks
-                 "joint_dist",
                  "h_joint",  # bits per block
                  "h_primary",
                  "h_cond")  # h_joint - h_primary
@@ -59,8 +58,7 @@ def block_empirics(primary: Sequence, secondary: Optional[Sequence], block_len: 
         prim_marg[pb] = prim_marg.get(pb, 0) + 1
     h_joint = _entropy_from_counts(joint, count)
     h_primary = _entropy_from_counts(prim_marg, count)
-    dist = {k: v / count for k, v in joint.items()}
-    return BlockEmpirics(l, count, dist, h_joint, h_primary, h_joint - h_primary)
+    return BlockEmpirics(l, count, h_joint, h_primary, h_joint - h_primary)
 
 
 def check_entropy_inequality(seq: Sequence, block_len: int,
@@ -90,21 +88,20 @@ def check_entropy_inequality(seq: Sequence, block_len: int,
     }
 
 
-def check_cond_entropy_inequality(secondary: Sequence, primary: SideInfo, block_len: int,
+def check_cond_entropy_inequality(secondary: Sequence, primary: Sequence, block_len: int,
                                   eps_mode: Union[str, float] = "default",
                                   tol: float = TOL) -> dict:
-    prim = as_side_info(primary)
-    n = prim.n
+    n = primary.n
     if n < 2:
         raise ValueError("needs n >= 2")
     if secondary.n != n:
         raise ValueError("primary and secondary lengths differ")
-    beta = prim.alphabet.size
+    beta = primary.alphabet.size
     gamma = secondary.alphabet.size
     eps_n = bounds.eps_n_value(n, beta, eps_mode)
-    emp = block_empirics(prim, secondary, block_len)
+    emp = block_empirics(primary, secondary, block_len)
     lhs = emp.h_cond / block_len
-    rho_c = rho_cond(secondary, prim)
+    rho_c = rho_cond(secondary, primary)
     delta_p = bounds.delta_n_prime(block_len, n, beta, gamma, eps_n)
     rhs = rho_c - delta_p
     return {
@@ -182,36 +179,16 @@ def _prefix_walk(n: int, gamma: int, block_lens: Tuple[int, ...],
     return trie, ptrie, c_l, joint, primary
 
 
-def scan_entropy_inequality(n: int, beta: int = 2,
-                            block_lens: Tuple[int, ...] = (1, 2, 4, 8),
-                            eps_mode: Union[str, float] = "default",
-                            tol: float = TOL,
-                            budget: int = 1 << 20) -> dict:
-    """Exhaustively check the plain inequality over every length-n sequence."""
-    if beta != 2:
-        raise ValueError("exhaustive scan is implemented for binary sequences")
-    return _scan({"suite": "entropy-ineq", "n": n, "beta": beta}, 1, "sequences",
-                 block_lens, eps_mode, tol, budget)
-
-
-def scan_cond_entropy_inequality(n: int, beta: int = 2, gamma: int = 2,
-                                 block_lens: Tuple[int, ...] = (1, 2, 4),
-                                 eps_mode: Union[str, float] = "default",
-                                 tol: float = TOL,
-                                 budget: int = 1 << 20) -> dict:
-    """Exhaustively check the joint inequality over every binary pair of length n."""
-    if beta != 2 or gamma != 2:
-        raise ValueError("exhaustive scan is implemented for binary pairs")
-    return _scan({"suite": "cond-entropy-ineq", "n": n, "beta": beta, "gamma": gamma}, 2,
-                 "pairs", block_lens, eps_mode, tol, budget)
+SCAN_BUDGET = 1 << 20  # most inputs an exhaustive scan walks
 
 
 def _scan(head: dict, gamma: int, unit: str, block_lens: Tuple[int, ...],
-          eps_mode: Union[str, float], tol: float, budget: int) -> dict:
-    """Both exhaustive scans as one _prefix_walk, gamma = 1 for the plain
-    inequality and 2 for the conditional one.  Leaves sum c*log2(c) in the
-    order of the walker's dicts and c_l, as rho_from_count and
-    rho_cond_from_counts do, so every float is that of a left-to-right pass.
+          eps_mode: Union[str, float], tol: float) -> dict:
+    """Both exhaustive scans, verify's entropy suites, as one _prefix_walk over
+    binary primaries: gamma = 1 for the plain inequality and 2 for the
+    conditional one.  Leaves sum c*log2(c) in the order of the walker's dicts
+    and c_l, as rho_from_count and rho_cond_from_counts do, so every float is
+    that of a left-to-right pass.
     Leaves come in joint-prefix order, so violations are keyed by (vh, vt,
     block-length position) and sorted once, into (vh, vt, position) order.
     """
@@ -222,8 +199,8 @@ def _scan(head: dict, gamma: int, unit: str, block_lens: Tuple[int, ...],
         if n % l != 0:
             raise ValueError(f"block length {l} does not divide n={n}")
     total = (2 * gamma) ** n
-    if total > budget:
-        raise ValueError(f"{total} {unit} exceed the scan budget {budget}")
+    if total > SCAN_BUDGET:
+        raise ValueError(f"{total} {unit} exceed the scan budget {SCAN_BUDGET}")
     eps_n = bounds.eps_n_value(n, 2, eps_mode)
     xlogx = [c * math.log2(c) if c else 0.0 for c in range(n + 1)]  # each c*log2(c) once
     cond = gamma > 1

@@ -182,8 +182,7 @@ def product_sequence(seqs: Seq[Sequence]) -> Sequence:
 
 class ParseResult(Record):
     __slots__ = ("phrases",  # (start, length) per phrase
-                 "c", "is_last_incomplete", "rho_lz", "code_len_bound",
-                 "parents")  # trie node extended by each phrase (0 = root)
+                 "c", "is_last_incomplete", "rho_lz", "code_len_bound")
 
 def _lz_walk(data: Seq[int], size: int) -> Tuple[List[int], int]:
     """The incremental parse as a trie walk, every index below `size`.
@@ -209,21 +208,19 @@ def _lz_walk(data: Seq[int], size: int) -> Tuple[List[int], int]:
     return keys, node
 
 
-def _phrases(keys: List[int], last: int, size: int) -> Tuple[List[Tuple[int, int]], List[int]]:
-    """(start, length) and parent node of every phrase of a walk."""
-    parents = [k // size for k in keys]
+def _phrases(keys: List[int], last: int, size: int) -> List[Tuple[int, int]]:
+    """(start, length) of every phrase of a walk."""
     depth = [0]
     phrases: List[Tuple[int, int]] = []
     start = 0
-    for p in parents:
-        d = depth[p] + 1
+    for k in keys:
+        d = depth[k // size] + 1
         depth.append(d)
         phrases.append((start, d))
         start += d
     if last:
-        parents.append(last)
         phrases.append((start, depth[last]))
-    return phrases, parents
+    return phrases
 
 
 def rho_from_count(c: int, n: int) -> float:
@@ -236,7 +233,7 @@ def parse(seq: Sequence) -> ParseResult:
     from . import bounds
 
     keys, last = _lz_walk(seq.data, seq.alphabet.size)
-    phrases, parents = _phrases(keys, last, seq.alphabet.size)
+    phrases = _phrases(keys, last, seq.alphabet.size)
     n = seq.n
     c = len(phrases)
     rho = rho_from_count(c, n)
@@ -252,7 +249,6 @@ def parse(seq: Sequence) -> ParseResult:
         is_last_incomplete=last != 0,
         rho_lz=rho,
         code_len_bound=bound,
-        parents=tuple(parents),
     )
 
 

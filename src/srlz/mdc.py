@@ -29,7 +29,6 @@ from .container import (
     ROLE_COND_PART_A,
     ROLE_COND_PART_B,
     ROLE_MD_PRIMARY,
-    Record,
     Segment,
     StreamFormatError,
     find_segment,
@@ -37,7 +36,7 @@ from .container import (
     split_leaf,
     unpack_segments,
 )
-from .cond_lz import cond_decode, cond_encode, joint_parse, rho_cond
+from .cond_lz import cond_decode, cond_encode, rho_cond
 from .lz_core import Alphabet, Sequence, lz_decode, lz_encode, product_sequence, rho_lz
 
 # the region functions import regions and bounds when called: decoders never load them
@@ -45,24 +44,17 @@ if TYPE_CHECKING:
     from .regions import HalfPlaneRegion
 
 
-class EmpiricalMutualInfo(Record):
-    __slots__ = ("value", "conditional")
-
-def empirical_mi(xhat: Sequence, xtilde: Sequence,
-                 u: Optional[Sequence] = None) -> EmpiricalMutualInfo:
-    """rho_lz(xhat) + rho_lz(xtilde) - rho_joint, or the conditional variant
-    given u.  May be negative; reported as-is."""
+def empirical_mi(xhat: Sequence, xtilde: Sequence, u: Optional[Sequence] = None) -> float:
+    """rho_lz(xhat) + rho_lz(xtilde) - rho_lz of the pair, or the conditional
+    variant given u.  May be negative; reported as-is."""
     if xhat.n != xtilde.n:
         raise ValueError("sequences must have equal length")
+    pair = product_sequence((xhat, xtilde))
     if u is None:
-        jp = joint_parse(xhat, xtilde)
-        value = rho_lz(xhat) + rho_lz(xtilde) - jp.rho_joint
-        return EmpiricalMutualInfo(value=value, conditional=False)
+        return rho_lz(xhat) + rho_lz(xtilde) - rho_lz(pair)
     if u.n != xhat.n:
         raise ValueError("auxiliary length differs")
-    pair = product_sequence((xhat, xtilde))
-    value = rho_cond(xhat, u) + rho_cond(xtilde, u) - rho_cond(pair, u)
-    return EmpiricalMutualInfo(value=value, conditional=True)
+    return rho_cond(xhat, u) + rho_cond(xtilde, u) - rho_cond(pair, u)
 
 
 def md_outer_region(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, q: int,
@@ -80,7 +72,7 @@ def md_outer_region(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, q: int,
     beta = xhat.alphabet.size
     gamma = xtilde.alphabet.size
     pair = product_sequence((xhat, xtilde))
-    jp_pair = joint_parse(xhat, xtilde)
+    rho_joint = rho_lz(pair)  # joint_parse's rho_joint: the same walk over a*B + b
     rho_center = rho_cond(xcheck, pair)
     d1_hat = bounds.converse_terms(q, n, beta, gamma, eps_mode)[1]
     d1_til = bounds.converse_terms(q, n, gamma, beta, eps_mode)[1]
@@ -88,11 +80,11 @@ def md_outer_region(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, q: int,
     rho_hat = rho_lz(xhat)
     rho_til = rho_lz(xtilde)
     return clamped_region(
-        rho_hat - d1_hat, jp_pair.rho_joint + rho_center - d2, rho_til - d1_til,
+        rho_hat - d1_hat, rho_joint + rho_center - d2, rho_til - d1_til,
         meta={
             "n": n, "q": q,
             "rho_lz_hat": rho_hat, "rho_lz_tilde": rho_til,
-            "rho_joint": jp_pair.rho_joint, "rho_center": rho_center,
+            "rho_joint": rho_joint, "rho_center": rho_center,
             "delta1_hat": d1_hat, "delta1_tilde": d1_til,
             "delta2": d2, "delta2_block_len": d2_l,
             "eps_mode": str(eps_mode),
@@ -199,7 +191,6 @@ def egc_encode(xhat: Sequence, xtilde: Sequence, xcheck: Sequence,
     r2_bits = s2.payload_bits + bits_b
     center_bits = sc.payload_bits
     assert bits_a + bits_b == center_bits
-    mi = empirical_mi(xhat, xtilde)
     report = {
         "n": n,
         "split": split,
@@ -209,7 +200,7 @@ def egc_encode(xhat: Sequence, xtilde: Sequence, xcheck: Sequence,
         "rates": {"r1": r1_bits / n if n else 0.0,
                   "r2": r2_bits / n if n else 0.0,
                   "sum": (r1_bits + r2_bits) / n if n else 0.0},
-        "mi": mi.value,
+        "mi": empirical_mi(xhat, xtilde),
         "sum_identity": {
             "lhs_bits": r1_bits + r2_bits,
             "rhs_bits": s1.payload_bits + s2.payload_bits + center_bits,

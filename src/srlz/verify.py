@@ -20,28 +20,24 @@ from .lz_core import BINARY, Sequence, lz_encode, parse, rho_from_count
 TOL = 1e-9
 
 
-def suite_entropy_ineq(n: int = 16, beta: int = 2,
-                       block_lens: Tuple[int, ...] = (1, 2, 4, 8),
+def suite_entropy_ineq(n: int = 16, block_lens: Tuple[int, ...] = (1, 2, 4, 8),
                        eps_mode: Union[str, float] = "default",
                        tol: float = 1e-12) -> dict:
-    """Exhaustive block-entropy inequality scan over all length-n sequences."""
+    """Exhaustive block-entropy inequality scan over all binary length-n sequences."""
     from . import empirics
 
-    return empirics.scan_entropy_inequality(n=n, beta=beta,
-                                            block_lens=tuple(block_lens),
-                                            eps_mode=eps_mode, tol=tol)
+    return empirics._scan({"suite": "entropy-ineq", "n": n, "beta": 2}, 1, "sequences",
+                          tuple(block_lens), eps_mode, tol)
 
 
-def suite_cond_entropy_ineq(n: int = 8, beta: int = 2, gamma: int = 2,
-                            block_lens: Tuple[int, ...] = (1, 2, 4),
+def suite_cond_entropy_ineq(n: int = 8, block_lens: Tuple[int, ...] = (1, 2, 4),
                             eps_mode: Union[str, float] = "default",
                             tol: float = 1e-12) -> dict:
     """Exhaustive conditional block-entropy inequality scan over binary pairs."""
     from . import empirics
 
-    return empirics.scan_cond_entropy_inequality(n=n, beta=beta, gamma=gamma,
-                                                 block_lens=tuple(block_lens),
-                                                 eps_mode=eps_mode, tol=tol)
+    return empirics._scan({"suite": "cond-entropy-ineq", "n": n, "beta": 2, "gamma": 2}, 2,
+                          "pairs", tuple(block_lens), eps_mode, tol)
 
 
 def suite_kraft(max_out_len: int = 2, block_len_max: int = 3,
@@ -409,7 +405,9 @@ def suite_sandwich(seed: int = 0, pairs: int = 100, n: int = 1024, q: int = 1,
         beta = sizes[i % 3]
         gamma = sizes[(i // 3) % 3]
         primary, secondary = corpus.random_pair(rng, beta, gamma, n)
-        for k in ks:
+        # ks ends in n, so the last inner is the k = n one; with n < 2 it is
+        # empty and blockwise_region rejects k = n
+        for k in ks or [n]:
             inner = regions.blockwise_region(primary, secondary, q, k,
                                              "inner-plus", eps_mode)
             outer = regions.blockwise_region(primary, secondary, q, k,
@@ -419,11 +417,9 @@ def suite_sandwich(seed: int = 0, pairs: int = 100, n: int = 1024, q: int = 1,
                 containment_violations.append(
                     {"pair": i, "k": k,
                      "inner": inner.floors(), "outer": outer.floors()})
-        inner_n = regions.blockwise_region(primary, secondary, q, n,
-                                           "inner-plus", eps_mode)
         r1 = lz_encode(primary).payload_bits / n
         rc = cond_encode(secondary, primary).payload_bits / n
-        a_i, _, b_i = inner_n.floors()
+        a_i, _, b_i = inner.floors()
         if r1 > a_i + tol or r1 + rc > b_i + tol:
             measured_violations.append(
                 {"pair": i, "r1": r1, "rc": rc, "inner": (a_i, b_i)})

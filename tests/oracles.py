@@ -46,21 +46,6 @@ def parse_by_set(symbols: Seq) -> Tuple[List[tuple], int, bool]:
     return phrases, len(phrases), False
 
 
-def parent_nodes(phrases: List[tuple], last_incomplete: bool) -> List[int]:
-    """Trie node each phrase extends: complete phrase j is node j, the root 0.
-
-    A complete phrase extends the node of its prefix without the last symbol;
-    an incomplete last phrase ends at the node of its whole string.
-    """
-    complete = phrases[:-1] if last_incomplete else phrases
-    node = {(): 0}
-    node.update((w, j) for j, w in enumerate(complete, 1))
-    parents = [node[w[:-1]] for w in complete]
-    if last_incomplete:
-        parents.append(node[phrases[-1]])
-    return parents
-
-
 def pack_bits(fields: Seq[Tuple[int, int]]) -> bytes:
     """MSB-first packing of (value, width) fields: shift everything into one
     int, then zero-pad the tail to a byte boundary."""

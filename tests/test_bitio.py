@@ -6,12 +6,12 @@ import oracles
 from srlz.bitio import (
     BitReader,
     BitWriter,
-    StreamFormatError,
     TruncatedStreamError,
     fnv1a64,
     pack,
     refill,
 )
+from srlz.container import StreamFormatError
 
 
 def test_fnv1a64_known_vectors():
@@ -130,6 +130,8 @@ def test_truncation_is_a_format_error():
     assert issubclass(TruncatedStreamError, StreamFormatError)
     assert issubclass(StreamFormatError, ValueError)
     assert srlz.StreamFormatError is container.StreamFormatError is StreamFormatError
+    # container defines both; bitio raises the one it imports from there
+    assert srlz.TruncatedStreamError is container.TruncatedStreamError is TruncatedStreamError
 
 
 @pytest.mark.parametrize("size", [0, 1, 8, 9, 17])

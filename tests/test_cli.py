@@ -637,8 +637,7 @@ class TestRegionCmd:
         res = rep["results"]
         assert set(res) >= {"outer", "egc_inner", "mi"}
         assert "zb_inner" not in res
-        want_mi = mdc.empirical_mi(cli.load_sequence(xhat),
-                                   cli.load_sequence(xtilde)).value
+        want_mi = mdc.empirical_mi(cli.load_sequence(xhat), cli.load_sequence(xtilde))
         assert res["mi"] == pytest.approx(want_mi)
         code, rep, _, _ = run(capsys, "region", "md", xhat, xtilde, xcheck,
                               "--u-file", u)
@@ -731,6 +730,26 @@ class TestVerifyCmd:
         with pytest.raises(SystemExit) as si:
             cli.main(["verify", "--suite", "everything"])
         assert si.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("decode", "{lzc}", "--mode", "lz", "-o", "{out}", "--eps-mode", "zero"),
+    ("decode", "{lzc}", "--mode", "lz", "-o", "{out}", "--q", "2"),
+    ("verify", "--suite", "split-lemma", "--budget", "10", "--format", "tokens"),
+    ("verify", "--suite", "entropy-ineq", "--n", "8", "--beta", "2"),
+    ("verify", "--suite", "cond-entropy-ineq", "--n", "4", "--gamma", "2"),
+], ids=["decode-eps-mode", "decode-q", "verify-format", "verify-beta", "verify-gamma"])
+def test_a_flag_the_subcommand_never_reads_exits_2(argv, tmp_path, capsys):
+    x = token_file(tmp_path, "x.txt", "0110100110")
+    lzc = str(tmp_path / "x.lzc")
+    assert run(capsys, "encode", x, "--mode", "lz", "-o", lzc)[0] == 0
+    argv = [a.format(lzc=lzc, out=tmp_path / "out.txt") for a in argv]
+    with pytest.raises(SystemExit) as si:
+        cli.main(argv)
+    assert si.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+    # the same call without the flag runs
+    assert run(capsys, *argv[:-2])[0] == 0
 
 
 class TestDeterminism:

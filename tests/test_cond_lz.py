@@ -11,7 +11,6 @@ import oracles
 from srlz.bitio import FNV64_PRIME, fnv1a64, fnv1a64_u32
 from srlz.container import SideInfoMismatchError, StreamFormatError
 from srlz.cond_lz import (
-    as_side_info,
     cond_decode,
     cond_encode,
     joint_parse,
@@ -91,7 +90,6 @@ def test_count_only_walk_matches_joint_parse(case):
     assert list(jp.c_l) == c_l
     assert jp.rho_cond == rho_c
     assert rho_cond(secondary, primary) == rho_c
-    assert [tuple(zip(pd[a:a + ln], sd[a:a + ln])) for a, ln in jp.phrases] == phrases
     assert jp.c_joint == c_joint
     assert jp.is_last_incomplete == incomplete
 
@@ -119,14 +117,17 @@ def test_identical_pair_costs_no_payload_bits():
 
 class TestSideInfoForms:
     def test_tuple_side_info_packs_to_product(self):
+        # several side sequences travel as one: their product sequence
         a = bits("0101")
         b = bits("0011")
-        packed = as_side_info((a, b))
-        assert packed == product_sequence((a, b))
+        packed = product_sequence((a, b))
+        assert packed.alphabet.symbols == ("0|0", "0|1", "1|0", "1|1")
+        assert packed.data == (0, 2, 1, 3)
         sec = bits("1100")
-        enc = cond_encode(sec, (a, b))
-        assert cond_decode(enc.to_bytes(), (a, b)) == sec
-        assert cond_decode(enc.to_bytes(), packed) == sec
+        enc = cond_encode(sec, packed)
+        assert cond_decode(enc.to_bytes(), product_sequence((a, b))) == sec
+        with pytest.raises(SideInfoMismatchError):
+            cond_decode(enc.to_bytes(), product_sequence((b, a)))
 
     def test_checksum_covers_content(self):
         assert side_info_checksum(bits("0101")) != side_info_checksum(bits("0111"))
@@ -154,8 +155,8 @@ class TestHashFolding:
         rng = random.Random(5)
         parts = [Sequence(Alphabet.of_size(k), [rng.randrange(k) for _ in range(200)])
                  for k in (26, 26, 2)]
-        for side in (parts[:2], tuple(parts)):  # product sizes 676 and 1352
-            assert side_info_checksum(side) == struct_checksum(product_sequence(tuple(side)))
+        for side in (product_sequence(parts[:2]), product_sequence(parts)):  # 676, 1352 letters
+            assert side_info_checksum(side) == struct_checksum(side)
 
     fields = st.one_of(st.integers(0, 300), st.integers(65280, 65800),
                        st.integers(2 ** 32 - 300, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 import oracles
 from srlz.bounds import delta_n, delta_n_prime, eps_n_value
 from srlz.cond_lz import _joint_walk, joint_parse
+from srlz import empirics
 from srlz.empirics import (
     _prefix_walk,
     block_empirics,
     check_cond_entropy_inequality,
     check_entropy_inequality,
-    scan_cond_entropy_inequality,
-    scan_entropy_inequality,
 )
 from srlz.lz_core import BINARY, Alphabet, Sequence, _lz_walk, rho_lz
+from srlz.verify import suite_cond_entropy_ineq, suite_entropy_ineq
 
 
 def bits(text: str) -> Sequence:
@@ -41,7 +41,6 @@ class TestBlockEmpirics:
         assert emp.h_joint == pytest.approx(oracles.block_entropy_bits(blocks), abs=1e-12)
         assert emp.h_primary == emp.h_joint
         assert emp.h_cond == 0.0
-        assert sum(emp.joint_dist.values()) == pytest.approx(1.0, abs=1e-12)
 
     @given(divisible_pair)
     def test_conditional_entropies_match_oracle(self, case):
@@ -62,7 +61,6 @@ class TestBlockEmpirics:
     def test_known_distribution(self):
         emp = block_empirics(bits("00011011"), None, 2)
         assert emp.count == 4
-        assert emp.joint_dist == {(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.25, (1, 1): 0.25}
         assert emp.h_joint == pytest.approx(2.0)
 
     def test_block_len_must_divide(self):
@@ -123,8 +121,10 @@ class TestChecks:
 
 
 class TestScans:
+    """The exhaustive scans, run through the verify suites that own them."""
+
     def test_small_scan_agrees_with_per_sequence_checks(self):
-        rep = scan_entropy_inequality(4, block_lens=(1, 2))
+        rep = suite_entropy_ineq(4, block_lens=(1, 2))
         assert rep["sequences"] == 16
         assert rep["checks"] == 32
         assert rep["holds"]
@@ -135,28 +135,31 @@ class TestScans:
                 assert check_entropy_inequality(bits(text), l)["holds"]
 
     def test_small_cond_scan(self):
-        rep = scan_cond_entropy_inequality(2, block_lens=(1, 2))
+        rep = suite_cond_entropy_ineq(2, block_lens=(1, 2))
         assert rep["pairs"] == 16
         assert rep["checks"] == 32
         assert rep["holds"]
-
-    def test_scan_rejects_nonbinary(self):
-        with pytest.raises(ValueError, match="binary"):
-            scan_entropy_inequality(4, beta=3)
-        with pytest.raises(ValueError, match="binary"):
-            scan_cond_entropy_inequality(2, beta=2, gamma=3)
+        assert (rep["beta"], rep["gamma"]) == (2, 2)
 
     def test_scan_rejects_bad_block_len(self):
         with pytest.raises(ValueError, match="does not divide"):
-            scan_entropy_inequality(4, block_lens=(3,))
+            suite_entropy_ineq(4, block_lens=(3,))
         with pytest.raises(ValueError, match="block length must be positive"):
-            scan_entropy_inequality(4, block_lens=(0,))
+            suite_entropy_ineq(4, block_lens=(0,))
         with pytest.raises(ValueError, match="block length must be positive"):
-            scan_cond_entropy_inequality(2, block_lens=(0,))
+            suite_cond_entropy_ineq(2, block_lens=(0,))
 
-    def test_scan_budget_guard(self):
-        with pytest.raises(ValueError, match="budget"):
-            scan_entropy_inequality(24, block_lens=(1,), budget=1 << 10)
+    def test_scan_budget_guard(self, monkeypatch):
+        # 2^24 sequences and 4^11 pairs exceed the 2^20 inputs a scan may
+        # walk: both suites refuse before the walk starts
+        def no_walk(*args):
+            raise AssertionError("the scan walked past its budget")
+
+        monkeypatch.setattr(empirics, "_prefix_walk", no_walk)
+        with pytest.raises(ValueError, match="16777216 sequences exceed the scan budget"):
+            suite_entropy_ineq(n=24, block_lens=(1,))
+        with pytest.raises(ValueError, match="4194304 pairs exceed the scan budget"):
+            suite_cond_entropy_ineq(n=11, block_lens=(1,))
 
 
 class TestPrefixWalk:

@@ -148,10 +148,6 @@ def test_no_module_imports_dataclasses():
             assert "dataclasses" not in names, f"{path.name}:{node.lineno}"
 
 
-# names a module imports only so that others can import them from it
-REEXPORTS = {"container": {"StreamFormatError", "TruncatedStreamError"}}
-
-
 def _module_imports(tree: ast.Module):
     """(bound name, line) of every module-level import, `if TYPE_CHECKING:` included."""
     body = list(tree.body)
@@ -184,7 +180,7 @@ def _referenced_names(tree: ast.Module) -> set:
 def test_every_import_is_used(path):
     # no linter runs on this tree, so this test stands in for an unused-import check
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    used = _referenced_names(tree) | REEXPORTS.get(path.stem, set())
+    used = _referenced_names(tree)
     unused = [f"{path.name}:{line} {name}" for name, line in _module_imports(tree)
               if name not in used]
     assert not unused

@@ -82,8 +82,22 @@ class TestEmpiricalMi:
         from srlz.cond_lz import joint_parse
 
         expected = rho_lz(xhat) + rho_lz(xtilde) - joint_parse(xhat, xtilde).rho_joint
-        assert not mi.conditional
-        assert mi.value == pytest.approx(expected)
+        assert isinstance(mi, float)
+        assert mi == pytest.approx(expected)
+
+    def test_rho_lz_of_the_pair_is_the_joint_parse_rho(self):
+        # empirical_mi and md_outer_region take rho_joint from rho_lz of the
+        # product sequence: the joint parse's walk over the letters a*B + b
+        from srlz.cond_lz import joint_parse
+
+        rng = random.Random(3)
+        for _ in range(300):
+            sizes = rng.randint(2, 26), rng.randint(2, 26)
+            n = rng.randint(0, 300)
+            xhat, xtilde = (Sequence(Alphabet.of_size(k), [rng.randrange(k) for _ in range(n)])
+                            for k in sizes)
+            assert rho_lz(product_sequence((xhat, xtilde))) == \
+                joint_parse(xhat, xtilde).rho_joint
 
     def test_conditional_chain_identity(self):
         xhat, xtilde, _ = triple()
@@ -91,15 +105,14 @@ class TestEmpiricalMi:
         mi = empirical_mi(xhat, xtilde, u)
         pair = product_sequence((xhat, xtilde))
         lhs = rho_cond(xhat, u) + rho_cond(xtilde, u)
-        rhs = rho_cond(pair, u) + mi.value
-        assert mi.conditional
+        rhs = rho_cond(pair, u) + mi
         assert lhs == pytest.approx(rhs)
 
     def test_self_information_is_complexity(self):
         x = bits("011010011")
         mi = empirical_mi(x, x)
         # joint parse of (x, x) mirrors the plain parse, so mi collapses to rho
-        assert mi.value == pytest.approx(rho_lz(x))
+        assert mi == pytest.approx(rho_lz(x))
 
     def test_length_checks(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -243,7 +256,7 @@ class TestPipelineTwo:
             rho_cond(xcheck, product_sequence((xhat, xtilde, u))))
         assert dec["mi_given_aux"] == pytest.approx(rep["mi_given_aux"])
         assert rep["mi_given_aux"] == pytest.approx(
-            empirical_mi(xhat, xtilde, u).value)
+            empirical_mi(xhat, xtilde, u))
 
     def test_mismatched_auxiliaries_rejected(self):
         xhat, xtilde, xcheck = triple()

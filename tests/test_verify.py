@@ -121,6 +121,26 @@ class TestSmallSuiteRuns:
         assert rep["containment_checks"] == 12
         assert rep["measured_rate_violations"] == []
 
+    def test_sandwich_builds_each_region_once(self, monkeypatch):
+        # the k = n inner region the measured rates are checked against is the
+        # last one the containment loop builds
+        from srlz import regions
+
+        calls = []
+        real = regions.blockwise_region
+
+        def counting(primary, secondary, q, k, side, eps_mode):
+            calls.append((k, side))
+            return real(primary, secondary, q, k, side, eps_mode)
+
+        monkeypatch.setattr(regions, "blockwise_region", counting)
+        suite_sandwich(pairs=2, n=16)
+        assert len(calls) == len(set(calls)) * 2 == 16
+
+    def test_sandwich_needs_two_symbols(self):
+        with pytest.raises(ValueError, match="needs n >= 2"):
+            suite_sandwich(pairs=1, n=1)
+
     def test_converse(self):
         rep = suite_converse(n_small=4, random_pairs=5, n_large=64,
                              spot_checks=4, spot_k_max=4)
