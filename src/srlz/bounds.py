@@ -16,7 +16,7 @@ right-hand sides from the second.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 LOG2E = math.log2(math.e)
 
@@ -27,20 +27,16 @@ LOG2E = math.log2(math.e)
 # recomputes it.
 EPS_HAT_K = 16
 
-EPS_MODES = ("default", "zero")
-
 _EXP_GUARD = 1020  # beyond ~2**1020 the float terms overflow; report +inf
 
 
-def eps_n_value(n: int, beta: int, mode: Union[str, float] = "default") -> float:
-    """Resolve the eps_n mode to a value in [0, 1)."""
+def eps_n_value(n: int, beta: int, mode: str = "default") -> float:
+    """Resolve the eps_n mode (default, zero or custom:<value>) to a value in [0, 1)."""
     if n < 2:
         raise ValueError("eps_n needs n >= 2")
     if beta < 1:
         raise ValueError("alphabet size must be positive")
-    if isinstance(mode, (int, float)) and not isinstance(mode, bool):
-        value = float(mode)
-    elif mode == "default":
+    if mode == "default":
         value = min(0.999, (math.log2(max(1.0, math.log2(beta * n))) + 4.0) / math.log2(n))
     elif mode == "zero":
         value = 0.0
@@ -186,7 +182,7 @@ def zl78_floor(c: int, n: int, q: int) -> float:
 
 
 def converse_terms(q: int, n: int, beta: int, gamma: int,
-                   eps_mode: Union[str, float] = "default") -> Tuple[float, float, float, int]:
+                   eps_mode: str = "default") -> Tuple[float, float, float, int]:
     """The converse penalties for a length-n pair over primary and secondary
     alphabets of sizes beta and gamma: (eps_n, delta1, delta2, delta2's block
     length).  eps_n is resolved for n and the primary alphabet, and both

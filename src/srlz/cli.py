@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from typing import TYPE_CHECKING, List, Optional, Sequence as Seq, Tuple
@@ -155,12 +154,8 @@ def emit_report(report: dict) -> None:
 
 
 def _region_dict(r: regions.HalfPlaneRegion) -> dict:
-    out = {"a": r.a, "b": r.b, "clamped_a": r.clamped_a, "clamped_b": r.clamped_b,
-           "meta": r.meta}
-    if r.c is not None:
-        out["c"] = r.c
-        out["clamped_c"] = r.clamped_c
-    return out
+    return {"a": r.a, "b": r.b, "clamped_a": r.clamped_a, "clamped_b": r.clamped_b,
+            "meta": r.meta}
 
 
 def _md_region_dict(r: regions.HalfPlaneRegion, kind: str) -> dict:
@@ -171,9 +166,17 @@ def _md_region_dict(r: regions.HalfPlaneRegion, kind: str) -> dict:
 
 
 def _eps_mode(args) -> str:
-    if getattr(args, "eps_mode", None):
-        return args.eps_mode
-    return os.environ.get("SRLZ_EPS_MODE") or "default"
+    """--eps-mode, checked by bounds.eps_n_value, whose verdict on a mode does
+    not depend on n or beta; the default needs no check, so a call without the
+    flag does not load bounds."""
+    if args.eps_mode != "default":
+        from . import bounds
+
+        try:
+            bounds.eps_n_value(2, 2, args.eps_mode)
+        except ValueError as exc:
+            raise UsageError(f"--eps-mode: {exc}") from exc
+    return args.eps_mode
 
 
 def _inputs_block(paths: Seq[str]) -> dict:
@@ -251,7 +254,7 @@ def cmd_analyze(args) -> int:
     if n >= 2:
         beta = results["beta"]
         eps_n, d1, d2, d2_l = bounds.converse_terms(args.q, n, beta, seq.alphabet.size, eps)
-        floors = {"q": args.q, "eps_mode": str(eps), "eps_n": eps_n, "delta1": d1}
+        floors = {"q": args.q, "eps_mode": eps, "eps_n": eps_n, "delta1": d1}
         if side is not None:
             floors["delta2"] = d2
             floors["delta2_block_len"] = d2_l
@@ -260,7 +263,7 @@ def cmd_analyze(args) -> int:
         "command": "analyze",
         "inputs": _inputs_block([p for p in (args.input, args.side_info) if p]),
         "parameters": {"block_len": args.block_len, "q": args.q,
-                       "eps_mode": str(eps), "format": args.fmt},
+                       "eps_mode": eps, "format": args.fmt},
         "results": results,
     })
     return EXIT_VIOLATION if violation else EXIT_OK
@@ -282,12 +285,6 @@ def _distortion_spec(args) -> sr_codec.DistortionSpec:
 
     d = sr_codec.PerLetterDistortion(args.distortion)
     return sr_codec.DistortionSpec(d1=d, d2=d, level1=args.d1, level2=args.d2)
-
-
-def _search_budget(args) -> regions.SearchBudget:
-    from . import regions
-
-    return regions.SearchBudget(seed=args.seed, weight=args.weight)
 
 
 def _md_triple(args) -> Tuple[Sequence, Sequence, Sequence]:
@@ -312,7 +309,7 @@ def cmd_encode(args) -> int:
     mode = args.mode
     report: dict = {
         "command": "encode",
-        "parameters": {"mode": mode, "q": args.q, "eps_mode": str(eps),
+        "parameters": {"mode": mode, "q": args.q, "eps_mode": eps,
                        "seed": args.seed, "format": args.fmt},
     }
     if mode == "lz":
@@ -367,7 +364,8 @@ def cmd_encode(args) -> int:
         if len(args.inputs) == 1:
             x = load_sequence(args.inputs[0], args.fmt)
             xhat, xtilde, diag = sr_codec.select_reproductions(
-                x, dist, args.objective, _search_budget(args))
+                x, dist, args.objective,
+                regions.SearchBudget(seed=args.seed, weight=args.weight))
         elif len(args.inputs) == 3:
             x, xhat, xtilde = (load_sequence(p, args.fmt) for p in args.inputs)
             diag = {"search_mode": "given"}
@@ -397,7 +395,7 @@ def cmd_encode(args) -> int:
                                      "objective": args.objective,
                                      "distortion": args.distortion})
         report["results"] = results
-    elif mode in ("md-egc", "md-zb"):
+    else:  # md-egc, md-zb
         from . import mdc
 
         xhat, xtilde, xcheck = _md_triple(args)
@@ -424,8 +422,6 @@ def cmd_encode(args) -> int:
         report["parameters"].update({"split": args.split, "alpha": args.alpha,
                                      "d1": args.d1, "d2": args.d2, "d0": args.d0})
         report["results"] = results
-    else:
-        raise UsageError(f"unknown mode: {mode}")
     emit_report(report)
     return EXIT_OK
 
@@ -469,7 +465,7 @@ def cmd_decode(args) -> int:
             if args.coarse_output:
                 outputs.append(_save_output(coarse, args.coarse_output, args.fmt,
                                             n=coarse.n, stage=1))
-    elif mode in ("md-egc", "md-zb"):
+    else:  # md-egc, md-zb
         from . import mdc
 
         decoder = args.decoder
@@ -491,7 +487,7 @@ def cmd_decode(args) -> int:
                 if args.aux_output:
                     outputs.append(_save_output(u, args.aux_output, args.fmt, role="aux"))
             outputs.append(_save_output(seq, args.output, args.fmt, n=seq.n, decoder=decoder))
-        elif decoder == 0:
+        else:
             if len(raws) != 2:
                 raise UsageError("decoder 0 takes both description files")
             parts = []
@@ -504,10 +500,6 @@ def cmd_decode(args) -> int:
             for name, seq in parts:
                 outputs.append(_save_output(seq, f"{args.output}.{name}", args.fmt,
                                             n=seq.n, role=name))
-        else:
-            raise UsageError("decoder must be 0, 1, or 2")
-    else:
-        raise UsageError(f"unknown mode: {mode}")
     report["results"] = {"outputs": outputs}
     emit_report(report)
     return EXIT_OK
@@ -524,7 +516,7 @@ def cmd_region(args) -> int:
     kind = args.kind
     report: dict = {
         "command": "region",
-        "parameters": {"kind": kind, "q": args.q, "eps_mode": str(eps),
+        "parameters": {"kind": kind, "q": args.q, "eps_mode": eps,
                        "format": args.fmt},
     }
     front = None
@@ -555,7 +547,8 @@ def cmd_region(args) -> int:
             raise UsageError("region sr takes one source sequence file")
         x = load_sequence(args.inputs[0], args.fmt)
         dist = _distortion_spec(args)
-        union = regions.sr_outer_region(x, dist, args.q, _search_budget(args), eps)
+        union = regions.sr_outer_region(x, dist, args.q,
+                                        regions.SearchBudget(seed=args.seed), eps)
         front = list(union.frontier)
         report["parameters"].update({"d1": args.d1, "d2": args.d2,
                                      "distortion": args.distortion,
@@ -565,7 +558,7 @@ def cmd_region(args) -> int:
             "frontier": [[p.r1, p.r2] for p in front],
             "search": union.meta,
         }
-    elif kind == "md":
+    else:  # md
         if len(args.inputs) != 3:
             raise UsageError("region md takes coarse, fine, and central files")
         from . import mdc
@@ -586,10 +579,8 @@ def cmd_region(args) -> int:
                                                   "zb-inner")
             results["mi_given_aux"] = zb["mi_given_aux"]
         report["results"] = results
-    else:
-        raise UsageError(f"unknown region kind: {kind}")
     report["inputs"] = _inputs_block(
-        list(args.inputs) + ([args.u_file] if getattr(args, "u_file", None) else []))
+        list(args.inputs) + ([args.u_file] if args.u_file else []))
     if args.csv:
         if front is None:
             raise UsageError("--csv applies to staircase region kinds (pair, "
@@ -633,18 +624,18 @@ def cmd_verify(args) -> int:
     from . import verify
 
     eps = _eps_mode(args)
+    if args.budget is not None and args.budget < 0:
+        raise UsageError(f"--budget must be nonnegative, got {args.budget}")
     suite = args.suite
-    if suite not in VERIFY_FLAGS:
-        raise UsageError(f"unknown suite: {suite}")
     kwargs = {}
     for flag, keyword in VERIFY_FLAGS[suite].items():
-        value = eps if flag == "eps_mode" else getattr(args, flag)
+        value = getattr(args, flag)
         if value is not None and value != "":
             kwargs[keyword] = _block_lens(value) if flag == "block_lens" else value
     rep = verify.SUITES[suite](**kwargs)
     emit_report({
         "command": "verify",
-        "parameters": {"suite": suite, "seed": args.seed, "eps_mode": str(eps)},
+        "parameters": {"suite": suite, "seed": args.seed, "eps_mode": eps},
         "results": rep,
     })
     return EXIT_OK if rep.get("holds") else EXIT_VIOLATION
@@ -663,9 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # each subcommand accepts only the shared flags it reads
     def bound_flags(p):
-        p.add_argument("--eps-mode", default=None,
-                       help="slack mode: default, zero, or custom:<value> "
-                            "(env SRLZ_EPS_MODE applies when unset)")
+        p.add_argument("--eps-mode", default="default",
+                       help="slack mode: default, zero, or custom:<value>")
         p.add_argument("--q", type=int, default=1,
                        help="per-stage state budget for the bound terms")
 
@@ -732,7 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--d1", type=float, default=0.0)
     pr.add_argument("--d2", type=float, default=0.0)
     pr.add_argument("--distortion", default="hamming", choices=("hamming", "absdiff"))
-    pr.add_argument("--weight", type=float, default=0.5)
     pr.add_argument("--u-file", default=None)
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--csv", default=None, help="write the frontier staircase as CSV")

@@ -85,7 +85,8 @@ class Record:
 
     Unless a subclass writes its own `__init__`, the base builds one that takes
     one parameter per slot, in slot order, and stores each; `_defaults` maps
-    the trailing slots that may be omitted to their default values.  == compares
+    the trailing slots that may be omitted to their default values, and the
+    fields named in `_fresh_dicts` store a new {} when passed None.  == compares
     records of the same class field by field (other classes get
     NotImplemented), hash is the hash of the same field tuple, and repr has the
     dataclass format.  A subclass names the fields left out of == and hash in
@@ -95,6 +96,7 @@ class Record:
 
     __slots__ = ()
     _defaults: Dict[str, object] = {}
+    _fresh_dicts: Tuple[str, ...] = ()
     _uncompared: Tuple[str, ...] = ()
     _unshown: Tuple[str, ...] = ()
 
@@ -111,7 +113,9 @@ class Record:
             # compiled for the same reason: it runs as fast as a written one
             params = "".join(f", {f}=_defaults[{f!r}]" if f in cls._defaults else f", {f}"
                              for f in cls.__slots__)
-            body = "".join(f"\n    self.{f} = {f}" for f in cls.__slots__)
+            body = "".join(f"\n    self.{f} = {{}} if {f} is None else {f}"
+                           if f in cls._fresh_dicts else f"\n    self.{f} = {f}"
+                           for f in cls.__slots__)
             scope: Dict[str, object] = {}
             exec(f"def __init__(self{params}):{body}",
                  {"__name__": cls.__module__, "_defaults": cls._defaults}, scope)

@@ -11,7 +11,7 @@ entropies by normalized parse complexities minus vanishing penalties:
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import bounds
 from .container import Record
@@ -62,7 +62,7 @@ def block_empirics(primary: Sequence, secondary: Optional[Sequence], block_len: 
 
 
 def check_entropy_inequality(seq: Sequence, block_len: int,
-                             eps_mode: Union[str, float] = "default",
+                             eps_mode: str = "default",
                              tol: float = TOL) -> dict:
     n = seq.n
     if n < 2:
@@ -82,14 +82,14 @@ def check_entropy_inequality(seq: Sequence, block_len: int,
         "rho_lz": rho,
         "delta": delta,
         "rhs": rhs,
-        "eps_mode": str(eps_mode),
+        "eps_mode": eps_mode,
         "eps_n": eps_n,
         "holds": lhs >= rhs - tol,
     }
 
 
 def check_cond_entropy_inequality(secondary: Sequence, primary: Sequence, block_len: int,
-                                  eps_mode: Union[str, float] = "default",
+                                  eps_mode: str = "default",
                                   tol: float = TOL) -> dict:
     n = primary.n
     if n < 2:
@@ -113,7 +113,7 @@ def check_cond_entropy_inequality(secondary: Sequence, primary: Sequence, block_
         "rho_cond": rho_c,
         "delta_prime": delta_p,
         "rhs": rhs,
-        "eps_mode": str(eps_mode),
+        "eps_mode": eps_mode,
         "eps_n": eps_n,
         "holds": lhs >= rhs - tol,
     }
@@ -183,7 +183,7 @@ SCAN_BUDGET = 1 << 20  # most inputs an exhaustive scan walks
 
 
 def _scan(head: dict, gamma: int, unit: str, block_lens: Tuple[int, ...],
-          eps_mode: Union[str, float], tol: float) -> dict:
+          eps_mode: str, tol: float) -> dict:
     """Both exhaustive scans, verify's entropy suites, as one _prefix_walk over
     binary primaries: gamma = 1 for the plain inequality and 2 for the
     conditional one.  Leaves sum c*log2(c) in the order of the walker's dicts
@@ -227,6 +227,6 @@ def _scan(head: dict, gamma: int, unit: str, block_lens: Tuple[int, ...],
     names = ("primary", "secondary") if cond else ("sequence",)
     violations = [dict(zip(names, f), block_len=f[3], lhs=f[4], rhs=f[5])
                   for f in sorted(found)]
-    return dict(head, block_lens=list(block_lens), eps_mode=str(eps_mode), eps_n=eps_n,
+    return dict(head, block_lens=list(block_lens), eps_mode=eps_mode, eps_n=eps_n,
                 **{unit: total}, checks=total * len(block_lens), violations=violations,
                 holds=not violations)

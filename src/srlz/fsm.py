@@ -12,7 +12,7 @@ the stage-2 data, the input pair).
 from __future__ import annotations
 
 from itertools import product as iproduct
-from typing import Dict, List, Optional, Sequence as Seq, Tuple, Union
+from typing import Dict, List, Optional, Sequence as Seq, Tuple
 
 from . import bounds
 from .cond_lz import rho_cond
@@ -272,7 +272,7 @@ def kraft_check(encoder: FsmEncoder, block_len: int, q: Optional[int] = None,
 
 
 def converse_check(encoder: FsmEncoder, primary: Sequence, secondary: Sequence,
-                   k_max: int = 6, eps_mode: Union[str, float] = "default",
+                   k_max: int = 6, eps_mode: str = "default",
                    tol: float = 1e-12) -> dict:
     """Measure the encoder on a pair and verify the three converse floors of
     bounds.converse_terms and bounds.converse_floors.
@@ -296,7 +296,7 @@ def converse_check(encoder: FsmEncoder, primary: Sequence, secondary: Sequence,
         "lossless": cert.passed,
         "depth_certified": cert.depth_certified,
         "applicable": cert.passed,
-        "eps_mode": str(eps_mode),
+        "eps_mode": eps_mode,
     }
     if not cert.passed:
         report["counterexample"] = cert.counterexample

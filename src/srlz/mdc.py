@@ -19,7 +19,7 @@ block of its encoder's report, so only the encoder lists the streams it codes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .container import (
     MODE_MD1,
@@ -58,7 +58,7 @@ def empirical_mi(xhat: Sequence, xtilde: Sequence, u: Optional[Sequence] = None)
 
 
 def md_outer_region(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, q: int,
-                    eps_mode: Union[str, float] = "default") -> HalfPlaneRegion:
+                    eps_mode: str = "default") -> HalfPlaneRegion:
     """Converse floors for any q-state-per-stage two-description encoder
     reproducing (xhat, xtilde, xcheck): a on R1, c on R2, b on R1 + R2."""
     from . import bounds
@@ -87,7 +87,7 @@ def md_outer_region(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, q: int,
             "rho_joint": rho_joint, "rho_center": rho_center,
             "delta1_hat": d1_hat, "delta1_tilde": d1_til,
             "delta2": d2, "delta2_block_len": d2_l,
-            "eps_mode": str(eps_mode),
+            "eps_mode": eps_mode,
         },
     )
 

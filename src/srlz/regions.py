@@ -8,7 +8,7 @@ ascending in R1.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence as Seq, Tuple, Union
+from typing import Iterable, List, Optional, Sequence as Seq, Tuple
 
 from . import bounds
 from .container import Record
@@ -28,23 +28,13 @@ class HalfPlaneRegion(Record):
     `exact_corner`."""
 
     __slots__ = ("a", "b", "c", "clamped_a", "clamped_b", "clamped_c", "meta",
+                 # the point given to region_from_corner; corner() returns it unrounded
                  "exact_corner")
+    _defaults = {"c": None, "clamped_a": False, "clamped_b": False, "clamped_c": False,
+                 "meta": None, "exact_corner": None}
+    _fresh_dicts = ("meta",)
     _uncompared = ("meta", "exact_corner")
     _unshown = ("exact_corner",)
-
-    def __init__(self, a: float, b: float, c: Optional[float] = None,
-                 clamped_a: bool = False, clamped_b: bool = False, clamped_c: bool = False,
-                 meta: Optional[dict] = None,
-                 exact_corner: Optional[RatePoint] = None) -> None:
-        self.a = a
-        self.b = b
-        self.c = c
-        self.clamped_a = clamped_a
-        self.clamped_b = clamped_b
-        self.clamped_c = clamped_c
-        self.meta = {} if meta is None else meta
-        # the point given to region_from_corner; corner() returns it unrounded
-        self.exact_corner = exact_corner
 
     def floors(self) -> Tuple[float, float, float]:
         """Effective (R1 floor, R2 floor, sum floor) with the implicit >= 0."""
@@ -141,16 +131,13 @@ class RegionUnion(Record):
     """Member regions and the union's frontier; `meta` takes no part in == or hash."""
 
     __slots__ = ("members", "frontier", "meta")
+    _defaults = {"meta": None}
+    _fresh_dicts = ("meta",)
     _uncompared = ("meta",)
 
-    def __init__(self, members: Tuple[HalfPlaneRegion, ...], frontier: Tuple[RatePoint, ...],
-                 meta: Optional[dict] = None) -> None:
-        self.members = members
-        self.frontier = frontier
-        self.meta = {} if meta is None else meta
 
 def region_for_pair(primary: Sequence, secondary: Sequence, q: int,
-                    eps_mode: Union[str, float] = "default") -> HalfPlaneRegion:
+                    eps_mode: str = "default") -> HalfPlaneRegion:
     """Converse (outer) region for one reproduction pair at state budget q."""
     n = primary.n
     if n < 2:
@@ -169,13 +156,13 @@ def region_for_pair(primary: Sequence, secondary: Sequence, q: int,
             "n": n, "q": q, "beta": beta, "gamma": gamma,
             "rho_lz": rho1, "rho_cond": rho_c,
             "delta1": d1, "delta2": d2, "delta2_block_len": d2_l,
-            "eps_mode": str(eps_mode), "eps_n": eps_n,
+            "eps_mode": eps_mode, "eps_n": eps_n,
         },
     )
 
 
 def blockwise_region(primary: Sequence, secondary: Sequence, q: int, block_len: int,
-                     side: str, eps_mode: Union[str, float] = "default") -> HalfPlaneRegion:
+                     side: str, eps_mode: str = "default") -> HalfPlaneRegion:
     """Block-partition region at block length k (k >= 2, k | n).
 
     side="outer-minus" (short form "outer"): converse floors from per-block
@@ -213,7 +200,7 @@ def blockwise_region(primary: Sequence, secondary: Sequence, q: int, block_len: 
     meta = {
         "n": n, "q": q, "block_len": k, "side": side,
         "avg_rho_lz": avg1, "avg_rho_sum": avg12,
-        "eps_mode": str(eps_mode),
+        "eps_mode": eps_mode,
     }
     if side == "outer-minus":
         eps_n, d1, d2, d2_l = bounds.converse_terms(q, k, beta, gamma, eps_mode)
@@ -238,7 +225,7 @@ class SearchBudget(Record):
 
 def sr_outer_region(x: Sequence, dist, q: int,
                     search: Optional[SearchBudget] = None,
-                    eps_mode: Union[str, float] = "default") -> RegionUnion:
+                    eps_mode: str = "default") -> RegionUnion:
     """Union of pair regions over admissible reproduction pairs.
 
     Exhaustive over the distortion balls when small enough, otherwise a
@@ -254,7 +241,7 @@ def sr_outer_region(x: Sequence, dist, q: int,
     members = [region_for_pair(hat, til, q, eps_mode) for hat, til in pairs]
     front = frontier(members)
     meta = dict(meta)
-    meta.update({"q": q, "eps_mode": str(eps_mode), "members": len(members),
+    meta.update({"q": q, "eps_mode": eps_mode, "members": len(members),
                  "exhaustive": meta.get("search_mode") == "exhaustive"})
     return RegionUnion(members=tuple(members), frontier=tuple(front), meta=meta)
 

@@ -163,12 +163,9 @@ def _objective_fn(objective: str, weight: float) -> Callable[[float, float], flo
     raise ValueError(f"unknown objective: {objective}")
 
 
-def _ball(x: Sequence, d: PerLetterDistortion, level: float,
-          cap: int) -> Optional[List[Sequence]]:
-    """All reproductions within the level, or None when the ball may exceed cap."""
+def _ball(x: Sequence, d: PerLetterDistortion, level: float) -> List[Sequence]:
+    """All reproductions within the level."""
     rep = d.rep_alphabet(x.alphabet)
-    if rep.size ** x.n > cap:
-        return None
     cost = d.letter_cost(x.alphabet, rep)
     budget = level * x.n + 1e-9
     out: List[Sequence] = []
@@ -200,15 +197,15 @@ def candidate_pairs(x: Sequence, dist: DistortionSpec, search) -> Tuple[List[Tup
     rep2 = dist.d2.rep_alphabet(x.alphabet)
     total = (rep1.size * rep2.size) ** x.n
     if mode in ("auto", "exhaustive") and total <= search.exhaustive_limit:
-        ball1 = _ball(x, dist.d1, dist.level1, search.exhaustive_limit)
-        ball2 = _ball(x, dist.d2, dist.level2, search.exhaustive_limit)
-        if ball1 is not None and ball2 is not None:
-            if not ball1 or not ball2:
-                raise InfeasibleError("a distortion ball is empty")
-            pairs = [(h, t) for h in ball1 for t in ball2]
-            meta.update({"search_mode": "exhaustive", "ball1": len(ball1),
-                         "ball2": len(ball2), "pairs": len(pairs)})
-            return pairs, meta
+        # total bounds |R1|^n and |R2|^n, so each ball fits the limit too
+        ball1 = _ball(x, dist.d1, dist.level1)
+        ball2 = _ball(x, dist.d2, dist.level2)
+        if not ball1 or not ball2:
+            raise InfeasibleError("a distortion ball is empty")
+        pairs = [(h, t) for h in ball1 for t in ball2]
+        meta.update({"search_mode": "exhaustive", "ball1": len(ball1),
+                     "ball2": len(ball2), "pairs": len(pairs)})
+        return pairs, meta
     if mode == "exhaustive":
         raise BudgetExceededError(
             f"{total} candidate pairs exceed the exhaustive limit")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
 # The suites import the modules they exercise themselves, so running one
 # suite loads only what it runs.
@@ -21,7 +21,7 @@ TOL = 1e-9
 
 
 def suite_entropy_ineq(n: int = 16, block_lens: Tuple[int, ...] = (1, 2, 4, 8),
-                       eps_mode: Union[str, float] = "default",
+                       eps_mode: str = "default",
                        tol: float = 1e-12) -> dict:
     """Exhaustive block-entropy inequality scan over all binary length-n sequences."""
     from . import empirics
@@ -31,7 +31,7 @@ def suite_entropy_ineq(n: int = 16, block_lens: Tuple[int, ...] = (1, 2, 4, 8),
 
 
 def suite_cond_entropy_ineq(n: int = 8, block_lens: Tuple[int, ...] = (1, 2, 4),
-                            eps_mode: Union[str, float] = "default",
+                            eps_mode: str = "default",
                             tol: float = 1e-12) -> dict:
     """Exhaustive conditional block-entropy inequality scan over binary pairs."""
     from . import empirics
@@ -107,7 +107,7 @@ def _counting_sequence(n: int) -> Sequence:
 def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
                    n_large: int = 1024, spot_checks: int = 200,
                    max_out_len: int = 2, k_max: int = 8, spot_k_max: int = 5,
-                   eps_mode: Union[str, float] = "default",
+                   eps_mode: str = "default",
                    tol: float = 1e-12) -> dict:
     """Converse floors (i)-(iii) against the enumerated one-state family.
 
@@ -149,11 +149,12 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
     exhaustive_violations: List[dict] = []
     for vh in range(side):
         m1 = m1_by_ones[ones_of[vh]]
-        if m1 < rho_small[vh] - d1_small - tol:
-            exhaustive_violations.append({"check": "i", "primary": vh})
-        floor3 = bounds.zl78_floor(phrase_counts[vh], n_small, 1)
-        if m1 < floor3 - tol:
-            exhaustive_violations.append({"check": "iii", "primary": vh})
+        # floors (i) and (iii) depend on the primary alone; (ii) is per leaf below
+        floor1, _, floor3 = bounds.converse_floors(rho_small[vh], 0.0, phrase_counts[vh],
+                                                   n_small, 1, d1_small, d2_small)
+        exhaustive_violations += [{"check": name, "primary": vh}
+                                  for name, floor in (("i", floor1), ("iii", floor3))
+                                  if m1 < floor - tol]
     found: List[int] = []
     xlogx = [c * math.log2(c) if c else 0.0 for c in range(n_small + 1)]
 
@@ -245,7 +246,7 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
         "reduction": "profile minima over the certified stage tables; the "
                      "family is their full product, so per-stage minima are "
                      "exact for rho1 and rho1+rho2",
-        "eps_mode": str(eps_mode),
+        "eps_mode": eps_mode,
         "exhaustive": {
             "n": n_small,
             "pairs": side * side,
@@ -388,7 +389,7 @@ def suite_split_lemma(seed: int = 0, budget: int = 100000,
 
 
 def suite_sandwich(seed: int = 0, pairs: int = 100, n: int = 1024, q: int = 1,
-                   eps_mode: Union[str, float] = "default",
+                   eps_mode: str = "default",
                    tol: float = TOL) -> dict:
     """Blockwise inner-plus regions sit inside outer-minus regions at every
     divisor block length, and the single-shot measured rates certify the k=n
@@ -431,7 +432,7 @@ def suite_sandwich(seed: int = 0, pairs: int = 100, n: int = 1024, q: int = 1,
         "n": n,
         "q": q,
         "block_lens": ks,
-        "eps_mode": str(eps_mode),
+        "eps_mode": eps_mode,
         "containment_checks": containment_checks,
         "containment_violations": containment_violations,
         "measured_rate_violations": measured_violations,

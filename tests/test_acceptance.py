@@ -197,8 +197,7 @@ def test_criterion_10_region_sandwich():
     assert dt < 60.0, f"took {dt:.1f} s, budget 60 s"
 
 
-def test_criterion_11_cli_determinism(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("SRLZ_EPS_MODE", raising=False)
+def test_criterion_11_cli_determinism(tmp_path, capsys):
     src = tmp_path / "src.txt"
     src.write_text("alphabet: a b\n" + "\n".join("abbabaabbaaabaa") + "\n")
 

@@ -27,7 +27,9 @@ class TestEpsNValue:
     def test_zero_and_custom_and_float(self):
         assert bounds.eps_n_value(16, 2, "zero") == 0.0
         assert bounds.eps_n_value(16, 2, "custom:0.25") == 0.25
-        assert bounds.eps_n_value(16, 2, 0.5) == 0.5
+        # a mode is a string; a bare float is refused, not read as eps_n
+        with pytest.raises(ValueError, match="unknown eps_n mode"):
+            bounds.eps_n_value(16, 2, 0.5)
 
     def test_rejections(self):
         with pytest.raises(ValueError):
@@ -204,7 +206,6 @@ def test_every_consumer_takes_its_penalties_from_converse_terms(monkeypatch, tmp
     moves by exactly the amount, and the converse suite starts failing.  The
     sum floors sit at zero before any lowering, so the moves are measured
     from one lowering to the next."""
-    monkeypatch.delenv("SRLZ_EPS_MODE", raising=False)
     primary, secondary = corpus.random_pair(random.Random("converse-terms"), 2, 2, 256)
     x, u = str(tmp_path / "x.txt"), str(tmp_path / "u.txt")
     cli.save_sequence(primary, x)

@@ -23,11 +23,6 @@ EXAMPLE_B_PRIMARY = "010101"
 EXAMPLE_B_SECONDARY = "010001"
 
 
-@pytest.fixture(autouse=True)
-def _clean_eps_env(monkeypatch):
-    monkeypatch.delenv("SRLZ_EPS_MODE", raising=False)
-
-
 def run(capsys, *argv):
     """Invoke the CLI in process and split the captured streams."""
     code = cli.main(list(argv))
@@ -233,12 +228,16 @@ class TestEpsModes:
         assert rep["parameters"]["eps_mode"] == "zero"
         assert rep["results"]["bounds"]["eps_n"] == 0.0
 
-    def test_env_var_applies_when_flag_unset(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SRLZ_EPS_MODE", "zero")
+    def test_env_var_is_ignored(self, tmp_path, capsys, monkeypatch):
+        # the mode comes from --eps-mode alone: the same argv, the same report
         f = token_file(tmp_path, "s.txt", "0110")
-        _, rep, _, _ = run(capsys, "analyze", f)
-        assert rep["parameters"]["eps_mode"] == "zero"
-        assert rep["results"]["bounds"]["eps_n"] == 0.0
+        _, _, plain, _ = run(capsys, "analyze", f)
+        monkeypatch.setenv("SRLZ_EPS_MODE", "zero")
+        _, rep, out, _ = run(capsys, "analyze", f)
+        assert out == plain
+        assert rep["parameters"]["eps_mode"] == "default"
+        assert rep["results"]["bounds"]["eps_n"] == pytest.approx(
+            bounds.eps_n_value(4, 2, "default"))
 
     def test_flag_overrides_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SRLZ_EPS_MODE", "zero")
@@ -258,6 +257,28 @@ class TestEpsModes:
         code, _, _, err = run(capsys, "analyze", f, "--eps-mode", "custom:oops")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "{x}"),
+        ("analyze", "{one}"),
+        ("encode", "{x}", "--mode", "lz", "-o", "{out}"),
+        ("region", "pair", "{x}", "{x}"),
+        ("verify", "--suite", "split-lemma", "--budget", "10"),
+        ("verify", "--suite", "kraft"),
+        ("verify", "--suite", "frontier", "--budget", "2"),
+    ], ids=["analyze", "analyze-n1", "encode-lz", "region-pair", "verify-split-lemma",
+            "verify-kraft", "verify-frontier"])
+    @pytest.mark.parametrize("mode", ["garbage", "", "custom:1.5"])
+    def test_malformed_mode_exits_2_on_every_subcommand(self, argv, mode, tmp_path, capsys):
+        # also where nothing resolves the mode: a one-symbol analyze, encode
+        # lz, and the suites that take no slack
+        paths = {"x": token_file(tmp_path, "x.txt", "01101001"),
+                 "one": token_file(tmp_path, "one.txt", "0"), "out": tmp_path / "o"}
+        argv = [a.format(**paths) for a in argv]
+        code, rep, _, err = run(capsys, *argv, "--eps-mode", mode)
+        assert (code, rep) == (2, None)
+        assert "error: --eps-mode: " in err
+        assert run(capsys, *argv)[0] == 0
 
 
 class TestEncodeDecode:
@@ -731,6 +752,12 @@ class TestVerifyCmd:
             cli.main(["verify", "--suite", "everything"])
         assert si.value.code == 2
 
+    @pytest.mark.parametrize("suite", ["split-lemma", "sandwich", "frontier", "converse"])
+    def test_negative_budget_exits_2(self, suite, capsys):
+        code, rep, _, err = run(capsys, "verify", "--suite", suite, "--budget", "-5")
+        assert (code, rep) == (2, None)
+        assert "error: --budget must be nonnegative" in err
+
 
 @pytest.mark.parametrize("argv", [
     ("decode", "{lzc}", "--mode", "lz", "-o", "{out}", "--eps-mode", "zero"),
@@ -738,12 +765,14 @@ class TestVerifyCmd:
     ("verify", "--suite", "split-lemma", "--budget", "10", "--format", "tokens"),
     ("verify", "--suite", "entropy-ineq", "--n", "8", "--beta", "2"),
     ("verify", "--suite", "cond-entropy-ineq", "--n", "4", "--gamma", "2"),
-], ids=["decode-eps-mode", "decode-q", "verify-format", "verify-beta", "verify-gamma"])
+    ("region", "sr", "{x}", "--d1", "0.2", "--weight", "0.5"),
+], ids=["decode-eps-mode", "decode-q", "verify-format", "verify-beta", "verify-gamma",
+        "region-weight"])
 def test_a_flag_the_subcommand_never_reads_exits_2(argv, tmp_path, capsys):
     x = token_file(tmp_path, "x.txt", "0110100110")
     lzc = str(tmp_path / "x.lzc")
     assert run(capsys, "encode", x, "--mode", "lz", "-o", lzc)[0] == 0
-    argv = [a.format(lzc=lzc, out=tmp_path / "out.txt") for a in argv]
+    argv = [a.format(lzc=lzc, x=x, out=tmp_path / "out.txt") for a in argv]
     with pytest.raises(SystemExit) as si:
         cli.main(argv)
     assert si.value.code == 2

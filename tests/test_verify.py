@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from srlz import cond_lz, empirics, fsm, lz_core, verify
+from srlz import bounds, cli, cond_lz, empirics, fsm, lz_core, mdc, regions, verify
 from srlz.lz_core import parse
 from srlz.verify import (
     SUITES,
@@ -281,6 +281,96 @@ class TestZeroSlackRegression:
                              n_large=1024)
         assert rep["adversarial"]["violations"] == []
         assert rep["adversarial"]["phrase_count"] <= rep["adversarial"]["phrase_count_cap"]
+
+
+class TestPlantedFaults:
+    """Each violation branch of the suites reports a fault planted in the code
+    it checks."""
+
+    @staticmethod
+    def frontier_failures(rep):
+        return {name: len(rep[name]) for name in (
+            "corner_mismatches", "upward_closure_failures", "non_domination_failures",
+            "idempotence_failures")}
+
+    def test_frontier_without_its_minimality_filter(self, monkeypatch):
+        # every member corner is kept: dominated ones too
+        monkeypatch.setattr(regions.HalfPlaneRegion, "is_minimal_point",
+                            lambda self, point, tol=regions.TOL: True)
+        rep = suite_frontier(unions=20)
+        failures = self.frontier_failures(rep)
+        assert failures["corner_mismatches"] and failures["non_domination_failures"]
+        assert not rep["holds"]
+
+    def test_frontier_below_the_union(self, monkeypatch):
+        real = regions.frontier
+        monkeypatch.setattr(regions, "frontier", lambda members, tol=regions.TOL: [
+            regions.RatePoint(p.r1, p.r2 - 0.01) for p in real(members, tol)])
+        assert self.frontier_failures(suite_frontier(unions=20))["upward_closure_failures"]
+
+    def test_region_from_corner_without_exact_corner(self, monkeypatch):
+        # seed 7 draws corners whose sum floor rounds (see
+        # test_frontier_idempotence_at_seed_7); nothing else is at fault
+        monkeypatch.setattr(regions, "region_from_corner", lambda point: regions.HalfPlaneRegion(
+            a=point.r1, b=point.r1 + point.r2))
+        rep = suite_frontier(seed=7)
+        assert rep["idempotence_failures"]
+        assert rep["violations"] == rep["idempotence_failures"]
+
+    def test_split_lemma_infeasible_split(self, monkeypatch, capsys):
+        monkeypatch.setattr(mdc, "split_rates", lambda a, b, c, r1, r2: c + 1)
+        rep = suite_split_lemma(budget=10)
+        assert len(rep["violations"]) == 10 and not rep["holds"]
+        assert cli.main(["verify", "--suite", "split-lemma", "--budget", "10"]) == 1
+        assert not json.loads(capsys.readouterr().out)["results"]["holds"]
+
+    def test_sandwich_outer_floors_above_inner(self, monkeypatch):
+        # penalties lowered past the codec slacks at every block length
+        real = bounds.converse_terms
+
+        def lowered(*args, **kw):
+            eps_n, d1, d2, d2_l = real(*args, **kw)
+            return eps_n, d1 - 4096.0, d2 - 4096.0, d2_l
+
+        monkeypatch.setattr(bounds, "converse_terms", lowered)
+        rep = suite_sandwich(pairs=2, n=16)
+        assert rep["containment_violations"] and not rep["holds"]
+
+    def test_sandwich_inner_corner_without_the_conditional_slack(self, monkeypatch):
+        monkeypatch.setattr(bounds, "eps_hat", lambda n, k=bounds.EPS_HAT_K: 0.0)
+        rep = suite_sandwich(pairs=1, n=1024)
+        assert [v["pair"] for v in rep["measured_rate_violations"]] == [0]
+        assert not rep["holds"]
+
+    def test_converse_spot_rate_below_the_family_minimum(self, monkeypatch):
+        real = fsm.converse_check
+
+        def understated(*args, **kw):
+            # outputs take at most max_out_len = 2 bits a symbol, so every
+            # member's rate drops below the family minimum
+            rep = real(*args, **kw)
+            return dict(rep, rho1=rep["rho1"] - 3.0)
+
+        monkeypatch.setattr(fsm, "converse_check", understated)
+        rep = suite_converse(n_small=4, random_pairs=2, n_large=64, spot_checks=4,
+                             spot_k_max=4)
+        assert rep["spot_checks"]["failures"] == [
+            {"spot": j, "reason": "family minimum above a member"} for j in range(4)]
+        assert not rep["holds"]
+
+    def test_exhaustive_floors_come_from_converse_floors(self, monkeypatch):
+        # floor (iii) raised at its one source fails every primary of the
+        # exhaustive block, not only the random and adversarial cases
+        real = bounds.converse_floors
+
+        def raised(*args, **kw):
+            floor1, floor2, floor3 = real(*args, **kw)
+            return floor1, floor2, floor3 + 4096.0
+
+        monkeypatch.setattr(bounds, "converse_floors", raised)
+        rep = suite_converse(n_small=4, random_pairs=2, n_large=64, spot_checks=0)
+        assert rep["exhaustive"]["violations"] == [
+            {"check": "iii", "primary": vh} for vh in range(16)]
 
 
 class TestDeterminism:
