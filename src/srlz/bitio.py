@@ -8,11 +8,15 @@ whole bytes into a buffer; `BitWriter` collects fields for it.  `refill` is
 the one reading loop: it feeds a decoder that keeps its own bit window,
 8 bytes at a time; `BitReader` is a front end that keeps that window for
 callers that read one field at a time.
+
+`fnv1a64_u32` hashes the 4-byte images of values without building them: it
+folds 4 values per loop step when all are below 2^8 and 2 when all are
+below 2^16, and masks to 64 bits once per step.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .container import TruncatedStreamError
 
@@ -21,6 +25,7 @@ FNV64_PRIME = 0x100000001B3
 _FNV_MASK = 0xFFFFFFFFFFFFFFFF
 _FNV_PRIME2 = FNV64_PRIME ** 2 & _FNV_MASK
 _FNV_PRIME3 = FNV64_PRIME ** 3 & _FNV_MASK
+_FNV_PRIME4 = FNV64_PRIME ** 4 & _FNV_MASK
 
 
 def fnv1a64(data: bytes, h: int = FNV64_OFFSET) -> int:
@@ -30,20 +35,33 @@ def fnv1a64(data: bytes, h: int = FNV64_OFFSET) -> int:
     return h
 
 
-def fnv1a64_u32(values: Iterable[int], h: int = FNV64_OFFSET) -> int:
-    """fnv1a64 of the 4-byte big-endian images of `values`, without building them.
+def fnv1a64_u32(values: Sequence[int], h: int = FNV64_OFFSET, bound: int = 1 << 32) -> int:
+    """fnv1a64 of the 4-byte big-endian images of `values`, each below `bound`.
 
-    XOR with a zero byte changes nothing, so the leading zero bytes of a value
-    below 2^16 fold into one multiply by a power of the prime.  Only the low
-    64 bits of h matter, so the mask is applied once per value.
+    XOR with a zero byte changes nothing, so the three leading zero bytes of
+    a value below 2^8 fold into one multiply by the prime's cube, and the two
+    of a value below 2^16 into one by its square.  XOR with a byte touches
+    only the low 8 bits, and the low 64 bits of a product depend only on the
+    low 64 bits of its factors, so one mask per loop step suffices: a step
+    takes 4 values when `bound` <= 2^8 and 2 when `bound` <= 2^16.  The
+    values left over, or all of them for a larger bound, take one step each.
     """
-    for v in values:
-        if v < 0x100:
-            h = ((h * _FNV_PRIME3) ^ v) * FNV64_PRIME & _FNV_MASK
-        elif v < 0x10000:
-            h = (((h * _FNV_PRIME2) ^ (v >> 8)) * FNV64_PRIME ^ (v & 0xFF)) * FNV64_PRIME & _FNV_MASK
-        else:
-            h = fnv1a64(v.to_bytes(4, "big"), h)
+    it = iter(values)
+    if bound <= 0x100:
+        for a, b, c, d in zip(it, it, it, it):
+            h = ((((h * _FNV_PRIME3 ^ a) * _FNV_PRIME4 ^ b) * _FNV_PRIME4 ^ c)
+                 * _FNV_PRIME4 ^ d) * FNV64_PRIME & _FNV_MASK
+        rest = values[len(values) & ~3:]
+    elif bound <= 0x10000:
+        for a, b in zip(it, it):
+            h = ((((h * _FNV_PRIME2 ^ a >> 8) * FNV64_PRIME ^ a & 0xFF) * _FNV_PRIME3
+                  ^ b >> 8) * FNV64_PRIME ^ b & 0xFF) * FNV64_PRIME & _FNV_MASK
+        rest = values[len(values) & ~1:]
+    else:
+        rest = values
+    for v in rest:
+        h = ((((h ^ v >> 24) * FNV64_PRIME ^ v >> 16 & 0xFF) * FNV64_PRIME ^ v >> 8 & 0xFF)
+             * FNV64_PRIME ^ v & 0xFF) * FNV64_PRIME & _FNV_MASK
     return h
 
 

@@ -24,7 +24,15 @@ from .container import (
     InfeasibleError,
     StreamFormatError,
 )
-from .lz_core import Alphabet, Sequence, lz_decode, lz_encode, parse
+from .lz_core import (
+    Alphabet,
+    Sequence,
+    _code_len_bound,
+    lz_decode,
+    lz_encode,
+    parse,
+    rho_from_count,
+)
 
 if TYPE_CHECKING:
     from . import regions, sr_codec
@@ -318,42 +326,43 @@ def cmd_encode(args) -> int:
         seq = load_sequence(args.inputs[0], args.fmt)
         enc = lz_encode(seq)
         out = _write_bytes(args.output, enc.to_bytes())
-        pr = parse(seq)
         n = seq.n
+        c = enc.phrase_count  # parse(seq).c, without a second walk
         report["inputs"] = _inputs_block(args.inputs)
         report["results"] = {
             "n": n,
             "beta": seq.alphabet.size,
-            "phrase_count": pr.c,
+            "phrase_count": c,
             "payload_bits": enc.payload_bits,
             "rate": enc.payload_bits / n if n else 0.0,
-            "rho_lz": pr.rho_lz,
-            "payload_bound_bits": pr.code_len_bound,
+            "rho_lz": rho_from_count(c, n),
+            "payload_bound_bits": _code_len_bound(c, n, seq.alphabet.size),
             "outputs": [out],
         }
     elif mode == "cond":
         if len(args.inputs) != 1 or not args.side_info:
             raise UsageError("mode cond takes one input file plus --side-info")
         from . import bounds
-        from .cond_lz import cond_encode, joint_parse
+        from .cond_lz import _cond_encode, rho_cond_from_counts
 
         seq = load_sequence(args.inputs[0], args.fmt)
         side = load_sequence(args.side_info, args.fmt)
-        enc = cond_encode(seq, side)
+        # the encoder's dictionary is the joint parse's trie: its counts, no second walk
+        enc, c_l = _cond_encode(seq, side, counts=True)
         out = _write_bytes(args.output, enc.to_bytes())
-        jp = joint_parse(side, seq)
         n = seq.n
-        bound = n * jp.rho_cond + n * bounds.eps_hat(n) if n >= 2 else None
+        rho_c = rho_cond_from_counts(c_l, n)
+        bound = n * rho_c + n * bounds.eps_hat(n) if n >= 2 else None
         report["inputs"] = _inputs_block(args.inputs + [args.side_info])
         report["results"] = {
             "n": n,
             "beta": side.alphabet.size,
             "gamma": seq.alphabet.size,
-            "c_joint": jp.c_joint,
-            "c_prime": jp.c_prime,
+            "c_joint": enc.phrase_count,
+            "c_prime": len(c_l),
             "payload_bits": enc.payload_bits,
             "rate": enc.payload_bits / n if n else 0.0,
-            "rho_cond": jp.rho_cond,
+            "rho_cond": rho_c,
             "payload_bound_bits": bound,
             "outputs": [out],
         }

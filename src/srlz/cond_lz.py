@@ -13,13 +13,20 @@ an innovation, and innovation steps add the secondary symbol.
 
 Side information is one `Sequence`; several are packed into one first with
 `lz_core.product_sequence`.
+
+The encoder's dictionary is the joint parse's trie, keyed (node*A + a)*B + b
+like `_joint_walk`'s, so `_cond_encode` can hand back the c_l of
+joint_parse(primary, secondary) with its stream, and the stream's
+phrase_count is c_joint: callers that report the conditional complexity of
+what they code need no second walk.  Callers that code or decode several
+streams against one side sequence hash it once and pass the checksum in.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from typing import List, Sequence as Seq, Tuple, Union
+from typing import Iterable, List, Optional, Sequence as Seq, Tuple, Union
 
 from .bitio import fnv1a64, fnv1a64_u32, pack, refill
 from .container import (
@@ -35,8 +42,9 @@ from .lz_core import Alphabet, Sequence, _lz_walk, rho_from_count
 
 def side_info_checksum(primary: Sequence) -> int:
     """Checksum over the canonical encoding (alphabet size, n, indices)."""
-    h = fnv1a64(struct.pack(">IQ", primary.alphabet.size, primary.n))
-    return fnv1a64_u32(primary.data, h)
+    size = primary.alphabet.size
+    h = fnv1a64(struct.pack(">IQ", size, primary.n))
+    return fnv1a64_u32(primary.data, h, size)
 
 
 class JointParseResult(Record):
@@ -45,16 +53,15 @@ class JointParseResult(Record):
                  "c_l",  # joint phrases per distinct primary phrase
                  "rho_cond", "rho_joint", "is_last_incomplete")
 
-def _joint_walk(pd: Seq[int], sd: Seq[int], A: int, B: int) -> Tuple[List[int], int, List[int]]:
-    """The joint parse: the plain parse of the pair indices a*B + b.
+def _primary_counts(keys: Iterable[int], last: int, A: int, B: int) -> List[int]:
+    """c_l in first-marking order, from the keys (node*A + a)*B + b of a joint
+    trie in node order and the node `last` where the input ends.
 
-    A and B are the primary and secondary alphabet sizes.  Returns the walk's
-    (keys, last) and c_l in first-marking order.  The primary string of phrase
-    j is that of its parent extended by a, so one pass over the phrases numbers
-    the distinct primary strings in order of first appearance.
+    The primary string of phrase j is that of its parent extended by a, so
+    one pass over the phrases numbers the distinct primary strings in order
+    of first appearance.
     """
     AB = A * B
-    keys, last = _lz_walk([a * B + b for a, b in zip(pd, sd)], AB)
     ptrie: dict = {}
     pnode = [0]  # primary node of each joint node
     c_l: List[int] = []  # c_l[p - 1] counts the phrases at primary node p
@@ -69,7 +76,17 @@ def _joint_walk(pd: Seq[int], sd: Seq[int], A: int, B: int) -> Tuple[List[int], 
         pnode.append(p)
     if last:
         c_l[pnode[last] - 1] += 1
-    return keys, last, c_l
+    return c_l
+
+
+def _joint_walk(pd: Seq[int], sd: Seq[int], A: int, B: int) -> Tuple[List[int], int, List[int]]:
+    """The joint parse: the plain parse of the pair indices a*B + b.
+
+    A and B are the primary and secondary alphabet sizes.  Returns the walk's
+    (keys, last) and c_l in first-marking order.
+    """
+    keys, last = _lz_walk([a * B + b for a, b in zip(pd, sd)], A * B)
+    return keys, last, _primary_counts(keys, last, A, B)
 
 
 def rho_cond_from_counts(c_l: Seq[int], n: int) -> float:
@@ -103,6 +120,17 @@ def rho_cond(secondary: Sequence, primary: Sequence) -> float:
 
 
 def cond_encode(secondary: Sequence, primary: Sequence) -> Bitstream:
+    return _cond_encode(secondary, primary)[0]
+
+
+def _cond_encode(secondary: Sequence, primary: Sequence, checksum: Optional[int] = None,
+                 counts: bool = False) -> Tuple[Bitstream, Optional[List[int]]]:
+    """cond_encode, given side_info_checksum(primary) when the caller has it.
+
+    The dictionary is the trie of joint_parse(primary, secondary), so with
+    `counts` set this also returns its c_l, from which rho_cond_from_counts
+    gives the same float as rho_cond; otherwise None.
+    """
     if primary.n != secondary.n:
         raise ValueError("primary and secondary lengths differ")
     secw = secondary.alphabet.bits_per_symbol
@@ -130,8 +158,9 @@ def cond_encode(secondary: Sequence, primary: Sequence) -> Bitstream:
             values.append(rank)
             widths.append(fan[key].bit_length())
     payload, payload_bits = pack(values, widths)
+    del values, widths, fan  # so that the count below adds nothing to the loop's peak
     incomplete = node != 0
-    return Bitstream(
+    stream = Bitstream(
         mode=MODE_COND,
         n=secondary.n,
         alphabet=secondary.alphabet.symbols,
@@ -139,11 +168,18 @@ def cond_encode(secondary: Sequence, primary: Sequence) -> Bitstream:
         last_incomplete=incomplete,
         payload=payload,
         payload_bits=payload_bits,
-        side_checksum=side_info_checksum(primary),
+        side_checksum=side_info_checksum(primary) if checksum is None else checksum,
     )
+    return stream, _primary_counts(child, node, A, B) if counts else None
 
 
 def cond_decode(stream: Union[Bitstream, bytes], primary: Sequence) -> Sequence:
+    return _cond_decode(stream, primary)
+
+
+def _cond_decode(stream: Union[Bitstream, bytes], primary: Sequence,
+                 checksum: Optional[int] = None) -> Sequence:
+    """cond_decode, given side_info_checksum(primary) when the caller has it."""
     if isinstance(stream, (bytes, bytearray)):
         stream = Bitstream.from_bytes(bytes(stream))
     if stream.mode != MODE_COND:
@@ -151,7 +187,9 @@ def cond_decode(stream: Union[Bitstream, bytes], primary: Sequence) -> Sequence:
     if primary.n != stream.n:
         raise SideInfoMismatchError(
             f"side information has length {primary.n}, stream expects {stream.n}")
-    if side_info_checksum(primary) != stream.side_checksum:
+    if checksum is None:
+        checksum = side_info_checksum(primary)
+    if checksum != stream.side_checksum:
         raise SideInfoMismatchError("side information checksum mismatch")
     alphabet = Alphabet(stream.alphabet)
     size = alphabet.size

@@ -76,7 +76,8 @@ class Alphabet:
 BINARY = Alphabet(("0", "1"))
 
 
-_CHECK_SLICE = 1 << 16  # symbols type-checked per array('q') pass in Sequence
+_CHECK_SLICE = 1 << 16  # symbols type-checked per C-level pass in Sequence
+_BYTE_VALUES = bytes(range(256))
 
 
 class Sequence:
@@ -88,6 +89,22 @@ class Sequence:
         self.alphabet = alphabet
         self.data: Tuple[int, ...] = tuple(data)
         data = self.data
+        if not data:
+            return
+        size = alphabet.size
+        if size <= 256:
+            # bytes() admits only integers in 0..255, and deleting the valid
+            # indices leaves nothing: one C-level pass per bounded slice.  Any
+            # other input takes the checks below, which name its fault.
+            valid = _BYTE_VALUES[:size]
+            try:
+                for i in range(0, len(data), _CHECK_SLICE):
+                    if bytes(data[i:i + _CHECK_SLICE]).translate(None, valid):
+                        break
+                else:
+                    return
+            except (TypeError, ValueError):
+                pass
         try:
             # C-level passes that admit only integers, one bounded slice at a time
             for i in range(0, len(data), _CHECK_SLICE):
@@ -96,7 +113,7 @@ class Sequence:
             raise ValueError("symbol indices must be integers") from None
         except OverflowError:
             raise ValueError("symbol index out of range for alphabet") from None
-        if data and (min(data) < 0 or max(data) >= alphabet.size):
+        if min(data) < 0 or max(data) >= size:
             raise ValueError("symbol index out of range for alphabet")
 
     @classmethod
@@ -229,26 +246,27 @@ def rho_from_count(c: int, n: int) -> float:
     return c * math.log2(c) / n
 
 
-def parse(seq: Sequence) -> ParseResult:
+def _code_len_bound(c: int, n: int, size: int) -> float:
+    """The payload length bound of a c-phrase parse of n symbols over `size` letters."""
     from . import bounds
 
+    if n == 0:
+        return 0.0
+    if n == 1:
+        return math.inf  # the 1/log2(n) slack term diverges
+    return (c * math.log2(c) if c > 1 else 0.0) + n * bounds.eps_slack(n, size)
+
+
+def parse(seq: Sequence) -> ParseResult:
     keys, last = _lz_walk(seq.data, seq.alphabet.size)
     phrases = _phrases(keys, last, seq.alphabet.size)
-    n = seq.n
     c = len(phrases)
-    rho = rho_from_count(c, n)
-    if n == 0:
-        bound = 0.0
-    elif n == 1:
-        bound = math.inf  # the 1/log2(n) slack term diverges
-    else:
-        bound = (c * math.log2(c) if c > 1 else 0.0) + n * bounds.eps_slack(n, seq.alphabet.size)
     return ParseResult(
         phrases=tuple(phrases),
         c=c,
         is_last_incomplete=last != 0,
-        rho_lz=rho,
-        code_len_bound=bound,
+        rho_lz=rho_from_count(c, seq.n),
+        code_len_bound=_code_len_bound(c, seq.n, seq.alphabet.size),
     )
 
 

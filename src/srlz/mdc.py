@@ -15,6 +15,14 @@ description's delta1 as a single-description converse on its own
 reproduction, and the sum floor's delta2 with the reproduction pair as the
 primary sequence.  A pipeline's inner region is md_inner_region of the "bits"
 block of its encoder's report, so only the encoder lists the streams it codes.
+
+The encoders take the complexities of their reports from the streams they
+code: each plain stream's phrase count gives its rho_lz, and each
+conditional stream of pipeline 2 hands back the c_l that gives its rho_cond.
+Only the reproduction pair, which no stream codes on its own, is walked for
+its figure (its rho_lz in pipeline 1, its rho_cond given u in pipeline 2).
+Pipeline 2 hashes u once per call, and zb_decode0 decodes the auxiliary
+stream once when both descriptions carry the same bytes.
 """
 
 from __future__ import annotations
@@ -36,8 +44,24 @@ from .container import (
     split_leaf,
     unpack_segments,
 )
-from .cond_lz import cond_decode, cond_encode, rho_cond
-from .lz_core import Alphabet, Sequence, lz_decode, lz_encode, product_sequence, rho_lz
+from .cond_lz import (
+    _cond_decode,
+    _cond_encode,
+    cond_decode,
+    cond_encode,
+    rho_cond,
+    rho_cond_from_counts,
+    side_info_checksum,
+)
+from .lz_core import (
+    Alphabet,
+    Sequence,
+    lz_decode,
+    lz_encode,
+    product_sequence,
+    rho_from_count,
+    rho_lz,
+)
 
 # the region functions import regions and bounds when called: decoders never load them
 if TYPE_CHECKING:
@@ -183,7 +207,8 @@ def egc_encode(xhat: Sequence, xtilde: Sequence, xcheck: Sequence,
         raise ValueError(f"share fraction out of range: {split}")
     s1 = lz_encode(xhat)
     s2 = lz_encode(xtilde)
-    sc = cond_encode(xcheck, product_sequence((xhat, xtilde)))
+    pair = product_sequence((xhat, xtilde))
+    sc = cond_encode(xcheck, pair)
     desc1, desc2, bits_a, bits_b = _describe(
         n, [Segment(ROLE_MD_PRIMARY, s1.payload_bits, s1.to_bytes())],
         [Segment(ROLE_MD_PRIMARY, s2.payload_bits, s2.to_bytes())], sc, split)
@@ -200,7 +225,9 @@ def egc_encode(xhat: Sequence, xtilde: Sequence, xcheck: Sequence,
         "rates": {"r1": r1_bits / n if n else 0.0,
                   "r2": r2_bits / n if n else 0.0,
                   "sum": (r1_bits + r2_bits) / n if n else 0.0},
-        "mi": empirical_mi(xhat, xtilde),
+        # empirical_mi(xhat, xtilde), the plain rates from the streams' phrase counts
+        "mi": rho_from_count(s1.phrase_count, n) + rho_from_count(s2.phrase_count, n)
+              - rho_lz(pair),
         "sum_identity": {
             "lhs_bits": r1_bits + r2_bits,
             "rhs_bits": s1.payload_bits + s2.payload_bits + center_bits,
@@ -251,18 +278,19 @@ def zb_encode(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, u: Sequence,
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"share fraction out of range: {alpha}")
     su = lz_encode(u)
-    c1 = cond_encode(xhat, u)
-    c2 = cond_encode(xtilde, u)
-    triple = product_sequence((xhat, xtilde, u))
-    sc = cond_encode(xcheck, triple)
+    hu = side_info_checksum(u)
+    c1, cl_hat = _cond_encode(xhat, u, hu, counts=True)
+    c2, cl_til = _cond_encode(xtilde, u, hu, counts=True)
+    rho_pair = rho_cond(product_sequence((xhat, xtilde)), u)
+    sc, cl_center = _cond_encode(xcheck, product_sequence((xhat, xtilde, u)), counts=True)
     aux = Segment(ROLE_AUX, su.payload_bits, su.to_bytes())
     desc1, desc2, bits_a, bits_b = _describe(
         n, [aux, Segment(ROLE_COND_GIVEN_AUX, c1.payload_bits, c1.to_bytes())],
         [aux, Segment(ROLE_COND_GIVEN_AUX, c2.payload_bits, c2.to_bytes())], sc, alpha)
     r1_bits = su.payload_bits + c1.payload_bits + bits_a
     r2_bits = su.payload_bits + c2.payload_bits + bits_b
-    rho_pair = rho_cond(product_sequence((xhat, xtilde)), u)
-    mi = rho_cond(xhat, u) + rho_cond(xtilde, u) - rho_pair  # empirical_mi(xhat, xtilde, u)
+    mi = (rho_cond_from_counts(cl_hat, n) + rho_cond_from_counts(cl_til, n)
+          - rho_pair)  # empirical_mi(xhat, xtilde, u)
     report = {
         "n": n,
         "alpha": alpha,
@@ -274,9 +302,9 @@ def zb_encode(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, u: Sequence,
                   "sum": (r1_bits + r2_bits) / n if n else 0.0},
         "mi_given_aux": mi,
         "sum_decomposition": {
-            "rho_aux_doubled": 2.0 * rho_lz(u),
+            "rho_aux_doubled": 2.0 * rho_from_count(su.phrase_count, n),
             "rho_pair_given_aux": rho_pair,
-            "rho_center": rho_cond(xcheck, triple),
+            "rho_center": rho_cond_from_counts(cl_center, n),
             "mi_given_aux": mi,
         },
         "sum_identity": {
@@ -289,31 +317,45 @@ def zb_encode(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, u: Sequence,
     return desc1, desc2, report
 
 
-def _zb_side(desc: bytes, which: int) -> Tuple[Sequence, Sequence, Tuple[Segment, ...]]:
+def _zb_segments(desc: bytes, which: int) -> Tuple[Segment, Segment, Tuple[Segment, ...]]:
+    """(auxiliary segment, conditional segment, all segments) of description 1 or 2."""
     _, _, segments = unpack_segments(desc, expect_mode=(MODE_MD1, MODE_MD2)[which - 1])
     seg_u = find_segment(segments, ROLE_AUX)
     seg_c = find_segment(segments, ROLE_COND_GIVEN_AUX)
     if seg_u is None or seg_c is None:
         raise StreamFormatError("description missing auxiliary or conditional stream")
+    return seg_u, seg_c, segments
+
+
+def _zb_side(desc: bytes, which: int) -> Tuple[Sequence, Sequence]:
+    seg_u, seg_c, _ = _zb_segments(desc, which)
     u = lz_decode(seg_u.data)
-    side = cond_decode(seg_c.data, u)
-    return u, side, segments
+    return u, cond_decode(seg_c.data, u)
 
 
 def zb_decode1(desc1: bytes) -> Tuple[Sequence, Sequence]:
-    return _zb_side(desc1, 1)[:2]
+    return _zb_side(desc1, 1)
 
 
 def zb_decode2(desc2: bytes) -> Tuple[Sequence, Sequence]:
-    return _zb_side(desc2, 2)[:2]
+    return _zb_side(desc2, 2)
 
 
 def zb_decode0(desc1: bytes, desc2: bytes) -> Tuple[Sequence, Sequence, Sequence, Sequence]:
-    u1, xhat, segs1 = _zb_side(desc1, 1)
-    u2, xtilde, segs2 = _zb_side(desc2, 2)
-    if u1 != u2:
-        raise StreamFormatError("descriptions carry different auxiliary sequences")
-    return u1, xhat, xtilde, _center(segs1, segs2, (xhat, xtilde, u1))
+    """Identical auxiliary streams are decoded and hashed once."""
+    seg_u1, seg_c1, segs1 = _zb_segments(desc1, 1)
+    u = lz_decode(seg_u1.data)
+    hu = side_info_checksum(u)
+    xhat = _cond_decode(seg_c1.data, u, hu)
+    seg_u2, seg_c2, segs2 = _zb_segments(desc2, 2)
+    if seg_u2.data == seg_u1.data:
+        xtilde = _cond_decode(seg_c2.data, u, hu)
+    else:
+        u2 = lz_decode(seg_u2.data)
+        xtilde = cond_decode(seg_c2.data, u2)
+        if u2 != u:
+            raise StreamFormatError("descriptions carry different auxiliary sequences")
+    return u, xhat, xtilde, _center(segs1, segs2, (xhat, xtilde, u))
 
 
 def default_auxiliary(x: Sequence, levels: int = 2) -> Sequence:

@@ -20,12 +20,20 @@ from .lz_core import BINARY, Sequence, lz_encode, parse, rho_from_count
 TOL = 1e-9
 
 
+def _nonnegative(**counts: int) -> None:
+    """Raise ValueError for a negative count, as the CLI does for a negative --budget."""
+    for name, value in counts.items():
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 def suite_entropy_ineq(n: int = 16, block_lens: Tuple[int, ...] = (1, 2, 4, 8),
                        eps_mode: str = "default",
                        tol: float = 1e-12) -> dict:
     """Exhaustive block-entropy inequality scan over all binary length-n sequences."""
     from . import empirics
 
+    _nonnegative(n=n)
     return empirics._scan({"suite": "entropy-ineq", "n": n, "beta": 2}, 1, "sequences",
                           tuple(block_lens), eps_mode, tol)
 
@@ -36,6 +44,7 @@ def suite_cond_entropy_ineq(n: int = 8, block_lens: Tuple[int, ...] = (1, 2, 4),
     """Exhaustive conditional block-entropy inequality scan over binary pairs."""
     from . import empirics
 
+    _nonnegative(n=n)
     return empirics._scan({"suite": "cond-entropy-ineq", "n": n, "beta": 2, "gamma": 2}, 2,
                           "pairs", tuple(block_lens), eps_mode, tol)
 
@@ -55,6 +64,7 @@ def suite_kraft(max_out_len: int = 2, block_len_max: int = 3,
     """
     from . import fsm
 
+    _nonnegative(max_out_len=max_out_len, block_len_max=block_len_max, k_max=k_max)
     f1s, f2s = fsm.lossless_onestate_binary_tables(max_out_len, k_max)
     p1 = [tuple(map(len, c)) for c in f1s]
     p2 = [tuple(len(out) for row in t for out in row) for t in f2s]
@@ -125,6 +135,9 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
     """
     from . import bounds, corpus, empirics, fsm
 
+    _nonnegative(n_small=n_small, random_pairs=random_pairs, n_large=n_large,
+                 spot_checks=spot_checks, max_out_len=max_out_len, k_max=k_max,
+                 spot_k_max=spot_k_max)
     f1s, f2s = fsm.lossless_onestate_binary_tables(max_out_len, k_max)
     p1 = sorted({(len(a), len(b)) for a, b in f1s})
     p2 = sorted({(len(t[0][0]), len(t[0][1]), len(t[1][0]), len(t[1][1]))
@@ -287,6 +300,7 @@ def suite_frontier(seed: int = 0, unions: int = 100, max_members: int = 20,
     """
     from . import regions
 
+    _nonnegative(unions=unions, max_members=max_members)
     if lattice <= resolution:
         raise ValueError("lattice must be coarser than the probe resolution")
     rng = random.Random(seed)
@@ -358,6 +372,7 @@ def suite_split_lemma(seed: int = 0, budget: int = 100000,
     tuple yields a feasible allocation."""
     from . import mdc
 
+    _nonnegative(budget=budget)
     rng = random.Random(seed)
     violations: List[dict] = []
     clamped = 0
@@ -396,6 +411,7 @@ def suite_sandwich(seed: int = 0, pairs: int = 100, n: int = 1024, q: int = 1,
     inner corner (measured rate <= corner coordinate)."""
     from . import bounds, corpus, regions
 
+    _nonnegative(pairs=pairs, n=n)
     rng = random.Random(seed)
     ks = [k for k in bounds.divisors(n) if k >= 2]
     containment_violations: List[dict] = []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -302,6 +303,29 @@ class TestEncodeDecode:
         assert code == 0
         assert open(back, "rb").read() == src.read_bytes()
         assert rep["results"]["outputs"][0]["n"] == 300
+
+    def test_encode_reads_its_counts_from_the_encoder(self, tmp_path, capsys, walks):
+        # lz: the report's parse figures come from the one encoding walk; cond:
+        # the encoder's own loop gives c_joint, c_prime and rho_cond, no walk
+        rng = random.Random(3)
+        x = "".join(rng.choice("acgt") for _ in range(2000))
+        side = "".join(c if rng.random() < 0.9 else rng.choice("acgt") for c in x)
+        f = token_file(tmp_path, "x.txt", x, "a c g t")
+        g = token_file(tmp_path, "side.txt", side, "a c g t")
+        code, rep, _, _ = run(capsys, "encode", f, "--mode", "lz", "-o", str(tmp_path / "o1"))
+        assert code == 0 and walks == {"_lz_walk": 1, "_joint_walk": 0}
+        pr = parse(cli.load_sequence(f))
+        res = rep["results"]
+        assert (res["phrase_count"], res["rho_lz"], res["payload_bound_bits"]) == (
+            pr.c, pr.rho_lz, pr.code_len_bound)
+        walks["_lz_walk"] = 0
+        code, rep, _, _ = run(capsys, "encode", f, "--mode", "cond", "--side-info", g,
+                              "-o", str(tmp_path / "o2"))
+        assert code == 0 and walks == {"_lz_walk": 0, "_joint_walk": 0}
+        jp = joint_parse(cli.load_sequence(g), cli.load_sequence(f))
+        res = rep["results"]
+        assert (res["c_joint"], res["c_prime"], res["rho_cond"]) == (
+            jp.c_joint, jp.c_prime, jp.rho_cond)
 
     def test_lz_token_alphabet_round_trip(self, tmp_path, capsys):
         f = token_file(tmp_path, "src.txt", "abacabadabacaba", "a b c d")

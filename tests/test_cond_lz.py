@@ -11,6 +11,7 @@ import oracles
 from srlz.bitio import FNV64_PRIME, fnv1a64, fnv1a64_u32
 from srlz.container import SideInfoMismatchError, StreamFormatError
 from srlz.cond_lz import (
+    _cond_encode,
     cond_decode,
     cond_encode,
     joint_parse,
@@ -92,6 +93,12 @@ def test_count_only_walk_matches_joint_parse(case):
     assert rho_cond(secondary, primary) == rho_c
     assert jp.c_joint == c_joint
     assert jp.is_last_incomplete == incomplete
+    # the conditional encoder's dictionary gives the same counts
+    enc, enc_c_l = _cond_encode(secondary, primary, counts=True)
+    assert enc_c_l == c_l
+    assert enc.phrase_count == c_joint
+    assert enc.last_incomplete == incomplete
+    assert enc == cond_encode(secondary, primary)
 
 
 @given(pair_texts)
@@ -157,6 +164,21 @@ class TestHashFolding:
                  for k in (26, 26, 2)]
         for side in (product_sequence(parts[:2]), product_sequence(parts)):  # 676, 1352 letters
             assert side_info_checksum(side) == struct_checksum(side)
+
+    @pytest.mark.parametrize("size", [2, 256, 257, 65536, 65537])
+    def test_folded_checksum_at_every_tail(self, size):
+        # lengths 0-9 leave 0-3 values after the 4-fold and 0-1 after the 2-fold
+        rng = random.Random(size)
+        edges = [v for v in (0, 255, 256, 65535, 65536) if v < size] + [size - 1]
+        for n in range(10):
+            for _ in range(10):
+                data = [rng.choice(edges) if rng.random() < 0.5 else rng.randrange(size)
+                        for _ in range(n)]
+                seq = Sequence(Alphabet.of_size(size), data)
+                assert side_info_checksum(seq) == struct_checksum(seq)
+                h = rng.randrange(1 << 64)
+                image = b"".join(struct.pack(">I", v) for v in seq.data)
+                assert fnv1a64_u32(seq.data, h, size) == fnv1a64(image, h)
 
     fields = st.one_of(st.integers(0, 300), st.integers(65280, 65800),
                        st.integers(2 ** 32 - 300, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))

@@ -73,6 +73,44 @@ class TestSequence:
         with pytest.raises(ValueError, match="symbol indices must be integers"):
             Sequence(BINARY, data)
 
+    @pytest.mark.parametrize("size", [1, 2, 256, 257])
+    def test_rejects_what_the_integer_array_check_rejects(self, size):
+        # the message the array('q') check gives: the first entry that is no
+        # integer, or beyond 64 bits, decides; then the range decides
+        def expected(data):
+            for v in data:
+                if not isinstance(v, int):
+                    return "symbol indices must be integers"
+                if not -(1 << 63) <= v < 1 << 63:
+                    return "symbol index out of range for alphabet"
+            if any(not 0 <= v < size for v in data):
+                return "symbol index out of range for alphabet"
+            return None
+
+        bad = [-1, size, 1 << 64, 0.5, "0", None]
+        cases = ([(b,) for b in bad] + [(0, b) for b in bad]
+                 + [(a, b) for a in bad for b in bad]
+                 + [(True,), (size - 1, True, 0), (False,) * 5])  # bools are integers
+        for data in cases:
+            want = expected(data)
+            if want is None:
+                assert Sequence(Alphabet.of_size(size), data).data == data
+                continue
+            with pytest.raises(ValueError) as err:
+                Sequence(Alphabet.of_size(size), data)
+            assert str(err.value) == want, data
+
+    def test_byte_check_spans_slices(self):
+        # an index out of range in the second slice, under 256 and above it
+        n = lz_core._CHECK_SLICE + 3
+        for size, bad in ((2, 2), (2, 255), (256, 256), (256, -1)):
+            data = [0] * n
+            data[-2] = bad
+            with pytest.raises(ValueError, match="out of range"):
+                Sequence(Alphabet.of_size(size), data)
+            data[-2] = size - 1
+            assert Sequence(Alphabet.of_size(size), data).n == n
+
     def test_type_check_memory_is_one_slice(self):
         # the integer check must not copy the whole input beside the tuple
         data = [i & 1 for i in range(1_000_000)]

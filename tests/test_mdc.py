@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from srlz.container import StreamFormatError, TruncatedStreamError
+from srlz import cond_lz, mdc
 from srlz.cond_lz import cond_encode, rho_cond
 from srlz.corpus import STYLES, noisy_copy, random_sequence
 from srlz.lz_core import BINARY, Alphabet, Sequence, lz_encode, product_sequence, rho_lz
@@ -297,6 +298,64 @@ class TestPipelineTwo:
             _, _, rep = zb_encode(xhat, xtilde, xcheck, u, alpha)
             assert reg.contains(RatePoint(rep["rates"]["r1"], rep["rates"]["r2"]))
             assert rep["rates"]["sum"] == pytest.approx(reg.b)
+
+
+def long_triple(size=26, n=3000):
+    rng = random.Random(size)
+    x = Sequence(Alphabet.of_size(size), [rng.randrange(size) for _ in range(n)])
+    xhat, xtilde = (Sequence(x.alphabet, [0 if rng.random() < 0.25 else v for v in x.data])
+                    for _ in range(2))
+    return xhat, xtilde, x
+
+
+class TestOnePassPerStream:
+    """The encoders take the plain and conditional rates of their report from
+    the streams they code, and the decoders decode and hash a shared stream once."""
+
+    def test_egc_encode_walks_only_the_pair(self, walks):
+        egc_encode(*long_triple())
+        assert walks == {"_lz_walk": 3, "_joint_walk": 0}
+
+    def test_zb_encode_walks_u_and_the_pair_given_u(self, walks):
+        xhat, xtilde, xcheck = long_triple()
+        zb_encode(xhat, xtilde, xcheck, default_auxiliary(xcheck))
+        assert walks == {"_lz_walk": 2, "_joint_walk": 1}
+
+    @pytest.mark.parametrize("size", [2, 26])
+    def test_report_floats_equal_the_direct_walks(self, size):
+        xhat, xtilde, xcheck = long_triple(size)
+        u = default_auxiliary(xcheck)
+        pair = product_sequence((xhat, xtilde))
+        rep = egc_encode(xhat, xtilde, xcheck)[2]
+        assert rep["mi"] == empirical_mi(xhat, xtilde)
+        rep = zb_encode(xhat, xtilde, xcheck, u)[2]
+        dec = rep["sum_decomposition"]
+        assert rep["mi_given_aux"] == dec["mi_given_aux"] == empirical_mi(xhat, xtilde, u)
+        assert dec["rho_aux_doubled"] == 2.0 * rho_lz(u)
+        assert dec["rho_pair_given_aux"] == rho_cond(pair, u)
+        assert dec["rho_center"] == rho_cond(xcheck, product_sequence((xhat, xtilde, u)))
+
+    def test_zb_decode0_decodes_and_hashes_u_once(self, monkeypatch):
+        xhat, xtilde, xcheck = long_triple()
+        u = default_auxiliary(xcheck)
+        desc1, desc2, _ = zb_encode(xhat, xtilde, xcheck, u)
+        real_decode, real_checksum = mdc.lz_decode, cond_lz.side_info_checksum
+        decoded, hashed = [], []
+
+        def decode(raw):
+            decoded.append(real_decode(raw))
+            return decoded[-1]
+
+        def checksum(seq):
+            hashed.append(seq)
+            return real_checksum(seq)
+
+        monkeypatch.setattr(mdc, "lz_decode", decode)
+        for mod in (mdc, cond_lz):
+            monkeypatch.setattr(mod, "side_info_checksum", checksum)
+        assert zb_decode0(desc1, desc2) == (u, xhat, xtilde, xcheck)
+        assert decoded == [u]
+        assert hashed.count(u) == 1 and len(hashed) == 2  # u, then the triple
 
 
 class TestSandwichOnMeasuredRates:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from srlz import bounds, cli, cond_lz, empirics, fsm, lz_core, mdc, regions, verify
+from srlz import bounds, cli, fsm, mdc, regions, verify
 from srlz.lz_core import parse
 from srlz.verify import (
     SUITES,
@@ -235,22 +235,6 @@ class TestExhaustiveGolden:
 class TestPerInputWalks:
     """The exhaustive suites walk one prefix tree instead of parsing each input."""
 
-    @pytest.fixture
-    def walks(self, monkeypatch):
-        calls = {"_lz_walk": 0, "_joint_walk": 0}
-
-        def counting(name, real):
-            def wrapper(*args, **kw):
-                calls[name] += 1
-                return real(*args, **kw)
-            return wrapper
-
-        for name in calls:
-            for mod in (lz_core, cond_lz, empirics, verify):
-                if hasattr(mod, name):
-                    monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
-        return calls
-
     def test_entropy_scans_make_no_per_input_walk(self, walks):
         suite_entropy_ineq(n=14, block_lens=(1, 2, 7))
         suite_cond_entropy_ineq(n=7, block_lens=(1, 7))
@@ -395,3 +379,21 @@ def test_suite_registry_is_complete():
                            "converse", "frontier", "split-lemma", "sandwich"}
     for fn in SUITES.values():
         assert callable(fn)
+
+
+@pytest.mark.parametrize("suite, kwargs", [
+    (suite_entropy_ineq, {"n": -1}),
+    (suite_cond_entropy_ineq, {"n": -1}),
+    (suite_kraft, {"block_len_max": -1}),
+    (suite_kraft, {"k_max": -1}),
+    (suite_converse, {"random_pairs": -1}),
+    (suite_converse, {"spot_checks": -1}),
+    (suite_frontier, {"unions": -1}),
+    (suite_split_lemma, {"budget": -5}),
+    (suite_sandwich, {"pairs": -3, "n": 16}),
+])
+def test_negative_count_raises(suite, kwargs):
+    # a negative count would run no case and report "holds": true
+    name, value = next(iter(kwargs.items()))
+    with pytest.raises(ValueError, match=f"{name} must be nonnegative, got {value}"):
+        suite(**kwargs)
