@@ -6,7 +6,11 @@ second stage (f2, g2) reading both reproductions, each a finite-state machine
 with at most q states emitting binary strings (possibly empty).  It is
 information lossless when, for every length k, the start state, the emitted
 output, and the final state determine the stage-1 input (and, jointly with
-the stage-2 data, the input pair).
+the stage-2 data, the input pair).  One collision walk, the synchronized pair
+walk of the testing graph (Huffman 1959; Even 1965), certifies this to a depth
+k_max, stage 1 as one row whose columns are the primary symbols; once stage 1
+has passed, equal stage-1 bits and state imply equal primary symbols, so stage
+2 is the walk of f2/g2 with the primary symbol as the row.
 """
 
 from __future__ import annotations
@@ -138,63 +142,97 @@ class LosslessnessReport(Record):
     _defaults = {"counterexample": None}
 
 def is_information_lossless(encoder: FsmEncoder, k_max: int = 8,
-                            from_all_states: bool = True,
-                            pair_budget: int = 10 ** 7) -> LosslessnessReport:
-    """Brute-force certificate up to depth k_max.
+                            from_all_states: bool = True) -> LosslessnessReport:
+    """Certificate up to depth k_max by the collision walk, stage 1 first.
 
     Stage 1: for each start state and each k <= k_max, the pair (emitted bits,
     final state) must determine the k primary symbols.  Stage 2: jointly, the
     quadruple (stage-1 bits, stage-1 final state, stage-2 bits, stage-2 final
-    state) must determine the symbol pair sequence.
+    state) must determine the symbol pair sequence.  After stage 1, a stage-2
+    collision shares its primary symbols: it is a collision of f2/g2 with the
+    primary symbol as the row, and it is reported from the first stage-1 start.
     """
     beta, gamma = encoder.beta, encoder.gamma
-    if (beta * gamma) ** k_max > pair_budget:
-        raise BudgetExceededError(
-            f"(beta*gamma)^k_max = {(beta * gamma) ** k_max} exceeds budget {pair_budget}")
     ns, nz = len(encoder.states_s), len(encoder.states_z)
     f1, g1, f2, g2 = encoder.f1, encoder.g1, encoder.f2, encoder.g2
     starts_s = range(ns) if from_all_states else [encoder.s1]
     starts_z = range(nz) if from_all_states else [encoder.z1]
-    # moves[s][z] = [(input, stage-1 bits, next s, stage-2 bits, next z)]; stage 1
-    # is the same search with a second stage that emits "" and stays in state 0
-    moves1 = [[[(a, f1[(s, a)], g1[(s, a)], "", 0) for a in range(beta)]] for s in range(ns)]
-    moves2 = [[[((a, b), f1[(s, a)], g1[(s, a)], f2[(z, a, b)], g2[(z, a, b)])
-                for a in range(beta) for b in range(gamma)] for z in range(nz)]
-              for s in range(ns)]
-    for stage, moves, starts in ((1, moves1, [(s0, 0) for s0 in starts_s]),
-                                 (2, moves2, [(s0, z0) for s0 in starts_s for z0 in starts_z])):
-        for s0, z0 in starts:
-            level: List[Tuple[tuple, str, int, str, int]] = [((), "", s0, "", z0)]
-            for k in range(1, k_max + 1):
-                nxt = []
-                seen: Dict[Tuple[str, int, str, int], tuple] = {}
-                for inputs, u, s, v, z in level:
-                    for x, du, s2, dv, z2 in moves[s][z]:
-                        u2, v2, inputs2 = u + du, v + dv, inputs + (x,)
-                        key = (u2, s2, v2, z2)
-                        other = seen.get(key)
-                        if other is not None:
-                            return LosslessnessReport(
-                                False, k - 1, from_all_states,
-                                _counterexample(encoder, stage, k, s0, z0, (other, inputs2),
-                                                u2, s2, v2))
-                        seen[key] = inputs2
-                        nxt.append((inputs2, u2, s2, v2, z2))
-                level = nxt
-    return LosslessnessReport(passed=True, depth_certified=k_max,
-                              from_all_states=from_all_states)
+    stage1 = ([[[f1[(s, a)] for a in range(beta)]] for s in range(ns)],
+              [[[g1[(s, a)] for a in range(beta)]] for s in range(ns)])
+    stage2 = ([[[f2[(z, a, b)] for b in range(gamma)] for a in range(beta)] for z in range(nz)],
+              [[[g2[(z, a, b)] for b in range(gamma)] for a in range(beta)] for z in range(nz)])
+    for stage, (outs, nexts), starts in ((1, stage1, starts_s), (2, stage2, starts_z)):
+        for start in starts:
+            found = _collision(outs, nexts, start, k_max)
+            if found is not None:
+                s0, z0 = (start, 0) if stage == 1 else (starts_s[0], start)
+                return LosslessnessReport(False, found[0] - 1, from_all_states,
+                                          _counterexample(encoder, stage, s0, z0, *found))
+    return LosslessnessReport(True, k_max, from_all_states)
 
 
-def _counterexample(encoder: FsmEncoder, stage: int, k: int, s0: int, z0: int,
-                    inputs: Tuple[tuple, tuple], u: str, s: int, v: str) -> dict:
-    """Two inputs from the same start states that end in the same outputs and states."""
+def _collision(outs: Seq, nexts: Seq, start: int, k_max: int) -> Optional[tuple]:
+    """The shallowest collision from `start` within k_max steps, as (k, input a,
+    input b) with inputs as tuples of (row, column), or None.
+
+    outs[s][r][c] and nexts[s][r][c] are the bits and the next state of state
+    s on input (r, c).  Two inputs that read the same row at every step are
+    walked level by level over (state a, state b, bits a has emitted beyond b,
+    diverged), the side ahead named a.  A lag that the remaining steps cannot
+    close is dropped, and a node reached before is not walked again.
+    """
+    if k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got {k_max}")
+    lens = [len(o) for state in outs for row in state for o in row]
+    close = max(lens) - min(lens)  # the most a lag can shrink in one step
+    root = (start, start, "", False)
+    inputs = {root: ((), ())}  # node -> (input a, input b) that first reached it
+    level = [root]
+    for k in range(1, k_max + 1):
+        room = close * (k_max - k)
+        nxt = []
+        for node in level:
+            sa, sb, lag, div = node
+            ins_a, ins_b = inputs[node]
+            for r, (out_a, out_b) in enumerate(zip(outs[sa], outs[sb])):
+                next_a, next_b = nexts[sa][r], nexts[sb][r]
+                for ca, oa in enumerate(out_a):
+                    ahead = lag + oa
+                    for cb, ob in enumerate(out_b):
+                        if ahead.startswith(ob):
+                            child = (next_a[ca], next_b[cb], ahead[len(ob):], div or ca != cb)
+                            pair = ins_a + ((r, ca),), ins_b + ((r, cb),)
+                        elif ob.startswith(ahead):  # b overtakes a and is named a
+                            child = (next_b[cb], next_a[ca], ob[len(ahead):], div or ca != cb)
+                            pair = ins_b + ((r, cb),), ins_a + ((r, ca),)
+                        else:
+                            continue
+                        if len(child[2]) > room or child in inputs:
+                            continue
+                        inputs[child] = pair
+                        if child[3] and not child[2] and child[0] == child[1]:
+                            return (k,) + pair
+                        nxt.append(child)
+        level = nxt
+    return None
+
+
+def _counterexample(encoder: FsmEncoder, stage: int, s0: int, z0: int, k: int,
+                    *inputs: Tuple[Tuple[int, int], ...]) -> dict:
+    """The colliding inputs in lexicographic order, and what the first emits."""
     pa, sa = encoder.primary_alphabet.symbols, encoder.secondary_alphabet.symbols
+    # stage 1 reads the primary symbol a as the column, stage 2 reads (a, b)
+    words = sorted([(c, 0) if stage == 1 else (r, c) for r, c in x] for x in inputs)
+    s, z, u, v = s0, z0, "", ""
+    for a, b in words[0]:
+        u, s = u + encoder.f1[(s, a)], encoder.g1[(s, a)]
+        v, z = v + encoder.f2[(z, a, b)], encoder.g2[(z, a, b)]
     if stage == 1:
         return {"stage": 1, "k": k, "start_state": encoder.states_s[s0],
-                "inputs": [[pa[a] for a in syms] for syms in inputs],
+                "inputs": [[pa[a] for a, _ in pairs] for pairs in words],
                 "output": u, "final_state": encoder.states_s[s]}
     return {"stage": 2, "k": k, "start_states": [encoder.states_s[s0], encoder.states_z[z0]],
-            "inputs": [[(pa[a], sa[b]) for a, b in pairs] for pairs in inputs],
+            "inputs": [[(pa[a], sa[b]) for a, b in pairs] for pairs in words],
             "outputs": [u, v]}
 
 
@@ -244,6 +282,7 @@ def kraft_check(encoder: FsmEncoder, block_len: int, q: Optional[int] = None,
         raise BudgetExceededError("block enumeration exceeds budget")
     if q is None:
         q = encoder.q
+    rhs = bounds.kraft_rhs(q, block_len, beta, gamma)  # rejects q < 1 before the sum
     t1, t2 = kraft_tables(encoder)
     lhs = 0.0
     min_len_seen = None
@@ -256,7 +295,6 @@ def kraft_check(encoder: FsmEncoder, block_len: int, q: Optional[int] = None,
             lhs += 2.0 ** (-total)
             if min_len_seen is None or total < min_len_seen:
                 min_len_seen = total
-    rhs = bounds.kraft_rhs(q, block_len, beta, gamma)
     return {
         "block_len": block_len,
         "beta": beta,
@@ -284,8 +322,11 @@ def converse_check(encoder: FsmEncoder, primary: Sequence, secondary: Sequence,
     Not applicable (reported, not raised) when the losslessness certificate
     fails: a lossy machine can beat the floors.
     """
-    cert = is_information_lossless(encoder, k_max=k_max)
     n = primary.n
+    if n < 2:
+        raise ValueError("converse check needs n >= 2")
+    trace = run(encoder, primary, secondary)  # checks lengths and alphabets
+    cert = is_information_lossless(encoder, k_max=k_max)
     q = encoder.q
     report: dict = {
         "n": n,
@@ -301,9 +342,6 @@ def converse_check(encoder: FsmEncoder, primary: Sequence, secondary: Sequence,
     if not cert.passed:
         report["counterexample"] = cert.counterexample
         return report
-    if n < 2:
-        raise ValueError("converse check needs n >= 2")
-    trace = run(encoder, primary, secondary)
     pr = parse(primary)
     rho_c = rho_cond(secondary, primary)
     eps_n, d1, d2, d2_l = bounds.converse_terms(q, n, encoder.beta, encoder.gamma, eps_mode)
@@ -334,45 +372,6 @@ def converse_check(encoder: FsmEncoder, primary: Sequence, secondary: Sequence,
 # one-state binary family: enumeration and harnesses
 
 
-def _pairwalk_collision(table: Seq[Seq[str]], k_max: int, max_out_len: int) -> Optional[int]:
-    """Depth of the shallowest same-length collision for a one-state code
-    table, or None: a synchronized walk over (dangling suffix, diverged) of
-    two inputs that share the row symbol a and may differ in the column
-    symbol b.  A stage-1 code is the one-row table (code,)."""
-    beta = len(table)
-    gamma = len(table[0])
-    frontier = {("", False)}
-    seen = {("", False)}
-    for depth in range(1, k_max + 1):
-        nxt = set()
-        for u, div in frontier:
-            for a in range(beta):
-                row = table[a]
-                for ba in range(gamma):
-                    ahead = u + row[ba]
-                    for bb in range(gamma):
-                        behind = row[bb]
-                        if ahead.startswith(behind):
-                            u2 = ahead[len(behind):]
-                        elif behind.startswith(ahead):
-                            u2 = behind[len(ahead):]
-                        else:
-                            continue
-                        d2 = div or ba != bb
-                        if not u2 and d2:
-                            return depth
-                        if len(u2) > max_out_len * (k_max - depth):
-                            continue
-                        st = (u2, d2)
-                        if st not in seen:
-                            seen.add(st)
-                            nxt.add(st)
-        if not nxt:
-            return None
-        frontier = nxt
-    return None
-
-
 def _out_strings(max_len: int) -> List[str]:
     outs = [""]
     for length in range(1, max_len + 1):
@@ -388,9 +387,10 @@ def lossless_onestate_binary_tables(max_out_len: int = 2, k_max: int = 8):
     Returns (f1_tables, f2_tables): f1[a] and f2[a][b] are output strings.
     """
     codes = list(iproduct(_out_strings(max_out_len), repeat=2))
-    f1_tables = [c for c in codes if _pairwalk_collision((c,), k_max, max_out_len) is None]
-    f2_tables = [t for t in iproduct(codes, repeat=2)
-                 if _pairwalk_collision(t, k_max, max_out_len) is None]
+    f1_tables = [c for c in codes if _collision([[c]], [[(0, 0)]], 0, k_max) is None]
+    # a row that collides alone collides in any table: rows are lossless codes
+    f2_tables = [t for t in iproduct(f1_tables, repeat=2)
+                 if _collision([t], [((0, 0), (0, 0))], 0, k_max) is None]
     return f1_tables, f2_tables
 
 

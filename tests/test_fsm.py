@@ -4,12 +4,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from oracles import identity_encoder
-from srlz import bounds
+from srlz import bounds, fsm
 from srlz.cond_lz import joint_parse
 from srlz.container import BudgetExceededError
 from srlz.fsm import (
@@ -155,10 +155,38 @@ class TestLosslessness:
         assert rep.counterexample["k"] == 1
         assert oracles.joint_collision(enc, 1, 0, 0) is not None
 
-    def test_budget_guard(self):
-        with pytest.raises(BudgetExceededError):
-            is_information_lossless(identity_encoder(BINARY, BINARY),
-                                    k_max=8, pair_budget=100)
+    def test_collision_from_a_later_start_state(self):
+        # s0 emits the symbol; s1 emits "0" for both and moves to s0
+        enc = FsmEncoder(BINARY, BINARY, ("s0", "s1"), ("z0",),
+                         {(0, 0): "0", (0, 1): "1", (1, 0): "0", (1, 1): "0"},
+                         {(s, a): 0 for s in range(2) for a in range(2)},
+                         {(0, a, b): str(b) for a in range(2) for b in range(2)},
+                         {(0, a, b): 0 for a in range(2) for b in range(2)})
+        assert is_information_lossless(enc, k_max=4, from_all_states=False).passed
+        rep = is_information_lossless(enc, k_max=4)
+        assert rep.counterexample == {"stage": 1, "k": 1, "start_state": "s1",
+                                      "inputs": [["0"], ["1"]], "output": "0",
+                                      "final_state": "s0"}
+
+    def test_deep_certificate(self):
+        # enumerating the inputs to depth 16 takes (beta*gamma)^16 = 4^16 words
+        f1s, f2s = lossless_onestate_binary_tables(2, 8)
+        code, table = ("0", "01"), (("0", "01"), ("10", "1"))
+        assert code in f1s and table in f2s
+        for enc in (identity_encoder(BINARY, BINARY), onestate_binary_encoder(code, table)):
+            rep = is_information_lossless(enc, k_max=16)
+            assert rep.passed and rep.depth_certified == 16
+
+    def test_depth_must_be_nonnegative(self):
+        # stage 1 maps both symbols to "0": a negative depth once certified it
+        enc = one_state(("0", "0"), (("0", "1"), ("0", "1")))
+        with pytest.raises(ValueError, match="k_max must be nonnegative"):
+            is_information_lossless(enc, k_max=-1)
+        with pytest.raises(ValueError, match="k_max must be nonnegative"):
+            lossless_onestate_binary_tables(2, -1)
+        with pytest.raises(ValueError, match="k_max must be nonnegative"):
+            converse_check(enc, bits("0101"), bits("0011"), k_max=-3)
+        assert is_information_lossless(enc, k_max=0).passed  # nothing to check
 
 
 out_strings = st.sampled_from(["", "0", "1", "00", "01", "10", "11"])
@@ -176,6 +204,75 @@ def test_certificate_matches_enumeration_oracle(c1, flat):
     joint_bad = any(oracles.joint_collision(enc, k, 0, 0) is not None
                     for k in (1, 2, 3))
     assert rep.passed == (not stage1_bad and not joint_bad)
+
+
+def _replay(enc: FsmEncoder, ce: dict) -> None:
+    """Both counterexample inputs, run from its start states, end in equal
+    outputs and final states, the ones the counterexample reports."""
+    pa = {x: i for i, x in enumerate(enc.primary_alphabet.symbols)}
+    sa = {x: i for i, x in enumerate(enc.secondary_alphabet.symbols)}
+    s_of = {x: i for i, x in enumerate(enc.states_s)}
+    z_of = {x: i for i, x in enumerate(enc.states_z)}
+    first, second = ce["inputs"]
+    assert first < second and len(first) == len(second) == ce["k"]
+    ends = []
+    for word in (first, second):
+        if ce["stage"] == 1:
+            s, z, pairs = s_of[ce["start_state"]], 0, [(pa[x], 0) for x in word]
+        else:
+            s, z = s_of[ce["start_states"][0]], z_of[ce["start_states"][1]]
+            pairs = [(pa[x], sa[y]) for x, y in word]
+        u = v = ""
+        for a, b in pairs:
+            u, s = u + enc.f1[(s, a)], enc.g1[(s, a)]
+            v, z = v + enc.f2[(z, a, b)], enc.g2[(z, a, b)]
+        ends.append((u, s) if ce["stage"] == 1 else (u, s, v, z))
+    assert ends[0] == ends[1]
+    if ce["stage"] == 1:
+        assert (ce["output"], s_of[ce["final_state"]]) == ends[0]
+    else:
+        assert ce["outputs"] == [ends[0][0], ends[0][2]]
+
+
+def _first_oracle_collision(enc: FsmEncoder, k_max: int, from_all_states: bool):
+    """(stage, k, s0, z0) of the enumeration oracles, in the certificate's
+    order: stage 1 from every start state, then stage 2 from every pair of
+    start states, each at its shallowest k; or None."""
+    starts_s = range(len(enc.states_s)) if from_all_states else [enc.s1]
+    starts_z = range(len(enc.states_z)) if from_all_states else [enc.z1]
+    for s0 in starts_s:
+        for k in range(1, k_max + 1):
+            if oracles.stage1_collision(enc.f1, enc.g1, len(enc.states_s), enc.beta,
+                                        k, s0) is not None:
+                return 1, k, s0, None
+    for s0 in starts_s:
+        for z0 in starts_z:
+            for k in range(1, k_max + 1):
+                if oracles.joint_collision(enc, k, s0, z0) is not None:
+                    return 2, k, s0, z0
+    return None
+
+
+# random encoders seldom pass from their first start state or need the side
+# that overtakes to carry its state, so this test draws more examples
+@settings(max_examples=400)
+@given(multi_state_encoders(), st.integers(1, 4), st.booleans())
+def test_walk_matches_enumeration_oracles(enc, k_max, from_all_states):
+    expected = _first_oracle_collision(enc, k_max, from_all_states)
+    rep = is_information_lossless(enc, k_max=k_max, from_all_states=from_all_states)
+    assert rep.from_all_states == from_all_states
+    if expected is None:
+        assert rep.passed and rep.depth_certified == k_max and rep.counterexample is None
+        return
+    stage, k, s0, z0 = expected
+    ce = rep.counterexample
+    assert not rep.passed and rep.depth_certified == k - 1
+    assert (ce["stage"], ce["k"]) == (stage, k)
+    if stage == 1:
+        assert ce["start_state"] == enc.states_s[s0]
+    else:
+        assert ce["start_states"] == [enc.states_s[s0], enc.states_z[z0]]
+    _replay(enc, ce)
 
 
 class TestOneStateFamily:
@@ -255,6 +352,15 @@ class TestKraft:
         with pytest.raises(ValueError, match="block_len must be positive"):
             kraft_check(identity_encoder(BINARY, BINARY), block_len)
 
+    @pytest.mark.parametrize("q", [0, -1])
+    def test_q_rejected_before_enumeration(self, q, monkeypatch):
+        def walk(*_):
+            raise AssertionError("block pairs enumerated before q was checked")
+
+        monkeypatch.setattr(fsm, "_min_walk_len", walk)
+        with pytest.raises(ValueError, match="q, l, beta, gamma must be positive"):
+            kraft_check(identity_encoder(BINARY, BINARY), 2, q=q)
+
     def test_tables_hold_lengths_and_transitions(self):
         enc = one_state(("0", "10"), (("", "1"), ("1", "")))
         t1, t2 = kraft_tables(enc)
@@ -302,3 +408,16 @@ class TestConverse:
         enc = identity_encoder(BINARY, BINARY)
         with pytest.raises(ValueError, match="n >= 2"):
             converse_check(enc, bits("0"), bits("0"))
+
+    @pytest.mark.parametrize("enc", [identity_encoder(BINARY, BINARY),
+                                     one_state(("0", "1"), (("0", "0"), ("1", "1")))])
+    def test_inputs_checked_before_certificate(self, enc):
+        # a lossy encoder once returned a not-applicable report for these
+        with pytest.raises(ValueError, match="n >= 2"):
+            converse_check(enc, bits("0"), bits("0"))
+        with pytest.raises(ValueError, match="lengths differ"):
+            converse_check(enc, bits("010"), bits("0"))
+        with pytest.raises(ValueError, match="primary alphabet mismatch"):
+            converse_check(enc, Sequence.from_text("abc"), bits("010"))
+        with pytest.raises(ValueError, match="secondary alphabet mismatch"):
+            converse_check(enc, bits("010"), Sequence.from_text("abc"))
