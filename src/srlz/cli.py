@@ -32,6 +32,7 @@ from .lz_core import (
     lz_encode,
     parse,
     rho_from_count,
+    rho_lz,
 )
 
 if TYPE_CHECKING:
@@ -228,24 +229,21 @@ def cmd_analyze(args) -> int:
         }
     violation = False
     if args.block_len is not None:
-        from .empirics import (block_empirics, check_cond_entropy_inequality,
-                               check_entropy_inequality)
+        from .empirics import block_checks
 
         target = seq if side is None else side
         try:
             if side is None:
-                ineq = check_entropy_inequality(seq, args.block_len, eps)
-                emp = block_empirics(seq, None, args.block_len)
+                emp, ineq, _ = block_checks(seq, None, args.block_len, eps, rho=pr.rho_lz)
                 results["block"] = {
                     "block_len": args.block_len,
                     "h_block": emp.h_joint,
                     "entropy_inequality": ineq,
                 }
-                violation = violation or not ineq["holds"]
+                violation = not ineq["holds"]
             else:
-                ineq = check_entropy_inequality(side, args.block_len, eps)
-                cineq = check_cond_entropy_inequality(seq, side, args.block_len, eps)
-                emp = block_empirics(side, seq, args.block_len)
+                emp, ineq, cineq = block_checks(side, seq, args.block_len, eps,
+                                                rho=rho_lz(side), rho_c=jp.rho_cond)
                 results["block"] = {
                     "block_len": args.block_len,
                     "h_joint": emp.h_joint,
@@ -254,7 +252,7 @@ def cmd_analyze(args) -> int:
                     "entropy_inequality": ineq,
                     "cond_entropy_inequality": cineq,
                 }
-                violation = violation or not ineq["holds"] or not cineq["holds"]
+                violation = not ineq["holds"] or not cineq["holds"]
         except ValueError as exc:
             raise UsageError(
                 f"{exc} (usable block lengths: divisors of {target.n}: "
@@ -654,7 +652,13 @@ def cmd_verify(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+# encode flags that only the reproduction search (mode sr, one input) reads,
+# with their defaults
+SEARCH_FLAGS = {"objective": "weighted", "weight": 0.5, "seed": 0}
+
+
+def build_parser(search_flags: bool = True) -> argparse.ArgumentParser:
+    """The srlz parser; without `search_flags`, encode lacks SEARCH_FLAGS."""
     top = argparse.ArgumentParser(
         prog="srlz",
         description="Individual-sequence refinement codecs, rate regions, and "
@@ -694,15 +698,19 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--d2", type=float, default=0.0, help="stage/description 2 distortion level")
     pe.add_argument("--d0", type=float, default=None, help="central distortion level")
     pe.add_argument("--distortion", default="hamming", choices=("hamming", "absdiff"))
-    pe.add_argument("--objective", default="weighted",
-                    choices=("min-r1", "min-sum", "weighted"))
-    pe.add_argument("--weight", type=float, default=0.5)
+    if search_flags:  # None: not given; see _search_flags
+        pe.add_argument("--objective", default=None,
+                        choices=("min-r1", "min-sum", "weighted"),
+                        help="sr search objective (default weighted)")
+        pe.add_argument("--weight", type=float, default=None,
+                        help="sr search weight of rho_cond (default 0.5)")
+        pe.add_argument("--seed", type=int, default=None,
+                        help="sr search seed (default 0)")
     pe.add_argument("--split", type=float, default=0.5,
                     help="central-refinement share for description 1 (md-egc)")
     pe.add_argument("--alpha", type=float, default=0.5,
                     help="central-refinement share for description 1 (md-zb)")
     pe.add_argument("--u-file", default=None, help="auxiliary sequence (md-zb)")
-    pe.add_argument("--seed", type=int, default=0)
     common(pe)
     pe.set_defaults(func=cmd_encode)
 
@@ -750,9 +758,22 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _search_flags(args, argv: Optional[List[str]]) -> None:
+    """Fill in encode's SEARCH_FLAGS.  A call that does not search and gives
+    one exits 2 like any flag its subcommand never reads: the parser without
+    them names it as unrecognized."""
+    given = [f for f in SEARCH_FLAGS if getattr(args, f) is not None]
+    if given and not (args.mode == "sr" and len(args.inputs) == 1):
+        build_parser(search_flags=False).parse_args(argv)
+    for flag, default in SEARCH_FLAGS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.command == "encode":
+        _search_flags(args, argv)
     started = time.monotonic()
     try:
         code = args.func(args)

@@ -49,74 +49,89 @@ def block_empirics(primary: Sequence, secondary: Optional[Sequence], block_len: 
     count = n // l
     pd = primary.data
     sd = None if secondary is None else secondary.data
-    joint: Dict[tuple, int] = {}
     prim_marg: Dict[tuple, int] = {}
+    joint: Dict[tuple, int] = prim_marg if sd is None else {}
     for t in range(0, n, l):
         pb = pd[t:t + l]
-        key = pb if sd is None else (pb, sd[t:t + l])
-        joint[key] = joint.get(key, 0) + 1
         prim_marg[pb] = prim_marg.get(pb, 0) + 1
-    h_joint = _entropy_from_counts(joint, count)
+        if sd is not None:
+            key = (pb, sd[t:t + l])
+            joint[key] = joint.get(key, 0) + 1
     h_primary = _entropy_from_counts(prim_marg, count)
+    # without a secondary the joint blocks are the primary ones
+    h_joint = h_primary if sd is None else _entropy_from_counts(joint, count)
     return BlockEmpirics(l, count, h_joint, h_primary, h_joint - h_primary)
 
 
 def check_entropy_inequality(seq: Sequence, block_len: int,
                              eps_mode: str = "default",
                              tol: float = TOL) -> dict:
-    n = seq.n
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    beta = seq.alphabet.size
-    eps_n = bounds.eps_n_value(n, beta, eps_mode)
-    emp = block_empirics(seq, None, block_len)
-    lhs = emp.h_joint / block_len
-    rho = rho_lz(seq)
-    delta = bounds.delta_n(block_len, n, beta, eps_n)
-    rhs = rho - delta
-    return {
-        "n": n,
-        "beta": beta,
-        "block_len": block_len,
-        "lhs": lhs,
-        "rho_lz": rho,
-        "delta": delta,
-        "rhs": rhs,
-        "eps_mode": eps_mode,
-        "eps_n": eps_n,
-        "holds": lhs >= rhs - tol,
-    }
+    return block_checks(seq, None, block_len, eps_mode, tol, rho=rho_lz(seq))[1]
 
 
 def check_cond_entropy_inequality(secondary: Sequence, primary: Sequence, block_len: int,
                                   eps_mode: str = "default",
                                   tol: float = TOL) -> dict:
+    return block_checks(primary, secondary, block_len, eps_mode, tol,
+                        rho_c=rho_cond(secondary, primary))[2]
+
+
+def block_checks(primary: Sequence, secondary: Optional[Sequence], block_len: int,
+                 eps_mode: str = "default", tol: float = TOL,
+                 rho: Optional[float] = None,
+                 rho_c: Optional[float] = None) -> Tuple[BlockEmpirics, Optional[dict],
+                                                         Optional[dict]]:
+    """One block_empirics(primary, secondary, block_len) and the inequality
+    reports it feeds, from complexities the caller has: the plain inequality
+    of primary when its rho_lz `rho` is given, the conditional one of
+    secondary given primary when rho_cond(secondary | primary) `rho_c` is.
+    The plain report reads H_l(primary) as h_primary, which with a secondary
+    is the same float as h_joint without one (same counts, same order).
+    Returns (empirics, plain report or None, conditional report or None)."""
     n = primary.n
     if n < 2:
         raise ValueError("needs n >= 2")
-    if secondary.n != n:
+    if secondary is not None and secondary.n != n:
         raise ValueError("primary and secondary lengths differ")
     beta = primary.alphabet.size
-    gamma = secondary.alphabet.size
     eps_n = bounds.eps_n_value(n, beta, eps_mode)
     emp = block_empirics(primary, secondary, block_len)
-    lhs = emp.h_cond / block_len
-    rho_c = rho_cond(secondary, primary)
-    delta_p = bounds.delta_n_prime(block_len, n, beta, gamma, eps_n)
-    rhs = rho_c - delta_p
-    return {
-        "n": n,
-        "beta": beta,
-        "gamma": gamma,
-        "block_len": block_len,
-        "lhs": lhs,
-        "rho_cond": rho_c,
-        "delta_prime": delta_p,
-        "rhs": rhs,
-        "eps_mode": eps_mode,
-        "eps_n": eps_n,
-        "holds": lhs >= rhs - tol,
-    }
+    ineq = cineq = None
+    if rho is not None:
+        lhs = emp.h_primary / block_len
+        delta = bounds.delta_n(block_len, n, beta, eps_n)
+        rhs = rho - delta
+        ineq = {
+            "n": n,
+            "beta": beta,
+            "block_len": block_len,
+            "lhs": lhs,
+            "rho_lz": rho,
+            "delta": delta,
+            "rhs": rhs,
+            "eps_mode": eps_mode,
+            "eps_n": eps_n,
+            "holds": lhs >= rhs - tol,
+        }
+    if rho_c is not None:
+        gamma = secondary.alphabet.size
+        lhs = emp.h_cond / block_len
+        delta_p = bounds.delta_n_prime(block_len, n, beta, gamma, eps_n)
+        rhs = rho_c - delta_p
+        cineq = {
+            "n": n,
+            "beta": beta,
+            "gamma": gamma,
+            "block_len": block_len,
+            "lhs": lhs,
+            "rho_cond": rho_c,
+            "delta_prime": delta_p,
+            "rhs": rhs,
+            "eps_mode": eps_mode,
+            "eps_n": eps_n,
+            "holds": lhs >= rhs - tol,
+        }
+    return emp, ineq, cineq
 
 
 def _prefix_walk(n: int, gamma: int, block_lens: Tuple[int, ...],

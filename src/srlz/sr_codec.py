@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Tuple, Union
 
 from .container import (
     MODE_COND,
@@ -288,126 +288,174 @@ def _greedy_pairs(x: Sequence, dist: DistortionSpec, search) -> List[Tuple[Seque
     return collected
 
 
+# Most slots a flat joint trie table may take: a scorer whose bound (n+1)*A*B
+# exceeds it keeps dict tables.  search-regions (n = 512, 4 x 4 letters) needs
+# 8,208; a 26-letter file of 4,096 symbols would need 2,769,572.
+FLAT_SLOTS = 1 << 18
+
+
 class _FlipScorer:
     """rho_lz(h) + rho_cond(t | h) of the index lists h and t, which the
     caller changes in place one position at a time.
 
-    All of it is one resumable LZ78 walk, `_walk`, over the plain trie of h
-    and the joint trie of (h, t).  A joint phrase's primary phrase is its h
-    part, named by its bijective base-(A+1) numeral (digits a+1, the empty
-    string 0): `jp[node]` names the h part of each joint node, a child's is
-    jp[node]*(A+1) + a + 1, and distinct h strings get distinct names, so no
-    primary trie is needed.  `counts` is the phrase count per primary phrase
-    in first-marking order.  `rebuild` walks the whole pair.  Invariant: the
-    prefix state (`lz0`, `children0`, `jp0`, `counts0` and the walker
-    `state`) is the walk of positions < `pos` of the sequences as at the last
-    `rebuild`.  `score(i, coarse)` walks that state forward to i in place
-    (from 0 when i < pos: a new sweep), then walks i..n-1 on copies of it
-    (insert-only dicts, so a copy is a plain clone): plain and joint tries
-    for a coarse flip (h changed), the joint trie alone for a fine flip.
+    It is one resumable LZ78 walk, `_walk`, over the plain trie of h and the
+    joint trie of the letters hb[i] = h[i]*B + t[i]; A and B are the sizes of
+    the two reproduction alphabets.
+    Tables: node j has base j*A in the plain trie and j*A*B in the joint one,
+    and slot base + letter holds the child's base, 0 for none (the root, base
+    0, is nobody's child).  They are flat lists of n+1 rows when (n+1)*A*B is
+    at most FLAT_SLOTS, otherwise dicts of the filled slots; the two layouts
+    differ only in the lookup (`_walk`) and the undo step (`_undo`).
+    `lslots` and `jslots` hold the slot each node was inserted at, by id.
+    A joint phrase's primary phrase is its h part, named by its bijective
+    base-(A+1) numeral (digits a+1, the empty string 0): `jp[j]` names the h
+    part of joint node j, a child's is jp[j]*(A+1) + a + 1 with a the child's
+    letter // B, and distinct h strings get distinct names, so no primary
+    trie is needed.  `counts` is the phrase count per primary phrase in
+    first-marking order.
+    Invariant: the prefix state (the tables, slot lists, `jp`, `counts` and
+    the walker `state`) is the walk of positions < `pos` of the sequences as
+    at the last `rebuild`.  `score(i, coarse)` walks that state forward to i
+    (from 0 when i < pos: a new sweep), then walks i..n-1 on the same tables,
+    plain and joint for a coarse flip (h changed), joint alone for a fine
+    flip, and removes its inserts again from the tail of the slot lists, so
+    the prefix state is as it was.  It counts on a copy of `counts` (one
+    entry per primary phrase), which costs less than undoing every count.
+    `rebuild` is that suffix walk at `pos` keeping the plain phrase count,
+    which fine flips reuse.
     Protocol: when `score(i, ...)` is called, every position except i is as it
     was at the last `rebuild` (`score` patches the joint letter hb[i] and puts
     it back); call `rebuild` after a change is kept, at the position scored
     last, so the prefix before it is unchanged and survives the rebuild.
     Scores are bit-identical to rho_lz(hat) + joint_parse(hat, til).rho_cond:
     c_l*log2(c_l), from a table, is summed in first-marking order, as a
-    Counter over the phrases would be.  A and B are the sizes of the two
-    reproduction alphabets (trie keys are node*A + a and node*A*B + a*B + b).
+    Counter over the phrases would be.
     """
 
     def __init__(self, h: List[int], t: List[int], A: int, B: int) -> None:
         self.h, self.t, self.A, self.B = h, t, A, B
+        n = len(h)
         # c*log2(c) for every count a parse of n symbols can reach
-        self.xlogx = [0.0] + [c * math.log2(c) for c in range(1, len(h) + 1)]
-        self._restart()
+        self.xlogx = [0.0] + [c * math.log2(c) for c in range(1, n + 1)]
+        self.hb = [a * B + b for a, b in zip(h, t)]
+        self.flat = (n + 1) * A * B <= FLAT_SLOTS
+        self.lz = [0] * ((n + 1) * A) if self.flat else {}
+        self.jt = [0] * ((n + 1) * A * B) if self.flat else {}
+        self.lslots: List[int] = []
+        self.jslots: List[int] = []
+        self.jp, self.counts = [0], {}
+        self.pos, self.state, self.c_h = 0, (0, 0), 0
 
     def _restart(self) -> None:
-        self.pos, self.state = 0, (0, 1, 0, 1)
-        self.lz0, self.children0, self.jp0, self.counts0 = {}, {}, [0], {}
+        self._undo(self.lz, self.lslots, 0)
+        self._undo(self.jt, self.jslots, 0)
+        del self.jp[1:]
+        self.counts.clear()
+        self.pos, self.state = 0, (0, 0)
 
     def rebuild(self) -> float:
-        B = self.B
-        self.hb = [a * B + b for a, b in zip(self.h, self.t)]  # joint letters
-        jp, counts = [0], {}
-        lnode, lnid, node, _ = self._walk({}, {}, jp, counts, (0, 1, 0, 1), 0, True)
-        self.c_h = lnid if lnode else lnid - 1
-        return self._total(self.c_h, counts, jp, node)
+        i = self.pos
+        if i < len(self.h):
+            self.hb[i] = self.h[i] * self.B + self.t[i]
+        total, self.c_h = self._suffix(True)
+        return total
 
     def score(self, i: int, coarse: bool) -> float:
         if i < self.pos:
             self._restart()
         if i > self.pos:
-            self.state = self._walk(self.lz0, self.children0, self.jp0, self.counts0,
-                                    self.state, self.pos, True, i)
-            self.pos = i
+            self._advance(i)
         hb = self.hb
         old, hb[i] = hb[i], self.h[i] * self.B + self.t[i]
-        jp, counts = self.jp0[:], self.counts0.copy()
-        lnode, lnid, node, _ = self._walk(self.lz0.copy() if coarse else None,
-                                          self.children0.copy(), jp, counts, self.state,
-                                          i, coarse)
+        total = self._suffix(coarse)[0]
         hb[i] = old
-        c = (lnid if lnode else lnid - 1) if coarse else self.c_h
-        return self._total(c, counts, jp, node)
+        return total
 
-    def _walk(self, lz: Optional[dict], children: dict, jp: List[int],
-              counts: Dict[int, int], state: Tuple[int, int, int, int], start: int,
-              plain: bool, stop: Optional[int] = None) -> Tuple[int, int, int, int]:
-        """Walk positions start..stop-1 from the walker state (plain node, plain
-        next id, joint node, joint next id), adding entries and the counts of
-        completed joint phrases in place; returns the state after them.  With
-        `plain` false only the joint trie is walked."""
-        A = self.A
-        A1, AB = A + 1, A * self.B
-        lnode, lnid, node, nid = state
-        get, cget = children.get, counts.get
-        letters = zip(self.h[start:stop], self.hb[start:stop])
-        if plain:
-            lget = lz.get
-            for a, ab in letters:
-                key = lnode * A + a
-                child = lget(key)
-                if child is None:
-                    lz[key] = lnid
-                    lnid += 1
-                    lnode = 0
-                else:
-                    lnode = child
-                key = node * AB + ab
-                child = get(key)
-                if child is None:
-                    children[key] = nid
-                    nid += 1
-                    pn = jp[node] * A1 + a + 1
-                    jp.append(pn)
-                    counts[pn] = cget(pn, 0) + 1
-                    node = 0
-                else:
-                    node = child
-        else:
-            for a, ab in letters:
-                key = node * AB + ab
-                child = get(key)
-                if child is None:
-                    children[key] = nid
-                    nid += 1
-                    pn = jp[node] * A1 + a + 1
-                    jp.append(pn)
-                    counts[pn] = cget(pn, 0) + 1
-                    node = 0
-                else:
-                    node = child
-        return lnode, lnid, node, nid
+    def _advance(self, stop: int) -> None:
+        """Walk the prefix state forward over pos..stop-1."""
+        start, (lnode, node), mark = self.pos, self.state, len(self.jp)
+        lnode = self._walk(self.lz, self.lslots, self.h[start:stop], lnode, self.A)
+        node = self._walk(self.jt, self.jslots, self.hb[start:stop], node, self.A * self.B)
+        self._name(self.counts, mark)
+        self.pos, self.state = stop, (lnode, node)
 
-    def _total(self, c_hat: int, counts: Dict[int, int], jp: List[int], node: int) -> float:
-        """The score; the unfinished joint phrase, if any, ends at `node`."""
-        n, xlogx = len(self.h), self.xlogx
+    def _suffix(self, plain: bool) -> Tuple[float, int]:
+        """The score and the plain phrase count of the walk of pos..n-1 from
+        the prefix state, which it leaves as it was; with `plain` false, h is
+        as at the last rebuild and so is its phrase count."""
+        n = len(self.h)
         if not n:
-            return 0.0
-        if node:
-            pn = jp[node]
+            return 0.0, 0
+        start, (lnode, node), jp, AB = self.pos, self.state, self.jp, self.A * self.B
+        mark = len(jp)
+        node = self._walk(self.jt, self.jslots, self.hb[start:], node, AB)
+        c_h = self.c_h
+        if plain:
+            keep = len(self.lslots)
+            lnode = self._walk(self.lz, self.lslots, self.h[start:], lnode, self.A)
+            c_h = len(self.lslots) + (lnode != 0)
+            self._undo(self.lz, self.lslots, keep)
+        counts = self.counts.copy()
+        self._name(counts, mark)
+        if node:  # the unfinished joint phrase
+            pn = jp[node // AB]
             counts[pn] = counts.get(pn, 0) + 1
-        return xlogx[c_hat] / n + sum(map(xlogx.__getitem__, counts.values())) / n
+        self._undo(self.jt, self.jslots, mark - 1)
+        del jp[mark:]
+        xlogx = self.xlogx
+        return xlogx[c_h] / n + sum(map(xlogx.__getitem__, counts.values())) / n, c_h
+
+    def _walk(self, table, slots: List[int], letters: List[int], node: int,
+              width: int) -> int:
+        """Walk `letters` on one trie from the node with base `node`, adding
+        a node per phrase; returns the base of the node the walk ends at."""
+        nxt = (len(slots) + 1) * width
+        add = slots.append
+        if self.flat:
+            for s in letters:
+                k = node + s
+                child = table[k]
+                if child:
+                    node = child
+                else:
+                    table[k] = nxt
+                    add(k)
+                    nxt += width
+                    node = 0
+        else:
+            get = table.get
+            for s in letters:
+                k = node + s
+                child = get(k)
+                if child:
+                    node = child
+                else:
+                    table[k] = nxt
+                    add(k)
+                    nxt += width
+                    node = 0
+        return node
+
+    def _undo(self, table, slots: List[int], keep: int) -> None:
+        """Remove every node after the first `keep` from one trie."""
+        if self.flat:
+            for k in slots[keep:]:
+                table[k] = 0
+        else:
+            for k in slots[keep:]:
+                del table[k]
+        del slots[keep:]
+
+    def _name(self, counts: Dict[int, int], mark: int) -> None:
+        """Name the primary phrase of each joint node from id `mark` on in
+        `jp` (which ends at mark) and count those phrases in `counts`."""
+        jp, B, A1 = self.jp, self.B, self.A + 1
+        AB = self.A * B
+        get = counts.get
+        for k in self.jslots[mark - 1:]:
+            pn = jp[k // AB] * A1 + k % AB // B + 1
+            jp.append(pn)
+            counts[pn] = get(pn, 0) + 1
 
 
 def _random_feasible(x: Sequence, d: PerLetterDistortion, level: float,

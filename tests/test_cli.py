@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import srlz
-from srlz import bounds, cli, mdc, regions
+from srlz import bounds, cli, empirics, mdc, regions
 from srlz.bitio import fnv1a64
 from srlz.cond_lz import joint_parse
 from srlz.empirics import block_empirics
@@ -185,6 +185,41 @@ class TestAnalyze:
         assert blk["h_joint"] == pytest.approx(emp.h_joint)
         assert blk["h_cond"] == pytest.approx(emp.h_cond)
         assert blk["cond_entropy_inequality"]["holds"] is True
+
+    def test_block_checks_walk_each_sequence_once(self, tmp_path, capsys, walks,
+                                                  monkeypatch):
+        # --block-len: the inequalities read the parse and the joint parse the
+        # report has, and one block_empirics per call feeds them; only the side
+        # information's own plain parse is new
+        rng = random.Random(5)
+        x = "".join(rng.choice("acgt") for _ in range(2000))
+        side = "".join(c if rng.random() < 0.9 else rng.choice("acgt") for c in x)
+        f = token_file(tmp_path, "x.txt", x, "a c g t")
+        g = token_file(tmp_path, "side.txt", side, "a c g t")
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return block_empirics(*args)
+
+        monkeypatch.setattr(empirics, "block_empirics", counted)
+        code, rep, _, _ = run(capsys, "analyze", f, "--block-len", "4")
+        assert code == 0 and walks == {"_lz_walk": 1, "_joint_walk": 0}
+        assert len(built) == 1
+        seq, aux = cli.load_sequence(f), cli.load_sequence(g)
+        walks["_lz_walk"] = 0
+        assert rep["results"]["block"]["entropy_inequality"] == (
+            empirics.check_entropy_inequality(seq, 4))
+        walks["_lz_walk"], built[:] = 0, []
+        code, rep, _, _ = run(capsys, "analyze", f, "--side-info", g, "--block-len", "4")
+        # the plain parse of x, the joint parse (a plain walk of the pair
+        # letters) and the plain parse of the side information
+        assert code == 0 and walks == {"_lz_walk": 3, "_joint_walk": 1}
+        assert len(built) == 1
+        blk = rep["results"]["block"]
+        assert blk["entropy_inequality"] == empirics.check_entropy_inequality(aux, 4)
+        assert blk["cond_entropy_inequality"] == (
+            empirics.check_cond_entropy_inequality(seq, aux, 4))
 
     def test_bad_block_length_lists_divisors(self, tmp_path, capsys):
         f = token_file(tmp_path, "a.txt", EXAMPLE_A, "a b")
@@ -790,8 +825,14 @@ class TestVerifyCmd:
     ("verify", "--suite", "entropy-ineq", "--n", "8", "--beta", "2"),
     ("verify", "--suite", "cond-entropy-ineq", "--n", "4", "--gamma", "2"),
     ("region", "sr", "{x}", "--d1", "0.2", "--weight", "0.5"),
+    ("encode", "{x}", "--mode", "lz", "-o", "{out}", "--seed", "3"),
+    ("encode", "{x}", "--mode", "cond", "--side-info", "{x}", "-o", "{out}",
+     "--objective", "min-sum"),
+    ("encode", "{x}", "--mode", "md-egc", "-o", "{out}", "--weight", "0.3"),
+    ("encode", "{x}", "{x}", "{x}", "--mode", "sr", "-o", "{out}", "--seed", "0"),
 ], ids=["decode-eps-mode", "decode-q", "verify-format", "verify-beta", "verify-gamma",
-        "region-weight"])
+        "region-weight", "encode-lz-seed", "encode-cond-objective", "encode-md-egc-weight",
+        "encode-sr-given-seed"])
 def test_a_flag_the_subcommand_never_reads_exits_2(argv, tmp_path, capsys):
     x = token_file(tmp_path, "x.txt", "0110100110")
     lzc = str(tmp_path / "x.lzc")

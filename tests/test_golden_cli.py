@@ -7,7 +7,9 @@ decode digests were re-captured for container version 2, whose reports differ
 from version 1 only in the `bytes` and `checksum` fields that echo container
 files.  The analyze, lz and cond codec, refinement-stage decode and verify-suite
 digests were captured before the record constructors were generated from
-`__slots__` and before `verify`'s flags were mapped through one table.  The
+`__slots__` and before `verify`'s flags were mapped through one table, and
+`analyze-side-block4` before `analyze --block-len` computed each complexity
+and block entropy once.  The
 five `q2` digests (penalties at q = 2 and at a custom slack) were captured
 before the converse penalties and floors moved into `bounds.converse_terms`
 and `bounds.converse_floors`.  Every
@@ -100,6 +102,8 @@ CALLS = {
     "analyze-block": (None, ("analyze", "x.txt", "--block-len", "4")),
     "analyze-side-block": (None, ("analyze", "x.txt", "--side-info", "u.txt",
                                   "--block-len", "2")),
+    "analyze-side-block4": (None, ("analyze", "x.txt", "--side-info", "u.txt",
+                                   "--block-len", "4")),
     "encode-lz": (None, ("encode", "x.txt", "--mode", "lz", "-o", "x.lzc")),
     "decode-lz": ("encode-lz", ("decode", "x.lzc", "--mode", "lz", "-o", "out.txt")),
     "encode-cond": (None, ("encode", "x.txt", "--mode", "cond", "--side-info", "u.txt",
@@ -132,6 +136,7 @@ GOLDEN = {
     'analyze-block': 'f5fdbfbf7f720d12fa7a1a0699ae2a406b089f4f5240650db44f49f841645347',
     'analyze-side': 'd951260c96ed1617c07d9f60f36dd92ed6059490769c5e88d7491ae34f06494a',
     'analyze-side-block': '21efc7596f1881f22c6ccfa5da6a49792903debed531739e741881e78700847b',
+    'analyze-side-block4': 'e2c719512d24e5817f3154b300f81083b8e0d0f32011722dd09139be13d7a2a0',
     'analyze-side-q2': 'beb0f1fe33555347f722bee96d2ce3ce0635ea63835fe1bcc95b65ef7efd0dcb',
     'decode-cond': 'dc0c085ce5a5611d8349d9cfcb525c9025589bd5722d9e355a0686ac28c2d821',
     'decode-egc-0': 'f1c2c09f06f7ad8594669fd6e5503b7a88c7f8779b044235e21c0ca9d2a485d8',

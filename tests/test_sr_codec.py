@@ -1,4 +1,7 @@
+import copy
+import functools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -18,6 +21,7 @@ from srlz.container import (
 )
 from srlz.cond_lz import joint_parse
 from srlz.lz_core import BINARY, Alphabet, Sequence, lz_encode, rho_lz
+from srlz import sr_codec
 from srlz.regions import SearchBudget
 from srlz.sr_codec import (
     OBJECTIVES,
@@ -573,6 +577,24 @@ def _full_score(h, t, size_a, size_b):
     return rho_lz(hat) + joint_parse(hat, til).rho_cond
 
 
+def _on_both_layouts(test):
+    """Run a scorer test on flat tables (the module's slot budget covers every
+    drawn case) and again, on a copy of the case, on dict tables (the budget
+    patched to 0)."""
+    @functools.wraps(test)
+    def run(case):
+        for budget in (sr_codec.FLAT_SLOTS, 0):
+            with mock.patch.object(sr_codec, "FLAT_SLOTS", budget):
+                test(copy.deepcopy(case))
+    return run
+
+
+def _layout_scorer(h, t, size_a, size_b):
+    scorer = _FlipScorer(h, t, size_a, size_b)
+    assert scorer.flat is (sr_codec.FLAT_SLOTS > 0)
+    return scorer
+
+
 # (A, B, h, t, flips): flip = (position fraction, coarse?, new letter, keep?)
 scorer_cases = st.tuples(st.integers(1, 5), st.integers(1, 5),
                          st.integers(1, 48)).flatmap(
@@ -585,10 +607,11 @@ scorer_cases = st.tuples(st.integers(1, 5), st.integers(1, 5),
 
 
 @given(scorer_cases)
+@_on_both_layouts
 def test_suffix_scorer_is_bit_identical_to_full_score(case):
     size_a, size_b, h, t, flips = case
     n = len(h)
-    scorer = _FlipScorer(h, t, size_a, size_b)
+    scorer = _layout_scorer(h, t, size_a, size_b)
     assert scorer.rebuild() == _full_score(h, t, size_a, size_b)
     # the first and last positions, then the drawn flips (kept ones rebuild)
     edge = [(0, True, 1, False), (n - 1, False, 1, False),
@@ -610,6 +633,7 @@ protocol_cases = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 
 
 
 @given(protocol_cases)
+@_on_both_layouts
 def test_scorer_under_the_greedy_protocol(case):
     """Drive the scorer the way `improve` does: passes over the positions,
     every other letter of both sequences, rejected flips reverted without a
@@ -624,7 +648,7 @@ def test_scorer_under_the_greedy_protocol(case):
 
     h, t = draw(size_a), draw(size_b)
     positions = sorted(rng.sample(range(n), min(n, count)))
-    scorer = _FlipScorer(h, t, size_a, size_b)
+    scorer = _layout_scorer(h, t, size_a, size_b)
     best = scorer.rebuild()
     assert best == _full_score(h, t, size_a, size_b)
     for _ in range(2):
@@ -646,18 +670,22 @@ def test_scorer_under_the_greedy_protocol(case):
 
 
 def _prefix_state(scorer):
-    return ([list(d.items()) for d in (scorer.lz0, scorer.children0, scorer.counts0)],
-            list(scorer.jp0), scorer.state)
+    tables = [list(tb) if scorer.flat else list(tb.items()) for tb in (scorer.lz, scorer.jt)]
+    return (tables, list(scorer.lslots), list(scorer.jslots), list(scorer.jp),
+            list(scorer.counts.items()), scorer.state)
 
 
 @given(scorer_cases)
+@_on_both_layouts
 def test_prefix_state_is_a_fresh_walk_of_the_prefix(case):
     """After `score(i, ...)` the prefix state is exactly what a fresh walk of
-    positions < i gives: the trie and count dicts item for item (so the
-    counts in first-marking order), `jp` and the walker state; and further
-    scores at i, of both kinds, change neither it nor h, t and hb."""
+    positions < i gives: both trie tables slot for slot (dict tables item for
+    item), the slot lists, `jp`, the count dict item for item (so the counts
+    in first-marking order) and the walker state; and further scores at i, of
+    both kinds, change neither it nor h, t and hb, so the undo restores every
+    slot the suffix walks filled."""
     size_a, size_b, h, t, flips = case
-    scorer = _FlipScorer(h, t, size_a, size_b)
+    scorer = _layout_scorer(h, t, size_a, size_b)
     scorer.rebuild()
     for i, coarse, letter, keep in flips + [(0, True, 0, True)]:
         seq, size = (h, size_a) if coarse else (t, size_b)
@@ -665,16 +693,46 @@ def test_prefix_state_is_a_fresh_walk_of_the_prefix(case):
         seq[i] = (old + letter) % size
         scorer.score(i, coarse)
         assert scorer.pos == i
-        lz, children, jp, counts = {}, {}, [0], {}
-        state = scorer._walk(lz, children, jp, counts, (0, 1, 0, 1), 0, True, i)
-        fresh = ([list(d.items()) for d in (lz, children, counts)], jp, state)
-        assert _prefix_state(scorer) == fresh
+        fresh = _layout_scorer(list(h), list(t), size_a, size_b)
+        fresh._advance(i)
+        want = _prefix_state(fresh)
+        assert _prefix_state(scorer) == want
         sequences = (list(h), list(t), list(scorer.hb))
         scorer.score(i, coarse)
         scorer.score(i, not coarse)
-        assert _prefix_state(scorer) == fresh
+        assert _prefix_state(scorer) == want
         assert (h, t, scorer.hb) == sequences
         if keep:
             scorer.rebuild()
+            assert _prefix_state(scorer) == want
         else:
             seq[i] = old
+
+
+@pytest.mark.parametrize("slots", [None, 0], ids=["flat", "dict"])
+def test_greedy_search_scores_are_full_scores(slots, monkeypatch):
+    """Every score the greedy search reads equals a full parse of the pair, on
+    both table layouts, with fine flips (level2 > 0) and a 3-letter source
+    reproduced over 4 coarse and 2 fine letters, so no base is square."""
+    if slots is not None:
+        monkeypatch.setattr(sr_codec, "FLAT_SLOTS", slots)
+    src, rep1, rep2 = Alphabet.of_size(3), Alphabet.of_size(4), Alphabet.of_size(2)
+    d1 = PerLetterDistortion("table", {(s, r): float(s != r) for s in src.symbols
+                                       for r in rep1.symbols}, rep1)
+    d2 = PerLetterDistortion("table", {(s, r): float(int(s) % 2 != int(r))
+                                       for s in src.symbols for r in rep2.symbols}, rep2)
+    dist = DistortionSpec(d1=d1, d2=d2, level1=0.25, level2=0.1)
+    real, kinds = _FlipScorer.score, set()
+
+    def checked(self, i, coarse):
+        got = real(self, i, coarse)
+        assert (self.A, self.B, self.flat) == (4, 2, slots is None)
+        assert got == _full_score(self.h, self.t, self.A, self.B)
+        kinds.add(coarse)
+        return got
+
+    monkeypatch.setattr(_FlipScorer, "score", checked)
+    pairs, meta = candidate_pairs(_uniform_source(7, 3, 60), dist,
+                                  SearchBudget(mode="greedy", evaluations=600, seed=2))
+    assert kinds == {True, False} and meta["search_mode"] == "greedy"
+    assert len(pairs) >= 2
