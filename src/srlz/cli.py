@@ -440,6 +440,13 @@ def cmd_decode(args) -> int:
         "inputs": _inputs_block(args.inputs),
         "parameters": {"mode": mode, "format": args.fmt},
     }
+    # an output file the call would not write is an error, not a silent drop
+    if args.coarse_output is not None and (mode != "sr" or args.stage == 1):
+        raise UsageError("--coarse-output: only an sr decode at stage 2 writes the "
+                         "coarse reproduction")
+    if args.aux_output is not None and not (mode == "md-zb" and args.decoder in (1, 2)):
+        raise UsageError("--aux-output: only md-zb decoders 1 and 2 write the auxiliary "
+                         "sequence (decoder 0 writes PREFIX.aux)")
     outputs = []
     if mode == "lz":
         if len(args.inputs) != 1:

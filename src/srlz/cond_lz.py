@@ -53,27 +53,39 @@ class JointParseResult(Record):
                  "c_l",  # joint phrases per distinct primary phrase
                  "rho_cond", "rho_joint", "is_last_incomplete")
 
-def _primary_counts(keys: Iterable[int], last: int, A: int, B: int) -> List[int]:
-    """c_l in first-marking order, from the keys (node*A + a)*B + b of a joint
-    trie in node order and the node `last` where the input ends.
+def primary_step(keys: Iterable[int], A: int, B: int, pnode: List[int], ptrie: Union[list, dict],
+                 pslots: List[int], c_l: List[int]) -> None:
+    """Count the joint phrases of `keys` by primary phrase.
 
-    The primary string of phrase j is that of its parent extended by a, so
-    one pass over the phrases numbers the distinct primary strings in order
-    of first appearance.
+    `keys` are joint slots (node*A + a)*B + b in node order, next after the
+    joint nodes of `pnode`, which holds each one's primary node (the root's
+    is 0).  A joint phrase's primary string is its parent's extended by a,
+    so `ptrie` (a flat list or a dict, as in `lz_core.walk`), keyed
+    pnode*A + a, numbers the distinct primary strings 1, 2, ... by first
+    appearance and logs each new key in `pslots` for `lz_core.undo`;
+    c_l[p - 1] counts the phrases of primary node p.
     """
-    AB = A * B
-    ptrie: dict = {}
-    pnode = [0]  # primary node of each joint node
-    c_l: List[int] = []  # c_l[p - 1] counts the phrases at primary node p
+    AB, nxt = A * B, len(c_l) + 1
+    add, new, log = pnode.append, c_l.append, pslots.append
+    get = None if type(ptrie) is list else ptrie.get
     for k in keys:
         key = pnode[k // AB] * A + k % AB // B
-        p = ptrie.get(key)
-        if p is None:
-            c_l.append(1)
-            ptrie[key] = p = len(c_l)
-        else:
+        p = ptrie[key] if get is None else get(key)
+        if p:
             c_l[p - 1] += 1
-        pnode.append(p)
+        else:
+            new(1)
+            ptrie[key] = p = nxt
+            nxt += 1
+            log(key)
+        add(p)
+
+
+def _primary_counts(keys: Iterable[int], last: int, A: int, B: int) -> List[int]:
+    """c_l in first-marking order, from the keys of a joint trie in node order
+    and the node `last` where the input ends."""
+    pnode, c_l = [0], []
+    primary_step(keys, A, B, pnode, {}, [], c_l)
     if last:
         c_l[pnode[last] - 1] += 1
     return c_l

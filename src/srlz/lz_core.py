@@ -4,6 +4,13 @@ The parse splits a sequence into phrases, each the shortest prefix of the
 remaining input that has not appeared as a phrase before; a final partial
 phrase is counted.  The normalized complexity of a sequence is
 c * log2(c) / n where c is the phrase count.
+
+Every parse is one trie walk, `walk`, over letters below a width w: node j
+(the root is 0) has base j*w, and slot base + letter holds the child's base,
+never 0, as the root is nobody's child.  The table is a flat list or a dict
+of the filled slots.  The walk logs each new node's slot, node j's at
+slots[j - 1], so it resumes from any base it returned, and
+`undo(table, slots, keep)` leaves the trie of the first `keep` nodes.
 """
 
 from __future__ import annotations
@@ -201,28 +208,56 @@ class ParseResult(Record):
     __slots__ = ("phrases",  # (start, length) per phrase
                  "c", "is_last_incomplete", "rho_lz", "code_len_bound")
 
-def _lz_walk(data: Seq[int], size: int) -> Tuple[List[int], int]:
-    """The incremental parse as a trie walk, every index below `size`.
+def walk(table: Union[list, dict], slots: List[int], letters: Iterable[int], node: int,
+         width: int) -> int:
+    """Walk `letters` from the node with base `node`, adding a node per
+    phrase, and return the base where the walk ends.
 
-    The trie is keyed by the integers node*size + sym, and complete phrase j
-    creates node j.  Returns (keys, last): keys[j-1] = parent*size + innovation
-    of complete phrase j, and last is the node where the input ends, 0 unless
-    the last phrase is incomplete.
+    `table` (a flat list or a dict) maps slot base + letter to the child's
+    base for the nodes logged in `slots`.  A phrase's new node gets the next
+    base, (len(slots) + 1)*width, and its slot goes to the end of `slots`, so
+    `undo` can take it out again.
     """
-    trie: dict = {}
-    get = trie.get
+    nxt = (len(slots) + 1) * width
+    add = slots.append
+    if type(table) is list:
+        for s in letters:
+            k = node + s
+            node = table[k]
+            if not node:  # a new phrase; the next starts at the root
+                table[k] = nxt
+                add(k)
+                nxt += width
+    else:
+        get = table.get
+        for s in letters:
+            k = node + s
+            node = get(k, 0)
+            if not node:
+                table[k] = nxt
+                add(k)
+                nxt += width
+    return node
+
+
+def undo(table: Union[list, dict], slots: List[int], keep: int) -> None:
+    """Remove every node after the first `keep` from a walk's trie."""
+    if type(table) is list:
+        for k in slots[keep:]:
+            table[k] = 0
+    else:
+        for k in slots[keep:]:
+            del table[k]
+    del slots[keep:]
+
+
+def _lz_walk(data: Seq[int], size: int) -> Tuple[List[int], int]:
+    """The incremental parse of `data`, every index below `size`, as a walk
+    from the root of a new dict: (keys, last), keys[j-1] = parent*size +
+    innovation of complete phrase j and last the node where the input ends,
+    0 unless the last phrase is incomplete."""
     keys: List[int] = []
-    node = 0
-    for sym in data:
-        key = node * size + sym
-        child = get(key)
-        if child is None:
-            keys.append(key)
-            trie[key] = len(keys)
-            node = 0
-        else:
-            node = child
-    return keys, node
+    return keys, walk({}, keys, data, 0, size) // size
 
 
 def _phrases(keys: List[int], last: int, size: int) -> List[Tuple[int, int]]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, List, Tuple, Union
+from typing import Callable, List, Tuple, Union
 
 from .container import (
     MODE_COND,
@@ -28,8 +28,8 @@ from .container import (
     pack_segments,
     unpack_segments,
 )
-from .cond_lz import cond_decode, cond_encode, rho_cond
-from .lz_core import Alphabet, Sequence, lz_decode, lz_encode, rho_lz
+from .cond_lz import cond_decode, cond_encode, primary_step, rho_cond
+from .lz_core import Alphabet, Sequence, lz_decode, lz_encode, rho_lz, undo, walk
 
 OBJECTIVES = ("min-r1", "min-sum", "weighted")
 
@@ -288,48 +288,49 @@ def _greedy_pairs(x: Sequence, dist: DistortionSpec, search) -> List[Tuple[Seque
     return collected
 
 
-# Most slots a flat joint trie table may take: a scorer whose bound (n+1)*A*B
-# exceeds it keeps dict tables.  search-regions (n = 512, 4 x 4 letters) needs
-# 8,208; a 26-letter file of 4,096 symbols would need 2,769,572.
+# Most slots a flat trie table may take; a scorer trie that may need more is a
+# dict.  search-regions (n = 512, 4 x 4 letters) needs 4,240 joint slots; a
+# 26-letter file of 4,096 symbols needs 1,613,612 (41,834 for the plain trie).
 FLAT_SLOTS = 1 << 18
+
+
+def _most_phrases(n: int, width: int) -> int:
+    """Most complete phrases a parse of n letters below `width` can have: they
+    are distinct strings of total length at most n, and at most width**l of
+    them have length l, so the count is largest with the shortest first."""
+    count, length, strings = 0, 1, width
+    while n >= length * strings:
+        n -= length * strings
+        count, length, strings = count + strings, length + 1, strings * width
+    return count + n // length
 
 
 class _FlipScorer:
     """rho_lz(h) + rho_cond(t | h) of the index lists h and t, which the
     caller changes in place one position at a time.
 
-    It is one resumable LZ78 walk, `_walk`, over the plain trie of h and the
-    joint trie of the letters hb[i] = h[i]*B + t[i]; A and B are the sizes of
-    the two reproduction alphabets.
-    Tables: node j has base j*A in the plain trie and j*A*B in the joint one,
-    and slot base + letter holds the child's base, 0 for none (the root, base
-    0, is nobody's child).  They are flat lists of n+1 rows when (n+1)*A*B is
-    at most FLAT_SLOTS, otherwise dicts of the filled slots; the two layouts
-    differ only in the lookup (`_walk`) and the undo step (`_undo`).
-    `lslots` and `jslots` hold the slot each node was inserted at, by id.
-    A joint phrase's primary phrase is its h part, named by its bijective
-    base-(A+1) numeral (digits a+1, the empty string 0): `jp[j]` names the h
-    part of joint node j, a child's is jp[j]*(A+1) + a + 1 with a the child's
-    letter // B, and distinct h strings get distinct names, so no primary
-    trie is needed.  `counts` is the phrase count per primary phrase in
-    first-marking order.
-    Invariant: the prefix state (the tables, slot lists, `jp`, `counts` and
-    the walker `state`) is the walk of positions < `pos` of the sequences as
-    at the last `rebuild`.  `score(i, coarse)` walks that state forward to i
-    (from 0 when i < pos: a new sweep), then walks i..n-1 on the same tables,
-    plain and joint for a coarse flip (h changed), joint alone for a fine
-    flip, and removes its inserts again from the tail of the slot lists, so
-    the prefix state is as it was.  It counts on a copy of `counts` (one
-    entry per primary phrase), which costs less than undoing every count.
-    `rebuild` is that suffix walk at `pos` keeping the plain phrase count,
-    which fine flips reuse.
+    It is one resumable `lz_core.walk` over the plain trie of h and one over
+    the joint trie of the letters hb[i] = h[i]*B + t[i], A and B the sizes of
+    the two reproduction alphabets, with `cond_lz.primary_step` counting the
+    joint phrases per primary phrase (`c_l`, in first-marking order) through
+    the primary trie `pt`, whose nodes are distinct strings of total length
+    at most n too.  A trie is a flat list when the slots of its most nodes
+    fit FLAT_SLOTS, else a dict; `lslots`, `jslots` and `pslots` log their
+    inserts, so `lz_core.undo` removes them.
+    Invariant: the prefix state (the tries, their slot logs, `pnode`, `c_l`
+    and the walker `state`) is the walk of positions < `pos` of the
+    sequences as at the last `rebuild`.  `score(i, coarse)` walks that state
+    forward to i (from 0 when i < pos: a new sweep), then walks i..n-1 on the
+    same tries, plain and joint for a coarse flip (h changed), joint alone
+    for a fine flip, counting on a copy of `c_l`, and undoes its inserts, so
+    the prefix state is as it was.  `rebuild` is that suffix walk at `pos`
+    keeping the plain phrase count, which fine flips reuse.
     Protocol: when `score(i, ...)` is called, every position except i is as it
     was at the last `rebuild` (`score` patches the joint letter hb[i] and puts
     it back); call `rebuild` after a change is kept, at the position scored
     last, so the prefix before it is unchanged and survives the rebuild.
     Scores are bit-identical to rho_lz(hat) + joint_parse(hat, til).rho_cond:
-    c_l*log2(c_l), from a table, is summed in first-marking order, as a
-    Counter over the phrases would be.
+    c_l*log2(c_l), from a table, is summed in first-marking order.
     """
 
     def __init__(self, h: List[int], t: List[int], A: int, B: int) -> None:
@@ -338,19 +339,21 @@ class _FlipScorer:
         # c*log2(c) for every count a parse of n symbols can reach
         self.xlogx = [0.0] + [c * math.log2(c) for c in range(1, n + 1)]
         self.hb = [a * B + b for a, b in zip(h, t)]
-        self.flat = (n + 1) * A * B <= FLAT_SLOTS
-        self.lz = [0] * ((n + 1) * A) if self.flat else {}
-        self.jt = [0] * ((n + 1) * A * B) if self.flat else {}
-        self.lslots: List[int] = []
-        self.jslots: List[int] = []
-        self.jp, self.counts = [0], {}
+
+        def table(width: int):  # room for the nodes of any parse of n letters
+            slots = (_most_phrases(n, width) + 1) * width
+            return [0] * slots if slots <= FLAT_SLOTS else {}
+
+        self.lz, self.pt, self.jt = table(A), table(A), table(A * B)
+        self.lslots, self.jslots, self.pslots = [], [], []  # slot logs
+        self.pnode, self.c_l = [0], []
         self.pos, self.state, self.c_h = 0, (0, 0), 0
 
     def _restart(self) -> None:
-        self._undo(self.lz, self.lslots, 0)
-        self._undo(self.jt, self.jslots, 0)
-        del self.jp[1:]
-        self.counts.clear()
+        undo(self.lz, self.lslots, 0)
+        undo(self.jt, self.jslots, 0)
+        undo(self.pt, self.pslots, 0)
+        del self.pnode[1:], self.c_l[:]
         self.pos, self.state = 0, (0, 0)
 
     def rebuild(self) -> float:
@@ -373,10 +376,11 @@ class _FlipScorer:
 
     def _advance(self, stop: int) -> None:
         """Walk the prefix state forward over pos..stop-1."""
-        start, (lnode, node), mark = self.pos, self.state, len(self.jp)
-        lnode = self._walk(self.lz, self.lslots, self.h[start:stop], lnode, self.A)
-        node = self._walk(self.jt, self.jslots, self.hb[start:stop], node, self.A * self.B)
-        self._name(self.counts, mark)
+        start, (lnode, node), mark = self.pos, self.state, len(self.jslots)
+        A, B = self.A, self.B
+        lnode = walk(self.lz, self.lslots, self.h[start:stop], lnode, A)
+        node = walk(self.jt, self.jslots, self.hb[start:stop], node, A * B)
+        primary_step(self.jslots[mark:], A, B, self.pnode, self.pt, self.pslots, self.c_l)
         self.pos, self.state = stop, (lnode, node)
 
     def _suffix(self, plain: bool) -> Tuple[float, int]:
@@ -386,76 +390,24 @@ class _FlipScorer:
         n = len(self.h)
         if not n:
             return 0.0, 0
-        start, (lnode, node), jp, AB = self.pos, self.state, self.jp, self.A * self.B
-        mark = len(jp)
-        node = self._walk(self.jt, self.jslots, self.hb[start:], node, AB)
+        start, (lnode, node), A, B = self.pos, self.state, self.A, self.B
+        mark, pmark, pnode = len(self.jslots), len(self.pslots), self.pnode
+        node = walk(self.jt, self.jslots, self.hb[start:], node, A * B)
         c_h = self.c_h
         if plain:
             keep = len(self.lslots)
-            lnode = self._walk(self.lz, self.lslots, self.h[start:], lnode, self.A)
+            lnode = walk(self.lz, self.lslots, self.h[start:], lnode, A)
             c_h = len(self.lslots) + (lnode != 0)
-            self._undo(self.lz, self.lslots, keep)
-        counts = self.counts.copy()
-        self._name(counts, mark)
+            undo(self.lz, self.lslots, keep)
+        c_l = self.c_l.copy()
+        primary_step(self.jslots[mark:], A, B, pnode, self.pt, self.pslots, c_l)
         if node:  # the unfinished joint phrase
-            pn = jp[node // AB]
-            counts[pn] = counts.get(pn, 0) + 1
-        self._undo(self.jt, self.jslots, mark - 1)
-        del jp[mark:]
+            c_l[pnode[node // (A * B)] - 1] += 1
+        undo(self.jt, self.jslots, mark)
+        undo(self.pt, self.pslots, pmark)
+        del pnode[mark + 1:]
         xlogx = self.xlogx
-        return xlogx[c_h] / n + sum(map(xlogx.__getitem__, counts.values())) / n, c_h
-
-    def _walk(self, table, slots: List[int], letters: List[int], node: int,
-              width: int) -> int:
-        """Walk `letters` on one trie from the node with base `node`, adding
-        a node per phrase; returns the base of the node the walk ends at."""
-        nxt = (len(slots) + 1) * width
-        add = slots.append
-        if self.flat:
-            for s in letters:
-                k = node + s
-                child = table[k]
-                if child:
-                    node = child
-                else:
-                    table[k] = nxt
-                    add(k)
-                    nxt += width
-                    node = 0
-        else:
-            get = table.get
-            for s in letters:
-                k = node + s
-                child = get(k)
-                if child:
-                    node = child
-                else:
-                    table[k] = nxt
-                    add(k)
-                    nxt += width
-                    node = 0
-        return node
-
-    def _undo(self, table, slots: List[int], keep: int) -> None:
-        """Remove every node after the first `keep` from one trie."""
-        if self.flat:
-            for k in slots[keep:]:
-                table[k] = 0
-        else:
-            for k in slots[keep:]:
-                del table[k]
-        del slots[keep:]
-
-    def _name(self, counts: Dict[int, int], mark: int) -> None:
-        """Name the primary phrase of each joint node from id `mark` on in
-        `jp` (which ends at mark) and count those phrases in `counts`."""
-        jp, B, A1 = self.jp, self.B, self.A + 1
-        AB = self.A * B
-        get = counts.get
-        for k in self.jslots[mark - 1:]:
-            pn = jp[k // AB] * A1 + k % AB // B + 1
-            jp.append(pn)
-            counts[pn] = get(pn, 0) + 1
+        return xlogx[c_h] / n + sum(map(xlogx.__getitem__, c_l)) / n, c_h
 
 
 def _random_feasible(x: Sequence, d: PerLetterDistortion, level: float,

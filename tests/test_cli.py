@@ -612,6 +612,29 @@ class TestEncodeDecode:
         assert code == 2
         assert "takes both description files" in err
 
+    @pytest.mark.parametrize("mode, streams, flags, dropped", [
+        ("sr", ("x.src",), ("--stage", "1"), "--coarse-output"),
+        ("md-egc", ("x.d1",), ("--decoder", "1"), "--aux-output"),
+        ("md-egc", ("x.d1", "x.d2"), (), "--aux-output"),
+        ("md-zb", ("x.d1", "x.d2"), (), "--aux-output"),
+    ], ids=["sr-stage1", "md-egc-decoder1", "md-egc-decoder0", "md-zb-decoder0"])
+    def test_decode_output_it_would_not_write_exits_2(self, tmp_path, capsys, mode,
+                                                      streams, flags, dropped):
+        """An extra output file the decode call does not write is refused by
+        name before anything is decoded, so no output appears."""
+        f = token_file(tmp_path, "s.txt", "01101001")
+        base = str(tmp_path / "x")
+        enc = (f, f, f) if mode == "sr" else (f,)
+        assert run(capsys, "encode", *enc, "--mode", mode, "-o",
+                   base + ".src" if mode == "sr" else base)[0] == 0
+        before = set(tmp_path.iterdir())
+        code, rep, _, err = run(capsys, "decode", *(str(tmp_path / p) for p in streams),
+                                "--mode", mode, *flags, "-o", str(tmp_path / "out"),
+                                dropped, str(tmp_path / "extra"))
+        assert code == 2 and rep is None
+        assert err.startswith(f"error: {dropped}: ")
+        assert set(tmp_path.iterdir()) == before
+
     def test_missing_input_file_exits_2(self, tmp_path, capsys):
         code, _, _, err = run(capsys, "analyze", str(tmp_path / "nope.bin"))
         assert code == 2

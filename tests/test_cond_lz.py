@@ -15,10 +15,11 @@ from srlz.cond_lz import (
     cond_decode,
     cond_encode,
     joint_parse,
+    primary_step,
     rho_cond,
     side_info_checksum,
 )
-from srlz.lz_core import BINARY, Alphabet, Sequence, product_sequence
+from srlz.lz_core import BINARY, Alphabet, Sequence, _lz_walk, product_sequence
 
 
 def bits(text: str) -> Sequence:
@@ -75,6 +76,32 @@ sized_pairs = st.tuples(st.integers(1, 5), st.integers(1, 5),
     lambda abn: st.tuples(st.just(abn[0]), st.just(abn[1]),
                           st.lists(st.integers(0, abn[0] - 1), min_size=abn[2], max_size=abn[2]),
                           st.lists(st.integers(0, abn[1] - 1), min_size=abn[2], max_size=abn[2])))
+
+
+@given(st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 60)).flatmap(
+    lambda abn: st.tuples(st.just(abn[0]), st.just(abn[1]),
+                          st.lists(st.tuples(st.integers(0, abn[0] - 1),
+                                             st.integers(0, abn[1] - 1)),
+                                   min_size=abn[2], max_size=abn[2]),
+                          st.integers(0, abn[2]))))
+def test_primary_step_resumed_over_two_chunks_counts_like_the_oracle(case):
+    """The primary step over a joint walk's keys, cut in two and resumed,
+    gives the set oracle's c_l in first-marking order (the incomplete last
+    phrase added at its node's primary node), on a flat-list primary trie
+    and on a dict one, and logs the key of primary node p at pslots[p - 1]."""
+    size_a, size_b, pairs, cut = case
+    keys, last = _lz_walk([a * size_b + b for a, b in pairs], size_a * size_b)
+    phrases, _, _ = oracles.parse_by_set(pairs)
+    want = list(Counter(tuple(a for a, _ in w) for w in phrases).values())
+    cut = min(cut, len(keys))
+    for ptrie in ([0] * ((len(want) + 1) * size_a), {}):  # a list with no spare slot
+        pnode, pslots, c_l = [0], [], []
+        primary_step(keys[:cut], size_a, size_b, pnode, ptrie, pslots, c_l)
+        primary_step(keys[cut:], size_a, size_b, pnode, ptrie, pslots, c_l)
+        if last:
+            c_l[pnode[last] - 1] += 1
+        assert c_l == want and len(pnode) == len(keys) + 1
+        assert [ptrie[k] for k in pslots] == list(range(1, len(c_l) + 1))
 
 
 @given(sized_pairs)

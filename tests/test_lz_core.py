@@ -27,6 +27,8 @@ from srlz.lz_core import (
     product_sequence,
     rho_from_count,
     rho_lz,
+    undo,
+    walk,
 )
 
 
@@ -201,6 +203,73 @@ def test_parse_matches_set_oracle(case):
     assert pr.is_last_incomplete == incomplete
     assert [tuple(data[a:a + ln]) for a, ln in pr.phrases] == phrases
     assert pr.rho_lz == pytest.approx(oracles.rho_by_set(data), abs=1e-12)
+
+
+# (width, letters, cut): letters below the width, split at the cut
+walk_cases = st.tuples(st.integers(1, 6), st.integers(0, 80)).flatmap(
+    lambda wn: st.tuples(st.just(wn[0]),
+                         st.lists(st.integers(0, wn[0] - 1), min_size=wn[1], max_size=wn[1]),
+                         st.integers(0, wn[1])))
+
+
+def _new_tables(width, n):
+    """A flat-list table with room for n + 1 nodes, and a dict table."""
+    return [0] * ((n + 1) * width), {}
+
+
+def _filled(table):
+    return list(table) if type(table) is list else list(table.items())
+
+
+@given(walk_cases)
+def test_walk_resumed_over_two_chunks_is_one_walk(case):
+    """On either table type, a walk cut in two (the second part resumed from
+    the base the first returned) gives one walk's slots, end base and table;
+    node j's slot is slots[j - 1] and holds its base j*width."""
+    width, letters, cut = case
+    slot_logs = []
+    for one, two in zip(_new_tables(width, len(letters)), _new_tables(width, len(letters))):
+        one_slots, two_slots = [], []
+        end = walk(one, one_slots, letters, 0, width)
+        mid = walk(two, two_slots, letters[:cut], 0, width)
+        assert walk(two, two_slots, letters[cut:], mid, width) == end
+        assert two_slots == one_slots and _filled(two) == _filled(one)
+        assert [one[k] for k in one_slots] == [j * width for j in range(1, len(one_slots) + 1)]
+        assert end % width == 0 and (end == 0 or end in set(one[k] for k in one_slots))
+        slot_logs.append(one_slots)
+    assert slot_logs[0] == slot_logs[1]
+
+
+@given(walk_cases)
+def test_undo_restores_the_walk_up_to_its_mark(case):
+    """Undoing to the slot count before a resumed walk leaves the table and
+    slots exactly as they were; undo to 0 leaves an empty trie."""
+    width, letters, cut = case
+    for table in _new_tables(width, len(letters)):
+        slots = []
+        mid = walk(table, slots, letters[:cut], 0, width)
+        before, mark = _filled(table), len(slots)
+        walk(table, slots, letters[cut:], mid, width)
+        undo(table, slots, mark)
+        assert _filled(table) == before and len(slots) == mark
+        undo(table, slots, 0)
+        assert not slots and not any(table)
+
+
+@given(sized)
+def test_lz_walk_keys_and_last_match_set_oracle(case):
+    """_lz_walk's contract: keys[j-1] = parent*size + innovation of complete
+    phrase j, and last is the node of an incomplete last phrase, else 0."""
+    size, data = case
+    keys, last = lz_core._lz_walk(data, size)
+    phrases, _, incomplete = oracles.parse_by_set(data)
+    strings = [()]
+    for k in keys:
+        strings.append(strings[k // size] + (k % size,))
+    assert strings[1:] == (phrases[:-1] if incomplete else phrases)
+    assert (last != 0) == incomplete
+    if incomplete:
+        assert strings[last] == phrases[-1]
 
 
 @given(texts)

@@ -1,5 +1,6 @@
 import copy
 import functools
+import itertools
 import random
 from unittest import mock
 
@@ -20,7 +21,7 @@ from srlz.container import (
     pack_segments,
 )
 from srlz.cond_lz import joint_parse
-from srlz.lz_core import BINARY, Alphabet, Sequence, lz_encode, rho_lz
+from srlz.lz_core import BINARY, Alphabet, Sequence, _lz_walk, lz_encode, rho_lz
 from srlz import sr_codec
 from srlz.regions import SearchBudget
 from srlz.sr_codec import (
@@ -571,6 +572,19 @@ def test_greedy_search_matches_golden(name):
     assert select_reproductions(x, dist, "min-sum", search)[2]["objective_value"] == want_min_sum
 
 
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_most_phrases_is_the_largest_phrase_count(width):
+    """`_most_phrases(n, width)` is the largest number of complete phrases
+    over every sequence of n letters below width, for n up to 8; so a flat
+    table of (_most_phrases + 1) * width slots holds any parse."""
+    for n in range(9):
+        most = 0
+        for data in itertools.product(range(width), repeat=n):
+            keys, _ = _lz_walk(data, width)
+            most = max(most, len(keys))
+        assert sr_codec._most_phrases(n, width) == most
+
+
 def _full_score(h, t, size_a, size_b):
     hat = Sequence(Alphabet.of_size(size_a), h)
     til = Sequence(Alphabet.of_size(size_b), t)
@@ -591,7 +605,7 @@ def _on_both_layouts(test):
 
 def _layout_scorer(h, t, size_a, size_b):
     scorer = _FlipScorer(h, t, size_a, size_b)
-    assert scorer.flat is (sr_codec.FLAT_SLOTS > 0)
+    assert (type(scorer.jt) is list) is (sr_codec.FLAT_SLOTS > 0)
     return scorer
 
 
@@ -670,20 +684,21 @@ def test_scorer_under_the_greedy_protocol(case):
 
 
 def _prefix_state(scorer):
-    tables = [list(tb) if scorer.flat else list(tb.items()) for tb in (scorer.lz, scorer.jt)]
-    return (tables, list(scorer.lslots), list(scorer.jslots), list(scorer.jp),
-            list(scorer.counts.items()), scorer.state)
+    tables = [list(tb) if type(tb) is list else list(tb.items())
+              for tb in (scorer.lz, scorer.jt, scorer.pt)]
+    return (tables, list(scorer.lslots), list(scorer.jslots), list(scorer.pslots),
+            list(scorer.pnode), list(scorer.c_l), scorer.state)
 
 
 @given(scorer_cases)
 @_on_both_layouts
 def test_prefix_state_is_a_fresh_walk_of_the_prefix(case):
     """After `score(i, ...)` the prefix state is exactly what a fresh walk of
-    positions < i gives: both trie tables slot for slot (dict tables item for
-    item), the slot lists, `jp`, the count dict item for item (so the counts
-    in first-marking order) and the walker state; and further scores at i, of
-    both kinds, change neither it nor h, t and hb, so the undo restores every
-    slot the suffix walks filled."""
+    positions < i gives: both walk tables slot for slot (dict tables item for
+    item), the primary trie item for item, the three slot logs, `pnode`, the
+    counts `c_l` in first-marking order and the walker state; and further
+    scores at i, of both kinds, change neither it nor h, t and hb, so the
+    undo restores every slot the suffix walks filled, primary trie included."""
     size_a, size_b, h, t, flips = case
     scorer = _layout_scorer(h, t, size_a, size_b)
     scorer.rebuild()
@@ -709,11 +724,13 @@ def test_prefix_state_is_a_fresh_walk_of_the_prefix(case):
             seq[i] = old
 
 
-@pytest.mark.parametrize("slots", [None, 0], ids=["flat", "dict"])
+@pytest.mark.parametrize("slots", [None, 0, 200], ids=["flat", "dict", "mixed"])
 def test_greedy_search_scores_are_full_scores(slots, monkeypatch):
     """Every score the greedy search reads equals a full parse of the pair, on
-    both table layouts, with fine flips (level2 > 0) and a 3-letter source
-    reproduced over 4 coarse and 2 fine letters, so no base is square."""
+    both table layouts and on flat plain and primary tries beside a dict
+    joint trie (at n = 60 those two need 116 slots and the joint one 280),
+    with fine flips (level2 > 0) and a 3-letter source reproduced over 4
+    coarse and 2 fine letters, so no base is square."""
     if slots is not None:
         monkeypatch.setattr(sr_codec, "FLAT_SLOTS", slots)
     src, rep1, rep2 = Alphabet.of_size(3), Alphabet.of_size(4), Alphabet.of_size(2)
@@ -726,7 +743,8 @@ def test_greedy_search_scores_are_full_scores(slots, monkeypatch):
 
     def checked(self, i, coarse):
         got = real(self, i, coarse)
-        assert (self.A, self.B, self.flat) == (4, 2, slots is None)
+        assert (self.A, self.B, type(self.jt) is list) == (4, 2, slots is None)
+        assert type(self.lz) is type(self.pt) is (dict if slots == 0 else list)
         assert got == _full_score(self.h, self.t, self.A, self.B)
         kinds.add(coarse)
         return got
