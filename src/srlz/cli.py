@@ -188,8 +188,9 @@ def _eps_mode(args) -> str:
     return args.eps_mode
 
 
-def _inputs_block(paths: Seq[str]) -> dict:
-    return {p: _file_checksum(p) for p in paths}
+def _inputs_block(*paths: Optional[str]) -> dict:
+    """The checksum of each input file named; None stands for a flag not given."""
+    return {p: _file_checksum(p) for p in paths if p}
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +268,7 @@ def cmd_analyze(args) -> int:
         results["bounds"] = floors
     emit_report({
         "command": "analyze",
-        "inputs": _inputs_block([p for p in (args.input, args.side_info) if p]),
+        "inputs": _inputs_block(args.input, args.side_info),
         "parameters": {"block_len": args.block_len, "q": args.q,
                        "eps_mode": eps, "format": args.fmt},
         "results": results,
@@ -326,7 +327,6 @@ def cmd_encode(args) -> int:
         out = _write_bytes(args.output, enc.to_bytes())
         n = seq.n
         c = enc.phrase_count  # parse(seq).c, without a second walk
-        report["inputs"] = _inputs_block(args.inputs)
         report["results"] = {
             "n": n,
             "beta": seq.alphabet.size,
@@ -351,7 +351,6 @@ def cmd_encode(args) -> int:
         n = seq.n
         rho_c = rho_cond_from_counts(c_l, n)
         bound = n * rho_c + n * bounds.eps_hat(n) if n >= 2 else None
-        report["inputs"] = _inputs_block(args.inputs + [args.side_info])
         report["results"] = {
             "n": n,
             "beta": side.alphabet.size,
@@ -397,7 +396,6 @@ def cmd_encode(args) -> int:
             inner = regions.blockwise_region(xhat, xtilde, args.q, n, "inner-plus", eps)
             results["floors"] = _region_dict(floor)
             results["ceilings"] = _region_dict(inner)
-        report["inputs"] = _inputs_block(args.inputs)
         report["parameters"].update({"d1": args.d1, "d2": args.d2,
                                      "objective": args.objective,
                                      "distortion": args.distortion})
@@ -424,57 +422,47 @@ def cmd_encode(args) -> int:
             # the region of the streams just coded, from their bit counts
             results["inner_region"] = _md_region_dict(
                 mdc.md_inner_region(xhat.n, enc_rep["bits"]), mode[3:] + "-inner")
-        inputs = list(args.inputs) + ([args.u_file] if args.u_file else [])
-        report["inputs"] = _inputs_block(inputs)
         report["parameters"].update({"split": args.split, "alpha": args.alpha,
                                      "d1": args.d1, "d2": args.d2, "d0": args.d0})
         report["results"] = results
+    # only cond reads --side-info, and only md-zb --u-file
+    report["inputs"] = _inputs_block(*args.inputs, args.side_info, args.u_file)
     emit_report(report)
     return EXIT_OK
 
 
 def cmd_decode(args) -> int:
     mode = args.mode
+    raws = []  # each stream file is read once, for its checksum and to decode
+    for p in args.inputs:
+        with open(p, "rb") as fh:
+            raws.append(fh.read())
     report: dict = {
         "command": "decode",
-        "inputs": _inputs_block(args.inputs),
+        "inputs": {p: f"{fnv1a64(raw):016x}" for p, raw in zip(args.inputs, raws)},
         "parameters": {"mode": mode, "format": args.fmt},
     }
-    # an output file the call would not write is an error, not a silent drop
-    if args.coarse_output is not None and (mode != "sr" or args.stage == 1):
-        raise UsageError("--coarse-output: only an sr decode at stage 2 writes the "
-                         "coarse reproduction")
-    if args.aux_output is not None and not (mode == "md-zb" and args.decoder in (1, 2)):
-        raise UsageError("--aux-output: only md-zb decoders 1 and 2 write the auxiliary "
-                         "sequence (decoder 0 writes PREFIX.aux)")
     outputs = []
+    if mode in ("lz", "sr") and len(raws) != 1:
+        raise UsageError(f"mode {mode} takes exactly one stream file")
     if mode == "lz":
-        if len(args.inputs) != 1:
-            raise UsageError("mode lz takes exactly one stream file")
-        with open(args.inputs[0], "rb") as fh:
-            seq = lz_decode(fh.read())
+        seq = lz_decode(raws[0])
         outputs.append(_save_output(seq, args.output, args.fmt, n=seq.n))
     elif mode == "cond":
-        if len(args.inputs) != 1 or not args.side_info:
+        if len(raws) != 1 or not args.side_info:
             raise UsageError("mode cond takes one stream file plus --side-info")
         from .cond_lz import cond_decode
 
-        side = load_sequence(args.side_info, args.fmt)
-        with open(args.inputs[0], "rb") as fh:
-            seq = cond_decode(fh.read(), side)
+        seq = cond_decode(raws[0], load_sequence(args.side_info, args.fmt))
         outputs.append(_save_output(seq, args.output, args.fmt, n=seq.n))
     elif mode == "sr":
-        if len(args.inputs) != 1:
-            raise UsageError("mode sr takes exactly one stream file")
         from . import sr_codec
 
-        with open(args.inputs[0], "rb") as fh:
-            raw = fh.read()
         if args.stage == 1:
-            coarse = sr_codec.sr_decode_stage1(raw)
+            coarse = sr_codec.sr_decode_stage1(raws[0])
             outputs.append(_save_output(coarse, args.output, args.fmt, n=coarse.n, stage=1))
         else:
-            coarse, fine = sr_codec.sr_decode_full(raw)
+            coarse, fine = sr_codec.sr_decode_full(raws[0])
             outputs.append(_save_output(fine, args.output, args.fmt, n=fine.n, stage=2))
             if args.coarse_output:
                 outputs.append(_save_output(coarse, args.coarse_output, args.fmt,
@@ -482,15 +470,9 @@ def cmd_decode(args) -> int:
     else:  # md-egc, md-zb
         from . import mdc
 
-        decoder = args.decoder
-        if decoder is None:
-            decoder = 0 if len(args.inputs) == 2 else None
-        if decoder is None:
+        if args.decoder is None and len(raws) != 2:
             raise UsageError("pass --decoder 1 or 2 for single-description decode")
-        raws = []
-        for p in args.inputs:
-            with open(p, "rb") as fh:
-                raws.append(fh.read())
+        decoder = args.decoder or 0
         if decoder in (1, 2):
             if len(raws) != 1:
                 raise UsageError("decoders 1 and 2 take one description file")
@@ -533,29 +515,20 @@ def cmd_region(args) -> int:
         "parameters": {"kind": kind, "q": args.q, "eps_mode": eps,
                        "format": args.fmt},
     }
-    front = None
-    if kind == "pair":
+    if kind in ("pair", "blockwise"):
         if len(args.inputs) != 2:
-            raise UsageError("region pair takes coarse and fine sequence files")
-        xhat = load_sequence(args.inputs[0], args.fmt)
-        xtilde = load_sequence(args.inputs[1], args.fmt)
-        region = regions.region_for_pair(xhat, xtilde, args.q, eps)
-        front = regions.frontier([region])
-        report["results"] = {"region": _region_dict(region),
-                             "frontier": [[p.r1, p.r2] for p in front]}
-    elif kind == "blockwise":
-        if len(args.inputs) != 2:
-            raise UsageError("region blockwise takes coarse and fine sequence files")
-        if args.block_len is None:
+            raise UsageError(f"region {kind} takes coarse and fine sequence files")
+        if kind == "blockwise" and args.block_len is None:
             raise UsageError("region blockwise needs --block-len")
-        xhat = load_sequence(args.inputs[0], args.fmt)
-        xtilde = load_sequence(args.inputs[1], args.fmt)
-        region = regions.blockwise_region(xhat, xtilde, args.q, args.block_len,
-                                          args.side, eps)
+        xhat, xtilde = (load_sequence(p, args.fmt) for p in args.inputs)
+        if kind == "pair":
+            region = regions.region_for_pair(xhat, xtilde, args.q, eps)
+        else:
+            region = regions.blockwise_region(xhat, xtilde, args.q, args.block_len,
+                                              args.side, eps)
+            report["parameters"].update({"block_len": args.block_len, "side": args.side})
         front = regions.frontier([region])
-        report["parameters"].update({"block_len": args.block_len, "side": args.side})
-        report["results"] = {"region": _region_dict(region),
-                             "frontier": [[p.r1, p.r2] for p in front]}
+        results = {"region": _region_dict(region)}
     elif kind == "sr":
         if len(args.inputs) != 1:
             raise UsageError("region sr takes one source sequence file")
@@ -567,11 +540,8 @@ def cmd_region(args) -> int:
         report["parameters"].update({"d1": args.d1, "d2": args.d2,
                                      "distortion": args.distortion,
                                      "seed": args.seed})
-        report["results"] = {
-            "members": [_region_dict(m) for m in union.members],
-            "frontier": [[p.r1, p.r2] for p in front],
-            "search": union.meta,
-        }
+        results = {"members": [_region_dict(m) for m in union.members],
+                   "search": union.meta}
     else:  # md
         if len(args.inputs) != 3:
             raise UsageError("region md takes coarse, fine, and central files")
@@ -592,16 +562,14 @@ def cmd_region(args) -> int:
             results["zb_inner"] = _md_region_dict(mdc.md_inner_region(xhat.n, zb["bits"]),
                                                   "zb-inner")
             results["mi_given_aux"] = zb["mi_given_aux"]
-        report["results"] = results
-    report["inputs"] = _inputs_block(
-        list(args.inputs) + ([args.u_file] if args.u_file else []))
+    if kind != "md":  # the staircase kinds
+        results["frontier"] = [[p.r1, p.r2] for p in front]
+    report["results"] = results
+    report["inputs"] = _inputs_block(*args.inputs, args.u_file)
     if args.csv:
-        if front is None:
-            raise UsageError("--csv applies to staircase region kinds (pair, "
-                             "blockwise, sr)")
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(regions.frontier_csv(front))
-        report["results"]["csv"] = args.csv
+        results["csv"] = args.csv
     emit_report(report)
     return EXIT_OK
 
@@ -620,20 +588,6 @@ def _block_lens(raw: str) -> Tuple[int, ...]:
     return lens
 
 
-# per suite, the CLI flags it reads and the keyword each one sets; a flag left
-# unset (None, or an empty --block-lens) keeps the suite's own default
-VERIFY_FLAGS = {
-    "entropy-ineq": {"n": "n", "block_lens": "block_lens", "eps_mode": "eps_mode"},
-    "cond-entropy-ineq": {"n": "n", "block_lens": "block_lens", "eps_mode": "eps_mode"},
-    "kraft": {},
-    "converse": {"seed": "seed", "budget": "random_pairs", "n": "n_large",
-                 "eps_mode": "eps_mode"},
-    "frontier": {"seed": "seed", "budget": "unions"},
-    "split-lemma": {"seed": "seed", "budget": "budget"},
-    "sandwich": {"seed": "seed", "budget": "pairs", "n": "n", "q": "q", "eps_mode": "eps_mode"},
-}
-
-
 def cmd_verify(args) -> int:
     from . import verify
 
@@ -642,10 +596,10 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--budget must be nonnegative, got {args.budget}")
     suite = args.suite
     kwargs = {}
-    for flag, keyword in VERIFY_FLAGS[suite].items():
-        value = getattr(args, flag)
+    for flag, keyword in READS["verify"][suite].items():
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None and value != "":
-            kwargs[keyword] = _block_lens(value) if flag == "block_lens" else value
+            kwargs[keyword] = _block_lens(value) if flag == "--block-lens" else value
     rep = verify.SUITES[suite](**kwargs)
     emit_report({
         "command": "verify",
@@ -659,18 +613,80 @@ def cmd_verify(args) -> int:
 # parser
 
 
-# encode flags that only the reproduction search (mode sr, one input) reads,
-# with their defaults
-SEARCH_FLAGS = {"objective": "weighted", "weight": 0.5, "seed": 0}
+# Flags that every call of a subcommand defining them reads.
+SHARED = ("--output", "--format", "--q", "--eps-mode", "--mode", "--suite")
+_LEVELS = ("--d1", "--d2", "--d0", "--distortion")
+# The other flags each call reads, per subcommand and keyed by what picks the
+# call's path (_reads); main refuses any other flag given.  Encode's "given" rows
+# take reproduction files, not one source; decode's md-* rows without "decoder
+# 1|2" decode both descriptions.  Verify rows map each flag to the keyword it
+# sets in the suite, which keeps its own default for a flag left None or "".
+READS = {
+    "analyze": {"": ("--side-info", "--block-len")},
+    "encode": {"lz": (), "cond": ("--side-info",),
+               "sr": ("--d1", "--d2", "--distortion", "--objective", "--weight", "--seed"),
+               "sr given": ("--distortion",),
+               "md-egc": (*_LEVELS, "--split"), "md-egc given": ("--split",),
+               "md-zb": (*_LEVELS, "--alpha", "--u-file"),
+               "md-zb given": ("--alpha", "--u-file")},
+    "decode": {"lz": (), "cond": ("--side-info",),
+               "sr stage 1": ("--stage",), "sr stage 2": ("--stage", "--coarse-output"),
+               "md-egc": ("--decoder",), "md-egc decoder 1|2": ("--decoder",),
+               "md-zb": ("--decoder",), "md-zb decoder 1|2": ("--decoder", "--aux-output")},
+    "region": {"pair": ("--csv",), "blockwise": ("--block-len", "--side", "--csv"),
+               "sr": ("--d1", "--d2", "--distortion", "--seed", "--csv"),
+               "md": ("--u-file",)},
+    "verify": {
+        "entropy-ineq": {"--n": "n", "--block-lens": "block_lens", "--eps-mode": "eps_mode"},
+        "cond-entropy-ineq": {"--n": "n", "--block-lens": "block_lens",
+                              "--eps-mode": "eps_mode"},
+        "converse": {"--seed": "seed", "--budget": "random_pairs", "--n": "n_large",
+                     "--eps-mode": "eps_mode"},
+        "sandwich": {"--seed": "seed", "--budget": "pairs", "--n": "n", "--q": "q",
+                     "--eps-mode": "eps_mode"},
+        "frontier": {"--seed": "seed", "--budget": "unions"},
+        "split-lemma": {"--seed": "seed", "--budget": "budget"}, "kraft": {},
+    },
+}
 
 
-def build_parser(search_flags: bool = True) -> argparse.ArgumentParser:
-    """The srlz parser; without `search_flags`, encode lacks SEARCH_FLAGS."""
+def _reads(args) -> set:
+    """The flags the call reads: the shared ones and its row of READS."""
+    if args.command not in ("encode", "decode"):  # analyze has neither attribute
+        key = getattr(args, "kind", None) or getattr(args, "suite", "")
+    elif args.mode in ("lz", "cond"):
+        key = args.mode
+    elif args.command == "encode":
+        key = args.mode + " given" * (len(args.inputs) > 1)
+    elif args.mode == "sr":
+        key = f"sr stage {args.stage}"
+    else:
+        key = args.mode + " decoder 1|2" * (args.decoder in (1, 2))
+    return {*SHARED, *READS[args.command][key]}
+
+
+class _Given(argparse.Action):
+    """argparse's store action, which also notes each flag given by its long name."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        if option_string is not None:
+            namespace.given = {**getattr(namespace, "given", {}),
+                               self.option_strings[-1]: f"{option_string} {values}"}
+
+
+def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="srlz",
         description="Individual-sequence refinement codecs, rate regions, and "
                     "the verification harness for their converse bounds.")
     sub = top.add_subparsers(dest="command", required=True)
+
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.register("action", None, _Given)  # every flag added below notes itself
+        p.set_defaults(func=func)
+        return p
 
     # each subcommand accepts only the shared flags it reads
     def bound_flags(p):
@@ -688,15 +704,14 @@ def build_parser(search_flags: bool = True) -> argparse.ArgumentParser:
         bound_flags(p)
         format_flag(p)
 
-    pa = sub.add_parser("analyze", help="complexities, entropies, and inequality checks")
+    pa = command("analyze", cmd_analyze, "complexities, entropies, and inequality checks")
     pa.add_argument("input")
     pa.add_argument("--side-info", default=None,
                     help="condition the input on this sequence")
     pa.add_argument("--block-len", type=int, default=None)
     common(pa)
-    pa.set_defaults(func=cmd_analyze)
 
-    pe = sub.add_parser("encode", help="compress sequences into containers")
+    pe = command("encode", cmd_encode, "compress sequences into containers")
     pe.add_argument("inputs", nargs="+")
     pe.add_argument("--mode", required=True, choices=MODES)
     pe.add_argument("-o", "--output", required=True)
@@ -705,23 +720,20 @@ def build_parser(search_flags: bool = True) -> argparse.ArgumentParser:
     pe.add_argument("--d2", type=float, default=0.0, help="stage/description 2 distortion level")
     pe.add_argument("--d0", type=float, default=None, help="central distortion level")
     pe.add_argument("--distortion", default="hamming", choices=("hamming", "absdiff"))
-    if search_flags:  # None: not given; see _search_flags
-        pe.add_argument("--objective", default=None,
-                        choices=("min-r1", "min-sum", "weighted"),
-                        help="sr search objective (default weighted)")
-        pe.add_argument("--weight", type=float, default=None,
-                        help="sr search weight of rho_cond (default 0.5)")
-        pe.add_argument("--seed", type=int, default=None,
-                        help="sr search seed (default 0)")
+    pe.add_argument("--objective", default="weighted",
+                    choices=("min-r1", "min-sum", "weighted"),
+                    help="sr search objective (default weighted)")
+    pe.add_argument("--weight", type=float, default=0.5,
+                    help="sr search weight of rho_cond (default 0.5)")
+    pe.add_argument("--seed", type=int, default=0, help="sr search seed (default 0)")
     pe.add_argument("--split", type=float, default=0.5,
                     help="central-refinement share for description 1 (md-egc)")
     pe.add_argument("--alpha", type=float, default=0.5,
                     help="central-refinement share for description 1 (md-zb)")
     pe.add_argument("--u-file", default=None, help="auxiliary sequence (md-zb)")
     common(pe)
-    pe.set_defaults(func=cmd_encode)
 
-    pd = sub.add_parser("decode", help="reconstruct sequences from containers")
+    pd = command("decode", cmd_decode, "reconstruct sequences from containers")
     pd.add_argument("inputs", nargs="+")
     pd.add_argument("--mode", required=True, choices=MODES)
     pd.add_argument("-o", "--output", required=True)
@@ -735,9 +747,8 @@ def build_parser(search_flags: bool = True) -> argparse.ArgumentParser:
     pd.add_argument("--aux-output", default=None,
                     help="md-zb: also write the auxiliary sequence here")
     format_flag(pd)
-    pd.set_defaults(func=cmd_decode)
 
-    pr = sub.add_parser("region", help="rate regions and staircase frontiers")
+    pr = command("region", cmd_region, "rate regions and staircase frontiers")
     pr.add_argument("kind", choices=("pair", "blockwise", "sr", "md"))
     pr.add_argument("inputs", nargs="+")
     pr.add_argument("--block-len", type=int, default=None)
@@ -750,9 +761,8 @@ def build_parser(search_flags: bool = True) -> argparse.ArgumentParser:
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--csv", default=None, help="write the frontier staircase as CSV")
     common(pr)
-    pr.set_defaults(func=cmd_region)
 
-    pv = sub.add_parser("verify", help="run a verification suite")
+    pv = command("verify", cmd_verify, "run a verification suite")
     pv.add_argument("--suite", required=True, choices=SUITES)
     pv.add_argument("--n", type=int, default=None)
     pv.add_argument("--seed", type=int, default=0)
@@ -761,26 +771,16 @@ def build_parser(search_flags: bool = True) -> argparse.ArgumentParser:
     pv.add_argument("--block-lens", default=None,
                     help="comma-separated block lengths for the entropy suites")
     bound_flags(pv)
-    pv.set_defaults(func=cmd_verify)
     return top
 
 
-def _search_flags(args, argv: Optional[List[str]]) -> None:
-    """Fill in encode's SEARCH_FLAGS.  A call that does not search and gives
-    one exits 2 like any flag its subcommand never reads: the parser without
-    them names it as unrecognized."""
-    given = [f for f in SEARCH_FLAGS if getattr(args, f) is not None]
-    if given and not (args.mode == "sr" and len(args.inputs) == 1):
-        build_parser(search_flags=False).parse_args(argv)
-    for flag, default in SEARCH_FLAGS.items():
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "encode":
-        _search_flags(args, argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    reads = _reads(args)
+    unread = [given for flag, given in getattr(args, "given", {}).items() if flag not in reads]
+    if unread:  # refused like a flag the subcommand never defines
+        parser.error("unrecognized arguments: " + " ".join(unread))
     started = time.monotonic()
     try:
         code = args.func(args)

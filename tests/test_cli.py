@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import shlex
 import shutil
 import subprocess
 import sys
@@ -621,18 +622,20 @@ class TestEncodeDecode:
     def test_decode_output_it_would_not_write_exits_2(self, tmp_path, capsys, mode,
                                                       streams, flags, dropped):
         """An extra output file the decode call does not write is refused by
-        name before anything is decoded, so no output appears."""
+        name, like a flag decode never defines, before anything is decoded, so
+        no output appears."""
         f = token_file(tmp_path, "s.txt", "01101001")
         base = str(tmp_path / "x")
         enc = (f, f, f) if mode == "sr" else (f,)
         assert run(capsys, "encode", *enc, "--mode", mode, "-o",
                    base + ".src" if mode == "sr" else base)[0] == 0
         before = set(tmp_path.iterdir())
-        code, rep, _, err = run(capsys, "decode", *(str(tmp_path / p) for p in streams),
-                                "--mode", mode, *flags, "-o", str(tmp_path / "out"),
-                                dropped, str(tmp_path / "extra"))
-        assert code == 2 and rep is None
-        assert err.startswith(f"error: {dropped}: ")
+        with pytest.raises(SystemExit) as si:
+            cli.main(["decode", *(str(tmp_path / p) for p in streams), "--mode", mode,
+                      *flags, "-o", str(tmp_path / "out"), dropped, str(tmp_path / "extra")])
+        cap = capsys.readouterr()
+        assert si.value.code == 2 and cap.out == ""
+        assert f"error: unrecognized arguments: {dropped} {tmp_path / 'extra'}\n" in cap.err
         assert set(tmp_path.iterdir()) == before
 
     def test_missing_input_file_exits_2(self, tmp_path, capsys):
@@ -714,7 +717,8 @@ class TestRegionCmd:
         empty = tmp_path / "empty.bin"
         empty.write_bytes(b"")
         inputs = [str(empty)] * (3 if kind == "md" else 2)
-        code, _, out, err = run(capsys, "region", kind, *inputs, "--block-len", "2")
+        block_len = ("--block-len", "2") if kind == "blockwise" else ()
+        code, _, out, err = run(capsys, "region", kind, *inputs, *block_len)
         assert code == 2 and out == ""
         assert "needs n >= 2" in err
 
@@ -750,13 +754,17 @@ class TestRegionCmd:
         assert u in rep["inputs"]
 
     def test_md_region_rejects_csv(self, tmp_path, capsys):
+        """md has no staircase: --csv is refused before any input is read."""
         xhat = token_file(tmp_path, "hat.txt", "01101001")
         xtilde = token_file(tmp_path, "tilde.txt", "01101011")
         xcheck = token_file(tmp_path, "check.txt", "01101001")
-        code, _, _, err = run(capsys, "region", "md", xhat, xtilde, xcheck,
-                              "--csv", str(tmp_path / "f.csv"))
-        assert code == 2
-        assert "staircase region kinds" in err
+        csv_path = tmp_path / "f.csv"
+        with pytest.raises(SystemExit) as si:
+            cli.main(["region", "md", xhat, xtilde, xcheck, "--csv", str(csv_path)])
+        cap = capsys.readouterr()
+        assert si.value.code == 2 and cap.out == ""
+        assert f"error: unrecognized arguments: --csv {csv_path}\n" in cap.err
+        assert not csv_path.exists()
 
     def test_md_region_wrong_input_count(self, tmp_path, capsys):
         f = token_file(tmp_path, "s.txt", "0101")
@@ -853,20 +861,85 @@ class TestVerifyCmd:
      "--objective", "min-sum"),
     ("encode", "{x}", "--mode", "md-egc", "-o", "{out}", "--weight", "0.3"),
     ("encode", "{x}", "{x}", "{x}", "--mode", "sr", "-o", "{out}", "--seed", "0"),
+    # flags another path of the same subcommand reads (cli.READS)
+    ("decode", "{lzc}", "--mode", "lz", "-o", "{out}", "--side-info", "{x}"),
+    ("decode", "{lzc}", "--mode", "lz", "-o", "{out}", "--stage", "1"),
+    ("decode", "{src}", "--mode", "sr", "-o", "{out}", "--decoder", "1"),
+    ("encode", "{x}", "--mode", "lz", "-o", "{out}", "--side-info", "{x}"),
+    ("encode", "{x}", "--mode", "md-zb", "-o", "{out}", "--split", "0.3"),
+    ("encode", "{x}", "--mode", "md-egc", "-o", "{out}", "--alpha", "0.3"),
+    ("encode", "{x}", "--mode", "md-egc", "-o", "{out}", "--u-file", "{x}"),
+    ("encode", "{x}", "--mode", "lz", "-o", "{out}", "--d1", "0.25"),
+    ("encode", "{x}", "{x}", "{x}", "--mode", "sr", "-o", "{out}", "--d1", "0.25"),
+    ("encode", "{x}", "{x}", "{x}", "--mode", "md-zb", "-o", "{out}", "--d1", "0.25"),
+    ("encode", "{x}", "--mode", "cond", "--side-info", "{x}", "-o", "{out}",
+     "--distortion", "absdiff"),
+    ("region", "pair", "{x}", "{x}", "--block-len", "2"),
+    ("region", "pair", "{x}", "{x}", "--u-file", "{x}"),
+    ("region", "md", "{x}", "{x}", "{x}", "--seed", "3"),
+    ("verify", "--suite", "kraft", "--n", "4"),
+    ("verify", "--suite", "entropy-ineq", "--n", "8", "--budget", "3"),
+    ("verify", "--suite", "converse", "--budget", "0", "--block-lens", "1,2"),
+    ("verify", "--suite", "kraft", "--seed", "3"),
 ], ids=["decode-eps-mode", "decode-q", "verify-format", "verify-beta", "verify-gamma",
         "region-weight", "encode-lz-seed", "encode-cond-objective", "encode-md-egc-weight",
-        "encode-sr-given-seed"])
+        "encode-sr-given-seed", "decode-lz-side-info", "decode-lz-stage",
+        "decode-sr-decoder", "encode-lz-side-info", "encode-md-zb-split",
+        "encode-md-egc-alpha", "encode-md-egc-u-file", "encode-lz-d1", "encode-sr-given-d1",
+        "encode-md-zb-given-d1", "encode-cond-distortion", "region-pair-block-len",
+        "region-pair-u-file", "region-md-seed", "verify-kraft-n",
+        "verify-entropy-ineq-budget", "verify-converse-block-lens", "verify-kraft-seed"])
 def test_a_flag_the_subcommand_never_reads_exits_2(argv, tmp_path, capsys):
     x = token_file(tmp_path, "x.txt", "0110100110")
-    lzc = str(tmp_path / "x.lzc")
+    lzc, src = str(tmp_path / "x.lzc"), str(tmp_path / "x.src")
     assert run(capsys, "encode", x, "--mode", "lz", "-o", lzc)[0] == 0
-    argv = [a.format(lzc=lzc, x=x, out=tmp_path / "out.txt") for a in argv]
+    assert run(capsys, "encode", x, x, x, "--mode", "sr", "-o", src)[0] == 0
+    argv = [a.format(lzc=lzc, src=src, x=x, out=tmp_path / "out.txt") for a in argv]
+    before = set(tmp_path.iterdir())
     with pytest.raises(SystemExit) as si:
         cli.main(argv)
-    assert si.value.code == 2
-    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+    cap = capsys.readouterr()
+    assert si.value.code == 2 and cap.out == ""
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) + "\n" in cap.err
+    assert set(tmp_path.iterdir()) == before
     # the same call without the flag runs
     assert run(capsys, *argv[:-2])[0] == 0
+
+
+def test_reads_table_covers_every_flag_and_path():
+    """Each optional flag of a subcommand is shared or in a row of it, no row
+    names a flag the subcommand lacks, and every call's path has a row."""
+    parser = cli.build_parser()
+    subparsers = parser._subparsers._group_actions[0].choices
+    assert set(subparsers) == set(cli.READS)
+    for name, sub in subparsers.items():
+        flags = {a.option_strings[-1] for a in sub._actions if a.option_strings} - {"--help"}
+        read = set().union(*cli.READS[name].values())
+        assert flags <= read | set(cli.SHARED), name
+        assert read <= flags, name
+    kinds = next(a.choices for a in subparsers["region"]._actions if a.dest == "kind")
+    calls = [["analyze", "x"]]
+    calls += [["encode", *["x"] * k, "--mode", m, "-o", "o"] for m in cli.MODES for k in (1, 3)]
+    calls += [["decode", "x", "--mode", m, "-o", "o", *f] for m in cli.MODES
+              for f in ((), ("--stage", "1"), ("--decoder", "0"), ("--decoder", "2"))]
+    calls += [["region", k, "x"] for k in kinds] + [["verify", "--suite", s] for s in cli.SUITES]
+    reached = {(argv[0], frozenset(cli._reads(parser.parse_args(argv)))) for argv in calls}
+    assert reached == {(name, frozenset({*cli.SHARED, *row}))
+                       for name, rows in cli.READS.items() for row in rows.values()}
+
+
+def test_readme_cli_examples_pass_only_flags_their_calls_read():
+    """Every `srlz` line of README's command-line section parses, and its call
+    reads each flag it gives; nothing runs, so no file is opened."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    lines = [ln.split("#")[0] for ln in section.splitlines() if ln.startswith("srlz ")]
+    assert len(lines) == 22
+    sample = {"L": "2", "Q": "1"}  # the integer placeholders of analyze's usage line
+    for line in lines:
+        argv = [sample.get(tok.strip("[]"), tok.strip("[]")) for tok in shlex.split(line)[1:]]
+        args = cli.build_parser().parse_args(argv)
+        assert set(args.given) <= cli._reads(args), line
 
 
 class TestDeterminism:

@@ -221,7 +221,7 @@ class TestSurface:
     def test_cli_suite_choices_match_the_suites(self):
         assert cli.SUITES == tuple(sorted(verify.SUITES))
         # argparse's choices are the only check a suite name gets
-        assert set(cli.VERIFY_FLAGS) == set(cli.SUITES)
+        assert set(cli.READS["verify"]) == set(cli.SUITES)
         parser = cli.build_parser()
         for name in verify.SUITES:
             assert parser.parse_args(["verify", "--suite", name]).suite == name
