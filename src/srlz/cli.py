@@ -66,9 +66,14 @@ def _bad_token(symbols: Seq[str]) -> Optional[str]:
     return next((s for s in symbols if s.split() != [s] or s.startswith("#")), None)
 
 
-def load_sequence(path: str, fmt: str = "auto") -> Sequence:
+def load_sequence(path: str, fmt: str = "auto",
+                  sums: Optional[dict] = None) -> Sequence:
+    """The sequence in a file; with `sums`, also sets sums[path] to the
+    checksum of the bytes read, for the report's inputs block."""
     with open(path, "rb") as fh:
         data = fh.read()
+    if sums is not None:
+        sums[path] = f"{fnv1a64(data):016x}"
     if fmt == "auto":
         fmt = "tokens" if data.startswith(b"alphabet:") else "bytes"
     if fmt == "bytes":
@@ -188,9 +193,10 @@ def _eps_mode(args) -> str:
     return args.eps_mode
 
 
-def _inputs_block(*paths: Optional[str]) -> dict:
-    """The checksum of each input file named; None stands for a flag not given."""
-    return {p: _file_checksum(p) for p in paths if p}
+def _inputs_block(sums: dict, *paths: Optional[str]) -> dict:
+    """The checksum of each input file named, from the `sums` its load left;
+    None stands for a flag not given."""
+    return {p: sums[p] for p in paths if p}
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +206,9 @@ def _inputs_block(*paths: Optional[str]) -> dict:
 def cmd_analyze(args) -> int:
     from . import bounds
 
-    seq = load_sequence(args.input, args.fmt)
-    side = load_sequence(args.side_info, args.fmt) if args.side_info else None
+    sums: dict = {}  # path -> checksum of the bytes load_sequence read
+    seq = load_sequence(args.input, args.fmt, sums)
+    side = load_sequence(args.side_info, args.fmt, sums) if args.side_info else None
     eps = _eps_mode(args)
     n = seq.n
     pr = parse(seq)
@@ -268,7 +275,7 @@ def cmd_analyze(args) -> int:
         results["bounds"] = floors
     emit_report({
         "command": "analyze",
-        "inputs": _inputs_block(args.input, args.side_info),
+        "inputs": _inputs_block(sums, args.input, args.side_info),
         "parameters": {"block_len": args.block_len, "q": args.q,
                        "eps_mode": eps, "format": args.fmt},
         "results": results,
@@ -294,14 +301,14 @@ def _distortion_spec(args) -> sr_codec.DistortionSpec:
     return sr_codec.DistortionSpec(d1=d, d2=d, level1=args.d1, level2=args.d2)
 
 
-def _md_triple(args) -> Tuple[Sequence, Sequence, Sequence]:
+def _md_triple(args, sums: dict) -> Tuple[Sequence, Sequence, Sequence]:
     """Three reproduction files, or one source file plus distortion levels."""
     if len(args.inputs) == 3:
-        return tuple(load_sequence(p, args.fmt) for p in args.inputs)
+        return tuple(load_sequence(p, args.fmt, sums) for p in args.inputs)
     if len(args.inputs) == 1:
         from . import sr_codec
 
-        x = load_sequence(args.inputs[0], args.fmt)
+        x = load_sequence(args.inputs[0], args.fmt, sums)
         d = sr_codec.PerLetterDistortion(args.distortion)
         xhat = sr_codec.nearest_feasible(x, d, args.d1)
         xtilde = sr_codec.nearest_feasible(x, d, args.d2)
@@ -314,6 +321,7 @@ def _md_triple(args) -> Tuple[Sequence, Sequence, Sequence]:
 def cmd_encode(args) -> int:
     eps = _eps_mode(args)
     mode = args.mode
+    sums: dict = {}
     report: dict = {
         "command": "encode",
         "parameters": {"mode": mode, "q": args.q, "eps_mode": eps,
@@ -322,7 +330,7 @@ def cmd_encode(args) -> int:
     if mode == "lz":
         if len(args.inputs) != 1:
             raise UsageError("mode lz takes exactly one input file")
-        seq = load_sequence(args.inputs[0], args.fmt)
+        seq = load_sequence(args.inputs[0], args.fmt, sums)
         enc = lz_encode(seq)
         out = _write_bytes(args.output, enc.to_bytes())
         n = seq.n
@@ -343,8 +351,8 @@ def cmd_encode(args) -> int:
         from . import bounds
         from .cond_lz import _cond_encode, rho_cond_from_counts
 
-        seq = load_sequence(args.inputs[0], args.fmt)
-        side = load_sequence(args.side_info, args.fmt)
+        seq = load_sequence(args.inputs[0], args.fmt, sums)
+        side = load_sequence(args.side_info, args.fmt, sums)
         # the encoder's dictionary is the joint parse's trie: its counts, no second walk
         enc, c_l = _cond_encode(seq, side, counts=True)
         out = _write_bytes(args.output, enc.to_bytes())
@@ -368,12 +376,12 @@ def cmd_encode(args) -> int:
 
         dist = _distortion_spec(args)
         if len(args.inputs) == 1:
-            x = load_sequence(args.inputs[0], args.fmt)
+            x = load_sequence(args.inputs[0], args.fmt, sums)
             xhat, xtilde, diag = sr_codec.select_reproductions(
                 x, dist, args.objective,
                 regions.SearchBudget(seed=args.seed, weight=args.weight))
         elif len(args.inputs) == 3:
-            x, xhat, xtilde = (load_sequence(p, args.fmt) for p in args.inputs)
+            x, xhat, xtilde = (load_sequence(p, args.fmt, sums) for p in args.inputs)
             diag = {"search_mode": "given"}
         else:
             raise UsageError("mode sr takes a source file (reproductions are "
@@ -403,12 +411,12 @@ def cmd_encode(args) -> int:
     else:  # md-egc, md-zb
         from . import mdc
 
-        xhat, xtilde, xcheck = _md_triple(args)
+        xhat, xtilde, xcheck = _md_triple(args, sums)
         if mode == "md-egc":
             desc1, desc2, enc_rep = mdc.egc_encode(xhat, xtilde, xcheck, args.split)
         else:
             if args.u_file:
-                u = load_sequence(args.u_file, args.fmt)
+                u = load_sequence(args.u_file, args.fmt, sums)
             else:
                 u = mdc.default_auxiliary(xhat, levels=2)
             desc1, desc2, enc_rep = mdc.zb_encode(xhat, xtilde, xcheck, u, args.alpha)
@@ -426,7 +434,7 @@ def cmd_encode(args) -> int:
                                      "d1": args.d1, "d2": args.d2, "d0": args.d0})
         report["results"] = results
     # only cond reads --side-info, and only md-zb --u-file
-    report["inputs"] = _inputs_block(*args.inputs, args.side_info, args.u_file)
+    report["inputs"] = _inputs_block(sums, *args.inputs, args.side_info, args.u_file)
     emit_report(report)
     return EXIT_OK
 
@@ -510,6 +518,7 @@ def cmd_region(args) -> int:
 
     eps = _eps_mode(args)
     kind = args.kind
+    sums: dict = {}
     report: dict = {
         "command": "region",
         "parameters": {"kind": kind, "q": args.q, "eps_mode": eps,
@@ -520,7 +529,7 @@ def cmd_region(args) -> int:
             raise UsageError(f"region {kind} takes coarse and fine sequence files")
         if kind == "blockwise" and args.block_len is None:
             raise UsageError("region blockwise needs --block-len")
-        xhat, xtilde = (load_sequence(p, args.fmt) for p in args.inputs)
+        xhat, xtilde = (load_sequence(p, args.fmt, sums) for p in args.inputs)
         if kind == "pair":
             region = regions.region_for_pair(xhat, xtilde, args.q, eps)
         else:
@@ -532,7 +541,7 @@ def cmd_region(args) -> int:
     elif kind == "sr":
         if len(args.inputs) != 1:
             raise UsageError("region sr takes one source sequence file")
-        x = load_sequence(args.inputs[0], args.fmt)
+        x = load_sequence(args.inputs[0], args.fmt, sums)
         dist = _distortion_spec(args)
         union = regions.sr_outer_region(x, dist, args.q,
                                         regions.SearchBudget(seed=args.seed), eps)
@@ -547,7 +556,7 @@ def cmd_region(args) -> int:
             raise UsageError("region md takes coarse, fine, and central files")
         from . import mdc
 
-        xhat, xtilde, xcheck = (load_sequence(p, args.fmt) for p in args.inputs)
+        xhat, xtilde, xcheck = (load_sequence(p, args.fmt, sums) for p in args.inputs)
         outer = mdc.md_outer_region(xhat, xtilde, xcheck, args.q, eps)
         egc = mdc.egc_encode(xhat, xtilde, xcheck)[2]
         results = {
@@ -557,7 +566,7 @@ def cmd_region(args) -> int:
             "mi": egc["mi"],
         }
         if args.u_file:
-            u = load_sequence(args.u_file, args.fmt)
+            u = load_sequence(args.u_file, args.fmt, sums)
             zb = mdc.zb_encode(xhat, xtilde, xcheck, u)[2]
             results["zb_inner"] = _md_region_dict(mdc.md_inner_region(xhat.n, zb["bits"]),
                                                   "zb-inner")
@@ -565,7 +574,7 @@ def cmd_region(args) -> int:
     if kind != "md":  # the staircase kinds
         results["frontier"] = [[p.r1, p.r2] for p in front]
     report["results"] = results
-    report["inputs"] = _inputs_block(*args.inputs, args.u_file)
+    report["inputs"] = _inputs_block(sums, *args.inputs, args.u_file)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(regions.frontier_csv(front))

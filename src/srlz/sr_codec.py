@@ -216,6 +216,17 @@ def candidate_pairs(x: Sequence, dist: DistortionSpec, search) -> Tuple[List[Tup
 
 
 def _greedy_pairs(x: Sequence, dist: DistortionSpec, search) -> List[Tuple[Sequence, Sequence]]:
+    """Single-letter flip descent from the nearest reproductions and from
+    `search.restarts` random ones, within `search.evaluations` candidates.
+
+    A sweep tries, at each position, every other letter of the coarse and
+    then the fine sequence that keeps it inside its ball, and keeps a flip
+    that lowers rho_lz(hat) + rho_cond(til | hat).  A candidate (position,
+    side, letter) last scored when as many flips had been accepted as now is
+    not scored again: with no flip kept since, h, t and the best score are
+    as they were when it was rejected, so it would be rejected again.  It
+    still counts as an evaluation, so the budget, and with it every pair
+    returned, is as if it were scored."""
     rng = random.Random(search.seed)
     collected: List[Tuple[Sequence, Sequence]] = []
     seen = set()
@@ -240,6 +251,10 @@ def _greedy_pairs(x: Sequence, dist: DistortionSpec, search) -> List[Tuple[Seque
         size1, size2 = hat.alphabet.size, til.alphabet.size
         scorer = _FlipScorer(h, t, size1, size2)
         best = scorer.rebuild()
+        # the accepted-flip count at which each (i, j) flip was last scored
+        scored1 = [-1] * (x.n * size1)
+        scored2 = [-1] * (x.n * size2)
+        accepted = 0
         improved = True
         while improved and evals[0] < search.evaluations:
             improved = False
@@ -247,8 +262,9 @@ def _greedy_pairs(x: Sequence, dist: DistortionSpec, search) -> List[Tuple[Seque
                 if evals[0] >= search.evaluations:
                     break
                 a = x.data[i]
-                for coarse, seq_ref, cost, bud, size in ((True, h, cost1, bud1, size1),
-                                                         (False, t, cost2, bud2, size2)):
+                for coarse, seq_ref, cost, bud, size, scored in (
+                        (True, h, cost1, bud1, size1, scored1),
+                        (False, t, cost2, bud2, size2, scored2)):
                     old = seq_ref[i]
                     base_d = dh if coarse else dt
                     for j in range(size):
@@ -257,12 +273,17 @@ def _greedy_pairs(x: Sequence, dist: DistortionSpec, search) -> List[Tuple[Seque
                         nd = base_d - cost[a][old] + cost[a][j]
                         if nd > bud:
                             continue
+                        evals[0] += 1
+                        slot = i * size + j
+                        if scored[slot] == accepted:  # rejected against this pair
+                            continue
+                        scored[slot] = accepted
                         seq_ref[i] = j
                         cand = scorer.score(i, coarse)
-                        evals[0] += 1
                         if cand < best - 1e-15:
                             best = cand
                             scorer.rebuild()
+                            accepted += 1
                             base_d = nd
                             if coarse:
                                 dh = nd

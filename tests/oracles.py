@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Sequence as Seq, Tuple
 
-from srlz.cond_lz import cond_encode, rho_cond
+from srlz.cond_lz import cond_encode, joint_parse, rho_cond
 from srlz.corpus import ALPHABET_SIZES, STYLES, noisy_copy, random_sequence
 from srlz.fsm import FsmEncoder
-from srlz.lz_core import Alphabet, Sequence
-from srlz.sr_codec import DistortionSpec, distortion
+from srlz.lz_core import Alphabet, Sequence, rho_lz
+from srlz.sr_codec import DistortionSpec, _random_feasible, distortion, nearest_feasible
 
 
 def parse_by_set(symbols: Seq) -> Tuple[List[tuple], int, bool]:
@@ -241,6 +241,71 @@ def in_ball(x: Sequence, xhat: Sequence, xtilde: Sequence, dist: DistortionSpec,
     """Both reproductions within their per-letter average distortion levels."""
     return (distortion(x, xhat, dist.d1) <= dist.level1 * x.n + tol
             and distortion(x, xtilde, dist.d2) <= dist.level2 * x.n + tol)
+
+
+def greedy_pairs_by_full_parse(x: Sequence, dist: DistortionSpec, search
+                               ) -> Tuple[List[Tuple[Sequence, Sequence]], List[tuple]]:
+    """The greedy reproduction search of `sr_codec._greedy_pairs` (same start
+    points, restarts, sweep order and per-position budget check), scoring
+    every candidate flip with a full rho_lz(hat) + joint_parse(hat, til).rho_cond.
+    Returns the pairs it keeps and one entry per candidate scored: (start
+    point, flips accepted from it so far, position, coarse?, letter)."""
+    rng = random.Random(search.seed)
+    kept: List[Tuple[Sequence, Sequence]] = []
+    scored: List[tuple] = []
+
+    def score(h, t, hat_alpha, til_alpha):
+        hat, til = Sequence(hat_alpha, h), Sequence(til_alpha, t)
+        return rho_lz(hat) + joint_parse(hat, til).rho_cond
+
+    def improve(start, hat, til):
+        accepted = 0
+        seqs = [list(hat.data), list(til.data)]
+        specs = [(dist.d1.letter_cost(x.alphabet, hat.alphabet), dist.level1),
+                 (dist.d2.letter_cost(x.alphabet, til.alphabet), dist.level2)]
+        best = score(*seqs, hat.alphabet, til.alphabet)
+        improved = True
+        while improved and len(scored) < search.evaluations:
+            improved = False
+            for i in range(x.n):
+                if len(scored) >= search.evaluations:
+                    break
+                for side, (cost, level) in enumerate(specs):
+                    seq = seqs[side]
+                    for j in range(len(cost[0])):
+                        old = seq[i]
+                        if j == old:
+                            continue
+                        seq[i] = j
+                        spent = sum(cost[a][b] for a, b in zip(x.data, seq))
+                        if spent > level * x.n + 1e-9:
+                            seq[i] = old
+                            continue
+                        scored.append((start, accepted, i, side == 0, j))
+                        cand = score(*seqs, hat.alphabet, til.alphabet)
+                        if cand < best - 1e-15:
+                            best, improved = cand, True
+                            accepted += 1
+                        else:
+                            seq[i] = old
+        return Sequence(hat.alphabet, seqs[0]), Sequence(til.alphabet, seqs[1])
+
+    def keep(pair):
+        if all((pair[0].data, pair[1].data) != (h.data, t.data) for h, t in kept):
+            kept.append(pair)
+
+    pair = (nearest_feasible(x, dist.d1, dist.level1),
+            nearest_feasible(x, dist.d2, dist.level2))
+    keep(pair)
+    keep(improve(0, *pair))
+    for restart in range(1, max(0, search.restarts) + 1):
+        pair = (_random_feasible(x, dist.d1, dist.level1, rng),
+                _random_feasible(x, dist.d2, dist.level2, rng))
+        keep(pair)
+        keep(improve(restart, *pair))
+        if len(scored) >= search.evaluations:
+            break
+    return kept, scored
 
 
 STANDARD_SEED = 0xC0DEC

@@ -942,6 +942,45 @@ def test_readme_cli_examples_pass_only_flags_their_calls_read():
         assert set(args.given) <= cli._reads(args), line
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "{x}", "--side-info", "{y}"),
+    ("encode", "{x}", "--mode", "lz", "-o", "{out}"),
+    ("encode", "{x}", "--mode", "cond", "--side-info", "{y}", "-o", "{out}"),
+    ("encode", "{x}", "--mode", "sr", "--d1", "0.25", "-o", "{out}"),
+    ("encode", "{x}", "{y}", "{z}", "--mode", "sr", "-o", "{out}"),
+    ("encode", "{x}", "--mode", "md-egc", "-o", "{out}"),
+    ("encode", "{x}", "{y}", "{z}", "--mode", "md-zb", "--u-file", "{u}", "-o", "{out}"),
+    ("region", "pair", "{x}", "{y}"),
+    ("region", "blockwise", "{x}", "{y}", "--block-len", "4"),
+    ("region", "sr", "{x}", "--d1", "0.25"),
+    ("region", "md", "{x}", "{y}", "{z}", "--u-file", "{u}"),
+], ids=["analyze", "encode-lz", "encode-cond", "encode-sr", "encode-sr-given",
+        "encode-md-egc", "encode-md-zb", "region-pair", "region-blockwise", "region-sr",
+        "region-md"])
+def test_each_input_file_is_opened_once(argv, tmp_path, capsys, monkeypatch):
+    # the inputs block checksums the bytes load_sequence read
+    paths = {k: token_file(tmp_path, f"{k}.txt", text) for k, text in (
+        ("x", "0110100110010110"), ("y", "0110100110010111"),
+        ("z", "0110100110010110"), ("u", "0101010101010101"))}
+    opened = []
+    real = open
+
+    def counted(file, *args, **kw):
+        opened.append(str(file))
+        return real(file, *args, **kw)
+
+    monkeypatch.setattr(cli, "open", counted, raising=False)
+    argv = [a.format(out=tmp_path / "out", **paths) for a in argv]
+    code, rep, _, err = run(capsys, *argv)
+    assert code == 0, err
+    inputs = [p for p in paths.values() if p in argv]
+    assert sorted(rep["inputs"]) == sorted(inputs)
+    assert sorted(p for p in opened if p in paths.values()) == sorted(inputs)
+    for p in inputs:
+        with real(p, "rb") as fh:
+            assert rep["inputs"][p] == f"{fnv1a64(fh.read()):016x}"
+
+
 class TestDeterminism:
     def test_analyze_repeats_byte_identical(self, tmp_path, capsys):
         f = token_file(tmp_path, "a.txt", EXAMPLE_A, "a b")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import in_ball
+from oracles import greedy_pairs_by_full_parse, in_ball
 from srlz.container import (
     BudgetExceededError,
     InfeasibleError,
@@ -754,3 +754,77 @@ def test_greedy_search_scores_are_full_scores(slots, monkeypatch):
                                   SearchBudget(mode="greedy", evaluations=600, seed=2))
     assert kinds == {True, False} and meta["search_mode"] == "greedy"
     assert len(pairs) >= 2
+
+
+# (source seed, alphabet size, n, level1, level2, evaluations, restarts)
+_REFERENCE_CASES = [
+    (11, 2, 24, 0.25, 0.1, 40, 3),
+    (12, 2, 64, 0.2, 0.05, 300, 3),
+    (13, 2, 48, 0.3, 0.15, 1500, 2),
+    (14, 4, 20, 0.25, 0.1, 1, 3),
+    (15, 4, 32, 0.25, 0.1, 150, 3),
+    (16, 4, 64, 0.3, 0.1, 700, 1),
+    (17, 4, 40, 0.25, 0.0, 900, 3),
+]
+
+
+def _greedy_case(case):
+    seed, size, n, level1, level2, evaluations, restarts = case
+    search = SearchBudget(mode="greedy", evaluations=evaluations, seed=seed,
+                          restarts=restarts)
+    return _uniform_source(seed, size, n), hamming_spec(level1, level2), search
+
+
+@pytest.mark.parametrize("slots", [None, 0], ids=["flat", "dict"])
+@pytest.mark.parametrize("case", _REFERENCE_CASES)
+def test_greedy_search_matches_the_full_parse_reference(case, slots, monkeypatch):
+    """The search returns the pairs of a greedy that parses every candidate
+    in full and never skips one, on both table layouts, with fine flips and
+    with budgets that end inside a position's candidates."""
+    if slots is not None:
+        monkeypatch.setattr(sr_codec, "FLAT_SLOTS", slots)
+    x, dist, search = _greedy_case(case)
+    want, _ = greedy_pairs_by_full_parse(x, dist, search)
+    pairs, _ = candidate_pairs(x, dist, search)
+    assert [(h.data, t.data) for h, t in pairs] == [(h.data, t.data) for h, t in want]
+
+
+@pytest.mark.parametrize("case", _REFERENCE_CASES)
+def test_greedy_search_scores_each_candidate_once_per_accepted_flip(case, monkeypatch):
+    """A candidate (position, side, letter) is scored only when no score of it
+    was made since the last accepted flip: the scorer sees exactly the first
+    occurrence of each (start point, accepted flips, position, side, letter)
+    the full-parse reference evaluates, in its order, so the score calls
+    plus the skipped repeats are the reference's evaluation count."""
+    x, dist, search = _greedy_case(case)
+    _, reference = greedy_pairs_by_full_parse(x, dist, search)
+    starts, seen = [], []  # [scorer, flips kept] per start point
+    real_rebuild, real_score = _FlipScorer.rebuild, _FlipScorer.score
+
+    def rebuild(self):  # once per start point, then once per flip kept
+        if not starts or starts[-1][0] is not self:
+            starts.append([self, -1])
+        starts[-1][1] += 1
+        return real_rebuild(self)
+
+    def score(self, i, coarse):
+        assert starts[-1][0] is self
+        letter = (self.h if coarse else self.t)[i]
+        seen.append((len(starts) - 1, starts[-1][1], i, coarse, letter))
+        return real_score(self, i, coarse)
+
+    monkeypatch.setattr(_FlipScorer, "rebuild", rebuild)
+    monkeypatch.setattr(_FlipScorer, "score", score)
+    candidate_pairs(x, dist, search)
+    assert seen == list(dict.fromkeys(reference))
+
+
+def test_reference_cases_repeat_candidates():
+    """The cases above exercise the skip: on binary and on 4-letter sources
+    some candidate is evaluated again with no flip accepted in between."""
+    repeating = set()
+    for case in _REFERENCE_CASES:
+        _, reference = greedy_pairs_by_full_parse(*_greedy_case(case))
+        if len(set(reference)) < len(reference):
+            repeating.add(case[1])
+    assert repeating == {2, 4}

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -355,6 +356,32 @@ class TestPlantedFaults:
         rep = suite_converse(n_small=4, random_pairs=2, n_large=64, spot_checks=0)
         assert rep["exhaustive"]["violations"] == [
             {"check": "iii", "primary": vh} for vh in range(16)]
+
+
+@pytest.mark.parametrize("seed, budget", [(0, 1), (1, 50), (9, 500), (12345, 3000)])
+def test_split_lemma_draws_the_cases_of_random_uniform(seed, budget, monkeypatch):
+    """The suite draws with uniform's own expression, so it checks the cases a
+    loop written with rng.uniform draws, in the same order."""
+    rng = random.Random(seed)
+    want = []
+    for _ in range(budget):
+        a = rng.uniform(0.0, 2.0)
+        b = rng.uniform(0.0, 2.0)
+        e1 = rng.uniform(1e-9, 1.0)
+        e2 = rng.uniform(1e-9, 1.0)
+        c = rng.uniform(0.0, e1 + e2)
+        want.append((a, b, c, a + e1, b + e2))
+    got, real = [], mdc.split_rates
+
+    def recorded(*case):
+        got.append(case)
+        return real(*case)
+
+    monkeypatch.setattr(mdc, "split_rates", recorded)
+    rep = suite_split_lemma(seed=seed, budget=budget)
+    assert got == want
+    assert rep["clamped_cases"] == sum(r1 - a > c for a, _, c, r1, _ in want)
+    assert rep["holds"]
 
 
 class TestDeterminism:
