@@ -46,9 +46,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 MODES = ("lz", "cond", "sr", "md-egc", "md-zb")
-# sorted(verify.SUITES), spelled out so that building the parser loads no suite
-SUITES = ("cond-entropy-ineq", "converse", "entropy-ineq", "frontier", "kraft",
-          "sandwich", "split-lemma")
+DISTORTIONS = ("hamming", "absdiff")
 
 
 class UsageError(ValueError):
@@ -66,14 +64,20 @@ def _bad_token(symbols: Seq[str]) -> Optional[str]:
     return next((s for s in symbols if s.split() != [s] or s.startswith("#")), None)
 
 
-def load_sequence(path: str, fmt: str = "auto",
-                  sums: Optional[dict] = None) -> Sequence:
-    """The sequence in a file; with `sums`, also sets sums[path] to the
-    checksum of the bytes read, for the report's inputs block."""
+def _read(path: str, sums: Optional[dict] = None) -> bytes:
+    """The bytes of a file; with `sums`, also sets sums[path] to their
+    checksum: a call's `sums` is its report's inputs block."""
     with open(path, "rb") as fh:
         data = fh.read()
     if sums is not None:
         sums[path] = f"{fnv1a64(data):016x}"
+    return data
+
+
+def load_sequence(path: str, fmt: str = "auto",
+                  sums: Optional[dict] = None) -> Sequence:
+    """The sequence in a file, read by _read with `sums`."""
+    data = _read(path, sums)
     if fmt == "auto":
         fmt = "tokens" if data.startswith(b"alphabet:") else "bytes"
     if fmt == "bytes":
@@ -107,7 +111,8 @@ def load_sequence(path: str, fmt: str = "auto",
             f"{path}: token {exc.args[0]!r} is not in the declared alphabet") from exc
 
 
-def save_sequence(seq: Sequence, path: str, fmt: str = "auto") -> None:
+def save_sequence(seq: Sequence, path: str, fmt: str = "auto") -> bytes:
+    """Write seq to path in format fmt; the bytes written."""
     if fmt == "auto":
         fmt = "bytes" if seq.alphabet.byte_named else "tokens"
     if fmt == "bytes":
@@ -126,23 +131,19 @@ def save_sequence(seq: Sequence, path: str, fmt: str = "auto") -> None:
         raise UsageError(f"unknown output format: {fmt}")
     with open(path, "wb") as fh:
         fh.write(payload)
+    return payload
 
 
-def _file_checksum(path: str) -> str:
-    with open(path, "rb") as fh:
-        return f"{fnv1a64(fh.read()):016x}"
-
-
-def _save_output(seq: Sequence, path: str, fmt: str, **fields) -> dict:
-    """Save seq to path; its report entry, with the checksum of the file written."""
-    save_sequence(seq, path, fmt)
-    return {"path": path, **fields, "checksum": _file_checksum(path)}
-
-
-def _write_bytes(path: str, data: bytes) -> dict:
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return {"path": path, "bytes": len(data), "checksum": f"{fnv1a64(data):016x}"}
+def _write(path: str, data, fmt: str = "auto", **fields) -> dict:
+    """Write a container's bytes, or a decoded sequence through save_sequence,
+    to path; the file's report entry, with the checksum of the bytes written."""
+    if isinstance(data, Sequence):
+        data = save_sequence(data, path, fmt)
+    else:
+        with open(path, "wb") as fh:
+            fh.write(data)
+        fields["bytes"] = len(data)
+    return {"path": path, **fields, "checksum": f"{fnv1a64(data):016x}"}
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +194,6 @@ def _eps_mode(args) -> str:
     return args.eps_mode
 
 
-def _inputs_block(sums: dict, *paths: Optional[str]) -> dict:
-    """The checksum of each input file named, from the `sums` its load left;
-    None stands for a flag not given."""
-    return {p: sums[p] for p in paths if p}
-
-
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -206,7 +201,7 @@ def _inputs_block(sums: dict, *paths: Optional[str]) -> dict:
 def cmd_analyze(args) -> int:
     from . import bounds
 
-    sums: dict = {}  # path -> checksum of the bytes load_sequence read
+    sums: dict = {}  # the inputs block: path -> checksum of the bytes read
     seq = load_sequence(args.input, args.fmt, sums)
     side = load_sequence(args.side_info, args.fmt, sums) if args.side_info else None
     eps = _eps_mode(args)
@@ -275,7 +270,7 @@ def cmd_analyze(args) -> int:
         results["bounds"] = floors
     emit_report({
         "command": "analyze",
-        "inputs": _inputs_block(sums, args.input, args.side_info),
+        "inputs": sums,
         "parameters": {"block_len": args.block_len, "q": args.q,
                        "eps_mode": eps, "format": args.fmt},
         "results": results,
@@ -309,10 +304,10 @@ def _md_triple(args, sums: dict) -> Tuple[Sequence, Sequence, Sequence]:
         from . import sr_codec
 
         x = load_sequence(args.inputs[0], args.fmt, sums)
-        d = sr_codec.PerLetterDistortion(args.distortion)
-        xhat = sr_codec.nearest_feasible(x, d, args.d1)
-        xtilde = sr_codec.nearest_feasible(x, d, args.d2)
-        xcheck = sr_codec.nearest_feasible(x, d, args.d0 if args.d0 is not None else 0.0)
+        dist = _distortion_spec(args)
+        xhat = sr_codec.nearest_feasible(x, dist.d1, dist.level1)
+        xtilde = sr_codec.nearest_feasible(x, dist.d2, dist.level2)
+        xcheck = sr_codec.nearest_feasible(x, dist.d1, args.d0 if args.d0 is not None else 0.0)
         return xhat, xtilde, xcheck
     raise UsageError("two-description modes take three reproduction files "
                      "(coarse, fine, central) or one source file with levels")
@@ -324,6 +319,7 @@ def cmd_encode(args) -> int:
     sums: dict = {}
     report: dict = {
         "command": "encode",
+        "inputs": sums,
         "parameters": {"mode": mode, "q": args.q, "eps_mode": eps,
                        "seed": args.seed, "format": args.fmt},
     }
@@ -332,7 +328,7 @@ def cmd_encode(args) -> int:
             raise UsageError("mode lz takes exactly one input file")
         seq = load_sequence(args.inputs[0], args.fmt, sums)
         enc = lz_encode(seq)
-        out = _write_bytes(args.output, enc.to_bytes())
+        out = _write(args.output, enc.to_bytes())
         n = seq.n
         c = enc.phrase_count  # parse(seq).c, without a second walk
         report["results"] = {
@@ -355,7 +351,7 @@ def cmd_encode(args) -> int:
         side = load_sequence(args.side_info, args.fmt, sums)
         # the encoder's dictionary is the joint parse's trie: its counts, no second walk
         enc, c_l = _cond_encode(seq, side, counts=True)
-        out = _write_bytes(args.output, enc.to_bytes())
+        out = _write(args.output, enc.to_bytes())
         n = seq.n
         rho_c = rho_cond_from_counts(c_l, n)
         bound = n * rho_c + n * bounds.eps_hat(n) if n >= 2 else None
@@ -387,7 +383,7 @@ def cmd_encode(args) -> int:
             raise UsageError("mode sr takes a source file (reproductions are "
                              "searched) or source + two reproduction files")
         enc = sr_codec.sr_encode(x, xhat, xtilde)
-        out = _write_bytes(args.output, enc.to_bytes())
+        out = _write(args.output, enc.to_bytes())
         n = x.n
         results = {
             "n": n,
@@ -420,8 +416,8 @@ def cmd_encode(args) -> int:
             else:
                 u = mdc.default_auxiliary(xhat, levels=2)
             desc1, desc2, enc_rep = mdc.zb_encode(xhat, xtilde, xcheck, u, args.alpha)
-        out1 = _write_bytes(args.output + ".d1", desc1)
-        out2 = _write_bytes(args.output + ".d2", desc2)
+        out1 = _write(args.output + ".d1", desc1)
+        out2 = _write(args.output + ".d2", desc2)
         results = dict(enc_rep)
         results["outputs"] = [out1, out2]
         if xhat.n >= 2:
@@ -433,21 +429,17 @@ def cmd_encode(args) -> int:
         report["parameters"].update({"split": args.split, "alpha": args.alpha,
                                      "d1": args.d1, "d2": args.d2, "d0": args.d0})
         report["results"] = results
-    # only cond reads --side-info, and only md-zb --u-file
-    report["inputs"] = _inputs_block(sums, *args.inputs, args.side_info, args.u_file)
     emit_report(report)
     return EXIT_OK
 
 
 def cmd_decode(args) -> int:
     mode = args.mode
-    raws = []  # each stream file is read once, for its checksum and to decode
-    for p in args.inputs:
-        with open(p, "rb") as fh:
-            raws.append(fh.read())
+    sums: dict = {}
+    raws = [_read(p, sums) for p in args.inputs]
     report: dict = {
         "command": "decode",
-        "inputs": {p: f"{fnv1a64(raw):016x}" for p, raw in zip(args.inputs, raws)},
+        "inputs": sums,
         "parameters": {"mode": mode, "format": args.fmt},
     }
     outputs = []
@@ -455,26 +447,26 @@ def cmd_decode(args) -> int:
         raise UsageError(f"mode {mode} takes exactly one stream file")
     if mode == "lz":
         seq = lz_decode(raws[0])
-        outputs.append(_save_output(seq, args.output, args.fmt, n=seq.n))
+        outputs.append(_write(args.output, seq, args.fmt, n=seq.n))
     elif mode == "cond":
         if len(raws) != 1 or not args.side_info:
             raise UsageError("mode cond takes one stream file plus --side-info")
         from .cond_lz import cond_decode
 
         seq = cond_decode(raws[0], load_sequence(args.side_info, args.fmt))
-        outputs.append(_save_output(seq, args.output, args.fmt, n=seq.n))
+        outputs.append(_write(args.output, seq, args.fmt, n=seq.n))
     elif mode == "sr":
         from . import sr_codec
 
         if args.stage == 1:
             coarse = sr_codec.sr_decode_stage1(raws[0])
-            outputs.append(_save_output(coarse, args.output, args.fmt, n=coarse.n, stage=1))
+            outputs.append(_write(args.output, coarse, args.fmt, n=coarse.n, stage=1))
         else:
             coarse, fine = sr_codec.sr_decode_full(raws[0])
-            outputs.append(_save_output(fine, args.output, args.fmt, n=fine.n, stage=2))
+            outputs.append(_write(args.output, fine, args.fmt, n=fine.n, stage=2))
             if args.coarse_output:
-                outputs.append(_save_output(coarse, args.coarse_output, args.fmt,
-                                            n=coarse.n, stage=1))
+                outputs.append(_write(args.coarse_output, coarse, args.fmt,
+                                      n=coarse.n, stage=1))
     else:  # md-egc, md-zb
         from . import mdc
 
@@ -489,8 +481,8 @@ def cmd_decode(args) -> int:
             else:
                 u, seq = mdc.zb_decode1(raws[0]) if decoder == 1 else mdc.zb_decode2(raws[0])
                 if args.aux_output:
-                    outputs.append(_save_output(u, args.aux_output, args.fmt, role="aux"))
-            outputs.append(_save_output(seq, args.output, args.fmt, n=seq.n, decoder=decoder))
+                    outputs.append(_write(args.aux_output, u, args.fmt, role="aux"))
+            outputs.append(_write(args.output, seq, args.fmt, n=seq.n, decoder=decoder))
         else:
             if len(raws) != 2:
                 raise UsageError("decoder 0 takes both description files")
@@ -502,8 +494,8 @@ def cmd_decode(args) -> int:
                 parts.append(("aux", u))
             parts += [("hat", xhat), ("tilde", xtilde), ("check", xcheck)]
             for name, seq in parts:
-                outputs.append(_save_output(seq, f"{args.output}.{name}", args.fmt,
-                                            n=seq.n, role=name))
+                outputs.append(_write(f"{args.output}.{name}", seq, args.fmt,
+                                      n=seq.n, role=name))
     report["results"] = {"outputs": outputs}
     emit_report(report)
     return EXIT_OK
@@ -521,6 +513,7 @@ def cmd_region(args) -> int:
     sums: dict = {}
     report: dict = {
         "command": "region",
+        "inputs": sums,
         "parameters": {"kind": kind, "q": args.q, "eps_mode": eps,
                        "format": args.fmt},
     }
@@ -574,7 +567,6 @@ def cmd_region(args) -> int:
     if kind != "md":  # the staircase kinds
         results["frontier"] = [[p.r1, p.r2] for p in front]
     report["results"] = results
-    report["inputs"] = _inputs_block(sums, *args.inputs, args.u_file)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(regions.frontier_csv(front))
@@ -657,6 +649,8 @@ READS = {
         "split-lemma": {"--seed": "seed", "--budget": "budget"}, "kraft": {},
     },
 }
+# the verify suites, named by READS, so that building the parser loads no suite
+SUITES = tuple(sorted(READS["verify"]))
 
 
 def _reads(args) -> set:
@@ -728,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--d1", type=float, default=0.0, help="stage/description 1 distortion level")
     pe.add_argument("--d2", type=float, default=0.0, help="stage/description 2 distortion level")
     pe.add_argument("--d0", type=float, default=None, help="central distortion level")
-    pe.add_argument("--distortion", default="hamming", choices=("hamming", "absdiff"))
+    pe.add_argument("--distortion", default="hamming", choices=DISTORTIONS)
     pe.add_argument("--objective", default="weighted",
                     choices=("min-r1", "min-sum", "weighted"),
                     help="sr search objective (default weighted)")
@@ -758,14 +752,14 @@ def build_parser() -> argparse.ArgumentParser:
     format_flag(pd)
 
     pr = command("region", cmd_region, "rate regions and staircase frontiers")
-    pr.add_argument("kind", choices=("pair", "blockwise", "sr", "md"))
+    pr.add_argument("kind", choices=tuple(READS["region"]))
     pr.add_argument("inputs", nargs="+")
     pr.add_argument("--block-len", type=int, default=None)
     pr.add_argument("--side", default="outer-minus",
                     choices=("outer-minus", "inner-plus", "outer", "inner"))
     pr.add_argument("--d1", type=float, default=0.0)
     pr.add_argument("--d2", type=float, default=0.0)
-    pr.add_argument("--distortion", default="hamming", choices=("hamming", "absdiff"))
+    pr.add_argument("--distortion", default="hamming", choices=DISTORTIONS)
     pr.add_argument("--u-file", default=None)
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--csv", default=None, help="write the frontier staircase as CSV")

@@ -147,6 +147,10 @@ def _prefix_walk(n: int, gamma: int, block_lens: Tuple[int, ...],
     to 0 is deleted.  At each leaf, in joint-prefix order, leaf(vh, vt, phrases,
     c_l, joint, primary) sees c_l with the incomplete last phrase folded in.
     Returns the tries, c_l and dicts, empty again.
+    The walk keeps its own tries rather than lz_core.walk's: it steps one
+    symbol and undoes it, and per-symbol walk/undo/primary_step calls gave
+    the same suite reports slower (single runs, 2 cores: converse 0.22-0.25 s
+    against 0.13 s, entropy-ineq 0.080-0.084 s against 0.056-0.067 s).
     """
     AB = 2 * gamma
     trie, ptrie, c_l = {}, {}, []  # trie values: (joint node, its primary node)

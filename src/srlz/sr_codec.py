@@ -309,21 +309,12 @@ def _greedy_pairs(x: Sequence, dist: DistortionSpec, search) -> List[Tuple[Seque
     return collected
 
 
-# Most slots a flat trie table may take; a scorer trie that may need more is a
-# dict.  search-regions (n = 512, 4 x 4 letters) needs 4,240 joint slots; a
-# 26-letter file of 4,096 symbols needs 1,613,612 (41,834 for the plain trie).
+# Most slots a flat trie table may take; a scorer trie of n letters below
+# `width` has at most n + 1 nodes, so it takes (n + 1) * width slots flat and
+# is a dict when that is more.  search-regions (n = 512, 4 x 4 letters) needs
+# 8,208 joint slots; a 26-letter file of 4,096 symbols needs 106,522 for the
+# plain trie and 2,769,572 for the joint one.
 FLAT_SLOTS = 1 << 18
-
-
-def _most_phrases(n: int, width: int) -> int:
-    """Most complete phrases a parse of n letters below `width` can have: they
-    are distinct strings of total length at most n, and at most width**l of
-    them have length l, so the count is largest with the shortest first."""
-    count, length, strings = 0, 1, width
-    while n >= length * strings:
-        n -= length * strings
-        count, length, strings = count + strings, length + 1, strings * width
-    return count + n // length
 
 
 class _FlipScorer:
@@ -361,8 +352,8 @@ class _FlipScorer:
         self.xlogx = [0.0] + [c * math.log2(c) for c in range(1, n + 1)]
         self.hb = [a * B + b for a, b in zip(h, t)]
 
-        def table(width: int):  # room for the nodes of any parse of n letters
-            slots = (_most_phrases(n, width) + 1) * width
+        def table(width: int):  # room for the root and a node per letter
+            slots = (n + 1) * width
             return [0] * slots if slots <= FLAT_SLOTS else {}
 
         self.lz, self.pt, self.jt = table(A), table(A), table(A * B)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import json
 import os
 import random
@@ -254,7 +255,7 @@ class TestAnalyze:
         assert rep["command"] == "analyze"
         assert rep["report_version"] == 1
         assert rep["timing"] is None
-        assert rep["inputs"][f] == cli._file_checksum(f)
+        assert rep["inputs"][f] == f"{fnv1a64(Path(f).read_bytes()):016x}"
         assert out == json.dumps(rep, sort_keys=True, indent=2) + "\n"
 
 
@@ -979,6 +980,42 @@ def test_each_input_file_is_opened_once(argv, tmp_path, capsys, monkeypatch):
     for p in inputs:
         with real(p, "rb") as fh:
             assert rep["inputs"][p] == f"{fnv1a64(fh.read()):016x}"
+
+
+@pytest.mark.parametrize("encode, decode", [
+    (("{x}", "--mode", "lz", "-o", "{c}"),
+     ("{c}", "--mode", "lz", "-o", "{out}")),
+    (("{x}", "{y}", "{x}", "--mode", "sr", "-o", "{c}"),
+     ("{c}", "--mode", "sr", "-o", "{out}", "--coarse-output", "{coarse}")),
+    (("{x}", "{y}", "{x}", "--mode", "md-zb", "--u-file", "{u}", "-o", "{c}"),
+     ("{c}.d1", "--mode", "md-zb", "--decoder", "1", "-o", "{out}", "--aux-output", "{aux}")),
+], ids=["lz", "sr", "md-zb"])
+def test_decode_checksums_the_bytes_it_writes(encode, decode, tmp_path, capsys, monkeypatch):
+    # each outputs entry checksums the bytes save_sequence wrote, not a re-read
+    paths = {k: token_file(tmp_path, f"{k}.txt", text) for k, text in (
+        ("x", "0110100110010110"), ("y", "0110100110010111"), ("u", "0101010101010101"))}
+    paths.update({k: str(tmp_path / k) for k in ("c", "out", "coarse", "aux")})
+    code, _, _, err = run(capsys, "encode", *(a.format(**paths) for a in encode))
+    assert code == 0, err
+    argv = [a.format(**paths) for a in decode]
+    outputs = {paths[k] for k in ("out", "coarse", "aux") if paths[k] in argv}
+    reads = []
+    real = builtins.open
+
+    def watched(file, mode="r", *args, **kw):
+        if "r" in mode:
+            reads.append(str(file))
+        return real(file, mode, *args, **kw)
+
+    monkeypatch.setattr(builtins, "open", watched)
+    code, rep, _, err = run(capsys, "decode", *argv)
+    monkeypatch.undo()
+    assert code == 0, err
+    assert not outputs & set(reads)
+    entries = rep["results"]["outputs"]
+    assert {e["path"] for e in entries} == outputs
+    for e in entries:
+        assert e["checksum"] == f"{fnv1a64(Path(e['path']).read_bytes()):016x}"
 
 
 class TestDeterminism:

@@ -1,6 +1,5 @@
 import copy
 import functools
-import itertools
 import random
 from unittest import mock
 
@@ -21,7 +20,7 @@ from srlz.container import (
     pack_segments,
 )
 from srlz.cond_lz import joint_parse
-from srlz.lz_core import BINARY, Alphabet, Sequence, _lz_walk, lz_encode, rho_lz
+from srlz.lz_core import BINARY, Alphabet, Sequence, lz_encode, rho_lz
 from srlz import sr_codec
 from srlz.regions import SearchBudget
 from srlz.sr_codec import (
@@ -572,19 +571,6 @@ def test_greedy_search_matches_golden(name):
     assert select_reproductions(x, dist, "min-sum", search)[2]["objective_value"] == want_min_sum
 
 
-@pytest.mark.parametrize("width", [1, 2, 3])
-def test_most_phrases_is_the_largest_phrase_count(width):
-    """`_most_phrases(n, width)` is the largest number of complete phrases
-    over every sequence of n letters below width, for n up to 8; so a flat
-    table of (_most_phrases + 1) * width slots holds any parse."""
-    for n in range(9):
-        most = 0
-        for data in itertools.product(range(width), repeat=n):
-            keys, _ = _lz_walk(data, width)
-            most = max(most, len(keys))
-        assert sr_codec._most_phrases(n, width) == most
-
-
 def _full_score(h, t, size_a, size_b):
     hat = Sequence(Alphabet.of_size(size_a), h)
     til = Sequence(Alphabet.of_size(size_b), t)
@@ -724,11 +710,11 @@ def test_prefix_state_is_a_fresh_walk_of_the_prefix(case):
             seq[i] = old
 
 
-@pytest.mark.parametrize("slots", [None, 0, 200], ids=["flat", "dict", "mixed"])
+@pytest.mark.parametrize("slots", [None, 0, 300], ids=["flat", "dict", "mixed"])
 def test_greedy_search_scores_are_full_scores(slots, monkeypatch):
     """Every score the greedy search reads equals a full parse of the pair, on
     both table layouts and on flat plain and primary tries beside a dict
-    joint trie (at n = 60 those two need 116 slots and the joint one 280),
+    joint trie (at n = 60 those two need 244 slots and the joint one 488),
     with fine flips (level2 > 0) and a 3-letter source reproduced over 4
     coarse and 2 fine letters, so no base is square."""
     if slots is not None:
