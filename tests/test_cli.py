@@ -943,6 +943,82 @@ def test_readme_cli_examples_pass_only_flags_their_calls_read():
         assert set(args.given) <= cli._reads(args), line
 
 
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of cli.main(argv), which may exit through argparse."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
+TOP_USAGE = "usage: srlz [-h] {analyze,encode,decode,region,verify} ...\n"
+# calls that end in argparse's help or usage error; none of them opens a file
+HELP_AND_USAGE = {
+    "no-arguments": [],
+    "help": ["--help"],
+    "unknown-subcommand": ["nope"],
+    **{f"{name}-help": [name, "--help"] for name in cli.READS},
+    "flag-the-subcommand-lacks": ["encode", "x.bin", "--mode", "lz", "-o", "o.lzc",
+                                  "--bogus", "1"],
+    "extra-positional": ["analyze", "x.bin", "extra"],
+    "flag-the-call-does-not-read": ["encode", "x.bin", "--mode", "lz", "-o", "o.lzc",
+                                    "--seed", "3"],
+    "suite-flag-the-call-does-not-read": ["verify", "--suite", "kraft", "--n", "4"],
+    "bad-mode": ["encode", "x.bin", "--mode", "zip", "-o", "o.lzc"],
+    "bad-region-kind": ["region", "nope", "x.bin"],
+    "missing-required-flag": ["decode", "x.lzc", "-o", "o"],
+    "missing-input": ["analyze"],
+}
+
+
+@pytest.mark.parametrize("argv", HELP_AND_USAGE.values(), ids=HELP_AND_USAGE)
+def test_help_and_usage_errors_are_the_full_parsers_bytes(argv, capsys, monkeypatch):
+    """A call that names its subcommand builds only that subparser; what it
+    prints on --help or a usage error is still the full parser's output."""
+    monkeypatch.setenv("COLUMNS", "80")
+    got = outcome(capsys, argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    want = outcome(capsys, argv)
+    assert got == want
+    assert got[0] in (0, 2)
+    # a top-level usage line names every subcommand, never just the one called
+    printed = got[1] + got[2]
+    assert TOP_USAGE in printed or "usage: srlz [-h] {" not in printed
+
+
+@pytest.mark.parametrize("name", cli.READS)
+def test_a_named_subcommand_builds_only_its_own_parser(name):
+    assert list(cli.build_parser(name)._subparsers._group_actions[0].choices) == [name]
+
+
+def test_patching_cli_save_sequence_changes_what_decode_writes(tmp_path, capsys, monkeypatch):
+    # command modules reach the file I/O through cli, never through copies
+    # bound at import, so a patch of cli.save_sequence (the benchmark's planted
+    # fault is one) reaches every file decode writes
+    x = token_file(tmp_path, "x.txt", "0110100110010110")
+    lzc, ref, out = (str(tmp_path / name) for name in ("x.lzc", "ref.txt", "out.txt"))
+    assert run(capsys, "encode", x, "--mode", "lz", "-o", lzc)[0] == 0
+    assert run(capsys, "decode", lzc, "--mode", "lz", "-o", ref)[0] == 0
+    save = cli.save_sequence
+
+    def flipped(seq, path, fmt="auto"):
+        data = bytearray(save(seq, path, fmt))
+        data[0] ^= 1
+        Path(path).write_bytes(data)
+        return bytes(data)
+
+    monkeypatch.setattr(cli, "save_sequence", flipped)
+    code, rep, _, err = run(capsys, "decode", lzc, "--mode", "lz", "-o", out)
+    assert code == 0, err
+    want = bytearray(Path(ref).read_bytes())
+    want[0] ^= 1
+    assert Path(out).read_bytes() == want
+    assert rep["results"]["outputs"][0]["checksum"] == f"{fnv1a64(want):016x}"
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", "{x}", "--side-info", "{y}"),
     ("encode", "{x}", "--mode", "lz", "-o", "{out}"),

@@ -1,6 +1,7 @@
 """Import footprint and package surface: `import srlz` loads no submodule,
-each CLI call loads only the modules it runs and never `dataclasses`,
-`inspect` or `hashlib`, and every public name still resolves."""
+each CLI call loads only the modules it runs (its own command module among
+them) and never `dataclasses`, `inspect` or `hashlib`, and every public name
+still resolves."""
 
 from __future__ import annotations
 
@@ -26,6 +27,8 @@ CLI_BASE = {"srlz", "srlz.cli", "srlz.bitio", "srlz.container", "srlz.lz_core"}
 # OpenSSL's _hashlib, about 3.5 MiB of RSS and 3 ms in a bare interpreter, which
 # is why the container checksum is zlib.crc32 (zlib is loaded at start-up)
 SLOW_STDLIB = ("dataclasses", "inspect", "hashlib", "_hashlib")
+# one module per subcommand, holding its flags and its body
+COMMAND_MODULES = {f"srlz.cmd_{name}" for name in cli.READS}
 
 
 def fresh(code: str, cwd=None) -> subprocess.CompletedProcess:
@@ -70,11 +73,23 @@ class TestFootprint:
     def test_cli_import_loads_only_the_shared_modules(self):
         assert loaded_after("import srlz.cli") == CLI_BASE
 
+    @pytest.mark.parametrize("code", [
+        "import srlz.cli",
+        *(f"from srlz.cli import main\ntry:\n    main({argv!r})\n"
+          "except SystemExit as exc:\n    assert exc.code in (0, 2)"
+          for argv in (["--help"], ["nope"], [])),
+    ], ids=["import", "help", "unknown-subcommand", "no-arguments"])
+    def test_command_modules_load_only_for_a_parser(self, code):
+        # a call that names no subcommand builds the full parser, whose help
+        # and usage list all five subcommands; the import alone loads none
+        want = COMMAND_MODULES if "main" in code else set()
+        assert loaded_after(code) & COMMAND_MODULES == want
+
     def test_split_lemma_suite_skips_the_other_suites_modules(self):
         got = loaded_after(
             "from srlz.cli import main\n"
             "assert main(['verify', '--suite', 'split-lemma', '--budget', '50']) == 0")
-        assert got == CLI_BASE | {"srlz.verify", "srlz.mdc", "srlz.cond_lz"}
+        assert got == CLI_BASE | {"srlz.cmd_verify", "srlz.verify", "srlz.mdc", "srlz.cond_lz"}
 
     def test_md_decode_skips_the_region_and_search_modules(self, tmp_path):
         from srlz import mdc
@@ -88,7 +103,7 @@ class TestFootprint:
             "from srlz.cli import main\n"
             "assert main(['decode', 'md.d1', 'md.d2', '--mode', 'md-egc', '-o', 'out']) == 0",
             cwd=tmp_path)
-        assert got == CLI_BASE | {"srlz.mdc", "srlz.cond_lz"}
+        assert got == CLI_BASE | {"srlz.cmd_decode", "srlz.mdc", "srlz.cond_lz"}
         assert (tmp_path / "out.check").exists()
 
     def test_lz_round_trip_loads_only_the_shared_modules(self, inputs):
@@ -98,7 +113,7 @@ class TestFootprint:
             "assert main(['encode', 's.bin', '--mode', 'lz', '-o', 'r.lzc']) == 0\n"
             "assert main(['decode', 'r.lzc', '--mode', 'lz', '-o', 's.out']) == 0",
             cwd=inputs)
-        assert got == CLI_BASE | {"srlz.bounds"}
+        assert got == CLI_BASE | {"srlz.cmd_encode", "srlz.cmd_decode", "srlz.bounds"}
         assert (inputs / "s.out").read_bytes() == (inputs / "s.bin").read_bytes()
 
     @pytest.mark.parametrize("argv, extra", [
@@ -110,13 +125,13 @@ class TestFootprint:
         got = loaded_after(
             f"from srlz.cli import main\nassert main(['decode', {argv}, '-o', 's.out']) == 0",
             cwd=inputs)
-        assert got == CLI_BASE | extra
+        assert got == CLI_BASE | {"srlz.cmd_decode"} | extra
         assert (inputs / "s.out").read_bytes() == (inputs / "s.bin").read_bytes()
 
     def test_analyze_loads_bounds_only(self, inputs):
         got = loaded_after("from srlz.cli import main\nassert main(['analyze', 's.bin']) == 0",
                            cwd=inputs)
-        assert got == CLI_BASE | {"srlz.bounds"}
+        assert got == CLI_BASE | {"srlz.cmd_analyze", "srlz.bounds"}
 
     def test_sr_encode_of_given_reproductions(self, inputs):
         got = loaded_after(
@@ -124,15 +139,16 @@ class TestFootprint:
             "assert main(['encode', 's.bin', 's.bin', 's.bin', '--mode', 'sr', "
             "'-o', 'r.src']) == 0",
             cwd=inputs)
-        assert got == CLI_BASE | {"srlz.bounds", "srlz.cond_lz", "srlz.regions",
-                                  "srlz.sr_codec"}
+        assert got == CLI_BASE | {"srlz.cmd_encode", "srlz.bounds", "srlz.cond_lz",
+                                  "srlz.regions", "srlz.sr_codec"}
 
     def test_md_region(self, inputs):
         got = loaded_after(
             "from srlz.cli import main\n"
             "assert main(['region', 'md', 's.bin', 's.bin', 's.bin']) == 0",
             cwd=inputs)
-        assert got == CLI_BASE | {"srlz.bounds", "srlz.cond_lz", "srlz.mdc", "srlz.regions"}
+        assert got == CLI_BASE | {"srlz.cmd_region", "srlz.bounds", "srlz.cond_lz", "srlz.mdc",
+                                  "srlz.regions"}
 
 
 def test_no_module_imports_dataclasses():
