@@ -7,22 +7,13 @@ check failed, 2 usage or format error, 3 infeasible parameters or an exceeded
 enumeration budget.
 
 This module holds what every subcommand shares: sequence file I/O, the report
-plumbing, the table of the flags each call reads (READS), the parser and
-`main`.  Each subcommand's flags and body live in a private module of its
-own, `cmd_<name>` (HELP, add_arguments and run), which reaches the file I/O
-through this module, so a test or benchmark that patches `cli.save_sequence`
-patches every command.  `main` dispatches on argv[0]: when it names a
-subcommand, only that module is imported and only its subparser is built;
-anything else (no arguments, `--help`, an unknown name) builds the full
-parser, and every top-level error of a one-subcommand parser is printed by
-the full parser, so usage lines and `--help` texts are the same bytes either
-way.  The split exists for start-up cost: an interpreter that keeps no
-bytecode (PYTHONDONTWRITEBYTECODE=1, a read-only install) compiles every
-module it imports on every call, and a call now compiles this module and one
-command module, not the 802 lines that held all five.  Over 10 alternating
-pairs of the benchmark's `cli-small` workload (fifteen calls, run without
-bytecode, on a shared 2-core machine) the median round fell from 2.225 to
-2.091 reference s (-6.0%).
+plumbing, the flags every call reads (SHARED), the parser and `main`.  A call
+compiles every module it imports when no bytecode is kept, so each subcommand
+lives in a private module of its own, `cmd_<name>`: its help line (HELP), its
+flags (add_arguments), the flags each of its calls reads (READS, and `row`,
+which picks a call's row) and its body (run).  A command module reaches the
+file I/O through this module, so a patch of `cli.save_sequence` reaches every
+command.  When argv[0] names a subcommand, `main` imports only its module.
 """
 
 from __future__ import annotations
@@ -215,58 +206,16 @@ def _distortion_spec(args) -> sr_codec.DistortionSpec:
 # parser
 
 
-# Flags that every call of a subcommand defining them reads.
+# Flags that every call of a subcommand defining them reads.  Each command
+# module's READS holds the other flags a call reads, in rows keyed by what
+# picks the call's path (its `row`); main refuses any other flag given.
 SHARED = ("--output", "--format", "--q", "--eps-mode", "--mode", "--suite")
-_LEVELS = ("--d1", "--d2", "--d0", "--distortion")
-# The other flags each call reads, per subcommand and keyed by what picks the
-# call's path (_reads); main refuses any other flag given.  Encode's "given" rows
-# take reproduction files, not one source; decode's md-* rows without "decoder
-# 1|2" decode both descriptions.  Verify rows map each flag to the keyword it
-# sets in the suite, which keeps its own default for a flag left None or "".
-READS = {
-    "analyze": {"": ("--side-info", "--block-len")},
-    "encode": {"lz": (), "cond": ("--side-info",),
-               "sr": ("--d1", "--d2", "--distortion", "--objective", "--weight", "--seed"),
-               "sr given": ("--distortion",),
-               "md-egc": (*_LEVELS, "--split"), "md-egc given": ("--split",),
-               "md-zb": (*_LEVELS, "--alpha", "--u-file"),
-               "md-zb given": ("--alpha", "--u-file")},
-    "decode": {"lz": (), "cond": ("--side-info",),
-               "sr stage 1": ("--stage",), "sr stage 2": ("--stage", "--coarse-output"),
-               "md-egc": ("--decoder",), "md-egc decoder 1|2": ("--decoder",),
-               "md-zb": ("--decoder",), "md-zb decoder 1|2": ("--decoder", "--aux-output")},
-    "region": {"pair": ("--csv",), "blockwise": ("--block-len", "--side", "--csv"),
-               "sr": ("--d1", "--d2", "--distortion", "--seed", "--csv"),
-               "md": ("--u-file",)},
-    "verify": {
-        "entropy-ineq": {"--n": "n", "--block-lens": "block_lens", "--eps-mode": "eps_mode"},
-        "cond-entropy-ineq": {"--n": "n", "--block-lens": "block_lens",
-                              "--eps-mode": "eps_mode"},
-        "converse": {"--seed": "seed", "--budget": "random_pairs", "--n": "n_large",
-                     "--eps-mode": "eps_mode"},
-        "sandwich": {"--seed": "seed", "--budget": "pairs", "--n": "n", "--q": "q",
-                     "--eps-mode": "eps_mode"},
-        "frontier": {"--seed": "seed", "--budget": "unions"},
-        "split-lemma": {"--seed": "seed", "--budget": "budget"}, "kraft": {},
-    },
-}
-# the verify suites, named by READS, so that building the parser loads no suite
-SUITES = tuple(sorted(READS["verify"]))
+COMMANDS = ("analyze", "encode", "decode", "region", "verify")
 
 
 def _reads(args) -> set:
-    """The flags the call reads: the shared ones and its row of READS."""
-    if args.command not in ("encode", "decode"):  # analyze has neither attribute
-        key = getattr(args, "kind", None) or getattr(args, "suite", "")
-    elif args.mode in ("lz", "cond"):
-        key = args.mode
-    elif args.command == "encode":
-        key = args.mode + " given" * (len(args.inputs) > 1)
-    elif args.mode == "sr":
-        key = f"sr stage {args.stage}"
-    else:
-        key = args.mode + " decoder 1|2" * (args.decoder in (1, 2))
-    return {*SHARED, *READS[args.command][key]}
+    """The flags the call reads: the shared ones and its module's row."""
+    return {*SHARED, *args.cmd.READS[args.cmd.row(args)]}
 
 
 class _Given(argparse.Action):
@@ -294,31 +243,30 @@ def _format_flag(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `command` alone, which loads only
-    that command's module and prints each of its own top-level errors through
-    the full parser."""
+    """The parser of every subcommand, or one that fills only `command`'s
+    subparser and loads only its module; either lists every subcommand in
+    its usage line."""
     top = argparse.ArgumentParser(
         prog="srlz",
         description="Individual-sequence refinement codecs, rate regions, and "
                     "the verification harness for their converse bounds.")
     sub = top.add_subparsers(dest="command", required=True)
-    for name in READS if command is None else (command,):
+    for name in COMMANDS:
+        if command not in (None, name):
+            sub.add_parser(name)  # named in the usage line, never parsed
+            continue
         mod = importlib.import_module(f".cmd_{name}", __package__)
         p = sub.add_parser(name, help=mod.HELP)
         p.register("action", None, _Given)  # every flag it adds notes itself
-        p.set_defaults(func=mod.run)
+        p.set_defaults(cmd=mod)
         mod.add_arguments(p)
-    if command is not None:
-        # a top-level error here is about the flags (unrecognized or unread),
-        # and its usage line lists every subcommand
-        top.error = lambda message: build_parser().error(message)
     return top
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # a call that names its subcommand first builds only that subcommand's parser
-    parser = build_parser(argv[0] if argv and argv[0] in READS else None)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     reads = _reads(args)
     unread = [given for flag, given in getattr(args, "given", {}).items() if flag not in reads]
@@ -326,7 +274,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("unrecognized arguments: " + " ".join(unread))
     started = time.monotonic()
     try:
-        code = args.func(args)
+        code = args.cmd.run(args)
     except (BudgetExceededError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

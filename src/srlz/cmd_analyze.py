@@ -10,6 +10,8 @@ from . import cli
 from .lz_core import Sequence, parse, rho_lz
 
 HELP = "complexities, entropies, and inequality checks"
+# The flags every call reads besides cli.SHARED, in its one row.
+READS = {"": ("--side-info", "--block-len")}
 
 
 def add_arguments(p) -> None:
@@ -19,6 +21,10 @@ def add_arguments(p) -> None:
     p.add_argument("--block-len", type=int, default=None)
     cli._bound_flags(p)
     cli._format_flag(p)
+
+
+def row(args) -> str:
+    return ""
 
 
 def run(args) -> int:

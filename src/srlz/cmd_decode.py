@@ -7,6 +7,12 @@ from . import cli
 from .lz_core import lz_decode
 
 HELP = "reconstruct sequences from containers"
+# The flags a call reads besides cli.SHARED, by the key `row` picks.  The
+# md-* rows without "decoder 1|2" decode both descriptions.
+READS = {"lz": (), "cond": ("--side-info",),
+         "sr stage 1": ("--stage",), "sr stage 2": ("--stage", "--coarse-output"),
+         "md-egc": ("--decoder",), "md-egc decoder 1|2": ("--decoder",),
+         "md-zb": ("--decoder",), "md-zb decoder 1|2": ("--decoder", "--aux-output")}
 
 
 def add_arguments(p) -> None:
@@ -23,6 +29,14 @@ def add_arguments(p) -> None:
     p.add_argument("--aux-output", default=None,
                    help="md-zb: also write the auxiliary sequence here")
     cli._format_flag(p)
+
+
+def row(args) -> str:
+    if args.mode == "sr":
+        return f"sr stage {args.stage}"
+    if args.mode in ("lz", "cond"):
+        return args.mode
+    return args.mode + " decoder 1|2" * (args.decoder in (1, 2))
 
 
 def run(args) -> int:

@@ -10,6 +10,15 @@ from . import cli
 from .lz_core import Sequence, _code_len_bound, lz_encode, rho_from_count
 
 HELP = "compress sequences into containers"
+_LEVELS = ("--d1", "--d2", "--d0", "--distortion")
+# The flags a call reads besides cli.SHARED, by the key `row` picks.  The
+# "given" rows take reproduction files, not one source.
+READS = {"lz": (), "cond": ("--side-info",),
+         "sr": ("--d1", "--d2", "--distortion", "--objective", "--weight", "--seed"),
+         "sr given": ("--distortion",),
+         "md-egc": (*_LEVELS, "--split"), "md-egc given": ("--split",),
+         "md-zb": (*_LEVELS, "--alpha", "--u-file"),
+         "md-zb given": ("--alpha", "--u-file")}
 
 
 def add_arguments(p) -> None:
@@ -34,6 +43,12 @@ def add_arguments(p) -> None:
     p.add_argument("--u-file", default=None, help="auxiliary sequence (md-zb)")
     cli._bound_flags(p)
     cli._format_flag(p)
+
+
+def row(args) -> str:
+    if args.mode in ("lz", "cond"):
+        return args.mode
+    return args.mode + " given" * (len(args.inputs) > 1)
 
 
 def _md_triple(args, sums: dict) -> Tuple[Sequence, Sequence, Sequence]:

@@ -7,10 +7,14 @@ from __future__ import annotations
 from . import cli
 
 HELP = "rate regions and staircase frontiers"
+# The flags a call reads besides cli.SHARED, by region kind.
+READS = {"pair": ("--csv",), "blockwise": ("--block-len", "--side", "--csv"),
+         "sr": ("--d1", "--d2", "--distortion", "--seed", "--csv"),
+         "md": ("--u-file",)}
 
 
 def add_arguments(p) -> None:
-    p.add_argument("kind", choices=tuple(cli.READS["region"]))
+    p.add_argument("kind", choices=tuple(READS))
     p.add_argument("inputs", nargs="+")
     p.add_argument("--block-len", type=int, default=None)
     p.add_argument("--side", default="outer-minus",
@@ -23,6 +27,10 @@ def add_arguments(p) -> None:
     p.add_argument("--csv", default=None, help="write the frontier staircase as CSV")
     cli._bound_flags(p)
     cli._format_flag(p)
+
+
+def row(args) -> str:
+    return args.kind
 
 
 def run(args) -> int:

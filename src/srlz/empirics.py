@@ -15,8 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import bounds
 from .container import Record
-from .cond_lz import rho_cond
-from .lz_core import Sequence, rho_from_count, rho_lz
+from .lz_core import Sequence, rho_from_count
 
 TOL = 1e-12
 
@@ -61,19 +60,6 @@ def block_empirics(primary: Sequence, secondary: Optional[Sequence], block_len: 
     # without a secondary the joint blocks are the primary ones
     h_joint = h_primary if sd is None else _entropy_from_counts(joint, count)
     return BlockEmpirics(l, count, h_joint, h_primary, h_joint - h_primary)
-
-
-def check_entropy_inequality(seq: Sequence, block_len: int,
-                             eps_mode: str = "default",
-                             tol: float = TOL) -> dict:
-    return block_checks(seq, None, block_len, eps_mode, tol, rho=rho_lz(seq))[1]
-
-
-def check_cond_entropy_inequality(secondary: Sequence, primary: Sequence, block_len: int,
-                                  eps_mode: str = "default",
-                                  tol: float = TOL) -> dict:
-    return block_checks(primary, secondary, block_len, eps_mode, tol,
-                        rho_c=rho_cond(secondary, primary))[2]
 
 
 def block_checks(primary: Sequence, secondary: Optional[Sequence], block_len: int,

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence as Seq, Tuple
 
 from srlz.cond_lz import cond_encode, joint_parse, rho_cond
 from srlz.corpus import ALPHABET_SIZES, STYLES, noisy_copy, random_sequence
+from srlz.empirics import TOL, block_checks
 from srlz.fsm import FsmEncoder
 from srlz.lz_core import Alphabet, Sequence, rho_lz
 from srlz.sr_codec import DistortionSpec, _random_feasible, distortion, nearest_feasible
@@ -109,6 +110,21 @@ def split_blocks(symbols: Seq, block_len: int) -> List[tuple]:
     n = len(symbols)
     assert n % block_len == 0
     return [tuple(symbols[i:i + block_len]) for i in range(0, n, block_len)]
+
+
+def check_entropy_inequality(seq: Sequence, block_len: int, eps_mode: str = "default",
+                             tol: float = TOL) -> dict:
+    """The entropy inequality report of seq, from a parse of its own: the
+    reference for `analyze --block-len` and the exhaustive suite."""
+    return block_checks(seq, None, block_len, eps_mode, tol, rho=rho_lz(seq))[1]
+
+
+def check_cond_entropy_inequality(secondary: Sequence, primary: Sequence, block_len: int,
+                                  eps_mode: str = "default", tol: float = TOL) -> dict:
+    """The conditional entropy inequality report of secondary given primary,
+    from a joint parse of its own."""
+    return block_checks(primary, secondary, block_len, eps_mode, tol,
+                        rho_c=rho_cond(secondary, primary))[2]
 
 
 def stage1_collision(f1_out: Dict[Tuple[int, int], str],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import builtins
+import importlib
 import json
 import os
 import random
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import srlz
 from srlz import bounds, cli, empirics, mdc, regions
 from srlz.bitio import fnv1a64
@@ -211,7 +213,7 @@ class TestAnalyze:
         seq, aux = cli.load_sequence(f), cli.load_sequence(g)
         walks["_lz_walk"] = 0
         assert rep["results"]["block"]["entropy_inequality"] == (
-            empirics.check_entropy_inequality(seq, 4))
+            oracles.check_entropy_inequality(seq, 4))
         walks["_lz_walk"], built[:] = 0, []
         code, rep, _, _ = run(capsys, "analyze", f, "--side-info", g, "--block-len", "4")
         # the plain parse of x, the joint parse (a plain walk of the pair
@@ -219,9 +221,9 @@ class TestAnalyze:
         assert code == 0 and walks == {"_lz_walk": 3, "_joint_walk": 1}
         assert len(built) == 1
         blk = rep["results"]["block"]
-        assert blk["entropy_inequality"] == empirics.check_entropy_inequality(aux, 4)
+        assert blk["entropy_inequality"] == oracles.check_entropy_inequality(aux, 4)
         assert blk["cond_entropy_inequality"] == (
-            empirics.check_cond_entropy_inequality(seq, aux, 4))
+            oracles.check_cond_entropy_inequality(seq, aux, 4))
 
     def test_bad_block_length_lists_divisors(self, tmp_path, capsys):
         f = token_file(tmp_path, "a.txt", EXAMPLE_A, "a b")
@@ -862,7 +864,7 @@ class TestVerifyCmd:
      "--objective", "min-sum"),
     ("encode", "{x}", "--mode", "md-egc", "-o", "{out}", "--weight", "0.3"),
     ("encode", "{x}", "{x}", "{x}", "--mode", "sr", "-o", "{out}", "--seed", "0"),
-    # flags another path of the same subcommand reads (cli.READS)
+    # flags another path of the same subcommand reads (its module's READS)
     ("decode", "{lzc}", "--mode", "lz", "-o", "{out}", "--side-info", "{x}"),
     ("decode", "{lzc}", "--mode", "lz", "-o", "{out}", "--stage", "1"),
     ("decode", "{src}", "--mode", "sr", "-o", "{out}", "--decoder", "1"),
@@ -908,14 +910,16 @@ def test_a_flag_the_subcommand_never_reads_exits_2(argv, tmp_path, capsys):
 
 
 def test_reads_table_covers_every_flag_and_path():
-    """Each optional flag of a subcommand is shared or in a row of it, no row
-    names a flag the subcommand lacks, and every call's path has a row."""
+    """Each optional flag of a subcommand is shared or in a row of its
+    module's READS, no row names a flag the subcommand lacks, and the calls
+    of every path reach every row and no other key."""
     parser = cli.build_parser()
     subparsers = parser._subparsers._group_actions[0].choices
-    assert set(subparsers) == set(cli.READS)
+    assert tuple(subparsers) == cli.COMMANDS
+    modules = {name: importlib.import_module(f"srlz.cmd_{name}") for name in cli.COMMANDS}
     for name, sub in subparsers.items():
         flags = {a.option_strings[-1] for a in sub._actions if a.option_strings} - {"--help"}
-        read = set().union(*cli.READS[name].values())
+        read = set().union(*modules[name].READS.values())
         assert flags <= read | set(cli.SHARED), name
         assert read <= flags, name
     kinds = next(a.choices for a in subparsers["region"]._actions if a.dest == "kind")
@@ -923,10 +927,15 @@ def test_reads_table_covers_every_flag_and_path():
     calls += [["encode", *["x"] * k, "--mode", m, "-o", "o"] for m in cli.MODES for k in (1, 3)]
     calls += [["decode", "x", "--mode", m, "-o", "o", *f] for m in cli.MODES
               for f in ((), ("--stage", "1"), ("--decoder", "0"), ("--decoder", "2"))]
-    calls += [["region", k, "x"] for k in kinds] + [["verify", "--suite", s] for s in cli.SUITES]
-    reached = {(argv[0], frozenset(cli._reads(parser.parse_args(argv)))) for argv in calls}
-    assert reached == {(name, frozenset({*cli.SHARED, *row}))
-                       for name, rows in cli.READS.items() for row in rows.values()}
+    calls += [["region", k, "x"] for k in kinds]
+    calls += [["verify", "--suite", s] for s in modules["verify"].SUITES]
+    reached = set()
+    for argv in calls:
+        args = parser.parse_args(argv)
+        assert args.cmd is modules[argv[0]]
+        reached.add((argv[0], args.cmd.row(args)))
+        assert cli._reads(args) == {*cli.SHARED, *args.cmd.READS[args.cmd.row(args)]}
+    assert reached == {(name, key) for name, mod in modules.items() for key in mod.READS}
 
 
 def test_readme_cli_examples_pass_only_flags_their_calls_read():
@@ -959,9 +968,11 @@ HELP_AND_USAGE = {
     "no-arguments": [],
     "help": ["--help"],
     "unknown-subcommand": ["nope"],
-    **{f"{name}-help": [name, "--help"] for name in cli.READS},
+    **{f"{name}-help": [name, "--help"] for name in cli.COMMANDS},
     "flag-the-subcommand-lacks": ["encode", "x.bin", "--mode", "lz", "-o", "o.lzc",
                                   "--bogus", "1"],
+    "flag-only-another-subcommand-defines": ["decode", "x.lzc", "--mode", "lz", "-o", "o",
+                                             "--split", "0.5"],
     "extra-positional": ["analyze", "x.bin", "extra"],
     "flag-the-call-does-not-read": ["encode", "x.bin", "--mode", "lz", "-o", "o.lzc",
                                     "--seed", "3"],
@@ -989,9 +1000,33 @@ def test_help_and_usage_errors_are_the_full_parsers_bytes(argv, capsys, monkeypa
     assert TOP_USAGE in printed or "usage: srlz [-h] {" not in printed
 
 
-@pytest.mark.parametrize("name", cli.READS)
-def test_a_named_subcommand_builds_only_its_own_parser(name):
-    assert list(cli.build_parser(name)._subparsers._group_actions[0].choices) == [name]
+# the shortest valid call of each subcommand: a flag it lacks stops it before
+# any file is opened
+SHORTEST = {"analyze": ["x"], "encode": ["x", "--mode", "lz", "-o", "o"],
+            "decode": ["x", "--mode", "lz", "-o", "o"], "region": ["pair", "x"],
+            "verify": ["--suite", "kraft"]}
+
+
+@pytest.mark.parametrize("name", cli.COMMANDS)
+def test_a_named_subcommand_builds_only_its_own_parser(name, tmp_path):
+    """Its parser registers every subcommand but fills only `name`'s, and
+    neither building it nor a top-level usage error loads another command
+    module."""
+    code = (
+        "import sys\nfrom srlz import cli\n"
+        f"parser = cli.build_parser({name!r})\n"
+        "subs = parser._subparsers._group_actions[0].choices\n"
+        "print(list(subs), [n for n, p in subs.items() if len(p._actions) > 1])\n"
+        "try:\n"
+        f"    cli.main({[name, *SHORTEST[name], '--bogus', '1']!r})\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, sorted(m for m in sys.modules if m.startswith('srlz.cmd_')))\n")
+    proc = run_child([sys.executable, "-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{list(cli.COMMANDS)} {[name]}",
+                                        f"2 {['srlz.cmd_' + name]}"]
+    assert proc.stderr.startswith(TOP_USAGE)
+    assert proc.stderr.endswith("srlz: error: unrecognized arguments: --bogus 1\n")
 
 
 def test_patching_cli_save_sequence_changes_what_decode_writes(tmp_path, capsys, monkeypatch):

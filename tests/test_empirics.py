@@ -8,12 +8,7 @@ import oracles
 from srlz.bounds import delta_n, delta_n_prime, eps_n_value
 from srlz.cond_lz import _joint_walk, joint_parse
 from srlz import empirics
-from srlz.empirics import (
-    _prefix_walk,
-    block_empirics,
-    check_cond_entropy_inequality,
-    check_entropy_inequality,
-)
+from srlz.empirics import _prefix_walk, block_empirics
 from srlz.lz_core import BINARY, Alphabet, Sequence, _lz_walk, rho_lz
 from srlz.verify import suite_cond_entropy_ineq, suite_entropy_ineq
 
@@ -79,7 +74,7 @@ class TestBlockEmpirics:
 class TestChecks:
     def test_plain_check_fields_are_consistent(self):
         seq = bits("0100011011000001")
-        rep = check_entropy_inequality(seq, 4)
+        rep = oracles.check_entropy_inequality(seq, 4)
         assert rep["rho_lz"] == pytest.approx(rho_lz(seq))
         eps = eps_n_value(seq.n, 2, "default")
         assert rep["eps_n"] == pytest.approx(eps)
@@ -93,7 +88,7 @@ class TestChecks:
         primary = bits("010101")
         secondary = bits("010001")
         for l in (1, 2, 3):
-            rep = check_cond_entropy_inequality(secondary, primary, l)
+            rep = oracles.check_cond_entropy_inequality(secondary, primary, l)
             assert rep["rho_cond"] == pytest.approx(1 / 3)
             assert rep["holds"]
             eps = eps_n_value(6, 2, "default")
@@ -101,22 +96,22 @@ class TestChecks:
 
     def test_needs_two_symbols(self):
         with pytest.raises(ValueError, match="n >= 2"):
-            check_entropy_inequality(bits("0"), 1)
+            oracles.check_entropy_inequality(bits("0"), 1)
         with pytest.raises(ValueError, match="n >= 2"):
-            check_cond_entropy_inequality(bits("0"), bits("0"), 1)
+            oracles.check_cond_entropy_inequality(bits("0"), bits("0"), 1)
 
     @given(st.text(alphabet="01", min_size=2, max_size=64))
     def test_plain_inequality_holds_under_default_slack(self, text):
         seq = bits(text)
         for l in [d for d in (1, 2, 4) if seq.n % d == 0]:
-            assert check_entropy_inequality(seq, l)["holds"]
+            assert oracles.check_entropy_inequality(seq, l)["holds"]
 
     @given(st.integers(min_value=1, max_value=31).flatmap(
         lambda n: st.tuples(st.text(alphabet="01", min_size=2 * n, max_size=2 * n),
                             st.text(alphabet="01", min_size=2 * n, max_size=2 * n))))
     def test_cond_inequality_holds_under_default_slack(self, pair):
         ptext, stext = pair
-        rep = check_cond_entropy_inequality(bits(stext), bits(ptext), 2)
+        rep = oracles.check_cond_entropy_inequality(bits(stext), bits(ptext), 2)
         assert rep["holds"]
 
 
@@ -132,7 +127,7 @@ class TestScans:
         for v in (0b0000, 0b0110, 0b1011):
             text = format(v, "04b")
             for l in (1, 2):
-                assert check_entropy_inequality(bits(text), l)["holds"]
+                assert oracles.check_entropy_inequality(bits(text), l)["holds"]
 
     def test_small_cond_scan(self):
         rep = suite_cond_entropy_ineq(2, block_lens=(1, 2))

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import srlz
-from srlz import cli, verify
+from srlz import cli, cmd_verify, verify
 
 PKG_ROOT = str(Path(srlz.__file__).resolve().parents[1])
 # what bitio, container and lz_core pull in, and nothing else
@@ -28,7 +28,7 @@ CLI_BASE = {"srlz", "srlz.cli", "srlz.bitio", "srlz.container", "srlz.lz_core"}
 # is why the container checksum is zlib.crc32 (zlib is loaded at start-up)
 SLOW_STDLIB = ("dataclasses", "inspect", "hashlib", "_hashlib")
 # one module per subcommand, holding its flags and its body
-COMMAND_MODULES = {f"srlz.cmd_{name}" for name in cli.READS}
+COMMAND_MODULES = {f"srlz.cmd_{name}" for name in cli.COMMANDS}
 
 
 def fresh(code: str, cwd=None) -> subprocess.CompletedProcess:
@@ -235,9 +235,9 @@ class TestSurface:
             exec("from srlz import nope", {})
 
     def test_cli_suite_choices_match_the_suites(self):
-        assert cli.SUITES == tuple(sorted(verify.SUITES))
+        assert cmd_verify.SUITES == tuple(sorted(verify.SUITES))
         # argparse's choices are the only check a suite name gets
-        assert set(cli.READS["verify"]) == set(cli.SUITES)
+        assert set(cmd_verify.READS) == set(cmd_verify.SUITES)
         parser = cli.build_parser()
         for name in verify.SUITES:
             assert parser.parse_args(["verify", "--suite", name]).suite == name
