@@ -54,15 +54,6 @@ class HalfPlaneRegion(Record):
         a, c, b = self.floors()
         return RatePoint(a, max(c, b - a))
 
-    def is_minimal_point(self, point: RatePoint, tol: float = TOL) -> bool:
-        """True when no region point is componentwise <= `point` other than itself."""
-        if not self.contains(point, tol):
-            return False
-        a, c, b = self.floors()
-        on_sum = point.r1 + point.r2 <= b + tol
-        return ((point.r1 <= a + tol or on_sum)
-                and (point.r2 <= c + tol or on_sum))
-
 
 def clamped_region(a: float, b: float, c: Optional[float] = None,
                    meta: Optional[dict] = None) -> HalfPlaneRegion:
@@ -86,29 +77,38 @@ def frontier(members: Seq[HalfPlaneRegion], tol: float = TOL) -> List[RatePoint]
     """Minimal corner points of the union, ascending in R1 (ties by R2).
 
     Members must be two-constraint regions (no explicit R2 floor): those are
-    the regions whose staircase a single corner per member describes.
+    the regions whose staircase a single corner per member describes.  A
+    member with floors (a, 0, b) holds a corner p off the staircase when
+    p.r1 >= a - tol and p.r1 + p.r2 > b + tol, and also a + tol < p.r1 when
+    p.r2 <= tol (corners are >= 0, tol >= 0).  So one sort and one sweep in
+    (r1, r2) order keep the least b + tol of the members passing each test.
     """
     if not members:
         return []
     if any(m.c is not None for m in members):
         raise ValueError("frontier expects members without an explicit R2 floor")
+    floors = [m.floors() for m in members]
     corners = [m.corner() for m in members]
+    # at equal keys a member admitted by a - tol <= r1 (kind 0) sorts before
+    # the corners (kind 1, by r2, then member order), one admitted by
+    # a + tol < r1 (kind 2) after them
+    events = sorted([(a - tol, 0, b + tol) for a, _, b in floors]
+                    + [(a + tol, 2, b + tol) for a, _, b in floors]
+                    + [(p.r1, 1, p.r2, k) for k, p in enumerate(corners)])
+    least = dict.fromkeys((0, 2), float("inf"))  # the least b + tol admitted, by kind
     out: List[RatePoint] = []
-    for p in corners:
-        minimal = True
-        for m in members:
-            if m.contains(p, tol) and not m.is_minimal_point(p, tol):
-                minimal = False
-                break
-        if minimal:
-            out.append(p)
-    out.sort(key=lambda p: (p.r1, p.r2))
-    dedup: List[RatePoint] = []
-    for p in out:
-        if dedup and abs(p.r1 - dedup[-1].r1) <= tol and abs(p.r2 - dedup[-1].r2) <= tol:
+    for event in events:
+        kind = event[1]
+        if kind != 1:
+            least[kind] = min(least[kind], event[2])
             continue
-        dedup.append(p)
-    return dedup
+        p = corners[event[3]]
+        if least[0 if p.r2 > tol else 2] < p.r1 + p.r2:
+            continue
+        if out and abs(p.r1 - out[-1].r1) <= tol and abs(p.r2 - out[-1].r2) <= tol:
+            continue
+        out.append(p)
+    return out
 
 
 def region_from_corner(point: RatePoint) -> HalfPlaneRegion:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, List, Tuple, Union
+from typing import List, Tuple, Union
 
 from .container import (
     MODE_COND,
@@ -148,19 +148,6 @@ def nearest_feasible(x: Sequence, d: PerLetterDistortion, level: float) -> Seque
         raise InfeasibleError(
             f"distortion level {level} unreachable (best average {total / max(1, x.n):.4f})")
     return Sequence(rep, data)
-
-
-def _objective_fn(objective: str, weight: float) -> Callable[[float, float], float]:
-    if objective == "min-r1":
-        return lambda r1, rc: r1
-    if objective == "min-sum":
-        return lambda r1, rc: r1 + rc
-    if objective == "weighted":
-        if not 0.0 <= weight <= 1.0:
-            raise ValueError("weight must lie in [0, 1]")
-        # interpolates: weight 0 -> min-r1, weight 1 -> min-sum
-        return lambda r1, rc: r1 + weight * rc
-    raise ValueError(f"unknown objective: {objective}")
 
 
 def _ball(x: Sequence, d: PerLetterDistortion, level: float) -> List[Sequence]:
@@ -455,14 +442,19 @@ def select_reproductions(x: Sequence, dist: DistortionSpec,
     from .regions import SearchBudget  # shared knobs; no cycle at import time
 
     search = search or SearchBudget()
-    fn = _objective_fn(objective, search.weight)
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective: {objective}")
+    # a pair scores r1 + w * rc; the rates are finite, so w = 0 and 1 give r1 and r1 + rc
+    w = {"min-r1": 0.0, "min-sum": 1.0}.get(objective, search.weight)
+    if not 0.0 <= w <= 1.0:
+        raise ValueError("weight must lie in [0, 1]")
     pairs, meta = candidate_pairs(x, dist, search)
     best = None
     best_key = None
     for hat, til in pairs:
         r1 = rho_lz(hat)
         rc = rho_cond(til, hat)
-        key = (fn(r1, rc), hat.data, til.data)
+        key = (r1 + w * rc, hat.data, til.data)
         if best_key is None or key < best_key:
             best_key = key
             best = (hat, til)

@@ -14,8 +14,7 @@ from typing import Dict, List, Tuple
 
 # The suites import the modules they exercise themselves, so running one
 # suite loads only what it runs.
-from .cond_lz import cond_encode, rho_cond
-from .lz_core import BINARY, Sequence, lz_encode, parse, rho_from_count
+from .lz_core import BINARY, Sequence, rho_from_count
 
 TOL = 1e-9
 
@@ -134,6 +133,8 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
     through the public converse_check to tie the sweep back to the measured op.
     """
     from . import bounds, corpus, empirics, fsm
+    from .cond_lz import rho_cond
+    from .lz_core import parse
 
     _nonnegative(n_small=n_small, random_pairs=random_pairs, n_large=n_large,
                  spot_checks=spot_checks, max_out_len=max_out_len, k_max=k_max,
@@ -413,6 +414,8 @@ def suite_sandwich(seed: int = 0, pairs: int = 100, n: int = 1024, q: int = 1,
     divisor block length, and the single-shot measured rates certify the k=n
     inner corner (measured rate <= corner coordinate)."""
     from . import bounds, corpus, regions
+    from .cond_lz import cond_encode
+    from .lz_core import lz_encode
 
     _nonnegative(pairs=pairs, n=n)
     rng = random.Random(seed)

@@ -19,6 +19,8 @@ from srlz.corpus import ALPHABET_SIZES, STYLES, noisy_copy, random_sequence
 from srlz.empirics import TOL, block_checks
 from srlz.fsm import FsmEncoder
 from srlz.lz_core import Alphabet, Sequence, rho_lz
+from srlz.regions import TOL as REGION_TOL
+from srlz.regions import HalfPlaneRegion, RatePoint, clamped_region, region_from_corner
 from srlz.sr_codec import DistortionSpec, _random_feasible, distortion, nearest_feasible
 
 
@@ -230,6 +232,58 @@ def grid_corners(floors: Seq[Tuple[float, float]], step: float,
                     and not in_union(floors, r1, r2 - step)):
                 corners.append((r1, r2))
     return corners
+
+
+def frontier_all_pairs(members: Seq[HalfPlaneRegion], tol: float = REGION_TOL) -> List[RatePoint]:
+    """regions.frontier as every corner checked against every member: a corner
+    stays unless some member holds it and it is not a minimal point of that
+    member, i.e. it lies strictly above the member's sum edge and right of
+    its R1 floor or above its R2 floor."""
+    if not members:
+        return []
+    if any(m.c is not None for m in members):
+        raise ValueError("frontier expects members without an explicit R2 floor")
+    out: List[RatePoint] = []
+    for p in (m.corner() for m in members):
+        for m in members:
+            a, c, b = m.floors()
+            on_sum = p.r1 + p.r2 <= b + tol
+            minimal = (p.r1 <= a + tol or on_sum) and (p.r2 <= c + tol or on_sum)
+            if m.contains(p, tol) and not minimal:
+                break
+        else:
+            out.append(p)
+    out.sort(key=lambda p: (p.r1, p.r2))
+    dedup: List[RatePoint] = []
+    for p in out:
+        if dedup and abs(p.r1 - dedup[-1].r1) <= tol and abs(p.r2 - dedup[-1].r2) <= tol:
+            continue
+        dedup.append(p)
+    return dedup
+
+
+def random_union(rng: random.Random) -> List[HalfPlaneRegion]:
+    """1-14 members on a lattice from 1e-10 (below the tolerance) to 1.0:
+    clamped, unclamped and region_from_corner regions, some repeated, some
+    with off-lattice corners whose sum floor rounds.  Corners land on and
+    within the tolerance of each other's floors and of the R1 axis."""
+    step = rng.choice((1e-10, 5e-10, 1e-9, 2e-9, 1e-6, 1e-3, 0.01, 0.1, 0.25, 1.0))
+    members: List[HalfPlaneRegion] = []
+    for _ in range(rng.randint(1, 14)):
+        kind = rng.randrange(5)
+        a = rng.randint(-3, 10) * step
+        b = rng.randint(-3, 20) * step
+        if kind == 0:
+            members.append(clamped_region(a, b))
+        elif kind == 1:
+            members.append(HalfPlaneRegion(a=a, b=b))
+        elif kind == 2:
+            members.append(region_from_corner(RatePoint(a, rng.randint(0, 10) * step)))
+        elif kind == 3:
+            members.append(region_from_corner(RatePoint(rng.random(), rng.random())))
+        else:
+            members.append(rng.choice(members) if members else HalfPlaneRegion(a=a, b=b))
+    return members
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,14 @@ class TestFootprint:
             "assert main(['verify', '--suite', 'split-lemma', '--budget', '50']) == 0")
         assert got == CLI_BASE | {"srlz.cmd_verify", "srlz.verify", "srlz.mdc", "srlz.cond_lz"}
 
+    def test_entropy_suite_skips_the_conditional_codec(self):
+        # the scan counts plain phrases only: cond_lz is for converse and sandwich
+        got = loaded_after(
+            "from srlz.cli import main\n"
+            "assert main(['verify', '--suite', 'entropy-ineq']) == 0")
+        assert got == CLI_BASE | {"srlz.cmd_verify", "srlz.verify", "srlz.empirics",
+                                  "srlz.bounds"}
+
     def test_md_decode_skips_the_region_and_search_modules(self, tmp_path):
         from srlz import mdc
         from srlz.lz_core import Alphabet, Sequence

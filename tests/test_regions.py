@@ -1,4 +1,6 @@
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given
@@ -44,15 +46,6 @@ class TestHalfPlane:
         assert r.contains(RatePoint(5.0, 0.0))
         assert not r.contains(RatePoint(0.9, 5.0))
         assert not r.contains(RatePoint(2.0, 0.5))
-
-    def test_minimal_points(self):
-        r = HalfPlaneRegion(a=1.0, b=3.0)
-        assert r.is_minimal_point(RatePoint(1.0, 2.0))
-        assert r.is_minimal_point(RatePoint(2.0, 1.0))   # on the sum edge
-        assert r.is_minimal_point(RatePoint(3.0, 0.0))
-        assert not r.is_minimal_point(RatePoint(1.0, 5.0))  # above the corner
-        assert not r.is_minimal_point(RatePoint(4.0, 0.0))  # beyond the edge
-        assert not r.is_minimal_point(RatePoint(0.0, 0.0))  # outside
 
     def test_clamping_records_flags(self):
         r = clamped_region(-0.2, 0.7, meta={"tag": 1})
@@ -101,6 +94,22 @@ class TestFrontier:
     def test_corner_of_other_regions_from_floors(self):
         assert HalfPlaneRegion(a=0.22, b=0.22 + 0.25).corner() == RatePoint(0.22, 0.24999999999999997)
         assert region_from_corner(RatePoint(-0.5, 1.0)).corner() == RatePoint(0.0, 0.5)
+
+    def test_matches_the_all_pairs_oracle(self):
+        # repr tells -0.0 from 0.0, so the corners must match to the bit
+        rng = random.Random(0)
+        for _ in range(10000):
+            members = oracles.random_union(rng)
+            assert repr(frontier(members)) == repr(oracles.frontier_all_pairs(members)), members
+
+    def test_corner_tol_above_the_axis_keeps_the_axis_test(self):
+        # r2 == tol: the corner lies above the first member's sum edge, but on
+        # the R1 axis within tol a member drops it only when a + tol < r1, and
+        # 2e-9 + 1e-9 rounds to r1, so it stays
+        members = [HalfPlaneRegion(a=2e-9, b=0.0),
+                   region_from_corner(RatePoint(3.0000000000000004e-9, 1e-9))]
+        want = [RatePoint(2e-9, 0.0), RatePoint(3.0000000000000004e-9, 1e-9)]
+        assert frontier(members) == oracles.frontier_all_pairs(members) == want
 
 
 lattice = st.integers(min_value=0, max_value=8)
@@ -275,6 +284,17 @@ class TestOuterUnion:
     def test_needs_two_symbols(self):
         with pytest.raises(ValueError, match="n >= 2"):
             sr_outer_region(bits("0"), hamming_spec(0.0, 0.0), q=1)
+
+    def test_exhaustive_union_of_a_seven_symbol_source_is_fast(self):
+        # every pair of binary sequences of length 7: 2^14 members, whose
+        # staircase an all-pairs check would take minutes to find
+        start = time.perf_counter()
+        union = sr_outer_region(bits("0110100"), hamming_spec(1.0, 1.0), q=1)
+        elapsed = time.perf_counter() - start
+        assert union.meta["search_mode"] == "exhaustive"
+        assert len(union.members) == 16384
+        assert union.frontier and all(union_contains(union.members, p) for p in union.frontier)
+        assert elapsed < 10.0
 
 
 class TestCsv:

@@ -111,6 +111,13 @@ class TestSmallSuiteRuns:
         assert rep["holds"]
         assert rep["idempotence_failures"] == []
 
+    def test_frontier_holds_at_every_seed_to_59(self):
+        # bench/wl_verify.py still excuses this suite as failing on about one
+        # seed in thirty (the staircase of a frontier's own corners differing
+        # in the last bit, before region_from_corner kept the exact corner)
+        failing = [seed for seed in range(60) if not suite_frontier(seed=seed)["holds"]]
+        assert failing == []
+
     def test_frontier_lattice_guard(self):
         with pytest.raises(ValueError, match="coarser"):
             suite_frontier(resolution=0.01, lattice=0.01)
@@ -279,9 +286,15 @@ class TestPlantedFaults:
             "idempotence_failures")}
 
     def test_frontier_without_its_minimality_filter(self, monkeypatch):
-        # every member corner is kept: dominated ones too
-        monkeypatch.setattr(regions.HalfPlaneRegion, "is_minimal_point",
-                            lambda self, point, tol=regions.TOL: True)
+        # every member corner is kept, sorted and deduplicated: dominated ones too
+        def every_corner(members, tol=regions.TOL):
+            out = []
+            for p in sorted((m.corner() for m in members), key=lambda p: (p.r1, p.r2)):
+                if not out or abs(p.r1 - out[-1].r1) > tol or abs(p.r2 - out[-1].r2) > tol:
+                    out.append(p)
+            return out
+
+        monkeypatch.setattr(regions, "frontier", every_corner)
         rep = suite_frontier(unions=20)
         failures = self.frontier_failures(rep)
         assert failures["corner_mismatches"] and failures["non_domination_failures"]
