@@ -4,7 +4,8 @@ themselves end in a `zlib.crc32` trailer (see `srlz.container`).
 
 Both directions run in time linear in the stream length.  `pack` is the one
 packing loop: it keeps fewer than 64 pending bits in a small int and flushes
-whole bytes into a buffer; `BitWriter` collects fields for it.  `refill` is
+whole bytes into a buffer.  `lz_encode` and `_cond_encode` hand it one field
+per phrase; `BitWriter` collects fields for it.  `refill` is
 the one reading loop: it feeds a decoder that keeps its own bit window,
 8 bytes at a time; `BitReader` is a front end that keeps that window for
 callers that read one field at a time.

@@ -18,8 +18,10 @@ The encoder's dictionary is the joint parse's trie, keyed (node*A + a)*B + b
 like `_joint_walk`'s, so `_cond_encode` can hand back the c_l of
 joint_parse(primary, secondary) with its stream, and the stream's
 phrase_count is c_joint: callers that report the conditional complexity of
-what they code need no second walk.  Callers that code or decode several
-streams against one side sequence hash it once and pass the checksum in.
+what they code need no second walk.  It hands `bitio.pack` one field per
+phrase, its ranks and then its innovation; both coders keep a node as id*A.
+Callers that code or decode several streams against one side sequence hash
+it once and pass the checksum in.
 """
 
 from __future__ import annotations
@@ -148,27 +150,33 @@ def _cond_encode(secondary: Sequence, primary: Sequence, checksum: Optional[int]
     secw = secondary.alphabet.bits_per_symbol
     A = primary.alphabet.size
     B = secondary.alphabet.size
-    child: dict = {}  # (node*A + a)*B + b -> (rank among the m children of (node, a), id)
+    child: dict = {}  # (node*A + a)*B + b -> (rank among the m children of (node, a), id*A)
     get = child.get
     fan: dict = {}    # node*A + a -> m
-    values: List[int] = []  # one field per symbol: a rank, or m << secw | b
+    values: List[int] = []  # one field per phrase: its ranks, then m << secw | b
     widths: List[int] = []
-    nodes = node = 0  # dictionary nodes so far, and the current one
+    nodes = node = 0  # dictionary nodes so far, and the current one's id*A
+    v = w = 0  # the ranks of the current phrase so far, and their width
     for a, b in zip(primary.data, secondary.data):
-        key = node * A + a
+        key = node + a
         hit = get(key * B + b)
         if hit is None:  # m+1 choices: children 0..m-1 or innovate
             m = fan.get(key, 0)
             fan[key] = m + 1
             nodes += 1
-            child[key * B + b] = (m, nodes)
-            values.append(m << secw | b)
-            widths.append(m.bit_length() + secw)
-            node = 0
+            child[key * B + b] = (m, nodes * A)
+            f = m.bit_length()
+            values.append((v << f | m) << secw | b)
+            widths.append(w + f + secw)
+            v = w = node = 0
         else:
             rank, node = hit
-            values.append(rank)
-            widths.append(fan[key].bit_length())
+            f = fan[key].bit_length()
+            v = v << f | rank
+            w += f
+    if node:  # the ranks of an unfinished last phrase
+        values.append(v)
+        widths.append(w)
     payload, payload_bits = pack(values, widths)
     del values, widths, fan  # so that the count below adds nothing to the loop's peak
     incomplete = node != 0
@@ -182,7 +190,7 @@ def _cond_encode(secondary: Sequence, primary: Sequence, checksum: Optional[int]
         payload_bits=payload_bits,
         side_checksum=side_info_checksum(primary) if checksum is None else checksum,
     )
-    return stream, _primary_counts(child, node, A, B) if counts else None
+    return stream, _primary_counts(child, node // A, A, B) if counts else None
 
 
 def cond_decode(stream: Union[Bitstream, bytes], primary: Sequence) -> Sequence:
@@ -208,12 +216,12 @@ def _cond_decode(stream: Union[Bitstream, bytes], primary: Sequence,
     secw = alphabet.bits_per_symbol
     payload = stream.payload
     A = primary.alphabet.size
-    by_a: dict = {}  # node*A + a -> [(b, child id)] in rank order
+    by_a: dict = {}  # node*A + a -> [(b, child id*A)] in rank order
     out: List[int] = []
     acc = have = pos = 0  # the bit window of bitio.refill
-    nodes = node = 0  # dictionary nodes so far, and the current one
+    nodes = node = 0  # dictionary nodes so far, and the current one's id*A
     for a in primary.data:
-        key = node * A + a
+        key = node + a
         lst = by_a.get(key)
         if lst is not None:  # m+1 choices: children 0..m-1 or innovate
             m = len(lst)
@@ -242,7 +250,7 @@ def _cond_decode(stream: Union[Bitstream, bytes], primary: Sequence,
         if lst is None:
             by_a[key] = lst = []
         nodes += 1
-        lst.append((b, nodes))
+        lst.append((b, nodes * A))
         node = 0
     if nodes + (node != 0) != stream.phrase_count or (node != 0) != stream.last_incomplete:
         raise StreamFormatError("phrase accounting mismatch")

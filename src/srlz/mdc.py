@@ -281,8 +281,9 @@ def zb_encode(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, u: Sequence,
     hu = side_info_checksum(u)
     c1, cl_hat = _cond_encode(xhat, u, hu, counts=True)
     c2, cl_til = _cond_encode(xtilde, u, hu, counts=True)
-    rho_pair = rho_cond(product_sequence((xhat, xtilde)), u)
-    sc, cl_center = _cond_encode(xcheck, product_sequence((xhat, xtilde, u)), counts=True)
+    pair = product_sequence((xhat, xtilde))
+    rho_pair = rho_cond(pair, u)
+    sc, cl_center = _cond_encode(xcheck, product_sequence((pair, u)), counts=True)
     aux = Segment(ROLE_AUX, su.payload_bits, su.to_bytes())
     desc1, desc2, bits_a, bits_b = _describe(
         n, [aux, Segment(ROLE_COND_GIVEN_AUX, c1.payload_bits, c1.to_bytes())],

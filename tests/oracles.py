@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Sequence as Seq, Tuple
 
-from srlz.cond_lz import cond_encode, joint_parse, rho_cond
+from srlz.bitio import pack
+from srlz.cond_lz import cond_encode, joint_parse, rho_cond, side_info_checksum
+from srlz.container import MODE_COND, Bitstream
 from srlz.corpus import ALPHABET_SIZES, STYLES, noisy_copy, random_sequence
 from srlz.empirics import TOL, block_checks
 from srlz.fsm import FsmEncoder
@@ -95,6 +97,42 @@ def joint_parse_by_set(primary: Seq, secondary: Seq):
     n = len(primary)
     rho_c = sum(v * math.log2(v) for v in c_l) / n if n else 0.0
     return c_joint, len(counts), c_l, rho_c, incomplete
+
+
+def cond_encode_reference(secondary: Sequence, primary: Sequence) -> Bitstream:
+    """The conditional stream with one field per symbol, then `bitio.pack`.
+
+    At each step the dictionary node's children under the next primary
+    symbol a are ranked by first use.  A match emits the child's rank,
+    m.bit_length() bits wide for the m children; a miss adds a child and
+    emits m << secw | b, m.bit_length() + secw bits wide, and returns to the
+    root.  A walk that ends away from the root is an unfinished last phrase.
+    """
+    secw = secondary.alphabet.bits_per_symbol
+    child: Dict[tuple, Tuple[int, int]] = {}  # (node, a, b) -> (rank, child id)
+    fan: Dict[tuple, int] = {}  # (node, a) -> m
+    values: List[int] = []
+    widths: List[int] = []
+    nodes = node = 0
+    for a, b in zip(primary.data, secondary.data):
+        hit = child.get((node, a, b))
+        if hit is None:
+            m = fan.get((node, a), 0)
+            fan[node, a] = m + 1
+            nodes += 1
+            child[node, a, b] = (m, nodes)
+            values.append(m << secw | b)
+            widths.append(m.bit_length() + secw)
+            node = 0
+        else:
+            values.append(hit[0])
+            widths.append(fan[node, a].bit_length())
+            node = hit[1]
+    payload, payload_bits = pack(values, widths)
+    return Bitstream(mode=MODE_COND, n=secondary.n, alphabet=secondary.alphabet.symbols,
+                     phrase_count=nodes + (node != 0), last_incomplete=node != 0,
+                     payload=payload, payload_bits=payload_bits,
+                     side_checksum=side_info_checksum(primary))
 
 
 def block_entropy_bits(blocks: Seq) -> float:

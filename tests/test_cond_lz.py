@@ -4,11 +4,12 @@ import struct
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 import oracles
-from srlz.bitio import FNV64_PRIME, fnv1a64, fnv1a64_u32
+from srlz import cond_lz
+from srlz.bitio import FNV64_PRIME, fnv1a64, fnv1a64_u32, pack
 from srlz.container import SideInfoMismatchError, StreamFormatError
 from srlz.cond_lz import (
     _cond_encode,
@@ -135,6 +136,84 @@ def test_cond_round_trip(pair):
     secondary = Sequence.from_text(stext, Alphabet(("a", "b", "c")))
     enc = cond_encode(secondary, primary)
     assert cond_decode(enc.to_bytes(), primary) == secondary
+
+
+PRIMARY_SIZES = (1, 2, 3, 26, 676)  # 676: a product of two 26-letter sequences
+SECONDARY_SIZES = (1, 2, 5, 26)  # 1: an innovation field holds no symbol bits
+
+
+@st.composite
+def cond_cases(draw):
+    """(primary, secondary, ends inside a phrase): repeats of a short drawn
+    pattern with a drawn share of fresh symbols, so that phrases grow long.
+    When the third item is set and the parse of the pairs finishes, they
+    get a copy of its longest phrase, which the walk follows to a node away
+    from the root."""
+    size_a = draw(st.sampled_from(PRIMARY_SIZES))
+    size_b = draw(st.sampled_from(SECONDARY_SIZES))
+    n = draw(st.integers(0, 300))
+    noise = draw(st.sampled_from((0.0, 0.05, 0.3, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    period = rng.randint(1, 8)
+    pattern = [(rng.randrange(size_a), rng.randrange(size_b)) for _ in range(period)]
+    pairs = [pattern[i % period] if rng.random() >= noise
+             else (rng.randrange(size_a), rng.randrange(size_b)) for i in range(n)]
+    end_inside = n > 0 and draw(st.booleans())
+    if end_inside:
+        phrases, _, incomplete = oracles.parse_by_set(pairs)
+        if not incomplete:
+            pairs += max(phrases, key=len)
+    pd, sd = [a for a, _ in pairs], [b for _, b in pairs]
+    if size_a == 676:
+        primary = product_sequence((Sequence(Alphabet.of_size(26), [a // 26 for a in pd]),
+                                    Sequence(Alphabet.of_size(26), [a % 26 for a in pd])))
+    else:
+        primary = Sequence(Alphabet.of_size(size_a), pd)
+    return primary, Sequence(Alphabet.of_size(size_b), sd), end_inside
+
+
+@settings(max_examples=200)  # 20 pairs of alphabet sizes
+@given(cond_cases())
+def test_cond_encode_matches_the_per_symbol_reference(case):
+    """One packed field per phrase gives the per-symbol emitter's stream, the
+    joint parse's c_l, and a stream that decodes to the input."""
+    primary, secondary, end_inside = case
+    note(f"A={primary.alphabet.size} B={secondary.alphabet.size} n={primary.n}")
+    enc, c_l = _cond_encode(secondary, primary, counts=True)
+    ref = oracles.cond_encode_reference(secondary, primary)
+    assert enc.payload == ref.payload
+    assert enc.payload_bits == ref.payload_bits
+    assert enc.phrase_count == ref.phrase_count
+    assert enc.last_incomplete == ref.last_incomplete
+    assert enc.side_checksum == ref.side_checksum
+    assert enc == ref
+    if end_inside:
+        assert enc.last_incomplete
+    assert c_l == list(joint_parse(primary, secondary).c_l)
+    assert cond_decode(enc.to_bytes(), primary) == secondary
+
+
+def test_pack_gets_one_field_per_phrase(monkeypatch):
+    """The encoder hands `pack` one field per joint phrase, an unfinished last
+    phrase included."""
+    fields, unfinished = [], []
+
+    def counting_pack(values, widths):
+        values, widths = list(values), list(widths)
+        fields.append((len(values), len(widths)))
+        return pack(values, widths)
+
+    monkeypatch.setattr(cond_lz, "pack", counting_pack)
+    rng = random.Random(3)
+    for size_a, size_b, n in ((1, 1, 12), (2, 2, 200), (3, 5, 301), (26, 26, 500)):
+        pd = [rng.randrange(size_a) for _ in range(n)]
+        sd = [a % size_b if rng.random() < 0.9 else rng.randrange(size_b) for a in pd]
+        primary = Sequence(Alphabet.of_size(size_a), pd)
+        secondary = Sequence(Alphabet.of_size(size_b), sd)
+        enc = cond_encode(secondary, primary)
+        assert fields[-1] == (enc.phrase_count, enc.phrase_count)
+        unfinished.append(enc.last_incomplete)
+    assert len(fields) == 4 and any(unfinished) and not all(unfinished)
 
 
 def test_identical_pair_costs_no_payload_bits():

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import tracemalloc
 
@@ -319,6 +320,17 @@ class TestProduct:
     def test_product_alphabet_names(self):
         pa = product_alphabet([BINARY, Alphabet(("x", "y"))])
         assert pa.symbols == ("0|x", "0|y", "1|x", "1|y")
+
+    @pytest.mark.parametrize("sizes", [(26, 26, 2), (4, 3, 2), (1, 5, 2)])
+    def test_product_of_a_pair_product_is_the_three_way_product(self, sizes):
+        # mdc.zb_encode codes its center given product_sequence((pair, u))
+        rng = random.Random(sum(sizes))
+        h, t, u = (Sequence(Alphabet.of_size(k), [rng.randrange(k) for _ in range(200)])
+                   for k in sizes)
+        nested = product_sequence((product_sequence((h, t)), u))
+        flat = product_sequence((h, t, u))
+        assert nested.alphabet.symbols == flat.alphabet.symbols
+        assert nested.data == flat.data
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
