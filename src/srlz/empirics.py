@@ -133,6 +133,8 @@ def _prefix_walk(n: int, gamma: int, block_lens: Tuple[int, ...],
     to 0 is deleted.  At each leaf, in joint-prefix order, leaf(vh, vt, phrases,
     c_l, joint, primary) sees c_l with the incomplete last phrase folded in.
     Returns the tries, c_l and dicts, empty again.
+    Depth n - 1 expands its leaves in one loop, with no trie step (their last
+    phrase ends at n) and one c_l mark and primary block update per letter a.
     The walk keeps its own tries rather than lz_core.walk's: it steps one
     symbol and undoes it, and per-symbol walk/undo/primary_step calls gave
     the same suite reports slower (single runs, 2 cores: converse 0.22-0.25 s
@@ -147,29 +149,30 @@ def _prefix_walk(n: int, gamma: int, block_lens: Tuple[int, ...],
              for ds, m, prim in ((joint, AB, False), (primary, 2, True))[:1 + (gamma > 1)]]
             for t in range(n)]
     steps = [(a, b, a * gamma + b) for a in (0, 1) for b in range(gamma)]
+    # every block ends at n: the joint dicts, and the primary ones when apart
+    jends = [(d, m) for d, m, prim in ends[-1] if not prim]
+    pends = [(d, m) for d, m, prim in ends[-1] if prim]
 
     def step(t: int, node: int, pn: int, vh: int, vt: int, jv: int) -> None:
+        below = step if t + 2 < n else last
         for a, b, s in steps:
             h, w, v = vh * 2 + a, vt * gamma + b, jv * AB + s
             for d, m, prim in ends[t]:
                 k = (h if prim else v) % m
                 d[k] = d.get(k, 0) + 1
             key = node * AB + s
-            child = trie.get(key) if t + 1 < n else None
+            child = trie.get(key)
             if child is not None:
-                step(t + 1, *child, h, w, v)
-            else:  # a phrase ends: a new one, or at a leaf the last (maybe incomplete)
+                below(t + 1, *child, h, w, v)
+            else:  # a phrase ends and the next starts at the root
                 pkey = pn * 2 + a
                 p = ptrie.setdefault(pkey, len(c_l) + 1)
                 if p > len(c_l):
                     c_l.append(0)
                 c_l[p - 1] += 1
-                if t + 1 == n:
-                    leaf(h, w, len(trie) + 1, c_l, joint, primary)
-                else:
-                    trie[key] = (len(trie) + 1, p)
-                    step(t + 1, 0, 0, h, w, v)
-                    del trie[key]
+                trie[key] = (len(trie) + 1, p)
+                below(t + 1, 0, 0, h, w, v)
+                del trie[key]
                 c_l[p - 1] -= 1
                 if not c_l[p - 1]:
                     c_l.pop()
@@ -180,7 +183,44 @@ def _prefix_walk(n: int, gamma: int, block_lens: Tuple[int, ...],
                 if not d[k]:
                     del d[k]
 
-    step(0, 0, 0, 0, 0, 0)
+    def last(_t: int, _node: int, pn: int, vh: int, vt: int, jv: int) -> None:
+        phrases, w0 = len(trie) + 1, vt * gamma
+        for a in (0, 1):
+            h = vh * 2 + a
+            for d, m in pends:
+                k = h % m
+                d[k] = d.get(k, 0) + 1
+            pkey = pn * 2 + a
+            p = ptrie.setdefault(pkey, len(c_l) + 1)
+            if p > len(c_l):
+                c_l.append(0)
+            c_l[p - 1] += 1
+            if jends:
+                for b in range(gamma):
+                    v = (jv * 2 + a) * gamma + b
+                    for d, m in jends:
+                        k = v % m
+                        d[k] = d.get(k, 0) + 1
+                    leaf(h, w0 + b, phrases, c_l, joint, primary)
+                    for d, m in jends:
+                        k = v % m
+                        d[k] -= 1
+                        if not d[k]:
+                            del d[k]
+            else:  # no block lengths, as in suite_converse
+                for b in range(gamma):
+                    leaf(h, w0 + b, phrases, c_l, joint, primary)
+            c_l[p - 1] -= 1
+            if not c_l[p - 1]:
+                c_l.pop()
+                del ptrie[pkey]
+            for d, m in pends:
+                k = h % m
+                d[k] -= 1
+                if not d[k]:
+                    del d[k]
+
+    (step if n > 1 else last)(0, 0, 0, 0, 0, 0)
     return trie, ptrie, c_l, joint, primary
 
 
@@ -208,13 +248,14 @@ def _scan(head: dict, gamma: int, unit: str, block_lens: Tuple[int, ...],
         raise ValueError(f"{total} {unit} exceed the scan budget {SCAN_BUDGET}")
     eps_n = bounds.eps_n_value(n, 2, eps_mode)
     xlogx = [c * math.log2(c) if c else 0.0 for c in range(n + 1)]  # each c*log2(c) once
+    rho_of = [rho_from_count(c, n) for c in range(n + 1)]  # a parse has at most n phrases
     cond = gamma > 1
     terms = [(i, l, n // l, math.log2(n // l), bounds.delta_n_prime(l, n, 2, gamma, eps_n)
               if cond else bounds.delta_n(l, n, 2, eps_n)) for i, l in enumerate(block_lens)]
     found: List[tuple] = []
 
     def leaf(vh: int, vt: int, c: int, c_l: list, joint: list, primary: list) -> None:
-        rho = sum(map(xlogx.__getitem__, c_l)) / n if cond else rho_from_count(c, n)
+        rho = sum(map(xlogx.__getitem__, c_l)) / n if cond else rho_of[c]
         for i, l, blocks, log2_blocks, delta in terms:
             s = sp = 0.0
             for cnt in joint[i].values():

@@ -12,8 +12,8 @@ from typing import Iterable, List, Optional, Sequence as Seq, Tuple
 
 from . import bounds
 from .container import Record
-from .cond_lz import rho_cond
-from .lz_core import Sequence, rho_lz
+from .cond_lz import _joint_walk, rho_cond, rho_cond_from_counts
+from .lz_core import Sequence, _lz_walk, rho_from_count, rho_lz
 
 TOL = 1e-9
 
@@ -163,15 +163,20 @@ def region_for_pair(primary: Sequence, secondary: Sequence, q: int,
 
 def blockwise_region(primary: Sequence, secondary: Sequence, q: int, block_len: int,
                      side: str, eps_mode: str = "default") -> HalfPlaneRegion:
-    """Block-partition region at block length k (k >= 2, k | n).
-
-    side="outer-minus" (short form "outer"): converse floors from per-block
-    complexities minus the penalties at block length k.  side="inner-plus"
-    (short form "inner"): the rates the restart codec achieves, per-block
-    complexities plus the codec slacks at k.
+    """Block-partition region at block length k (k >= 2, k | n), from the mean
+    over the n/k blocks of rho_lz(primary block) and rho_cond(secondary block
+    | primary block).  side="outer-minus" (short form "outer"): converse
+    floors, the means minus the penalties at k.  side="inner-plus" (short form
+    "inner"): the rates the restart codec achieves, the means plus its slacks.
     """
+    return _blockwise_regions(primary, secondary, q, block_len, (side,), eps_mode)[0]
+
+
+def _blockwise_regions(primary: Sequence, secondary: Sequence, q: int, k: int,
+                       sides: Tuple[str, ...], eps_mode: str) -> List[HalfPlaneRegion]:
+    """blockwise_region at each of `sides` from one plain and one joint walk
+    per block, on slices of `.data`, with rho_lz's and rho_cond's sums."""
     n = primary.n
-    k = block_len
     if n < 2:
         raise ValueError("needs n >= 2")
     if secondary.n != n:
@@ -182,35 +187,30 @@ def blockwise_region(primary: Sequence, secondary: Sequence, q: int, block_len: 
         raise ValueError(f"block length {k} does not divide n={n}")
     aliases = {"outer-minus": "outer-minus", "outer": "outer-minus",
                "inner-plus": "inner-plus", "inner": "inner-plus"}
-    if side not in aliases:
+    if any(side not in aliases for side in sides):
         raise ValueError("side must be 'outer-minus' or 'inner-plus'")
-    side = aliases[side]
-    beta = primary.alphabet.size
-    gamma = secondary.alphabet.size
-    sum1 = 0.0
-    sum2 = 0.0
+    beta, gamma = primary.alphabet.size, secondary.alphabet.size
+    sum1 = sum2 = 0.0
     for t in range(0, n, k):
-        pb = Sequence(primary.alphabet, primary.data[t:t + k])
-        sb = Sequence(secondary.alphabet, secondary.data[t:t + k])
-        sum1 += rho_lz(pb)
-        sum2 += rho_cond(sb, pb)
-    scale = k / n
-    avg1 = scale * sum1
-    avg12 = scale * (sum1 + sum2)
-    meta = {
-        "n": n, "q": q, "block_len": k, "side": side,
-        "avg_rho_lz": avg1, "avg_rho_sum": avg12,
-        "eps_mode": eps_mode,
-    }
-    if side == "outer-minus":
-        eps_n, d1, d2, d2_l = bounds.converse_terms(q, k, beta, gamma, eps_mode)
-        meta.update({"delta1": d1, "delta2": d2, "delta2_block_len": d2_l,
-                     "eps_n": eps_n})
-        return clamped_region(avg1 - d1, avg12 - d2, meta=meta)
-    e1 = bounds.eps_slack(k, beta, bounds.eps_n_value(k, beta, eps_mode))
-    e2 = bounds.eps_hat(k)
-    meta.update({"eps_slack": e1, "eps_hat": e2})
-    return clamped_region(avg1 + e1, avg12 + e1 + e2, meta=meta)
+        pb = primary.data[t:t + k]
+        keys, last = _lz_walk(pb, beta)
+        sum1 += rho_from_count(len(keys) + (last != 0), k)
+        sum2 += rho_cond_from_counts(_joint_walk(pb, secondary.data[t:t + k], beta, gamma)[2], k)
+    avg1, avg12 = k / n * sum1, k / n * (sum1 + sum2)
+
+    def region(side: str) -> HalfPlaneRegion:
+        meta = {"n": n, "q": q, "block_len": k, "side": side,
+                "avg_rho_lz": avg1, "avg_rho_sum": avg12, "eps_mode": eps_mode}
+        if side == "outer-minus":
+            eps_n, d1, d2, d2_l = bounds.converse_terms(q, k, beta, gamma, eps_mode)
+            meta.update({"delta1": d1, "delta2": d2, "delta2_block_len": d2_l, "eps_n": eps_n})
+            return clamped_region(avg1 - d1, avg12 - d2, meta=meta)
+        e1 = bounds.eps_slack(k, beta, bounds.eps_n_value(k, beta, eps_mode))
+        e2 = bounds.eps_hat(k)
+        meta.update({"eps_slack": e1, "eps_hat": e2})
+        return clamped_region(avg1 + e1, avg12 + e1 + e2, meta=meta)
+
+    return [region(aliases[side]) for side in sides]
 
 
 class SearchBudget(Record):

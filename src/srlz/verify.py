@@ -429,12 +429,10 @@ def suite_sandwich(seed: int = 0, pairs: int = 100, n: int = 1024, q: int = 1,
         gamma = sizes[(i // 3) % 3]
         primary, secondary = corpus.random_pair(rng, beta, gamma, n)
         # ks ends in n, so the last inner is the k = n one; with n < 2 it is
-        # empty and blockwise_region rejects k = n
+        # empty and the region rejects k = n
         for k in ks or [n]:
-            inner = regions.blockwise_region(primary, secondary, q, k,
-                                             "inner-plus", eps_mode)
-            outer = regions.blockwise_region(primary, secondary, q, k,
-                                             "outer-minus", eps_mode)
+            inner, outer = regions._blockwise_regions(primary, secondary, q, k,
+                                                      ("inner-plus", "outer-minus"), eps_mode)
             containment_checks += 1
             if not regions.region_contains_region(outer, inner, tol):
                 containment_violations.append(

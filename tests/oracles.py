@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Sequence as Seq, Tuple
 
+from srlz import bounds
 from srlz.bitio import pack
 from srlz.cond_lz import cond_encode, joint_parse, rho_cond, side_info_checksum
 from srlz.container import MODE_COND, Bitstream
@@ -133,6 +134,40 @@ def cond_encode_reference(secondary: Sequence, primary: Sequence) -> Bitstream:
                      phrase_count=nodes + (node != 0), last_incomplete=node != 0,
                      payload=payload, payload_bits=payload_bits,
                      side_checksum=side_info_checksum(primary))
+
+
+def blockwise_region_reference(primary: Sequence, secondary: Sequence, q: int, k: int,
+                               side: str, eps_mode: str = "default") -> HalfPlaneRegion:
+    """The block-partition region from one Sequence per block and the public
+    rho_lz and rho_cond; the reference for regions.blockwise_region."""
+    n = primary.n
+    side = {"outer": "outer-minus", "inner": "inner-plus"}.get(side, side)
+    beta = primary.alphabet.size
+    gamma = secondary.alphabet.size
+    sum1 = 0.0
+    sum2 = 0.0
+    for t in range(0, n, k):
+        pb = Sequence(primary.alphabet, primary.data[t:t + k])
+        sb = Sequence(secondary.alphabet, secondary.data[t:t + k])
+        sum1 += rho_lz(pb)
+        sum2 += rho_cond(sb, pb)
+    scale = k / n
+    avg1 = scale * sum1
+    avg12 = scale * (sum1 + sum2)
+    meta = {
+        "n": n, "q": q, "block_len": k, "side": side,
+        "avg_rho_lz": avg1, "avg_rho_sum": avg12,
+        "eps_mode": eps_mode,
+    }
+    if side == "outer-minus":
+        eps_n, d1, d2, d2_l = bounds.converse_terms(q, k, beta, gamma, eps_mode)
+        meta.update({"delta1": d1, "delta2": d2, "delta2_block_len": d2_l,
+                     "eps_n": eps_n})
+        return clamped_region(avg1 - d1, avg12 - d2, meta=meta)
+    e1 = bounds.eps_slack(k, beta, bounds.eps_n_value(k, beta, eps_mode))
+    e2 = bounds.eps_hat(k)
+    meta.update({"eps_slack": e1, "eps_hat": e2})
+    return clamped_region(avg1 + e1, avg12 + e1 + e2, meta=meta)
 
 
 def block_entropy_bits(blocks: Seq) -> float:

@@ -164,7 +164,13 @@ class TestPrefixWalk:
     @pytest.mark.parametrize("gamma", [1, 2])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_leaves_match_per_input_walks(self, n, gamma):
-        lens = tuple(l for l in range(1, n + 1) if n % l == 0)
+        divisors = tuple(l for l in range(1, n + 1) if n % l == 0)
+        # every divisor, none (suite_converse's walks) and two proper subsets
+        for lens in (divisors, (), divisors[1:], divisors[::2]):
+            self.check_leaves(n, gamma, lens)
+
+    @staticmethod
+    def check_leaves(n, gamma, lens):
         AB = 2 * gamma
         seen = []
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from srlz import bounds
 from srlz.cond_lz import joint_parse
-from srlz.lz_core import BINARY, Sequence, rho_lz
+from srlz.lz_core import BINARY, Alphabet, Sequence, rho_lz
 from srlz.regions import (
     HalfPlaneRegion,
     RatePoint,
@@ -235,6 +235,23 @@ class TestBlockwise:
             outer = blockwise_region(primary, secondary, 1, k, "outer")
             inner = blockwise_region(primary, secondary, 1, k, "inner")
             assert region_contains_region(outer, inner)
+
+    @pytest.mark.parametrize("beta, gamma", [(1, 1), (2, 2), (3, 26), (26, 3), (2, 1)])
+    @pytest.mark.parametrize("n", [2, 60, 64])
+    def test_matches_per_block_sequences(self, beta, gamma, n):
+        # the walks on slices of .data give the reference's floats exactly
+        rng = random.Random(n * 1000 + beta * 30 + gamma)
+        primary = Sequence(Alphabet.of_size(beta), [rng.randrange(beta) for _ in range(n)])
+        secondary = Sequence(Alphabet.of_size(gamma), [rng.randrange(gamma) for _ in range(n)])
+        for k in bounds.divisors(n)[1:]:
+            for side in ("outer-minus", "inner-plus", "outer", "inner"):
+                for eps_mode in ("default", "zero"):
+                    got = blockwise_region(primary, secondary, 2, k, side, eps_mode)
+                    want = oracles.blockwise_region_reference(primary, secondary, 2, k, side,
+                                                              eps_mode)
+                    assert repr(got) == repr(want)
+                    assert got.meta == want.meta
+                    assert list(got.meta) == list(want.meta)
 
     def test_input_validation(self):
         primary, secondary = self.pair()

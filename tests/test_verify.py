@@ -129,21 +129,21 @@ class TestSmallSuiteRuns:
         assert rep["containment_checks"] == 12
         assert rep["measured_rate_violations"] == []
 
-    def test_sandwich_builds_each_region_once(self, monkeypatch):
-        # the k = n inner region the measured rates are checked against is the
-        # last one the containment loop builds
-        from srlz import regions
+    def test_sandwich_walks_each_block_once(self, monkeypatch):
+        # each (pair, k) builds its inner and outer region from one plain and
+        # one joint walk per block, and the k = n inner region the measured
+        # rates are checked against is the last one the containment loop builds
+        walked = {"_lz_walk": [], "_joint_walk": []}
+        for name, seen in walked.items():
+            def counting(data, *args, real=getattr(regions, name), seen=seen):
+                seen.append(len(data))
+                return real(data, *args)
 
-        calls = []
-        real = regions.blockwise_region
-
-        def counting(primary, secondary, q, k, side, eps_mode):
-            calls.append((k, side))
-            return real(primary, secondary, q, k, side, eps_mode)
-
-        monkeypatch.setattr(regions, "blockwise_region", counting)
+            monkeypatch.setattr(regions, name, counting)
         suite_sandwich(pairs=2, n=16)
-        assert len(calls) == len(set(calls)) * 2 == 16
+        # block lengths 2, 4, 8 and 16: 8 + 4 + 2 + 1 blocks per pair
+        want = sorted(([2] * 8 + [4] * 4 + [8] * 2 + [16]) * 2)
+        assert sorted(walked["_lz_walk"]) == sorted(walked["_joint_walk"]) == want
 
     def test_sandwich_needs_two_symbols(self):
         with pytest.raises(ValueError, match="needs n >= 2"):
@@ -237,6 +237,33 @@ class TestExhaustiveGolden:
         rep = suite(**kwargs)
         if kwargs.get("tol") == -1e6:
             assert len(rep["violations"]) == (291 if suite is suite_converse else 768)
+        assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
+
+
+class TestBenchmarkParamsGolden:
+    # SHA-256 of the seven reports at the verify-suites benchmark's parameters,
+    # with fixed seeds for the seeded suites, as made before the last level of
+    # the prefix walk was unrolled and sandwich walked each block once per k
+    @pytest.mark.parametrize("suite, kwargs, digest", [
+        ("entropy-ineq", {"n": 14, "block_lens": (1, 2, 7)},
+         "e0bcbc65d459e1708a46ee947c554972480468517861ed139c880d0fc2be0acd"),
+        ("cond-entropy-ineq", {"n": 7, "block_lens": (1, 7)},
+         "b552cf2122577d1b59d528e26f5627151e1b0f0742747a35504fba0c58bfc47b"),
+        ("kraft", {"block_len_max": 2},
+         "a5073efa79d1f28cb868f65d75024c41800b7edb0c797d8b2827bf2a73bb54ea"),
+        ("converse", {"n_small": 8, "random_pairs": 10, "n_large": 256, "spot_checks": 20,
+                      "seed": 1},
+         "71a21226252a5ea4b60e2d4a081a4cea083c5101a6dbcf32384ae1c73dc01fa2"),
+        ("frontier", {"unions": 100, "seed": 7},
+         "a7ae44c01aac9fa5b28d4b7e90a21bceb13059f42099ea0e4663fa7666e8a5e5"),
+        ("split-lemma", {"budget": 100000, "seed": 2},
+         "cf13a1f492ebe428cdbca56798d9419d0000748c2da2291dd8b8cecf940c7ea8"),
+        ("sandwich", {"pairs": 6, "n": 256, "seed": 3},
+         "73684e1b1fbc19d6cd760e703fcccbab6240581a1c5b04292a3a6b05243b89af"),
+    ])
+    def test_report_golden(self, suite, kwargs, digest):
+        rep = SUITES[suite](**kwargs)
+        assert rep["holds"]
         assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
 
 
