@@ -29,8 +29,8 @@ _ORIGIN = {
     **dict.fromkeys(("Alphabet", "Sequence", "lz_decode", "lz_encode", "parse",
                      "product_sequence", "rho_lz"), "lz_core"),
     **dict.fromkeys(("egc_decode0", "egc_decode1", "egc_decode2", "egc_encode",
-                     "empirical_mi", "md_outer_region", "split_rates", "zb_decode0",
-                     "zb_decode1", "zb_decode2", "zb_encode"), "mdc"),
+                     "md_outer_region", "split_rates", "zb_decode0", "zb_decode1",
+                     "zb_decode2", "zb_encode"), "mdc"),
     **dict.fromkeys(("HalfPlaneRegion", "RatePoint", "RegionUnion", "SearchBudget",
                      "blockwise_region", "frontier", "region_for_pair", "sr_outer_region"),
                     "regions"),

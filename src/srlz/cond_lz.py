@@ -26,7 +26,6 @@ it once and pass the checksum in.
 
 from __future__ import annotations
 
-import math
 import struct
 from typing import Iterable, List, Optional, Sequence as Seq, Tuple, Union
 
@@ -39,7 +38,7 @@ from .container import (
     SideInfoMismatchError,
     StreamFormatError,
 )
-from .lz_core import Alphabet, Sequence, _lz_walk, rho_from_count
+from .lz_core import Alphabet, Sequence, _lz_walk, rho_from_count, xlogx_sum
 
 
 def side_info_checksum(primary: Sequence) -> int:
@@ -104,7 +103,7 @@ def _joint_walk(pd: Seq[int], sd: Seq[int], A: int, B: int) -> Tuple[List[int], 
 
 
 def rho_cond_from_counts(c_l: Seq[int], n: int) -> float:
-    return sum(cl * math.log2(cl) for cl in c_l) / n if n else 0.0
+    return xlogx_sum(c_l) / n if n else 0.0
 
 
 def joint_parse(primary: Sequence, secondary: Sequence) -> JointParseResult:
@@ -253,5 +252,8 @@ def _cond_decode(stream: Union[Bitstream, bytes], primary: Sequence,
         lst.append((b, nodes * A))
         node = 0
     if nodes + (node != 0) != stream.phrase_count or (node != 0) != stream.last_incomplete:
-        raise StreamFormatError("phrase accounting mismatch")
+        raise StreamFormatError(
+            f"phrase accounting mismatch at payload bit {8 * pos - have}: decoded "
+            f"{nodes + (node != 0)} phrases, last incomplete {node != 0}; header "
+            f"phrase_count={stream.phrase_count}, last_incomplete={stream.last_incomplete}")
     return Sequence(alphabet, out)

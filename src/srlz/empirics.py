@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import bounds
 from .container import Record
-from .lz_core import Sequence, rho_from_count
+from .lz_core import Sequence, rho_from_count, xlogx_sum
 
 TOL = 1e-12
 
@@ -30,10 +30,7 @@ class BlockEmpirics(Record):
 def _entropy_from_counts(counts: Dict, total: int) -> float:
     if total == 0:
         return 0.0
-    s = 0.0
-    for c in counts.values():
-        s += c * math.log2(c)
-    return math.log2(total) - s / total
+    return math.log2(total) - xlogx_sum(counts.values()) / total
 
 
 def block_empirics(primary: Sequence, secondary: Optional[Sequence], block_len: int) -> BlockEmpirics:
@@ -231,9 +228,8 @@ def _scan(head: dict, gamma: int, unit: str, block_lens: Tuple[int, ...],
           eps_mode: str, tol: float) -> dict:
     """Both exhaustive scans, verify's entropy suites, as one _prefix_walk over
     binary primaries: gamma = 1 for the plain inequality and 2 for the
-    conditional one.  Leaves sum c*log2(c) in the order of the walker's dicts
-    and c_l, as rho_from_count and rho_cond_from_counts do, so every float is
-    that of a left-to-right pass.
+    conditional one.  Leaves sum c*log2(c) with xlogx_sum, in the order of the
+    walker's dicts and c_l, as rho_cond_from_counts does.
     Leaves come in joint-prefix order, so violations are keyed by (vh, vt,
     block-length position) and sorted once, into (vh, vt, position) order.
     """
@@ -255,15 +251,11 @@ def _scan(head: dict, gamma: int, unit: str, block_lens: Tuple[int, ...],
     found: List[tuple] = []
 
     def leaf(vh: int, vt: int, c: int, c_l: list, joint: list, primary: list) -> None:
-        rho = sum(map(xlogx.__getitem__, c_l)) / n if cond else rho_of[c]
+        rho = xlogx_sum(c_l, xlogx) / n if cond else rho_of[c]
         for i, l, blocks, log2_blocks, delta in terms:
-            s = sp = 0.0
-            for cnt in joint[i].values():
-                s += xlogx[cnt]
+            s = xlogx_sum(joint[i].values(), xlogx)
             if cond:  # H(joint) - H(primary): log2(blocks) cancels
-                for cnt in primary[i].values():
-                    sp += xlogx[cnt]
-                lhs = ((sp - s) / blocks) / l
+                lhs = ((xlogx_sum(primary[i].values(), xlogx) - s) / blocks) / l
             else:
                 lhs = (log2_blocks - s / blocks) / l
             if lhs < rho - delta - tol:

@@ -281,6 +281,21 @@ def rho_from_count(c: int, n: int) -> float:
     return c * math.log2(c) / n
 
 
+def xlogx_sum(counts: Iterable[int], table: Optional[Seq[float]] = None) -> float:
+    """The sum of c*log2(c) over counts, each term table[c] when a table is
+    given, added left to right.  Every reported rate that sums such terms sums
+    them here: sum() of floats is compensated from Python 3.12 on, so its last
+    bits, and a report's digest, would depend on the interpreter."""
+    s = 0.0
+    if table is None:
+        for c in counts:
+            s += c * math.log2(c)
+    else:
+        for c in counts:
+            s += table[c]
+    return s
+
+
 def _code_len_bound(c: int, n: int, size: int) -> float:
     """The payload length bound of a c-phrase parse of n symbols over `size` letters."""
     from . import bounds
@@ -382,5 +397,6 @@ def lz_decode(stream: Union[Bitstream, bytes]) -> Sequence:
             out.append(s)
             edge.append(len(out))
     if len(out) != n:
-        raise StreamFormatError("decoded length differs from header length")
+        raise StreamFormatError(f"decoded length {len(out)} differs from header length n={n} "
+                                f"at payload bit {8 * pos - have}")
     return Sequence(alphabet, out)

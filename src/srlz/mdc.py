@@ -1,5 +1,5 @@
-"""Two-description coding: outer bound, the two achievable pipelines, the
-empirical mutual information, and the sum-rate split fact.
+"""Two-description coding: outer bound, the two achievable pipelines and the
+sum-rate split fact.
 
 Pipeline 1 (private + shared refinement): description i carries the plain
 stream of its own reproduction; the central refinement, the conditional
@@ -27,7 +27,7 @@ stream once when both descriptions carry the same bytes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from .container import (
     MODE_MD1,
@@ -66,19 +66,6 @@ from .lz_core import (
 # the region functions import regions and bounds when called: decoders never load them
 if TYPE_CHECKING:
     from .regions import HalfPlaneRegion
-
-
-def empirical_mi(xhat: Sequence, xtilde: Sequence, u: Optional[Sequence] = None) -> float:
-    """rho_lz(xhat) + rho_lz(xtilde) - rho_lz of the pair, or the conditional
-    variant given u.  May be negative; reported as-is."""
-    if xhat.n != xtilde.n:
-        raise ValueError("sequences must have equal length")
-    pair = product_sequence((xhat, xtilde))
-    if u is None:
-        return rho_lz(xhat) + rho_lz(xtilde) - rho_lz(pair)
-    if u.n != xhat.n:
-        raise ValueError("auxiliary length differs")
-    return rho_cond(xhat, u) + rho_cond(xtilde, u) - rho_cond(pair, u)
 
 
 def md_outer_region(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, q: int,
@@ -172,14 +159,26 @@ def split_rates(a: float, b: float, c: float, r1: float, r2: float,
 
 
 def _describe(n: int, own1: list, own2: list, center, share: float
-              ) -> Tuple[bytes, bytes, int, int]:
-    """Both descriptions: own segments, then a share of the central stream."""
+              ) -> Tuple[bytes, bytes, int, int, dict]:
+    """Both descriptions: own segments, then a share of the central stream.
+    Also returns the report's "rates" and "sum_identity" blocks, from the bits
+    of the segments each description packs."""
+    streams_bits = sum(seg.bit_length for seg in own1 + own2) + center.payload_bits
     part_a, part_b, bits_a, bits_b = split_leaf(center.to_bytes(), center.payload_bits, share)
     if part_a:
         own1.append(Segment(ROLE_COND_PART_A, bits_a, part_a))
     if part_b:
         own2.append(Segment(ROLE_COND_PART_B, bits_b, part_b))
-    return pack_segments(MODE_MD1, n, own1), pack_segments(MODE_MD2, n, own2), bits_a, bits_b
+    r1_bits = sum(seg.bit_length for seg in own1)
+    r2_bits = sum(seg.bit_length for seg in own2)
+    blocks = {
+        "rates": {"r1": r1_bits / n if n else 0.0,
+                  "r2": r2_bits / n if n else 0.0,
+                  "sum": (r1_bits + r2_bits) / n if n else 0.0},
+        "sum_identity": {"lhs_bits": r1_bits + r2_bits, "rhs_bits": streams_bits},
+    }
+    return (pack_segments(MODE_MD1, n, own1), pack_segments(MODE_MD2, n, own2),
+            bits_a, bits_b, blocks)
 
 
 def _center(segs1: Tuple[Segment, ...], segs2: Tuple[Segment, ...],
@@ -203,37 +202,25 @@ def egc_encode(xhat: Sequence, xtilde: Sequence, xcheck: Sequence,
     n = xhat.n
     if xtilde.n != n or xcheck.n != n:
         raise ValueError("sequences must have equal length")
-    if not 0.0 <= split <= 1.0:
-        raise ValueError(f"share fraction out of range: {split}")
     s1 = lz_encode(xhat)
     s2 = lz_encode(xtilde)
     pair = product_sequence((xhat, xtilde))
     sc = cond_encode(xcheck, pair)
-    desc1, desc2, bits_a, bits_b = _describe(
+    desc1, desc2, bits_a, bits_b, blocks = _describe(
         n, [Segment(ROLE_MD_PRIMARY, s1.payload_bits, s1.to_bytes())],
         [Segment(ROLE_MD_PRIMARY, s2.payload_bits, s2.to_bytes())], sc, split)
-    r1_bits = s1.payload_bits + bits_a
-    r2_bits = s2.payload_bits + bits_b
-    center_bits = sc.payload_bits
-    assert bits_a + bits_b == center_bits
     report = {
         "n": n,
         "split": split,
         "bits": {"stage_hat": s1.payload_bits, "stage_tilde": s2.payload_bits,
-                 "center": center_bits, "center_part1": bits_a,
+                 "center": sc.payload_bits, "center_part1": bits_a,
                  "center_part2": bits_b},
-        "rates": {"r1": r1_bits / n if n else 0.0,
-                  "r2": r2_bits / n if n else 0.0,
-                  "sum": (r1_bits + r2_bits) / n if n else 0.0},
-        # empirical_mi(xhat, xtilde), the plain rates from the streams' phrase counts
+        # the empirical mutual information rho_lz(xhat) + rho_lz(xtilde) -
+        # rho_lz(pair), the plain rates from the streams' phrase counts
         "mi": rho_from_count(s1.phrase_count, n) + rho_from_count(s2.phrase_count, n)
               - rho_lz(pair),
-        "sum_identity": {
-            "lhs_bits": r1_bits + r2_bits,
-            "rhs_bits": s1.payload_bits + s2.payload_bits + center_bits,
-        },
+        **blocks,
     }
-    assert report["sum_identity"]["lhs_bits"] == report["sum_identity"]["rhs_bits"]
     return desc1, desc2, report
 
 
@@ -275,8 +262,6 @@ def zb_encode(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, u: Sequence,
     n = xhat.n
     if xtilde.n != n or xcheck.n != n or u.n != n:
         raise ValueError("sequences must have equal length")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"share fraction out of range: {alpha}")
     su = lz_encode(u)
     hu = side_info_checksum(u)
     c1, cl_hat = _cond_encode(xhat, u, hu, counts=True)
@@ -285,22 +270,17 @@ def zb_encode(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, u: Sequence,
     rho_pair = rho_cond(pair, u)
     sc, cl_center = _cond_encode(xcheck, product_sequence((pair, u)), counts=True)
     aux = Segment(ROLE_AUX, su.payload_bits, su.to_bytes())
-    desc1, desc2, bits_a, bits_b = _describe(
+    desc1, desc2, bits_a, bits_b, blocks = _describe(
         n, [aux, Segment(ROLE_COND_GIVEN_AUX, c1.payload_bits, c1.to_bytes())],
         [aux, Segment(ROLE_COND_GIVEN_AUX, c2.payload_bits, c2.to_bytes())], sc, alpha)
-    r1_bits = su.payload_bits + c1.payload_bits + bits_a
-    r2_bits = su.payload_bits + c2.payload_bits + bits_b
-    mi = (rho_cond_from_counts(cl_hat, n) + rho_cond_from_counts(cl_til, n)
-          - rho_pair)  # empirical_mi(xhat, xtilde, u)
+    # the empirical mutual information given u, from the streams' counts
+    mi = rho_cond_from_counts(cl_hat, n) + rho_cond_from_counts(cl_til, n) - rho_pair
     report = {
         "n": n,
         "alpha": alpha,
         "bits": {"aux": su.payload_bits, "hat_given_aux": c1.payload_bits,
                  "tilde_given_aux": c2.payload_bits, "center": sc.payload_bits,
                  "center_part1": bits_a, "center_part2": bits_b},
-        "rates": {"r1": r1_bits / n if n else 0.0,
-                  "r2": r2_bits / n if n else 0.0,
-                  "sum": (r1_bits + r2_bits) / n if n else 0.0},
         "mi_given_aux": mi,
         "sum_decomposition": {
             "rho_aux_doubled": 2.0 * rho_from_count(su.phrase_count, n),
@@ -308,13 +288,8 @@ def zb_encode(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, u: Sequence,
             "rho_center": rho_cond_from_counts(cl_center, n),
             "mi_given_aux": mi,
         },
-        "sum_identity": {
-            "lhs_bits": r1_bits + r2_bits,
-            "rhs_bits": 2 * su.payload_bits + c1.payload_bits
-                        + c2.payload_bits + sc.payload_bits,
-        },
+        **blocks,
     }
-    assert report["sum_identity"]["lhs_bits"] == report["sum_identity"]["rhs_bits"]
     return desc1, desc2, report
 
 

@@ -29,7 +29,7 @@ from .container import (
     unpack_segments,
 )
 from .cond_lz import cond_decode, cond_encode, primary_step, rho_cond
-from .lz_core import Alphabet, Sequence, lz_decode, lz_encode, rho_lz, undo, walk
+from .lz_core import Alphabet, Sequence, lz_decode, lz_encode, rho_lz, undo, walk, xlogx_sum
 
 OBJECTIVES = ("min-r1", "min-sum", "weighted")
 
@@ -329,7 +329,7 @@ class _FlipScorer:
     it back); call `rebuild` after a change is kept, at the position scored
     last, so the prefix before it is unchanged and survives the rebuild.
     Scores are bit-identical to rho_lz(hat) + joint_parse(hat, til).rho_cond:
-    c_l*log2(c_l), from a table, is summed in first-marking order.
+    xlogx_sum adds c_l*log2(c_l), from a table, in first-marking order.
     """
 
     def __init__(self, h: List[int], t: List[int], A: int, B: int) -> None:
@@ -405,8 +405,7 @@ class _FlipScorer:
         undo(self.jt, self.jslots, mark)
         undo(self.pt, self.pslots, pmark)
         del pnode[mark + 1:]
-        xlogx = self.xlogx
-        return xlogx[c_h] / n + sum(map(xlogx.__getitem__, c_l)) / n, c_h
+        return self.xlogx[c_h] / n + xlogx_sum(c_l, self.xlogx) / n, c_h
 
 
 def _random_feasible(x: Sequence, d: PerLetterDistortion, level: float,

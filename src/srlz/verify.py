@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 
 # The suites import the modules they exercise themselves, so running one
 # suite loads only what it runs.
-from .lz_core import BINARY, Sequence, rho_from_count
+from .lz_core import BINARY, Sequence, rho_from_count, xlogx_sum
 
 TOL = 1e-9
 
@@ -180,7 +180,7 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
         m2 = m2_memo.get(counts)
         if m2 is None:
             m2 = m2_memo[counts] = min_rho2(counts, n_small)
-        rho_c = sum(map(xlogx.__getitem__, c_l)) / n_small  # rho_cond_from_counts
+        rho_c = xlogx_sum(c_l, xlogx) / n_small  # rho_cond_from_counts
         if m1_by_ones[oh] + m2 < rho_small[vh] + rho_c - d2_small - tol:
             found.append(vh * side + vt)
 

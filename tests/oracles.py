@@ -21,7 +21,7 @@ from srlz.container import MODE_COND, Bitstream
 from srlz.corpus import ALPHABET_SIZES, STYLES, noisy_copy, random_sequence
 from srlz.empirics import TOL, block_checks
 from srlz.fsm import FsmEncoder
-from srlz.lz_core import Alphabet, Sequence, rho_lz
+from srlz.lz_core import Alphabet, Sequence, product_sequence, rho_lz
 from srlz.regions import TOL as REGION_TOL
 from srlz.regions import HalfPlaneRegion, RatePoint, clamped_region, region_from_corner
 from srlz.sr_codec import DistortionSpec, _random_feasible, distortion, nearest_feasible
@@ -98,6 +98,21 @@ def joint_parse_by_set(primary: Seq, secondary: Seq):
     n = len(primary)
     rho_c = sum(v * math.log2(v) for v in c_l) / n if n else 0.0
     return c_joint, len(counts), c_l, rho_c, incomplete
+
+
+def empirical_mi(xhat: Sequence, xtilde: Sequence, u: Optional[Sequence] = None) -> float:
+    """rho_lz(xhat) + rho_lz(xtilde) - rho_lz of the pair, or the conditional
+    variant given u, from fresh parses: the reference for the "mi" and
+    "mi_given_aux" the two-description encoders take from their own counts.
+    May be negative."""
+    if xhat.n != xtilde.n:
+        raise ValueError("sequences must have equal length")
+    pair = product_sequence((xhat, xtilde))
+    if u is None:
+        return rho_lz(xhat) + rho_lz(xtilde) - rho_lz(pair)
+    if u.n != xhat.n:
+        raise ValueError("auxiliary length differs")
+    return rho_cond(xhat, u) + rho_cond(xtilde, u) - rho_cond(pair, u)
 
 
 def cond_encode_reference(secondary: Sequence, primary: Sequence) -> Bitstream:

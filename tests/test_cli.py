@@ -747,7 +747,7 @@ class TestRegionCmd:
         res = rep["results"]
         assert set(res) >= {"outer", "egc_inner", "mi"}
         assert "zb_inner" not in res
-        want_mi = mdc.empirical_mi(cli.load_sequence(xhat), cli.load_sequence(xtilde))
+        want_mi = oracles.empirical_mi(cli.load_sequence(xhat), cli.load_sequence(xtilde))
         assert res["mi"] == pytest.approx(want_mi)
         code, rep, _, _ = run(capsys, "region", "md", xhat, xtilde, xcheck,
                               "--u-file", u)

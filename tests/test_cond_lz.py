@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from srlz import cond_lz
 from srlz.bitio import FNV64_PRIME, fnv1a64, fnv1a64_u32, pack
-from srlz.container import SideInfoMismatchError, StreamFormatError
+from srlz.container import MODE_COND, Bitstream, SideInfoMismatchError, StreamFormatError
 from srlz.cond_lz import (
     _cond_encode,
     cond_decode,
@@ -18,9 +18,11 @@ from srlz.cond_lz import (
     joint_parse,
     primary_step,
     rho_cond,
+    rho_cond_from_counts,
     side_info_checksum,
 )
-from srlz.lz_core import BINARY, Alphabet, Sequence, _lz_walk, product_sequence
+from srlz.corpus import random_sequence
+from srlz.lz_core import BINARY, Alphabet, Sequence, _lz_walk, product_sequence, xlogx_sum
 
 
 def bits(text: str) -> Sequence:
@@ -105,6 +107,25 @@ def test_primary_step_resumed_over_two_chunks_counts_like_the_oracle(case):
         assert [ptrie[k] for k in pslots] == list(range(1, len(c_l) + 1))
 
 
+def test_reported_rates_add_their_terms_left_to_right():
+    # a seeded pair whose c_l terms round differently added left to right
+    # than correctly rounded (math.fsum, or sum() from Python 3.12 on): every
+    # report holds the left-to-right value on every interpreter
+    rng = random.Random(6)
+    primary, secondary = random_sequence(rng, 2, 400), random_sequence(rng, 3, 400)
+    jp = joint_parse(primary, secondary)
+    terms = [c * math.log2(c) for c in jp.c_l]
+    ltr = 0.0
+    for t in terms:
+        ltr += t
+    exact = math.fsum(terms)
+    assert ltr / 400 != exact / 400
+    table = [0.0] + [c * math.log2(c) for c in range(1, 401)]
+    assert xlogx_sum(jp.c_l) == xlogx_sum(jp.c_l, table) == ltr != exact
+    assert rho_cond_from_counts(jp.c_l, 400) == jp.rho_cond == ltr / 400
+    assert rho_cond(secondary, primary) == ltr / 400
+
+
 @given(sized_pairs)
 def test_count_only_walk_matches_joint_parse(case):
     # the set oracle over the pairs, c_l in first-marking order: the order in
@@ -115,7 +136,10 @@ def test_count_only_walk_matches_joint_parse(case):
     jp = joint_parse(primary, secondary)
     phrases, c_joint, incomplete = oracles.parse_by_set(list(zip(pd, sd)))
     c_l = list(Counter(tuple(a for a, _ in w) for w in phrases).values())
-    rho_c = sum(v * math.log2(v) for v in c_l) / len(pd) if pd else 0.0
+    s = 0.0
+    for v in c_l:  # left to right, never sum(): compensated from Python 3.12 on
+        s += v * math.log2(v)
+    rho_c = s / len(pd) if pd else 0.0
     assert list(jp.c_l) == c_l
     assert jp.rho_cond == rho_c
     assert rho_cond(secondary, primary) == rho_c
@@ -326,3 +350,17 @@ class TestDecodeErrors:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             cond_encode(bits("01"), bits("0"))
+
+    def test_phrase_accounting_names_the_header_fields_and_the_bit(self):
+        # a header that counts one phrase too many: decoding stops at the
+        # payload's last bit, 6, with the four phrases the payload holds
+        side = bits("0011")
+        enc = cond_encode(bits("0101"), side)
+        assert (enc.phrase_count, enc.last_incomplete, enc.payload_bits) == (4, False, 6)
+        raw = Bitstream(mode=MODE_COND, n=4, alphabet=enc.alphabet, phrase_count=5,
+                        last_incomplete=False, payload=enc.payload,
+                        side_checksum=enc.side_checksum).to_bytes()
+        with pytest.raises(StreamFormatError, match=(
+                r"^phrase accounting mismatch at payload bit 6: decoded 4 phrases, last "
+                r"incomplete False; header phrase_count=5, last_incomplete=False$")):
+            cond_decode(raw, side)

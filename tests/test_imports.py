@@ -231,7 +231,7 @@ class TestSurface:
         namespace: dict = {}
         exec("from srlz import *", namespace)
         assert set(srlz.__all__) <= set(namespace)
-        assert len(srlz.__all__) == len(set(srlz.__all__)) == 53
+        assert len(srlz.__all__) == len(set(srlz.__all__)) == 52
 
     def test_dir_lists_every_public_name(self):
         assert set(srlz.__all__) <= set(dir(srlz))

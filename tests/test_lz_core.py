@@ -386,6 +386,19 @@ class TestDecodeErrors:
                            match="symbol index 3 out of range at payload bit 3"):
             lz_decode(bs.to_bytes())
 
+    def test_short_phrase_count_names_n_and_the_bit(self):
+        # 0|1|00 takes 1 + 2 + 3 payload bits; a header that counts two
+        # phrases stops after bit 3, with 2 of the 4 symbols decoded
+        from srlz.container import Bitstream
+
+        enc = lz_encode(Sequence.from_text("0100"))
+        assert (enc.phrase_count, enc.last_incomplete) == (3, False)
+        raw = Bitstream(mode=MODE_LZ, n=4, alphabet=enc.alphabet, phrase_count=2,
+                        last_incomplete=False, payload=enc.payload).to_bytes()
+        with pytest.raises(StreamFormatError, match="decoded length 2 differs from "
+                                                    "header length n=4 at payload bit 3$"):
+            lz_decode(raw)
+
     def test_chained_phrases_stop_at_header_length(self):
         # phrase j extends phrase j-1, so 3,000 phrases spell 4,501,500
         # symbols; a header n of 1,000 must stop decoding before the output

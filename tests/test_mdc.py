@@ -15,7 +15,6 @@ from srlz.mdc import (
     egc_decode1,
     egc_decode2,
     egc_encode,
-    empirical_mi,
     md_inner_region,
     md_outer_region,
     split_rates,
@@ -26,6 +25,7 @@ from srlz.mdc import (
 )
 from srlz import bounds
 from srlz.regions import HalfPlaneRegion, RatePoint, region_contains_region
+from oracles import empirical_mi
 
 
 def bits(text: str) -> Sequence:
