@@ -202,6 +202,8 @@ def egc_encode(xhat: Sequence, xtilde: Sequence, xcheck: Sequence,
     n = xhat.n
     if xtilde.n != n or xcheck.n != n:
         raise ValueError("sequences must have equal length")
+    if not 0.0 <= split <= 1.0:  # before any stream is coded; NaN fails too
+        raise ValueError(f"share fraction out of range: {split}")
     s1 = lz_encode(xhat)
     s2 = lz_encode(xtilde)
     pair = product_sequence((xhat, xtilde))
@@ -262,6 +264,8 @@ def zb_encode(xhat: Sequence, xtilde: Sequence, xcheck: Sequence, u: Sequence,
     n = xhat.n
     if xtilde.n != n or xcheck.n != n or u.n != n:
         raise ValueError("sequences must have equal length")
+    if not 0.0 <= alpha <= 1.0:  # before any stream is coded; NaN fails too
+        raise ValueError(f"share fraction out of range: {alpha}")
     su = lz_encode(u)
     hu = side_info_checksum(u)
     c1, cl_hat = _cond_encode(xhat, u, hu, counts=True)

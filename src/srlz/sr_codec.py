@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from .container import (
     MODE_COND,
@@ -76,11 +76,21 @@ def hamming_spec(level1: float, level2: float) -> DistortionSpec:
     return DistortionSpec(d1=d, d2=d, level1=level1, level2=level2)
 
 
+def _added(terms: Iterable[float]) -> float:
+    """The terms added left to right.  Every distortion total here is added
+    by it: sum() of floats is compensated from Python 3.12 on, so its last
+    bits, and with them a ball's edge, would depend on the interpreter."""
+    s = 0.0
+    for v in terms:
+        s += v
+    return s
+
+
 def distortion(x: Sequence, y: Sequence, d: PerLetterDistortion) -> float:
     if x.n != y.n:
         raise ValueError("length mismatch")
     cost = d.letter_cost(x.alphabet, y.alphabet)
-    return sum(cost[a][b] for a, b in zip(x.data, y.data))
+    return _added(cost[a][b] for a, b in zip(x.data, y.data))
 
 
 class SrEncoded(Record):
@@ -137,24 +147,28 @@ def sr_decode_full(enc: Union[SrEncoded, bytes]) -> Tuple[Sequence, Sequence]:
     return xhat, xtilde
 
 
+def _side(x: Sequence, d: PerLetterDistortion, level: float) -> Tuple[Alphabet, List[List[float]], float]:
+    """One side's ball: its reproduction alphabet, cost[a][j] = d(source
+    letter a, reproduction letter j), and the budget level * n + 1e-9 that a
+    reproduction's total distortion may reach."""
+    rep = d.rep_alphabet(x.alphabet)
+    return rep, d.letter_cost(x.alphabet, rep), level * x.n + 1e-9
+
+
 def nearest_feasible(x: Sequence, d: PerLetterDistortion, level: float) -> Sequence:
     """Per-letter cheapest reproduction; errors when even that misses the level."""
-    rep = d.rep_alphabet(x.alphabet)
-    cost = d.letter_cost(x.alphabet, rep)
-    choice = [min(range(rep.size), key=lambda j: (cost[a][j], j)) for a in range(x.alphabet.size)]
-    data = [choice[a] for a in x.data]
-    total = sum(cost[a][choice[a]] for a in x.data)
-    if total > level * x.n + 1e-9:
+    rep, cost, budget = _side(x, d, level)
+    choice = [min(range(rep.size), key=row.__getitem__) for row in cost]  # first cheapest
+    total = _added(cost[a][choice[a]] for a in x.data)
+    if total > budget:
         raise InfeasibleError(
             f"distortion level {level} unreachable (best average {total / max(1, x.n):.4f})")
-    return Sequence(rep, data)
+    return Sequence(rep, [choice[a] for a in x.data])
 
 
 def _ball(x: Sequence, d: PerLetterDistortion, level: float) -> List[Sequence]:
     """All reproductions within the level."""
-    rep = d.rep_alphabet(x.alphabet)
-    cost = d.letter_cost(x.alphabet, rep)
-    budget = level * x.n + 1e-9
+    rep, cost, budget = _side(x, d, level)
     out: List[Sequence] = []
     n = x.n
     data = x.data
@@ -175,7 +189,7 @@ def _ball(x: Sequence, d: PerLetterDistortion, level: float) -> List[Sequence]:
 
 def candidate_pairs(x: Sequence, dist: DistortionSpec, search) -> Tuple[List[Tuple[Sequence, Sequence]], dict]:
     """Admissible (coarse, fine) pairs: exhaustive over the two balls when
-    small, otherwise seeded greedy + perturbation candidates."""
+    small, otherwise greedy descents from the nearest pair and random restarts."""
     mode = search.mode
     meta: dict = {"search_mode": mode, "seed": search.seed}
     if mode not in ("auto", "exhaustive", "greedy"):
@@ -206,94 +220,74 @@ def _greedy_pairs(x: Sequence, dist: DistortionSpec, search) -> List[Tuple[Seque
     """Single-letter flip descent from the nearest reproductions and from
     `search.restarts` random ones, within `search.evaluations` candidates.
 
-    A sweep tries, at each position, every other letter of the coarse and
-    then the fine sequence that keeps it inside its ball, and keeps a flip
-    that lowers rho_lz(hat) + rho_cond(til | hat).  A candidate (position,
-    side, letter) last scored when as many flips had been accepted as now is
-    not scored again: with no flip kept since, h, t and the best score are
-    as they were when it was rejected, so it would be rejected again.  It
-    still counts as an evaluation, so the budget, and with it every pair
-    returned, is as if it were scored."""
+    A sweep tries, at each position, every other letter of the coarse (side
+    0) and then the fine (side 1) sequence that keeps it inside its ball, and
+    keeps a flip that lowers rho_lz(hat) + rho_cond(til | hat).  A candidate
+    (position, side, letter) last scored when as many flips had been accepted
+    as now is not scored again: with no flip kept since, h, t and the best
+    score are as they were when it was rejected, so it would be rejected
+    again.  It still counts as an evaluation, so the budget, and with it every
+    pair returned, is as if it were scored."""
     rng = random.Random(search.seed)
-    collected: List[Tuple[Sequence, Sequence]] = []
-    seen = set()
-
-    def keep(hat: Sequence, til: Sequence) -> None:
-        key = (hat.data, til.data)
-        if key not in seen:
-            seen.add(key)
-            collected.append((hat, til))
-
-    evals = [0]
+    reps, costs, budgets = zip(_side(x, dist.d1, dist.level1), _side(x, dist.d2, dist.level2))
+    sizes = [rep.size for rep in reps]
+    found: Dict[Tuple[tuple, tuple], Tuple[Sequence, Sequence]] = {}
+    evals = 0
 
     def improve(hat: Sequence, til: Sequence) -> Tuple[Sequence, Sequence]:
-        cost1 = dist.d1.letter_cost(x.alphabet, hat.alphabet)
-        cost2 = dist.d2.letter_cost(x.alphabet, til.alphabet)
-        bud1 = dist.level1 * x.n + 1e-9
-        bud2 = dist.level2 * x.n + 1e-9
-        h = list(hat.data)
-        t = list(til.data)
-        dh = sum(cost1[a][b] for a, b in zip(x.data, h))
-        dt = sum(cost2[a][b] for a, b in zip(x.data, t))
-        size1, size2 = hat.alphabet.size, til.alphabet.size
-        scorer = _FlipScorer(h, t, size1, size2)
+        nonlocal evals
+        seqs = [list(hat.data), list(til.data)]
+        spent = [_added(c[a][b] for a, b in zip(x.data, seq)) for c, seq in zip(costs, seqs)]
+        scorer = _FlipScorer(*seqs, *sizes)
         best = scorer.rebuild()
         # the accepted-flip count at which each (i, j) flip was last scored
-        scored1 = [-1] * (x.n * size1)
-        scored2 = [-1] * (x.n * size2)
+        memos = [[-1] * (x.n * size) for size in sizes]
         accepted = 0
         improved = True
-        while improved and evals[0] < search.evaluations:
+        while improved and evals < search.evaluations:
             improved = False
             for i in range(x.n):
-                if evals[0] >= search.evaluations:
+                if evals >= search.evaluations:
                     break
                 a = x.data[i]
-                for coarse, seq_ref, cost, bud, size, scored in (
-                        (True, h, cost1, bud1, size1, scored1),
-                        (False, t, cost2, bud2, size2, scored2)):
-                    old = seq_ref[i]
-                    base_d = dh if coarse else dt
+                for side in (0, 1):
+                    seq, row, size, memo = seqs[side], costs[side][a], sizes[side], memos[side]
+                    old, total, budget = seq[i], spent[side], budgets[side]
                     for j in range(size):
                         if j == old:
                             continue
-                        nd = base_d - cost[a][old] + cost[a][j]
-                        if nd > bud:
+                        nd = total - row[old] + row[j]
+                        if nd > budget:
                             continue
-                        evals[0] += 1
+                        evals += 1
                         slot = i * size + j
-                        if scored[slot] == accepted:  # rejected against this pair
+                        if memo[slot] == accepted:  # rejected against this pair
                             continue
-                        scored[slot] = accepted
-                        seq_ref[i] = j
-                        cand = scorer.score(i, coarse)
+                        memo[slot] = accepted
+                        seq[i] = j
+                        cand = scorer.score(i, side == 0)
                         if cand < best - 1e-15:
                             best = cand
                             scorer.rebuild()
                             accepted += 1
-                            base_d = nd
-                            if coarse:
-                                dh = nd
-                            else:
-                                dt = nd
+                            spent[side] = total = nd
                             old = j
                             improved = True
                         else:
-                            seq_ref[i] = old
-        return Sequence(hat.alphabet, h), Sequence(til.alphabet, t)
+                            seq[i] = old
+        return Sequence(reps[0], seqs[0]), Sequence(reps[1], seqs[1])
 
-    hat0 = nearest_feasible(x, dist.d1, dist.level1)
-    til0 = nearest_feasible(x, dist.d2, dist.level2)
-    keep(hat0, til0)
-    keep(*improve(hat0, til0))
+    def descend(hat: Sequence, til: Sequence) -> None:
+        for h, t in ((hat, til), improve(hat, til)):
+            found.setdefault((h.data, t.data), (h, t))
+
+    descend(nearest_feasible(x, dist.d1, dist.level1), nearest_feasible(x, dist.d2, dist.level2))
     for _ in range(max(0, search.restarts)):
-        hat = _random_feasible(x, dist.d1, dist.level1, rng)
-        til = _random_feasible(x, dist.d2, dist.level2, rng)
-        keep(hat, til)
-        keep(*improve(hat, til))
-        if evals[0] >= search.evaluations:
+        descend(_random_feasible(x, dist.d1, dist.level1, rng),
+                _random_feasible(x, dist.d2, dist.level2, rng))
+        if evals >= search.evaluations:
             break
-    return collected
+    return list(found.values())
 
 
 # Most slots a flat trie table may take; a scorer trie of n letters below
@@ -413,10 +407,9 @@ def _random_feasible(x: Sequence, d: PerLetterDistortion, level: float,
     """Random reproduction inside the ball: per position, pick uniformly among
     letters that keep the remaining budget nonnegative (cheapest letters cost 0
     of budget beyond the floor)."""
-    rep = d.rep_alphabet(x.alphabet)
-    cost = d.letter_cost(x.alphabet, rep)
+    rep, cost, _ = _side(x, d, level)
     floor_cost = [min(row) for row in cost]
-    slack = level * x.n - sum(floor_cost[a] for a in x.data)
+    slack = level * x.n - _added(floor_cost[a] for a in x.data)
     if slack < -1e-9:
         raise InfeasibleError(f"distortion level {level} unreachable")
     out = []
@@ -448,18 +441,12 @@ def select_reproductions(x: Sequence, dist: DistortionSpec,
     if not 0.0 <= w <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
     pairs, meta = candidate_pairs(x, dist, search)
-    best = None
-    best_key = None
-    for hat, til in pairs:
-        r1 = rho_lz(hat)
-        rc = rho_cond(til, hat)
-        key = (r1 + w * rc, hat.data, til.data)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (hat, til)
+    # the index, last, keeps the first of two pairs with equal keys
+    best = min(((rho_lz(h) + w * rho_cond(t, h), h.data, t.data, k)
+                for k, (h, t) in enumerate(pairs)), default=None)
     if best is None:
         raise InfeasibleError("no admissible reproduction pair")
     diag = dict(meta)
     diag.update({"objective": objective, "weight": search.weight,
-                 "objective_value": best_key[0]})
-    return best[0], best[1], diag
+                 "objective_value": best[0]})
+    return (*pairs[best[3]], diag)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -298,6 +299,20 @@ class TestPipelineTwo:
             _, _, rep = zb_encode(xhat, xtilde, xcheck, u, alpha)
             assert reg.contains(RatePoint(rep["rates"]["r1"], rep["rates"]["r2"]))
             assert rep["rates"]["sum"] == pytest.approx(reg.b)
+
+
+@pytest.mark.parametrize("share", [1.5, -0.1, float("nan")])
+def test_share_refused_before_any_stream_is_coded(monkeypatch, share):
+    def coded(seq):
+        raise AssertionError("a stream was coded before the share was checked")
+
+    monkeypatch.setattr(mdc, "lz_encode", coded)
+    xhat, xtilde, xcheck = triple()
+    text = f"^share fraction out of range: {re.escape(str(share))}$"  # split_leaf's text
+    with pytest.raises(ValueError, match=text):
+        egc_encode(xhat, xtilde, xcheck, share)
+    with pytest.raises(ValueError, match=text):
+        zb_encode(xhat, xtilde, xcheck, default_auxiliary(xhat), share)
 
 
 def long_triple(size=26, n=3000):

@@ -98,6 +98,13 @@ class TestDistortionTotals:
         assert not in_ball(x, x, bits("0001"), spec)   # fine side violated
 
 
+def test_distortion_totals_add_left_to_right():
+    # ten 0.1s make 0.9999999999999999 left to right, 1.0 under sum() from 3.12 on
+    x = bits("0110100101")
+    d = PerLetterDistortion("table", table={(a, b): 0.1 for a in "01" for b in "01"})
+    assert distortion(x, x, d) == 0.9999999999999999
+
+
 class TestNearestFeasible:
     def test_identity_at_level_zero(self):
         x = bits("0110")
@@ -305,6 +312,15 @@ class TestSelection:
                                               SearchBudget(mode="greedy"))
         assert (hat.data, til.data) == ((0,), (1,))
         assert diag["objective_value"] == 0.0
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_ties_go_to_the_least_index_strings(self, monkeypatch, order):
+        # both pairs score rho_lz 3*log2(3)/4 and rho_cond 0
+        pairs = [(bits("1001"), bits("1001")), (bits("0110"), bits("0110"))][::order]
+        monkeypatch.setattr(sr_codec, "candidate_pairs", lambda x, dist, search: (pairs, {}))
+        hat, til, diag = select_reproductions(bits("0000"), hamming_spec(0.5, 0.5), "min-sum")
+        assert (hat, til) == (bits("0110"), bits("0110"))
+        assert diag["objective_value"] == 1.188721875540867
 
     def test_selection_is_deterministic(self):
         x = bits("0110100101001101")
