@@ -202,14 +202,17 @@ def _cond_decode(stream: Union[Bitstream, bytes], primary: Sequence,
     if isinstance(stream, (bytes, bytearray)):
         stream = Bitstream.from_bytes(bytes(stream))
     if stream.mode != MODE_COND:
-        raise ModeMismatchError("not a conditional stream container")
+        raise ModeMismatchError(f"not a conditional stream container: mode field (byte 5) "
+                                f"reads {stream.mode}, expected {MODE_COND}")
     if primary.n != stream.n:
         raise SideInfoMismatchError(
             f"side information has length {primary.n}, stream expects {stream.n}")
     if checksum is None:
         checksum = side_info_checksum(primary)
     if checksum != stream.side_checksum:
-        raise SideInfoMismatchError("side information checksum mismatch")
+        raise SideInfoMismatchError(
+            f"side information checksum mismatch: side_checksum field reads "
+            f"{stream.side_checksum}, the side information hashes to {checksum}")
     alphabet = Alphabet(stream.alphabet)
     size = alphabet.size
     secw = alphabet.bits_per_symbol

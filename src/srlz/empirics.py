@@ -132,10 +132,11 @@ def _prefix_walk(n: int, gamma: int, block_lens: Tuple[int, ...],
     Returns the tries, c_l and dicts, empty again.
     Depth n - 1 expands its leaves in one loop, with no trie step (their last
     phrase ends at n) and one c_l mark and primary block update per letter a.
-    The walk keeps its own tries rather than lz_core.walk's: it steps one
-    symbol and undoes it, and per-symbol walk/undo/primary_step calls gave
-    the same suite reports slower (single runs, 2 cores: converse 0.22-0.25 s
-    against 0.13 s, entropy-ineq 0.080-0.084 s against 0.056-0.067 s).
+    So leaves come in runs of gamma with equal vh, one after another, sharing
+    the same c_l and primary dicts, and two runs in a row never have equal vh:
+    a leaf may keep what it computed from those for the next leaf of equal vh.
+    The walk keeps its own tries rather than lz_core.walk's: per-symbol
+    walk/undo/primary_step calls gave the same reports slower (README, Library).
     """
     AB = 2 * gamma
     trie, ptrie, c_l = {}, {}, []  # trie values: (joint node, its primary node)
@@ -249,13 +250,19 @@ def _scan(head: dict, gamma: int, unit: str, block_lens: Tuple[int, ...],
     terms = [(i, l, n // l, math.log2(n // l), bounds.delta_n_prime(l, n, 2, gamma, eps_n)
               if cond else bounds.delta_n(l, n, 2, eps_n)) for i, l in enumerate(block_lens)]
     found: List[tuple] = []
+    prev, rho, psums = -1, 0.0, []  # cond: the last leaf's primary, its rho and primary sums
 
     def leaf(vh: int, vt: int, c: int, c_l: list, joint: list, primary: list) -> None:
-        rho = xlogx_sum(c_l, xlogx) / n if cond else rho_of[c]
+        nonlocal prev, rho, psums
+        if not cond:
+            rho = rho_of[c]
+        elif vh != prev:  # a new run of leaves below one primary letter: a new c_l
+            prev, rho = vh, xlogx_sum(c_l, xlogx) / n
+            psums = [xlogx_sum(d.values(), xlogx) for d in primary]
         for i, l, blocks, log2_blocks, delta in terms:
             s = xlogx_sum(joint[i].values(), xlogx)
             if cond:  # H(joint) - H(primary): log2(blocks) cancels
-                lhs = ((xlogx_sum(primary[i].values(), xlogx) - s) / blocks) / l
+                lhs = ((psums[i] - s) / blocks) / l
             else:
                 lhs = (log2_blocks - s / blocks) / l
             if lhs < rho - delta - tol:

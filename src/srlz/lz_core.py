@@ -353,7 +353,8 @@ def lz_decode(stream: Union[Bitstream, bytes]) -> Sequence:
     if isinstance(stream, (bytes, bytearray)):
         stream = Bitstream.from_bytes(bytes(stream))
     if stream.mode != MODE_LZ:
-        raise ModeMismatchError("not a plain stream container")
+        raise ModeMismatchError(f"not a plain stream container: mode field (byte 5) "
+                                f"reads {stream.mode}, expected {MODE_LZ}")
     alphabet = Alphabet(stream.alphabet)
     size = alphabet.size
     symw = alphabet.bits_per_symbol

@@ -108,13 +108,17 @@ class SrEncoded(Record):
         seg1 = find_segment(segments, ROLE_STAGE1)
         seg2 = find_segment(segments, ROLE_STAGE2)
         if seg1 is None or seg2 is None:
-            raise StreamFormatError("refinement container missing a stage segment")
+            raise StreamFormatError(
+                "refinement container missing a stage segment: segment roles read "
+                f"{[seg.role for seg in segments]}, expected {ROLE_STAGE1} and {ROLE_STAGE2}")
         s1 = Bitstream.from_bytes(seg1.data)
         s2 = Bitstream.from_bytes(seg2.data)
         s1.payload_bits = seg1.bit_length
         s2.payload_bits = seg2.bit_length
         if s1.mode != MODE_LZ or s2.mode != MODE_COND:
-            raise StreamFormatError("stage segments have wrong modes")
+            raise StreamFormatError(
+                f"stage segments have wrong modes: mode fields read {s1.mode} (stage 1) and "
+                f"{s2.mode} (stage 2), expected {MODE_LZ} and {MODE_COND}")
         return cls(stage1=s1, stage2=s2, n=n,
                    r1=seg1.bit_length / n if n else 0.0,
                    r2=seg2.bit_length / n if n else 0.0)

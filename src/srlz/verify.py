@@ -57,9 +57,11 @@ def suite_kraft(max_out_len: int = 2, block_len_max: int = 3,
     encoder i is the pair (f1s[i // len(f2s)], f2s[i % len(f2s)]), the order
     of fsm.enumerate_lossless_onestate_binary.  Reduction: a Kraft sum
     depends on an encoder only through its output lengths and transitions
-    (fsm.kraft_tables), and a one-state encoder has one transition, so pairs
-    with equal per-table length profiles share one exact kraft_check report
-    per block length, made on one representative encoder.
+    (fsm.kraft_tables), and a one-state encoder has one transition, so one
+    exact kraft_check report per (stage-1 length profile, stage-2 length
+    profile, block length), made on the first table of each profile, stands
+    for every encoder of that profile pair.  Only when a report fails does the
+    suite walk the family, in (encoder, block length) order, to list them.
     """
     from . import fsm
 
@@ -68,23 +70,18 @@ def suite_kraft(max_out_len: int = 2, block_len_max: int = 3,
     p1 = [tuple(map(len, c)) for c in f1s]
     p2 = [tuple(len(out) for row in t for out in row) for t in f2s]
     block_lens = list(range(1, block_len_max + 1))
-    violations: List[dict] = []
-    checks = 0
-    max_ratio = 0.0
+    first1 = {p: f1s[p1.index(p)] for p in dict.fromkeys(p1)}  # each profile's first table
+    first2 = {p: f2s[p2.index(p)] for p in dict.fromkeys(p2)}
     reports: Dict[tuple, dict] = {}
-    for i1, lens1 in enumerate(p1):
-        for i2, lens2 in enumerate(p2):
+    for lens1, t1 in first1.items():
+        for lens2, t2 in first2.items():
+            enc = fsm.onestate_binary_encoder(t1, t2)
             for l in block_lens:
-                key = (lens1, lens2, l)
-                rep = reports.get(key)
-                if rep is None:
-                    enc = fsm.onestate_binary_encoder(f1s[i1], f2s[i2])
-                    rep = reports[key] = fsm.kraft_check(enc, l, tol=tol)
-                checks += 1
-                max_ratio = max(max_ratio, rep["lhs"] / rep["rhs"])
-                if not rep["holds"]:
-                    violations.append({"encoder": i1 * len(f2s) + i2, "block_len": l,
-                                       "lhs": rep["lhs"], "rhs": rep["rhs"]})
+                reports[lens1, lens2, l] = fsm.kraft_check(enc, l, tol=tol)
+    violations = [] if all(rep["holds"] for rep in reports.values()) else [
+        {"encoder": i1 * len(f2s) + i2, "block_len": l, "lhs": rep["lhs"], "rhs": rep["rhs"]}
+        for i1, lens1 in enumerate(p1) for i2, lens2 in enumerate(p2)
+        for l in block_lens for rep in (reports[lens1, lens2, l],) if not rep["holds"]]
     return {
         "suite": "kraft",
         "family_size": len(f1s) * len(f2s),
@@ -92,8 +89,8 @@ def suite_kraft(max_out_len: int = 2, block_len_max: int = 3,
         "f2_tables": len(f2s),
         "max_out_len": max_out_len,
         "block_lens": block_lens,
-        "checks": checks,
-        "max_lhs_over_rhs": max_ratio,
+        "checks": len(f1s) * len(f2s) * len(block_lens),
+        "max_lhs_over_rhs": max([0.0] + [rep["lhs"] / rep["rhs"] for rep in reports.values()]),
         "violations": violations,
         "holds": not violations,
     }
@@ -171,17 +168,21 @@ def suite_converse(seed: int = 0, n_small: int = 8, random_pairs: int = 200,
                                   if m1 < floor - tol]
     found: List[int] = []
     xlogx = [c * math.log2(c) if c else 0.0 for c in range(n_small + 1)]
+    prev, oh, rhs = -1, 0, 0.0  # the last leaf's primary and what it alone fixes
 
     def leaf(vh: int, vt: int, _c: int, c_l: List[int], _joint, _primary) -> None:
-        oh = ones_of[vh]
+        nonlocal prev, oh, rhs
+        if vh != prev:  # a new run of leaves below one primary letter: a new c_l
+            prev, oh = vh, ones_of[vh]
+            # rho_cond_from_counts of c_l, then the right side of floor (ii)
+            rhs = rho_small[vh] + xlogx_sum(c_l, xlogx) / n_small - d2_small - tol
         n11 = ones_of[vh & vt]
         n01 = ones_of[vt] - n11
         counts = (n_small - oh - n01, n01, oh - n11, n11)
         m2 = m2_memo.get(counts)
         if m2 is None:
             m2 = m2_memo[counts] = min_rho2(counts, n_small)
-        rho_c = xlogx_sum(c_l, xlogx) / n_small  # rho_cond_from_counts
-        if m1_by_ones[oh] + m2 < rho_small[vh] + rho_c - d2_small - tol:
+        if m1_by_ones[oh] + m2 < rhs:
             found.append(vh * side + vt)
 
     empirics._prefix_walk(n_small, 2, (), leaf)

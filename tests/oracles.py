@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Sequence as Seq, Tuple
 
-from srlz import bounds
+from srlz import bounds, fsm
 from srlz.bitio import pack
 from srlz.cond_lz import cond_encode, joint_parse, rho_cond, side_info_checksum
 from srlz.container import MODE_COND, Bitstream
@@ -256,6 +256,48 @@ def joint_collision(encoder, k: int, s0: int, z0: int) -> Optional[tuple]:
             return seen[key], word
         seen[key] = word
     return None
+
+
+def kraft_suite_reference(max_out_len: int = 2, block_len_max: int = 3,
+                          k_max: int = 8, tol: float = 1e-12) -> dict:
+    """verify.suite_kraft as one loop over every (encoder, block length) of
+    the family, in that order: each pair counts one check, reads the report
+    of its (stage-1 length profile, stage-2 length profile, block length),
+    made on the first encoder met with that key, and adds a violation when
+    that report fails."""
+    f1s, f2s = fsm.lossless_onestate_binary_tables(max_out_len, k_max)
+    p1 = [tuple(map(len, c)) for c in f1s]
+    p2 = [tuple(len(out) for row in t for out in row) for t in f2s]
+    block_lens = list(range(1, block_len_max + 1))
+    violations: List[dict] = []
+    checks = 0
+    max_ratio = 0.0
+    reports: Dict[tuple, dict] = {}
+    for i1, lens1 in enumerate(p1):
+        for i2, lens2 in enumerate(p2):
+            for l in block_lens:
+                key = (lens1, lens2, l)
+                rep = reports.get(key)
+                if rep is None:
+                    enc = fsm.onestate_binary_encoder(f1s[i1], f2s[i2])
+                    rep = reports[key] = fsm.kraft_check(enc, l, tol=tol)
+                checks += 1
+                max_ratio = max(max_ratio, rep["lhs"] / rep["rhs"])
+                if not rep["holds"]:
+                    violations.append({"encoder": i1 * len(f2s) + i2, "block_len": l,
+                                       "lhs": rep["lhs"], "rhs": rep["rhs"]})
+    return {
+        "suite": "kraft",
+        "family_size": len(f1s) * len(f2s),
+        "f1_tables": len(f1s),
+        "f2_tables": len(f2s),
+        "max_out_len": max_out_len,
+        "block_lens": block_lens,
+        "checks": checks,
+        "max_lhs_over_rhs": max_ratio,
+        "violations": violations,
+        "holds": not violations,
+    }
 
 
 def kraft_sum_by_strings(encoder, block_len: int) -> Tuple[float, int]:

@@ -22,7 +22,8 @@ from srlz.cond_lz import (
     side_info_checksum,
 )
 from srlz.corpus import random_sequence
-from srlz.lz_core import BINARY, Alphabet, Sequence, _lz_walk, product_sequence, xlogx_sum
+from srlz.lz_core import (BINARY, Alphabet, Sequence, _lz_walk, lz_encode, product_sequence,
+                          xlogx_sum)
 
 
 def bits(text: str) -> Sequence:
@@ -333,6 +334,20 @@ class TestDecodeErrors:
         enc = cond_encode(bits("0101"), bits("0011"))
         with pytest.raises(SideInfoMismatchError):
             cond_decode(enc.to_bytes(), bits("0111"))
+
+    def test_mode_and_side_checksum_errors_name_the_field(self):
+        side = bits("0011")
+        with pytest.raises(StreamFormatError, match=(
+                r"^not a conditional stream container: mode field \(byte 5\) reads 0, "
+                r"expected 1$")):
+            cond_decode(lz_encode(bits("0101")).to_bytes(), side)
+        enc = cond_encode(bits("0101"), side)
+        other = bits("0111")
+        with pytest.raises(SideInfoMismatchError, match=(
+                rf"^side information checksum mismatch: side_checksum field reads "
+                rf"{enc.side_checksum}, the side information hashes to "
+                rf"{side_info_checksum(other)}$")):
+            cond_decode(enc.to_bytes(), other)
 
     def test_corrupted_payload_fails_the_checksum(self):
         # a format error, not a side-information mismatch: the side is right

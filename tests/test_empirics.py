@@ -169,6 +169,26 @@ class TestPrefixWalk:
         for lens in (divisors, (), divisors[1:], divisors[::2]):
             self.check_leaves(n, gamma, lens)
 
+    @pytest.mark.parametrize("gamma", [2, 3])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_leaves_of_one_primary_come_in_runs_of_gamma(self, n, gamma):
+        # what the conditional leaves of _scan and suite_converse keep from
+        # one leaf to the next: a run of equal vh shares c_l and primary dicts
+        divisors = tuple(l for l in range(1, n + 1) if n % l == 0)
+        for lens in (divisors, ()):
+            runs = []
+
+            def leaf(vh, vt, phrases, c_l, joint, primary):
+                shared = (list(c_l), [list(d.items()) for d in primary])
+                if runs and runs[-1][0] == vh:
+                    assert shared == runs[-1][1]
+                    runs[-1][2] += 1
+                else:
+                    runs.append([vh, shared, 1])
+
+            _prefix_walk(n, gamma, lens, leaf)
+            assert [size for _, _, size in runs] == [gamma] * (2 ** n * gamma ** (n - 1))
+
     @staticmethod
     def check_leaves(n, gamma, lens):
         AB = 2 * gamma

@@ -350,6 +350,14 @@ class TestDecodeErrors:
         with pytest.raises(ModeMismatchError):
             lz_decode(enc.to_bytes())
 
+    def test_mode_mismatch_names_the_mode_field(self):
+        from srlz.cond_lz import cond_encode
+
+        raw = cond_encode(seq("0110"), seq("0101")).to_bytes()
+        with pytest.raises(ModeMismatchError, match=(
+                r"^not a plain stream container: mode field \(byte 5\) reads 1, expected 0$")):
+            lz_decode(raw)
+
     def test_truncated_payload(self):
         enc = lz_encode(seq("abbabaabbaaabaa"))
         raw = enc.to_bytes()

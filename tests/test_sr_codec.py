@@ -175,6 +175,23 @@ class TestRefinementCodec:
         with pytest.raises(StreamFormatError, match="missing a stage"):
             SrEncoded.from_bytes(only1)
 
+    def test_stage_errors_name_the_fields(self):
+        x = bits("01101001")
+        enc = sr_encode(x, x, x)
+        stage1 = Segment(ROLE_STAGE1, enc.stage1.payload_bits, enc.stage1.to_bytes())
+        with pytest.raises(StreamFormatError, match=(
+                r"^refinement container missing a stage segment: segment roles read "
+                r"\[1\], expected 1 and 2$")):
+            SrEncoded.from_bytes(pack_segments(MODE_SR, 8, [stage1]))
+        swapped = pack_segments(MODE_SR, 8, [
+            Segment(ROLE_STAGE1, enc.stage2.payload_bits, enc.stage2.to_bytes()),
+            Segment(ROLE_STAGE2, enc.stage1.payload_bits, enc.stage1.to_bytes()),
+        ])
+        with pytest.raises(StreamFormatError, match=(
+                r"^stage segments have wrong modes: mode fields read 1 \(stage 1\) and "
+                r"0 \(stage 2\), expected 0 and 1$")):
+            SrEncoded.from_bytes(swapped)
+
 
 @given(st.text(alphabet="01", min_size=1, max_size=48),
        st.text(alphabet="01", min_size=1, max_size=48),

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from srlz import bounds, cli, fsm, mdc, regions, verify
+import oracles
+from srlz import bounds, cli, empirics, fsm, mdc, regions, verify
 from srlz.lz_core import parse
 from srlz.verify import (
     SUITES,
@@ -93,6 +94,37 @@ class TestSmallSuiteRuns:
         assert [(v["encoder"], v["block_len"]) for v in rep["violations"]] == [
             (i, l) for i in range(family) for l in (1, 2)]
 
+    @pytest.mark.parametrize("max_out_len", [0, 1, 2])
+    @pytest.mark.parametrize("block_len_max", [0, 1, 2, 3])
+    def test_kraft_matches_the_per_encoder_loop(self, max_out_len, block_len_max):
+        kwargs = {"max_out_len": max_out_len, "block_len_max": block_len_max, "k_max": 3}
+        assert (json.dumps(suite_kraft(**kwargs), sort_keys=True)
+                == json.dumps(oracles.kraft_suite_reference(**kwargs), sort_keys=True))
+
+    def test_kraft_lists_only_the_encoders_of_a_failing_profile(self, monkeypatch):
+        # one (stage-1, stage-2) length profile pair fails; encoders of every
+        # other profile pair must stay off the violation list
+        real = fsm.kraft_check
+        bad = ((1, 2), (1, 1, 2, 2))
+
+        def failing(enc, l, **kw):
+            rep = real(enc, l, **kw)
+            lens = (tuple(len(enc.f1[0, a]) for a in (0, 1)),
+                    tuple(len(enc.f2[0, a, b]) for a in (0, 1) for b in (0, 1)))
+            return {**rep, "holds": rep["holds"] and lens != bad}
+
+        monkeypatch.setattr(fsm, "kraft_check", failing)
+        kwargs = {"max_out_len": 2, "block_len_max": 2, "k_max": 3}
+        rep = suite_kraft(**kwargs)
+        assert (json.dumps(rep, sort_keys=True)
+                == json.dumps(oracles.kraft_suite_reference(**kwargs), sort_keys=True))
+        f1s, f2s = fsm.lossless_onestate_binary_tables(2, 3)
+        want = [(i1 * len(f2s) + i2, l) for i1, c in enumerate(f1s) for i2, t in enumerate(f2s)
+                for l in (1, 2)
+                if (tuple(map(len, c)), tuple(len(o) for row in t for o in row)) == bad]
+        assert 0 < len(want) < rep["checks"]
+        assert [(v["encoder"], v["block_len"]) for v in rep["violations"]] == want
+
     def test_split_lemma(self):
         rep = suite_split_lemma(budget=2000)
         assert rep["holds"]
@@ -163,6 +195,36 @@ class TestSmallSuiteRuns:
         rep = suite_converse(random_pairs=0, spot_checks=4, n_small=4, n_large=16)
         assert rep["holds"]
         assert rep["spot_checks"]["count"] == 4
+
+
+class TestLeafSums:
+    """The gamma leaves below one primary letter share its c_l and primary
+    block dicts, so each c*log2(c) sum over them is made once per run."""
+
+    @pytest.fixture
+    def sums(self, monkeypatch):
+        calls = []
+
+        def counting(module):
+            real = module.xlogx_sum
+            monkeypatch.setattr(module, "xlogx_sum",
+                                lambda *args: calls.append(module) or real(*args))
+            return calls
+
+        return counting
+
+    def test_converse_sums_each_c_l_once(self, sums):
+        calls = sums(verify)
+        rep = suite_converse(n_small=8, random_pairs=0, n_large=64, spot_checks=0)
+        assert rep["exhaustive"]["pairs"] == 65536
+        assert len(calls) == 32768
+
+    def test_cond_scan_sums_c_l_and_primary_dicts_once(self, sums):
+        calls = sums(empirics)
+        rep = suite_cond_entropy_ineq(n=7, block_lens=(1, 7))
+        assert rep["pairs"] == 16384
+        # per leaf: 2 joint sums; per run of 2 leaves: rho_cond and 2 primary sums
+        assert len(calls) == 57344
 
 
 class TestEncoderObjects:
